@@ -21,7 +21,6 @@ from .splinecore import (
     KnotVector,
     TensorSpace,
     gauss_rule,
-    make_knot_vector,
     two_scale_matrix,
     uniform_knot_vector,
     uniform_space,
@@ -54,7 +53,6 @@ from .bezier import (
     SupportExtension,
     active_elements_in_box,
     bezier_project,
-    build_partition,
     error_report,
     local_l2_project,
     region_gramian,
@@ -93,7 +91,6 @@ __all__ = [
     "KnotVector",
     "TensorSpace",
     "gauss_rule",
-    "make_knot_vector",
     "two_scale_matrix",
     "uniform_knot_vector",
     "uniform_space",
@@ -120,7 +117,6 @@ __all__ = [
     "SupportExtension",
     "active_elements_in_box",
     "bezier_project",
-    "build_partition",
     "error_report",
     "local_l2_project",
     "region_gramian",

@@ -20,13 +20,8 @@ import itertools
 
 import numpy as np
 
-from .bezier import (
-    _eval_field,
-    _gauss_data,
-    _phys_weights,
-    bezier_project,
-    error_report,
-)
+from .bezier import bezier_project, error_report
+from .hierarchy import gauss_tensor
 from .numerics import assemble_csr, sparse_solve
 from .qbox import AdmissibilityPolicy, coarsen_qboxes, refine_qboxes
 
@@ -375,35 +370,28 @@ def _boundary_values(space, g):
     bids = space.boundary_function_ids()
     if len(bids) == 0:
         return bids, np.zeros(0)
-    dim = space.dim
-    ref, wts = _gauss_data(space)
+    gauss = gauss_tensor(space)
+    fields = () if g is None else (g,)
     rows, cols, vals = [], [], []
     rhs = np.zeros(space.ndof)
-    for d, side in itertools.product(range(dim), (0, 1)):
-        for lv, e in space.all_active_elements():
-            last = space.hierarchy.elems_shape(lv)[d] - 1
-            if e[d] != (0 if side == 0 else last):
-                continue
-            refs = tuple(
-                (float(side),) if dd == d else ref for dd in range(dim)
-            )
-            fids, basis = space.element_values(lv, e, refs)
-            w = np.ones(1)
-            kvs = space.levels[lv].kvs
-            for dd in range(dim):
-                if dd == d:
-                    factor = np.ones(1)
-                else:
-                    h = kvs[dd].breakpoints[e[dd] + 1] - kvs[dd].breakpoints[e[dd]]
-                    factor = wts * h
-                w = (w[:, None] * factor[None, :]).reshape(-1)
+    for d, side in itertools.product(range(space.dim), (0, 1)):
+        # the facet x_d = side: one sampled point across it, Gauss along it
+        rule = tuple(
+            ((float(side),), None) if dd == d else r for dd, r in enumerate(gauss)
+        )
+        facet = [
+            (lv, e)
+            for lv, e in space.all_active_elements()
+            if e[d] == side * (space.hierarchy.elems_shape(lv)[d] - 1)
+        ]
+        quad = space.quadrature(rule, fields=fields, elements=facet)
+        for _, _, fids, basis, w, gv in quad:
             block = (basis[0] * w) @ basis[0].T
             rows.append(np.repeat(fids, len(fids)))
             cols.append(np.tile(fids, len(fids)))
             vals.append(block.reshape(-1))
             if g is not None:
-                gv = _eval_field(g, space.element_points(lv, e, refs))
-                rhs[fids] += basis[0] @ (w * gv)
+                rhs[fids] += basis[0] @ (w * gv[0])
     mass = assemble_csr(
         np.concatenate(rows),
         np.concatenate(cols),
@@ -433,23 +421,19 @@ def poisson_solve(space, f, g=None):
     system raises :class:`~thbox.numerics.SolveError`.
     """
     dim = space.dim
-    ref, wts = _gauss_data(space)
-    refs = (ref,) * dim
     derivs = ((0,) * dim,) + tuple(
         tuple(int(k == d) for k in range(dim)) for d in range(dim)
     )
     rows, cols, vals = [], [], []
     load = np.zeros(space.ndof)
-    for lv, e in space.all_active_elements():
-        fids, basis = space.element_values(lv, e, refs, derivs=derivs)
-        w = _phys_weights(space, lv, e, wts)
+    quad = space.quadrature(gauss_tensor(space), derivs, (f,))
+    for _, _, fids, basis, w, (fv,) in quad:
         block = np.zeros((len(fids), len(fids)))
         for d in range(dim):
             block += (basis[1 + d] * w) @ basis[1 + d].T
         rows.append(np.repeat(fids, len(fids)))
         cols.append(np.tile(fids, len(fids)))
         vals.append(block.reshape(-1))
-        fv = _eval_field(f, space.element_points(lv, e, refs))
         load[fids] += basis[0] @ (w * fv)
     stiffness = assemble_csr(
         np.concatenate(rows),
@@ -480,25 +464,18 @@ def residual_estimator(space, solution, f):
     if coeffs.shape != (space.ndof,):
         raise ValueError("coefficient vector must have length %d" % space.ndof)
     dim = space.dim
-    ref, wts = _gauss_data(space, extra=1)
-    refs = (ref,) * dim
     derivs = tuple(
         tuple(2 * int(k == d) for k in range(dim)) for d in range(dim)
     )
     q = space.hierarchy.q
     acc = {}
-    for lv, e in space.all_active_elements():
-        fids, basis = space.element_values(lv, e, refs, derivs=derivs)
+    quad = space.quadrature(gauss_tensor(space, extra=1), derivs, (f,))
+    for lv, e, fids, basis, w, (fv,) in quad:
         lap = coeffs[fids] @ basis[0]
         for d in range(1, dim):
             lap = lap + coeffs[fids] @ basis[d]
-        res = _eval_field(f, space.element_points(lv, e, refs)) + lap
-        w = _phys_weights(space, lv, e, wts)
-        kvs = space.levels[lv].kvs
-        diam_sq = sum(
-            (kvs[d].breakpoints[e[d] + 1] - kvs[d].breakpoints[e[d]]) ** 2
-            for d in range(dim)
-        )
+        res = fv + lap
+        diam_sq = sum((b - a) ** 2 for a, b in space.levels[lv].element_bounds(e))
         key = _box_key(lv, e, q)
         acc[key] = acc.get(key, 0.0) + diam_sq * float(res @ (w * res))
     return {key: float(np.sqrt(val)) for key, val in sorted(acc.items())}

@@ -20,50 +20,16 @@ are bit-reproducible.
 """
 
 import itertools
+import math
 
 import numpy as np
 import scipy.linalg
 
+from .hierarchy import gauss_tensor
 from .numerics import SPD_PIVOT_REL, NonSPDError, svd_rank
 from .qbox import classify
-from .splinecore import gauss_rule
 
 _NORMS = ("l2", "linf", "h1")
-
-
-def _gauss_data(space, extra=0):
-    """Reference Gauss points (hashable tuple) and weights on [0, 1]."""
-    rule = gauss_rule(max(space.degree) + 1 + extra)
-    return tuple(rule.points.tolist()), rule.weights
-
-
-def _phys_weights(space, lv, e, wts):
-    """Physical tensor quadrature weights on element (lv, e), C order."""
-    kvs = space.levels[lv].kvs
-    w = np.ones(1)
-    for d, kv in enumerate(kvs):
-        h = kv.breakpoints[e[d] + 1] - kv.breakpoints[e[d]]
-        w = (w[:, None] * (wts * h)[None, :]).reshape(-1)
-    return w
-
-
-def _element_volume(space, lv, e):
-    vol = 1.0
-    for d, kv in enumerate(space.levels[lv].kvs):
-        vol *= kv.breakpoints[e[d] + 1] - kv.breakpoints[e[d]]
-    return vol
-
-
-def _eval_field(f, pts):
-    """Evaluate a scalar field on points (npts, dim); accepts pointwise f."""
-    vals = None
-    try:
-        vals = np.asarray(f(pts), dtype=float)
-    except Exception:
-        vals = None
-    if vals is None or vals.shape != (len(pts),):
-        vals = np.array([float(f(p)) for p in pts])
-    return vals
 
 
 def active_elements_in_box(mesh, lv, box):
@@ -117,8 +83,7 @@ class ProjectorPartition:
             members.extend((lv, b) for b in boxes)
         self.members = tuple(members)
         self._index = {m: i for i, m in enumerate(self.members)}
-        self._ref, self._wts = _gauss_data(space)
-        refs = (self._ref,) * space.dim
+        self._rule = gauss_tensor(space)
 
         elem_member = {}
         member_elems = []
@@ -128,14 +93,13 @@ class ProjectorPartition:
         for idx, (lv, box) in enumerate(self.members):
             elems = active_elements_in_box(mesh, lv, box)
             ints = {}
-            for k, e in elems:
+            for k, e, fids, vals, w, _ in space.quadrature(self._rule, elements=elems):
                 if (k, e) in elem_member:
                     raise AssertionError(
                         "element %s of level %d covered by two members" % (e, k)
                     )
                 elem_member[(k, e)] = idx
-                fids, vals = space.element_values(k, e, refs)
-                contrib = vals[0] @ _phys_weights(space, k, e, self._wts)
+                contrib = vals[0] @ w
                 for fid, c in zip(fids.tolist(), contrib.tolist()):
                     ints[fid] = ints.get(fid, 0.0) + c
             fid_arr = np.array(sorted(ints), dtype=np.int64)
@@ -206,11 +170,6 @@ class ProjectorPartition:
         return self._fid_members[fid]
 
 
-def build_partition(space, mesh=None):
-    """Covering macro-element collection (see :class:`ProjectorPartition`)."""
-    return ProjectorPartition(space, mesh)
-
-
 def region_gramian(space, region):
     """Exact Gramian of the active functions restricted to a union of elements.
 
@@ -225,8 +184,6 @@ def region_gramian(space, region):
     for lv, e in region:
         if not space.is_active_element(lv, e):
             raise ValueError("element %s of level %d is not active" % (e, lv))
-    ref, wts = _gauss_data(space)
-    refs = (ref,) * space.dim
     fid_set = set()
     for lv, e in region:
         fids, _ = space.element_table(lv, e)
@@ -234,10 +191,9 @@ def region_gramian(space, region):
     all_fids = np.array(sorted(fid_set), dtype=np.int64)
     pos = {fid: i for i, fid in enumerate(all_fids.tolist())}
     gram = np.zeros((len(all_fids), len(all_fids)))
-    for lv, e in region:
-        fids, vals = space.element_values(lv, e, refs)
+    quad = space.quadrature(gauss_tensor(space), elements=region)
+    for _, _, fids, vals, w, _ in quad:
         v = vals[0]
-        w = _phys_weights(space, lv, e, wts)
         rows = np.array([pos[fid] for fid in fids.tolist()], dtype=np.intp)
         gram[np.ix_(rows, rows)] += (v * w) @ v.T
     return all_fids, gram
@@ -262,16 +218,17 @@ def _local_solve(partition, idx, f):
     space = partition.space
     fids = partition._member_fids[idx]
     pos = {fid: i for i, fid in enumerate(fids.tolist())}
-    refs = (partition._ref,) * space.dim
     blocks = []
     rhs = []
-    for k, e in partition._member_elems[idx]:
-        efids, vals = space.element_values(k, e, refs)
-        sqw = np.sqrt(_phys_weights(space, k, e, partition._wts))
+    quad = space.quadrature(
+        partition._rule, fields=(f,), elements=partition._member_elems[idx]
+    )
+    for _, _, efids, vals, w, (fv,) in quad:
+        sqw = np.sqrt(w)
         block = np.zeros((len(sqw), len(fids)))
         block[:, [pos[fid] for fid in efids.tolist()]] = (vals[0] * sqw).T
         blocks.append(block)
-        rhs.append(sqw * _eval_field(f, space.element_points(k, e, refs)))
+        rhs.append(sqw * fv)
     a = np.vstack(blocks)
     b = np.concatenate(rhs)
     # The coefficients solve the normal equations of the weighted sampled
@@ -468,45 +425,56 @@ def error_report(space, f, result, norms=_NORMS, f_grad=None):
     if "h1" in norms and f_grad is None:
         raise ValueError("the h1 norm requires f_grad")
     dim = space.dim
-    need_quad = "l2" in norms or "h1" in norms
-    if need_quad:
-        ref, wts = _gauss_data(space, extra=1)
-        refs = (ref,) * dim
-        derivs = [(0,) * dim]
+    integrated = sampled = itertools.repeat(None)
+    if "l2" in norms or "h1" in norms:
+        derivs = ((0,) * dim,)
+        fields = (f,)
         if "h1" in norms:
-            derivs.extend(
+            derivs += tuple(
                 tuple(1 if k == d else 0 for k in range(dim)) for d in range(dim)
             )
-        derivs = tuple(derivs)
+            fields += tuple(_gradient_component(f_grad, d, dim) for d in range(dim))
+        integrated = space.quadrature(gauss_tensor(space, extra=1), derivs, fields)
     if "linf" in norms:
-        refs_inf = tuple(
-            tuple(np.linspace(0.0, 1.0, 2 * p + 3).tolist()) for p in space.degree
+        grid = tuple(
+            (tuple(np.linspace(0.0, 1.0, 2 * p + 3).tolist()), None)
+            for p in space.degree
         )
+        sampled = space.quadrature(grid, fields=(f,))
+    # both rules advance together, element by element: two whole-mesh passes
+    # would evict each extraction table from the space's LRU cache on large
+    # meshes before the second rule needs it
     per_element = {}
-    for k, e in space.all_active_elements():
+    for key, quad, sample in zip(space.all_active_elements(), integrated, sampled):
         entry = {}
-        if need_quad:
-            efids, vals = space.element_values(k, e, refs, derivs=derivs)
-            w = _phys_weights(space, k, e, wts)
-            fv = _eval_field(f, space.element_points(k, e, refs))
-            err = coeffs[efids] @ vals[0] - fv
+        if quad is not None:
+            k, e, efids, vals, w, fv = quad
+            err = coeffs[efids] @ vals[0] - fv[0]
             l2sq = float(err @ (w * err))
             if "l2" in norms:
                 entry["l2"] = float(np.sqrt(l2sq))
-                entry["rms"] = float(np.sqrt(l2sq / _element_volume(space, k, e)))
+                volume = math.prod(b - a for a, b in space.levels[k].element_bounds(e))
+                entry["rms"] = float(np.sqrt(l2sq / volume))
             if "h1" in norms:
-                pts = space.element_points(k, e, refs)
-                grads = np.asarray(f_grad(pts), dtype=float)
-                if grads.shape != (len(pts), dim):
-                    raise ValueError("f_grad must return an (npts, dim) array")
                 h1sq = l2sq
                 for d in range(dim):
-                    derr = coeffs[efids] @ vals[1 + d] - grads[:, d]
+                    derr = coeffs[efids] @ vals[1 + d] - fv[1 + d]
                     h1sq += float(derr @ (w * derr))
                 entry["h1"] = float(np.sqrt(h1sq))
-        if "linf" in norms:
-            efids, vals = space.element_values(k, e, refs_inf)
-            fv = _eval_field(f, space.element_points(k, e, refs_inf))
+        if sample is not None:
+            _, _, efids, vals, _, (fv,) = sample
             entry["linf"] = float(np.max(np.abs(coeffs[efids] @ vals[0] - fv)))
-        per_element[(k, e)] = entry
+        per_element[key] = entry
     return ErrorReport(per_element, norms)
+
+
+def _gradient_component(f_grad, d, dim):
+    """Component ``d`` of ``f_grad`` as a field; ``f_grad`` must give (npts, dim)."""
+
+    def component(pts):
+        grads = np.asarray(f_grad(pts), dtype=float)
+        if grads.shape != (len(pts), dim):
+            raise ValueError("f_grad must return an (npts, dim) array")
+        return grads[:, d]
+
+    return component

@@ -29,13 +29,7 @@ import sys
 
 import numpy as np
 
-from .adaptive import (
-    AdaptiveConfig,
-    adapt_loop,
-    adapt_project,
-    poisson_solve,
-    residual_estimator,
-)
+from .adaptive import AdaptiveConfig, adapt_poisson, adapt_project
 from .bezier import bezier_project, error_report
 from .derham import build_complex, exactness_report
 from .hierarchy import DomainHierarchy, LevelSequence, build_thb
@@ -461,19 +455,7 @@ def run_adapt_poisson(params, quiet=False):
         (p, p),
         params["multiplicity"],
     )
-
-    def solve(sp):
-        return poisson_solve(sp, front_rhs, g=front_exact)
-
-    def estimate(sp, coeffs):
-        indicators = residual_estimator(sp, coeffs, front_rhs)
-        rep = error_report(sp, front_exact, coeffs, norms=("l2", "linf"))
-        return indicators, {
-            "error_l2": rep.error_l2,
-            "error_linf": rep.error_linf,
-        }
-
-    trace = adapt_loop(space, solve, estimate, cfg)
+    trace = adapt_poisson(space, front_rhs, cfg, g=front_exact, exact=front_exact)
     _emit_adaptive_artifacts(trace, params["out_dir"])
     _say(
         quiet,

@@ -27,9 +27,8 @@ import itertools
 import numpy as np
 import scipy.linalg
 
-from .bezier import _phys_weights
-from .hierarchy import LevelSequence, build_thb
-from .splinecore import gauss_rule, uniform_space
+from .hierarchy import LevelSequence, build_thb, gauss_tensor
+from .splinecore import uniform_space
 
 #: Relative singular-value cutoff for rank decisions.
 RANK_REL_TOL = 1e-9
@@ -479,54 +478,44 @@ def _violating_bbox(flo, fhi, alo, ahi, klo, khi):
 # -- rank-based route -------------------------------------------------------
 
 
-def _slot_layout(cs):
-    """Shared element order, Gauss data, and per-slot column offsets."""
-    elements = list(cs.v0.all_active_elements())
-    rule = gauss_rule(max(cs.degree) + 1)
-    refs = tuple(rule.points.tolist())
-    return elements, refs, rule.weights
+def _basis_matrix(cs, k):
+    """Sampled, weight-scaled values of slot ``k``: rows (comp, elem, pt).
 
-
-def _basis_matrix(cs, k, elements, refs, wts):
-    """Sampled, weight-scaled values of slot ``k``: rows (comp, elem, pt)."""
+    Every component space shares the hierarchy, so all visit the same
+    active elements in the same order, sampled by the head space's rule.
+    """
     comps = cs.slots[k]
-    npts = len(refs) ** cs.dim
-    nrows = len(comps) * len(elements) * npts
-    cols = sum(s.ndof for s in comps)
-    mat = np.zeros((nrows, cols))
+    rule = gauss_tensor(cs.v0)
+    npts = len(rule[0][0]) ** cs.dim
+    nrows = len(comps) * cs.v0.total_active_elements * npts
+    mat = np.zeros((nrows, sum(s.ndof for s in comps)))
     col0 = 0
     row0 = 0
     for space in comps:
-        for lv, e in elements:
-            sqw = np.sqrt(_phys_weights(space, lv, e, wts))
-            fids, vals = space.element_values(lv, e, (refs,) * cs.dim)
-            mat[row0 : row0 + npts, col0 + fids] = (vals[0] * sqw).T
+        for _, _, fids, vals, w, _ in space.quadrature(rule):
+            mat[row0 : row0 + npts, col0 + fids] = (vals[0] * np.sqrt(w)).T
             row0 += npts
         col0 += space.ndof
     return mat
 
 
-def _operator_matrix(cs, k, elements, refs, wts):
+def _operator_matrix(cs, k):
     """Sampled images of slot ``k`` under the k-th map: rows as slot k+1."""
     sources = cs.slots[k]
     targets = _operators(cs.dim)[k]
-    npts = len(refs) ** cs.dim
-    nrows = len(targets) * len(elements) * npts
+    rule = gauss_tensor(cs.v0)
+    npts = len(rule[0][0]) ** cs.dim
+    block = cs.v0.total_active_elements * npts
     offsets = np.cumsum([0] + [s.ndof for s in sources])
-    mat = np.zeros((nrows, offsets[-1]))
-    row0 = 0
-    for terms in targets:
-        for lv, e in elements:
-            sqw = np.sqrt(_phys_weights(cs.v0, lv, e, wts))
-            for src, deriv, sign in terms:
-                space = sources[src]
-                fids, vals = space.element_values(
-                    lv, e, (refs,) * cs.dim, derivs=(deriv,)
-                )
+    mat = np.zeros((len(targets) * block, offsets[-1]))
+    for t, terms in enumerate(targets):
+        for src, deriv, sign in terms:
+            quad = sources[src].quadrature(rule, derivs=(deriv,))
+            for i, (_, _, fids, vals, w, _) in enumerate(quad):
+                row0 = t * block + i * npts
                 mat[row0 : row0 + npts, offsets[src] + fids] += sign * (
-                    vals[0] * sqw
+                    vals[0] * np.sqrt(w)
                 ).T
-            row0 += npts
     return mat
 
 
@@ -632,7 +621,6 @@ def exactness_report(cs):
             "three-dimensional rank checks are limited to %d total dofs, "
             "got %d" % (MAX_RANK_CHECK_DOFS_3D, sum(cs.dims))
         )
-    elements, refs, wts = _slot_layout(cs)
     n = cs.dim
     dims = cs.dims
     ranks = []
@@ -640,7 +628,7 @@ def exactness_report(cs):
     band = []
     first_map = None
     for k in range(n):
-        mat = _operator_matrix(cs, k, elements, refs, wts)
+        mat = _operator_matrix(cs, k)
         if k == 0:
             first_map = mat
         sv = np.linalg.svd(mat, compute_uv=False)
@@ -661,7 +649,7 @@ def exactness_report(cs):
         cohomology.append(nullities[k] - ranks[k - 1])
     cohomology.append(dims[n] - ranks[n - 1])
 
-    basis1 = _basis_matrix(cs, 1, elements, refs, wts)
+    basis1 = _basis_matrix(cs, 1)
     fit = _least_squares_fit(basis1, first_map)
     resid = np.linalg.norm(basis1 @ fit - first_map, axis=0)
     norms = np.maximum(np.linalg.norm(first_map, axis=0), np.finfo(float).tiny)

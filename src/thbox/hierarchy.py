@@ -36,6 +36,7 @@ from .splinecore import (
     KnotVector,
     TensorSpace,
     basis_on_element,
+    gauss_rule,
     refinement_children,
 )
 
@@ -43,6 +44,27 @@ from .splinecore import (
 def _product_range(lo, hi):
     """Iterate integer multi-indices of the inclusive box [lo, hi]."""
     return itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+
+
+def _field_values(f, pts):
+    """Values of the field ``f`` at points (npts, dim): an (npts,) array."""
+    vals = np.asarray(f(pts), dtype=float)
+    if vals.shape != (len(pts),):
+        raise ValueError(
+            "a field must map points (npts, dim) to values (npts,); got shape %s "
+            "for %d points" % (vals.shape, len(pts))
+        )
+    return vals
+
+
+def gauss_tensor(space, extra=0):
+    """Tensor Gauss rule of ``max(p) + 1 + extra`` points per direction.
+
+    The result is a ``rule`` for :meth:`ThbSpace.quadrature`; with
+    ``extra=0`` it integrates products of two basis functions exactly.
+    """
+    rule = gauss_rule(max(space.degree) + 1 + extra)
+    return ((tuple(rule.points.tolist()), rule.weights),) * space.dim
 
 
 class DomainHierarchy:
@@ -451,17 +473,19 @@ class ThbSpace:
             self._table_cache.popitem(last=False)
         return fids, mat
 
+    def _uni_table(self, lv, d, e_d, ref_pts, nderiv):
+        """Univariate basis table on one element at reference points in [0, 1]."""
+        kv = self.levels[lv].kvs[d]
+        a = kv.breakpoints[e_d]
+        b = kv.breakpoints[e_d + 1]
+        return basis_on_element(kv, e_d, a + (b - a) * np.asarray(ref_pts), nderiv)
+
     def _uni_values(self, lv, d, e_d, ref_pts, nderiv):
-        """Univariate basis table on one element (cached by reference points)."""
+        """:meth:`_uni_table` cached by reference points; only rules come here."""
         key = (lv, d, e_d, ref_pts, nderiv)
         tab = self._uni_cache.get(key)
         if tab is None:
-            kv = self.levels[lv].kvs[d]
-            a = kv.breakpoints[e_d]
-            b = kv.breakpoints[e_d + 1]
-            x = a + (b - a) * np.asarray(ref_pts)
-            tab = basis_on_element(kv, e_d, x, nderiv)
-            self._uni_cache[key] = tab
+            tab = self._uni_cache[key] = self._uni_table(lv, d, e_d, ref_pts, nderiv)
         return tab
 
     def local_basis_values(self, lv, e, ref_pts_per_dir, deriv):
@@ -510,21 +534,51 @@ class ThbSpace:
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.reshape(-1) for g in grids], axis=-1)
 
+    def quadrature(self, rule, derivs=None, fields=(), elements=None):
+        """Element-local tensor quadrature, one active element at a time.
+
+        ``rule`` holds per direction a pair ``(points, weights)``: reference
+        points in [0, 1] as a hashable tuple, and their weights on [0, 1] or
+        ``None`` for a direction that is only sampled (weight factor 1;
+        a rule without weights yields ``w = None``).
+        ``elements`` lists the active (level, element) pairs to visit, all
+        of them in canonical order by default.  Yields ``(lv, e, fids,
+        vals, w, field_values)``: the :meth:`element_values` of ``derivs``,
+        the physical tensor weights in C order, and one array per entry of
+        ``fields`` with its values at the element's points.
+
+        A field maps a point array (npts, dim) to a value array (npts,) and
+        is called once per element; any other result raises ValueError.
+        Points are computed only when ``fields`` is nonempty.
+        """
+        refs = tuple(pts for pts, _ in rule)
+        if elements is None:
+            elements = self.all_active_elements()
+        for lv, e in elements:
+            fids, vals = self.element_values(lv, e, refs, derivs)
+            w = None
+            for (_, wts), kv, c in zip(rule, self.levels[lv].kvs, e):
+                if wts is not None:
+                    wd = wts * (kv.breakpoints[c + 1] - kv.breakpoints[c])
+                    w = wd if w is None else (w[:, None] * wd[None, :]).reshape(-1)
+            field_values = ()
+            if fields:
+                pts = self.element_points(lv, e, refs)
+                field_values = [_field_values(f, pts) for f in fields]
+            yield lv, e, fids, vals, w, field_values
+
     def eval_all_at(self, x, deriv=None):
         """Values of all active functions nonzero at ``x``: (fids, values)."""
         if deriv is None:
             deriv = (0,) * self.dim
         lv, e = self.locate(x)
-        space = self.levels[lv]
-        ref = tuple(
-            (
-                (xi - space.kvs[d].breakpoints[e[d]])
-                / (space.kvs[d].breakpoints[e[d] + 1] - space.kvs[d].breakpoints[e[d]]),
-            )
-            for d, xi in enumerate(x)
-        )
-        fids, vals = self.element_values(lv, e, ref, derivs=(tuple(deriv),))
-        return fids, vals[0][:, 0]
+        fids, coeffs = self.element_table(lv, e)
+        # uncached tables: the cache is for quadrature rules, not single points
+        local = np.ones(1)
+        for d, (xi, (a, b)) in enumerate(zip(x, self.levels[lv].element_bounds(e))):
+            tab = self._uni_table(lv, d, e[d], ((xi - a) / (b - a),), max(deriv))
+            local = np.outer(local, tab[deriv[d], :, 0]).reshape(-1)
+        return fids, (coeffs @ local[:, None])[:, 0]
 
     def boundary_function_ids(self):
         """Function ids whose mother B-spline can be nonzero on the boundary.

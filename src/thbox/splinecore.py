@@ -134,19 +134,6 @@ class KnotVector:
         fine[1::2] = mids
         return KnotVector(fine, self.degree, self.multiplicity)
 
-    def quasi_uniformity(self):
-        """Max ratio of neighbouring element sizes (a diagnostic, not enforced)."""
-        h = np.diff(self.breakpoints)
-        if len(h) < 2:
-            return 1.0
-        r = h[1:] / h[:-1]
-        return float(max(r.max(), (1.0 / r).max()))
-
-
-def make_knot_vector(breakpoints, degree, multiplicity=1):
-    """Construct a :class:`KnotVector` (functional spelling of the constructor)."""
-    return KnotVector(breakpoints, degree, multiplicity)
-
 
 def uniform_knot_vector(numelems, degree, multiplicity=1):
     """Open knot vector with ``numelems`` equal elements on [0, 1]."""

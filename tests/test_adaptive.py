@@ -19,9 +19,10 @@ from thbox.adaptive import (
     residual_estimator,
 )
 from thbox.adaptive import _boundary_values
-from thbox.bezier import error_report
+from thbox.bezier import bezier_project, error_report
 from thbox.hierarchy import DomainHierarchy, admissibility_class
 from thbox.numerics import assemble_csr
+from thbox.splinecore import gauss_rule
 
 
 def unit_space(q, boxes0, degree):
@@ -296,11 +297,9 @@ class TestAdaptProject:
 
 def poisson_system(space, f):
     """Independent stiffness/load assembly used as a residual oracle."""
-    from thbox.bezier import _eval_field, _gauss_data, _phys_weights
-
     dim = space.dim
-    ref, wts = _gauss_data(space)
-    refs = (ref,) * dim
+    rule = gauss_rule(max(space.degree) + 1)
+    refs = (tuple(rule.points.tolist()),) * dim
     derivs = ((0,) * dim,) + tuple(
         tuple(int(k == d) for k in range(dim)) for d in range(dim)
     )
@@ -308,14 +307,16 @@ def poisson_system(space, f):
     load = np.zeros(space.ndof)
     for lv, e in space.all_active_elements():
         fids, basis = space.element_values(lv, e, refs, derivs=derivs)
-        w = _phys_weights(space, lv, e, wts)
+        w = np.ones(1)
+        for a, b in space.levels[lv].element_bounds(e):
+            w = np.outer(w, (b - a) * rule.weights).reshape(-1)
         block = np.zeros((len(fids), len(fids)))
         for d in range(dim):
             block += (basis[1 + d] * w) @ basis[1 + d].T
         rows.append(np.repeat(fids, len(fids)))
         cols.append(np.tile(fids, len(fids)))
         vals.append(block.reshape(-1))
-        load[fids] += basis[0] @ (w * _eval_field(f, space.element_points(lv, e, refs)))
+        load[fids] += basis[0] @ (w * f(space.element_points(lv, e, refs)))
     a = assemble_csr(np.concatenate(rows), np.concatenate(cols),
                      np.concatenate(vals), (space.ndof, space.ndof))
     return a, load
@@ -484,3 +485,35 @@ class TestAdaptPoisson:
         assert trace.csv() == adapt_poisson(
             unit_space((3, 3), (3, 3), (2, 2)), front_rhs, cfg,
             g=front_exact, exact=front_exact).csv()
+
+
+def single_point_field(p):
+    """Written for one point; on an (npts, 2) array it reads two whole rows."""
+    return np.sin(np.pi * p[0]) * np.sin(np.pi * p[1])
+
+
+def column_field(p):
+    """Right values in an (npts, 1) column instead of an (npts,) array."""
+    return sinsin_exact(np.atleast_2d(p))[:, None]
+
+
+@pytest.mark.parametrize("field", [single_point_field, column_field])
+class TestFieldContract:
+    """A field maps (npts, dim) to (npts,); nothing is retried point by point."""
+
+    space = unit_space((2, 2), (2, 2), (2, 2))
+
+    def test_bezier_project(self, field):
+        with pytest.raises(ValueError, match="npts"):
+            bezier_project(self.space, field)
+
+    def test_poisson_load_and_boundary_data(self, field):
+        with pytest.raises(ValueError, match="npts"):
+            poisson_solve(self.space, field)
+        with pytest.raises(ValueError, match="npts"):
+            poisson_solve(self.space, sinsin_rhs, g=field)
+
+    @pytest.mark.parametrize("norm", ["l2", "linf"])
+    def test_error_report(self, field, norm):
+        with pytest.raises(ValueError, match="npts"):
+            error_report(self.space, field, np.zeros(self.space.ndof), norms=(norm,))

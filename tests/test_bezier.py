@@ -16,7 +16,6 @@ from thbox.bezier import (
     ProjectorPartition,
     active_elements_in_box,
     bezier_project,
-    build_partition,
     error_report,
     local_l2_project,
     region_gramian,
@@ -147,10 +146,6 @@ class TestPartition:
         space = thb_space(DomainHierarchy((2, 2), (2, 2), [{(0, 0)}]), (3, 3))
         with pytest.raises(ValueError):
             ProjectorPartition(space)
-
-    def test_build_partition_helper(self, rspace, rpartition):
-        part = build_partition(rspace)
-        assert part.members == rpartition.members
 
 
 class TestVerifyNonOverloaded:

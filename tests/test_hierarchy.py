@@ -251,6 +251,14 @@ class TestTruncatedEvaluation:
         _, vals = hb.eval_all_at((0.2,))
         assert vals.sum() > 1.0 + 1e-6
 
+    def test_point_evaluation_leaves_table_cache_unchanged(self):
+        levels, hier = _make_case(*HIERARCHY_CASES[2])
+        space = build_thb(levels, hier)
+        before = len(space._uni_cache)
+        for x in np.random.default_rng(17).random((1000, hier.dim)):
+            space.eval_all_at(tuple(x))
+        assert len(space._uni_cache) == before
+
     def test_thb_spans_hb(self):
         # collocation on per-element tensor grids: both bases have full
         # column rank and stacking them does not increase the rank

@@ -24,7 +24,6 @@ from thbox.splinecore import (
     eval_basis,
     gauss_rule,
     insertion_matrix,
-    make_knot_vector,
     refinement_children,
     tensor_eval,
     two_scale_matrix,
@@ -42,19 +41,19 @@ def _random_kv(seed, p, m):
 
 class TestConstruction:
     def test_knot_layout_p2_m1(self):
-        kv = make_knot_vector([0.0, 0.5, 1.0], 2, 1)
+        kv = KnotVector([0.0, 0.5, 1.0], 2, 1)
         nt.assert_array_equal(kv.knots, [0, 0, 0, 0.5, 1, 1, 1])
         assert kv.numbasis == 4
         assert kv.numelems == 2
 
     def test_knot_layout_p3_m2(self):
-        kv = make_knot_vector([0.0, 0.25, 0.5, 0.75, 1.0], 3, 2)
+        kv = KnotVector([0.0, 0.25, 0.5, 0.75, 1.0], 3, 2)
         expected = [0] * 4 + [0.25, 0.25, 0.5, 0.5, 0.75, 0.75] + [1] * 4
         nt.assert_array_equal(kv.knots, expected)
         assert kv.numbasis == 10
 
     def test_bernstein_multiplicity(self):
-        kv = make_knot_vector([0.0, 0.5, 1.0], 1, 2)
+        kv = KnotVector([0.0, 0.5, 1.0], 1, 2)
         nt.assert_array_equal(kv.knots, [0, 0, 0.5, 0.5, 1, 1])
         assert kv.numbasis == 4
 
@@ -64,12 +63,12 @@ class TestConstruction:
     )
     def test_bad_breakpoints(self, bad):
         with pytest.raises(ValueError):
-            make_knot_vector(bad, 2, 1)
+            KnotVector(bad, 2, 1)
 
     @pytest.mark.parametrize("m", [0, 4, -1])
     def test_bad_multiplicity(self, m):
         with pytest.raises(ValueError):
-            make_knot_vector([0.0, 0.5, 1.0], 2, m)
+            KnotVector([0.0, 0.5, 1.0], 2, m)
 
     def test_element_of(self):
         kv = uniform_knot_vector(4, 2)
@@ -81,7 +80,7 @@ class TestConstruction:
 
     def test_equality_and_hash(self):
         a = uniform_knot_vector(4, 2)
-        b = make_knot_vector(np.linspace(0, 1, 5), 2, 1)
+        b = KnotVector(np.linspace(0, 1, 5), 2, 1)
         assert a == b and hash(a) == hash(b)
         assert a != uniform_knot_vector(4, 3)
         assert a != uniform_knot_vector(5, 2)
