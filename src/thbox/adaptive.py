@@ -458,8 +458,12 @@ def residual_estimator(space, solution, f):
     Every active element contributes ``diam(e)**2 * ||f +
     laplace(u_h)||**2`` (Gauss rule one order above the assembly rule);
     element contributions are summed per active box and the square roots
-    of the sums returned, keyed by ``(level, box)``.
+    of the sums returned, keyed by ``(level, box)``.  Without facet-jump
+    terms the estimator needs a C^1 space: a multiplicity at or above the
+    degree raises ValueError.
     """
+    if any(m >= p for m, p in zip(space.multiplicity, space.degree)):
+        raise ValueError("residual_estimator needs a C^1 space: multiplicity < degree")
     coeffs = np.asarray(getattr(solution, "coefficients", solution), dtype=float)
     if coeffs.shape != (space.ndof,):
         raise ValueError("coefficient vector must have length %d" % space.ndof)

@@ -448,6 +448,8 @@ def run_adapt_poisson(params, quiet=False):
     p = params["degree"]
     if params["elements"] % (p + 1):
         raise ConfigError("elements must be divisible by degree + 1")
+    if params["multiplicity"] >= p:
+        raise ConfigError("multiplicity must be below the degree (a C^1 space)")
     cfg = _adaptive_config(params)
     space = _uniform_thb(
         (p + 1, p + 1),

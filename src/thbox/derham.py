@@ -28,6 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .hierarchy import LevelSequence, build_thb, gauss_tensor
+from .numerics import NonSPDError
 from .splinecore import uniform_space
 
 #: Relative singular-value cutoff for rank decisions.
@@ -478,31 +479,14 @@ def _violating_bbox(flo, fhi, alo, ahi, klo, khi):
 # -- rank-based route -------------------------------------------------------
 
 
-def _basis_matrix(cs, k):
-    """Sampled, weight-scaled values of slot ``k``: rows (comp, elem, pt).
+def _operator_matrix(cs, sources, targets):
+    """Sampled, weight-scaled images of the spaces ``sources``: rows (comp, elem, pt).
 
-    Every component space shares the hierarchy, so all visit the same
-    active elements in the same order, sampled by the head space's rule.
+    ``targets`` holds per output component the terms ``(src, deriv,
+    sign)`` whose sum it is.  Every space shares the hierarchy, so all
+    visit the same active elements in the same order, sampled by the head
+    space's rule.
     """
-    comps = cs.slots[k]
-    rule = gauss_tensor(cs.v0)
-    npts = len(rule[0][0]) ** cs.dim
-    nrows = len(comps) * cs.v0.total_active_elements * npts
-    mat = np.zeros((nrows, sum(s.ndof for s in comps)))
-    col0 = 0
-    row0 = 0
-    for space in comps:
-        for _, _, fids, vals, w, _ in space.quadrature(rule):
-            mat[row0 : row0 + npts, col0 + fids] = (vals[0] * np.sqrt(w)).T
-            row0 += npts
-        col0 += space.ndof
-    return mat
-
-
-def _operator_matrix(cs, k):
-    """Sampled images of slot ``k`` under the k-th map: rows as slot k+1."""
-    sources = cs.slots[k]
-    targets = _operators(cs.dim)[k]
     rule = gauss_tensor(cs.v0)
     npts = len(rule[0][0]) ** cs.dim
     block = cs.v0.total_active_elements * npts
@@ -524,12 +508,15 @@ def _least_squares_fit(a, b):
 
     Solves the normal equations by Cholesky and polishes with two
     refinement steps, which is much cheaper than an SVD solver at these
-    shapes; falls back to one when the basis matrix is rank deficient.
+    shapes.  The THB basis is linearly independent, so a failed
+    factorization means a broken basis and raises :class:`NonSPDError`.
     """
     try:
         cf = scipy.linalg.cho_factor(a.T @ a)
-    except scipy.linalg.LinAlgError:
-        return np.linalg.lstsq(a, b, rcond=None)[0]
+    except scipy.linalg.LinAlgError as exc:
+        raise NonSPDError(
+            "basis normal equations are not positive definite: %s" % exc
+        ) from None
     x = scipy.linalg.cho_solve(cf, a.T @ b)
     for _ in range(2):
         x += scipy.linalg.cho_solve(cf, a.T @ (b - a @ x))
@@ -628,7 +615,7 @@ def exactness_report(cs):
     band = []
     first_map = None
     for k in range(n):
-        mat = _operator_matrix(cs, k)
+        mat = _operator_matrix(cs, cs.slots[k], _operators(n)[k])
         if k == 0:
             first_map = mat
         sv = np.linalg.svd(mat, compute_uv=False)
@@ -649,7 +636,9 @@ def exactness_report(cs):
         cohomology.append(nullities[k] - ranks[k - 1])
     cohomology.append(dims[n] - ranks[n - 1])
 
-    basis1 = _basis_matrix(cs, 1)
+    # the slot-1 basis itself: one identity term per component
+    identity = [((c, (0,) * n, 1.0),) for c in range(len(cs.slots[1]))]
+    basis1 = _operator_matrix(cs, cs.slots[1], identity)
     fit = _least_squares_fit(basis1, first_map)
     resid = np.linalg.norm(basis1 @ fit - first_map, axis=0)
     norms = np.maximum(np.linalg.norm(first_map, axis=0), np.finfo(float).tiny)

@@ -28,6 +28,7 @@ query point.
 
 import itertools
 import json
+import math
 from collections import OrderedDict
 
 import numpy as np
@@ -55,6 +56,12 @@ def _field_values(f, pts):
             "for %d points" % (vals.shape, len(pts))
         )
     return vals
+
+
+def _reference_grid(ref_pts_per_dir):
+    """Tensor grid (npts, dim) of per-direction reference points, C order."""
+    grids = np.meshgrid(*(np.asarray(r) for r in ref_pts_per_dir), indexing="ij")
+    return np.stack([g.reshape(-1) for g in grids], axis=-1)
 
 
 def gauss_tensor(space, extra=0):
@@ -145,9 +152,7 @@ class DomainHierarchy:
 
     def box_in_domain(self, lv, box):
         """Whether the level-``lv`` box lies inside Omega^{lv}."""
-        if lv == 0:
-            return True
-        return tuple(c // 2 for c in box) in self.refined[lv - 1]
+        return self.element_in_domain(lv, tuple(c * qi for c, qi in zip(box, self.q)))
 
     def box_active(self, lv, box):
         return self.box_in_domain(lv, box) and not self.is_refined(lv, box)
@@ -157,9 +162,7 @@ class DomainHierarchy:
 
     def element_in_domain(self, lv, e):
         """Whether the level-``lv`` element lies inside Omega^{lv}."""
-        if lv == 0:
-            return True
-        return tuple(c // (2 * qi) for c, qi in zip(e, self.q)) in self.refined[lv - 1]
+        return self.support_in_domain(lv, e, e)
 
     def element_active(self, lv, e):
         return self.element_in_domain(lv, e) and not self.is_refined(lv, self.element_box(e))
@@ -181,38 +184,36 @@ class DomainHierarchy:
 
     # -- support queries for level-lv element index boxes ------------------
 
+    def _cover(self, lv, lo, hi):
+        """Whether each q-box covering level-``lv`` elements [lo, hi] is in Omega^{lv}.
+
+        The one domain rule: an element index halves to its level-(lv-1)
+        parent, whose box ``c // q`` must be one of ``refined[lv - 1]``.
+        """
+        if lv == 0:
+            return (True,)
+        if lv > len(self.refined):
+            return (False,)
+        marked = self.refined[lv - 1]
+        ranges = (
+            range(a // 2 // qi, b // 2 // qi + 1) for a, b, qi in zip(lo, hi, self.q)
+        )
+        return (box in marked for box in itertools.product(*ranges))
+
     def support_in_domain(self, lv, lo, hi):
         """All level-``lv`` elements of the box [lo, hi] lie inside Omega^{lv}."""
-        if lv == 0:
-            return True
-        marked = self.refined[lv - 1]
-        blo = tuple(c // (2 * qi) for c, qi in zip(lo, self.q))
-        bhi = tuple(c // (2 * qi) for c, qi in zip(hi, self.q))
-        return all(b in marked for b in _product_range(blo, bhi))
+        return all(self._cover(lv, lo, hi))
+
+    def support_meets_domain(self, lv, lo, hi):
+        """Some level-``lv`` element of the box [lo, hi] lies inside Omega^{lv}."""
+        return any(self._cover(lv, lo, hi))
 
     def support_in_next(self, lv, lo, hi):
-        """All level-``lv`` elements of [lo, hi] lie inside Omega^{lv+1}."""
-        if lv >= len(self.refined):
-            return False
-        marked = self.refined[lv]
-        blo = tuple(c // qi for c, qi in zip(lo, self.q))
-        bhi = tuple(c // qi for c, qi in zip(hi, self.q))
-        return all(b in marked for b in _product_range(blo, bhi))
+        """All level-``lv`` elements of [lo, hi] lie inside Omega^{lv+1}.
 
-    def support_touches_next(self, lv, lo, hi):
-        """Some level-``lv`` element of [lo, hi] lies inside Omega^{lv+1}."""
-        if lv >= len(self.refined):
-            return False
-        marked = self.refined[lv]
-        blo = tuple(c // qi for c, qi in zip(lo, self.q))
-        bhi = tuple(c // qi for c, qi in zip(hi, self.q))
-        count = 1
-        for a, b in zip(blo, bhi):
-            count *= b - a + 1
-        if count <= 4 * len(marked):
-            return any(b in marked for b in _product_range(blo, bhi))
-        return any(
-            all(a <= c <= b for c, a, b in zip(box, blo, bhi)) for box in marked
+        They are the level-(lv+1) elements [2 lo, 2 hi + 1]."""
+        return all(
+            self._cover(lv + 1, tuple(2 * c for c in lo), tuple(2 * c + 1 for c in hi))
         )
 
     # -- editing -----------------------------------------------------------
@@ -228,6 +229,7 @@ class LevelSequence:
         if isinstance(base, KnotVector):
             base = TensorSpace((base,))
         self._spaces = [base]
+        self._children = []
         self.ensure(num_levels)
 
     @property
@@ -241,6 +243,18 @@ class LevelSequence:
     def ensure(self, num_levels):
         while len(self._spaces) < num_levels:
             self._spaces.append(self._spaces[-1].refine())
+
+    def children(self, lv):
+        """Per-direction :func:`refinement_children` of level ``lv`` into ``lv + 1``.
+
+        Computed once per level and kept for the life of the sequence.
+        """
+        while len(self._children) <= lv:
+            coarse, fine = self[len(self._children)], self[len(self._children) + 1]
+            self._children.append(
+                tuple(refinement_children(c, f) for c, f in zip(coarse.kvs, fine.kvs))
+            )
+        return self._children[lv]
 
     def __getitem__(self, lv):
         if lv < 0:
@@ -359,33 +373,30 @@ class ThbSpace:
             )
             if lv + 1 == self.num_levels:
                 break
-            children = [
-                refinement_children(self.levels[lv].kvs[d], self.levels[lv + 1].kvs[d])
-                for d in range(hier.dim)
-            ]
+            children = self.levels.children(lv)
+            kept = {}
             nxt = {}
             for i, contribs in cur.items():
                 lo, hi = self._support_box(lv, i)
-                if not hier.support_touches_next(lv, lo, hi):
+                if not hier.support_meets_domain(
+                    lv + 1, tuple(2 * c for c in lo), tuple(2 * c + 1 for c in hi)
+                ):
                     continue
-                per_dir = [children[d][i[d]] for d in range(hier.dim)]
-                for combo in itertools.product(*(range(len(c[0])) for c in per_dir)):
-                    ch = tuple(per_dir[d][0][k] for d, k in enumerate(combo))
-                    w = 1.0
-                    for d, k in enumerate(combo):
-                        w *= per_dir[d][1][k]
-                    clo, chi = self._support_box(lv + 1, ch)
-                    if self.truncated and hier.support_in_domain(lv + 1, clo, chi):
-                        continue  # truncation: drop B-splines inside Omega^{lv+1}
-                    # skip children that can never reach an element at level >= lv+1
-                    if not any(
-                        hier.element_in_domain(lv + 1, e)
-                        for e in _product_range(clo, chi)
-                    ):
-                        continue
-                    tgt = nxt.setdefault(ch, {})
-                    for fid, c in contribs.items():
-                        tgt[fid] = tgt.get(fid, 0.0) + w * c
+                per_dir = (zip(*children[d][c]) for d, c in enumerate(i))
+                for combo in itertools.product(*per_dir):
+                    ch = tuple(j for j, _ in combo)
+                    if ch not in kept:
+                        # truncation drops B-splines inside Omega^{lv+1}; a child
+                        # whose support misses Omega^{lv+1} never reaches an element
+                        clo, chi = self._support_box(lv + 1, ch)
+                        kept[ch] = hier.support_meets_domain(lv + 1, clo, chi) and not (
+                            self.truncated and hier.support_in_domain(lv + 1, clo, chi)
+                        )
+                    if kept[ch]:
+                        w = math.prod(wd for _, wd in combo)
+                        tgt = nxt.setdefault(ch, {})
+                        for fid, c in contribs.items():
+                            tgt[fid] = tgt.get(fid, 0.0) + w * c
             cur = nxt
         self._rep = rep
 
@@ -524,15 +535,12 @@ class ThbSpace:
 
     def element_points(self, lv, e, ref_pts_per_dir):
         """Cartesian coordinates (npts, dim) of a tensor grid on element (lv, e)."""
-        axes = []
-        space = self.levels[lv]
-        for d in range(self.dim):
-            kv = space.kvs[d]
-            a = kv.breakpoints[e[d]]
-            b = kv.breakpoints[e[d] + 1]
-            axes.append(a + (b - a) * np.asarray(ref_pts_per_dir[d]))
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.reshape(-1) for g in grids], axis=-1)
+        return self._map_points(lv, e, _reference_grid(ref_pts_per_dir))
+
+    def _map_points(self, lv, e, grid):
+        """Reference points ``grid`` (npts, dim) mapped to element (lv, e)."""
+        lo, hi = np.array(self.levels[lv].element_bounds(e)).T
+        return lo + (hi - lo) * grid
 
     def quadrature(self, rule, derivs=None, fields=(), elements=None):
         """Element-local tensor quadrature, one active element at a time.
@@ -552,6 +560,7 @@ class ThbSpace:
         Points are computed only when ``fields`` is nonempty.
         """
         refs = tuple(pts for pts, _ in rule)
+        grid = _reference_grid(refs) if fields else None
         if elements is None:
             elements = self.all_active_elements()
         for lv, e in elements:
@@ -563,7 +572,7 @@ class ThbSpace:
                     w = wd if w is None else (w[:, None] * wd[None, :]).reshape(-1)
             field_values = ()
             if fields:
-                pts = self.element_points(lv, e, refs)
+                pts = self._map_points(lv, e, grid)
                 field_values = [_field_values(f, pts) for f in fields]
             yield lv, e, fids, vals, w, field_values
 

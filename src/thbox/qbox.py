@@ -227,9 +227,7 @@ def refine_qboxes(space, marked, policy=None):
 
     for lv, box in marked:
         do_refine(lv, box)
-    new_hier = hier.with_refined(refined)
-    space.levels.ensure(new_hier.num_levels)
-    return ThbSpace(space.levels, new_hier, truncated=space.truncated)
+    return ThbSpace(space.levels, hier.with_refined(refined), truncated=space.truncated)
 
 
 def coarsen_qboxes(space, marked, policy=None):

@@ -67,13 +67,21 @@ def grid_breakpoints(rng, max_interior=5, grid=20):
     return np.concatenate([[0.0], interior / grid, [1.0]])
 
 
-def random_hierarchy(rng, dim, q, boxes0, max_levels=3, p_refine=0.5):
-    """Random nested refinement (each level refines children of the last)."""
+def random_hierarchy(rng, dim, q, boxes0, max_levels=3, p_refine=0.5, interface=False):
+    """Random nested refinement (each level refines children of the last).
+
+    With ``interface`` the first level refines some but not all level-0
+    boxes, so the draw always has a refinement interface: an empty draw
+    gains one random box and a full draw loses one.
+    """
     refined = []
     level = 0
     cand = list(itertools.product(*(range(b) for b in boxes0)))
     while level < max_levels - 1 and cand:
         take = sorted(b for b in cand if rng.random() < p_refine)
+        if interface and level == 0 and len(take) in (0, len(cand)):
+            pick = cand[int(rng.integers(0, len(cand)))]
+            take = [pick] if not take else [b for b in take if b != pick]
         if not take:
             break
         refined.append(set(take))

@@ -422,6 +422,13 @@ class TestResidualEstimator:
             residual_estimator(space, np.zeros(space.ndof + 1),
                                lambda p: np.ones(len(p)))
 
+    def test_rejects_c0_space(self):
+        # no facet-jump terms: a C^0 space (multiplicity == degree) is refused
+        space = thb_space(DomainHierarchy((2, 2), (2, 2)), (2, 2), (2, 2))
+        with pytest.raises(ValueError, match="C\\^1"):
+            residual_estimator(space, np.zeros(space.ndof),
+                               lambda p: np.ones(len(p)))
+
 
 ALPHA, R0, XC = 60.0, 0.8, (-0.25, -0.25)
 

@@ -276,6 +276,14 @@ class TestAdaptKinds:
         assert len(lines) == 2
         capsys.readouterr()
 
+    def test_adapt_poisson_rejects_c0_space(self, tmp_path, capsys):
+        # the residual estimator has no facet-jump terms: C^1 spaces only
+        payload = {"kind": "adapt-poisson", "elements": 6, "multiplicity": 2}
+        code, out = run_cli(tmp_path, payload)
+        assert code == 1
+        assert not (out / "trace.csv").exists()
+        assert "multiplicity must be below the degree" in capsys.readouterr().err
+
     def test_adapt_project_reproducible(self, tmp_path, capsys):
         payload = {
             "kind": "adapt-project",

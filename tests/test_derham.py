@@ -25,7 +25,9 @@ from thbox.derham import (
     interior_functions,
     shortest_chain,
 )
+from thbox.derham import _least_squares_fit
 from thbox.hierarchy import DomainHierarchy, LevelSequence, build_thb
+from thbox.numerics import NonSPDError
 from thbox.splinecore import uniform_space
 
 
@@ -482,6 +484,12 @@ class TestAssumption3b:
 
 
 class TestExactnessReport:
+    def test_dependent_basis_raises(self):
+        # a linearly dependent basis has singular normal equations; no fallback
+        a = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
+        with pytest.raises(NonSPDError):
+            _least_squares_fit(a, np.ones((3, 1)))
+
     def test_unrefined_tensor_space_exact(self):
         cs = build_complex(DomainHierarchy((3, 3), (2, 2)), (2, 2))
         rep = exactness_report(cs)

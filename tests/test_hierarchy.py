@@ -37,6 +37,7 @@ from thbox.hierarchy import (
 from thbox.splinecore import (
     KnotVector,
     TensorSpace,
+    refinement_children,
     two_scale_matrix,
     uniform_knot_vector,
     uniform_space,
@@ -168,6 +169,31 @@ class TestDomainHierarchy:
                 sl = tuple(slice(c * scale, (c + 1) * scale) for c in b)
                 counts[sl] += 1
         nt.assert_array_equal(counts, 1)
+
+    @pytest.mark.parametrize("case", HIERARCHY_CASES)
+    def test_support_queries_match_element_scan(self, case):
+        seed, dim, _, _, q, boxes0, max_levels = case
+        h = random_hierarchy(np.random.default_rng(seed), dim, q, boxes0, max_levels)
+        # Omega^lv element by element; empty one level past the last refined one
+        domains = [_domain_elements(h, lv) for lv in range(h.num_levels)] + [set()]
+        rng = np.random.default_rng(500 + seed)
+        for lv in range(h.num_levels):
+            shape = h.elems_shape(lv)
+            for _ in range(60):
+                ends = [sorted(rng.integers(0, n, size=2)) for n in shape]
+                lo = tuple(int(a) for a, _ in ends)
+                hi = tuple(int(b) for _, b in ends)
+                elems = list(itertools.product(*(range(a, b + 1) for a, b in ends)))
+                inside = [e in domains[lv] for e in elems]
+                assert h.support_in_domain(lv, lo, hi) == all(inside)
+                assert h.support_meets_domain(lv, lo, hi) == any(inside)
+                assert h.element_in_domain(lv, lo) == (lo in domains[lv])
+                # [lo, hi] at level lv is [2 lo, 2 hi + 1] at level lv + 1
+                assert h.support_in_next(lv, lo, hi) == all(
+                    tuple(2 * c + o for c, o in zip(e, off)) in domains[lv + 1]
+                    for e in elems
+                    for off in itertools.product((0, 1), repeat=dim)
+                )
 
     def test_equality(self):
         a = DomainHierarchy((2,), (2,), [{(0,)}])
@@ -473,6 +499,20 @@ class TestLevelSequence:
         sp3 = seq[3]
         assert len(seq) == 4
         assert sp3.numelems == (16,)
+
+    @pytest.mark.parametrize("degree, multiplicity", [((2, 1), (1, 1)), ((3, 2), (2, 1))])
+    def test_children_are_two_scale_children(self, degree, multiplicity):
+        seq = LevelSequence(uniform_space((3, 2), degree, multiplicity))
+        for lv in range(3):
+            kids = seq.children(lv)
+            assert seq.children(lv) is kids  # computed once per level
+            assert len(kids) == 2
+            for d, per_fn in enumerate(kids):
+                ref = refinement_children(seq[lv].kvs[d], seq[lv + 1].kvs[d])
+                assert len(per_fn) == len(ref)
+                for (idx, w), (ref_idx, ref_w) in zip(per_fn, ref):
+                    nt.assert_array_equal(idx, ref_idx)
+                    nt.assert_array_equal(w, ref_w)
 
     def test_incompatible_base_rejected(self):
         levels = LevelSequence(uniform_space((3,), (2,)))

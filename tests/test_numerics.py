@@ -110,13 +110,13 @@ class TestSparseSolve:
         off = -1.0 * np.ones(n - 1)
         return scipy.sparse.diags([off, main, off], [-1, 0, 1]).tocsr()
 
-    def test_dense_path(self):
+    def test_small_system(self):
         a = self._laplacian(50)
         b = np.arange(50, dtype=float)
         x = sparse_solve(a, b)
         nt.assert_allclose(a @ x, b, atol=1e-9)
 
-    def test_sparse_path(self):
+    def test_large_system(self):
         a = self._laplacian(2500)
         b = np.ones(2500)
         x = sparse_solve(a, b)

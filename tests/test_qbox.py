@@ -636,11 +636,10 @@ class TestPropositionClassTwo:
     @pytest.mark.parametrize("seed", range(8))
     def test_equivalence_on_random_meshes(self, seed):
         rng = np.random.default_rng(3000 + seed)
-        hier = random_hierarchy(rng, 2, (2, 2), (2, 2), 4, p_refine=0.4)
+        hier = random_hierarchy(rng, 2, (2, 2), (2, 2), 4, p_refine=0.4, interface=True)
         space = _space(hier, 2)  # q = (2,2) >= p = (2,2)
         mesh = classify(space)
-        if not any(mesh.well_behaved(lv) for lv in range(mesh.num_levels)):
-            pytest.skip("no refinement interface in this draw")
+        assert any(mesh.well_behaved(lv) for lv in range(mesh.num_levels))
         all_wb_active = all(
             mesh.is_active(lv, b) for lv, b in mesh.all_well_behaved()
         )
