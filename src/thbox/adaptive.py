@@ -12,17 +12,19 @@ projection (:func:`adapt_project`) and an adaptive Poisson solver
 residual estimator.
 
 Everything is deterministic: marking sorts boxes canonically, assembly
-sums contributions in canonical element order, and trace rows carry a
+runs level by level (``R_lv^T K_lv R_lv``, with ``K_lv`` assembled from
+the level's element blocks in canonical order), and trace rows carry a
 fixed ``seconds = 0.0`` so serialized runs are byte-identical.
 """
 
 import itertools
 
 import numpy as np
+import scipy.sparse
 
 from .bezier import bezier_project, error_report
 from .hierarchy import gauss_tensor
-from .numerics import assemble_csr, sparse_solve
+from .numerics import sparse_solve
 from .qbox import AdmissibilityPolicy, coarsen_qboxes, refine_qboxes
 
 #: Boundary-mass diagonal entries below this fraction of the largest one
@@ -372,7 +374,7 @@ def _boundary_values(space, g):
         return bids, np.zeros(0)
     gauss = gauss_tensor(space)
     fields = () if g is None else (g,)
-    rows, cols, vals = [], [], []
+    mass = scipy.sparse.csr_matrix((space.ndof, space.ndof))
     rhs = np.zeros(space.ndof)
     for d, side in itertools.product(range(space.dim), (0, 1)):
         # the facet x_d = side: one sampled point across it, Gauss along it
@@ -384,20 +386,10 @@ def _boundary_values(space, g):
             for lv, e in space.all_active_elements()
             if e[d] == side * (space.hierarchy.elems_shape(lv)[d] - 1)
         ]
-        quad = space.quadrature(rule, fields=fields, elements=facet)
-        for _, _, fids, basis, w, gv in quad:
-            block = (basis[0] * w) @ basis[0].T
-            rows.append(np.repeat(fids, len(fids)))
-            cols.append(np.tile(fids, len(fids)))
-            vals.append(block.reshape(-1))
+        for block in space.quadrature(rule, fields=fields, elements=facet):
+            mass = mass + block.gram()
             if g is not None:
-                rhs[fids] += basis[0] @ (w * gv[0])
-    mass = assemble_csr(
-        np.concatenate(rows),
-        np.concatenate(cols),
-        np.concatenate(vals),
-        (space.ndof, space.ndof),
-    )
+                rhs += block.integrate(block.fields[0])
     diag = mass.diagonal()[bids]
     scale = diag.max()
     if scale <= 0.0:
@@ -412,8 +404,9 @@ def _boundary_values(space, g):
 def poisson_solve(space, f, g=None):
     """Galerkin solution of ``-laplace(u) = f`` on the unit box.
 
-    Stiffness and load are assembled per active element with a Gauss rule
-    of order ``max(p) + 1``.  Dirichlet data ``g`` (``None`` for
+    Stiffness and load are assembled level by level in the tensor
+    B-spline basis with a Gauss rule of order ``max(p) + 1`` and mapped to
+    the active functions by the extraction matrices.  Dirichlet data ``g`` (``None`` for
     homogeneous) is imposed by constraining every function with a nonzero
     boundary trace to the L2 projection of ``g`` onto the boundary;
     candidates with vanishing trace stay free.  Returns the coefficient
@@ -424,23 +417,11 @@ def poisson_solve(space, f, g=None):
     derivs = ((0,) * dim,) + tuple(
         tuple(int(k == d) for k in range(dim)) for d in range(dim)
     )
-    rows, cols, vals = [], [], []
+    stiffness = scipy.sparse.csr_matrix((space.ndof, space.ndof))
     load = np.zeros(space.ndof)
-    quad = space.quadrature(gauss_tensor(space), derivs, (f,))
-    for _, _, fids, basis, w, (fv,) in quad:
-        block = np.zeros((len(fids), len(fids)))
-        for d in range(dim):
-            block += (basis[1 + d] * w) @ basis[1 + d].T
-        rows.append(np.repeat(fids, len(fids)))
-        cols.append(np.tile(fids, len(fids)))
-        vals.append(block.reshape(-1))
-        load[fids] += basis[0] @ (w * fv)
-    stiffness = assemble_csr(
-        np.concatenate(rows),
-        np.concatenate(cols),
-        np.concatenate(vals),
-        (space.ndof, space.ndof),
-    )
+    for block in space.quadrature(gauss_tensor(space), derivs, (f,)):
+        stiffness = stiffness + block.gram(range(1, dim + 1))
+        load += block.integrate(block.fields[0])
     constrained, bvals = _boundary_values(space, g)
     coeffs = np.zeros(space.ndof)
     coeffs[constrained] = bvals
@@ -473,15 +454,12 @@ def residual_estimator(space, solution, f):
     )
     q = space.hierarchy.q
     acc = {}
-    quad = space.quadrature(gauss_tensor(space, extra=1), derivs, (f,))
-    for lv, e, fids, basis, w, (fv,) in quad:
-        lap = coeffs[fids] @ basis[0]
-        for d in range(1, dim):
-            lap = lap + coeffs[fids] @ basis[d]
-        res = fv + lap
-        diam_sq = sum((b - a) ** 2 for a, b in space.levels[lv].element_bounds(e))
-        key = _box_key(lv, e, q)
-        acc[key] = acc.get(key, 0.0) + diam_sq * float(res @ (w * res))
+    for block in space.quadrature(gauss_tensor(space, extra=1), derivs, (f,)):
+        res = block.fields[0] + sum(block.evaluate(coeffs, d) for d in range(dim))
+        eta_sq = (block.sizes**2).sum(axis=1) * (res * (block.weights * res)).sum(axis=1)
+        for e, val in zip(block.element_keys(), eta_sq.tolist()):
+            key = _box_key(block.level, e, q)
+            acc[key] = acc.get(key, 0.0) + val
     return {key: float(np.sqrt(val)) for key, val in sorted(acc.items())}
 
 

@@ -12,15 +12,16 @@ with weights proportional to the share of the function's integral carried
 by each macro-element.  The composite map is linear, local, and a
 projection: any function already in the space is returned unchanged.
 
-All quadrature is per active element, where every basis function is an
-elementwise polynomial, so Gramians and integrals are exact up to
-rounding.  Local solves over distinct macro-elements are independent;
-coefficient accumulation always runs in canonical member order, so results
-are bit-reproducible.
+Quadrature runs over whole levels (:meth:`ThbSpace.quadrature` blocks):
+the target is sampled once per level, and every macro-element gathers its
+elements' rows from those blocks.  Rules are tensor Gauss rules on active
+elements, where every basis function is a polynomial, so Gramians and
+integrals are exact up to rounding.  Local solves over distinct
+macro-elements are independent; coefficient accumulation always runs in
+canonical member order, so results are bit-reproducible.
 """
 
 import itertools
-import math
 
 import numpy as np
 import scipy.linalg
@@ -87,33 +88,42 @@ class ProjectorPartition:
 
         elem_member = {}
         member_elems = []
+        for idx, (lv, box) in enumerate(self.members):
+            elems = active_elements_in_box(mesh, lv, box)
+            for key in elems:
+                if key in elem_member:
+                    raise AssertionError(
+                        "element %s of level %d covered by two members" % (key[1], key[0])
+                    )
+                elem_member[key] = idx
+            member_elems.append(tuple(elems))
+        if len(elem_member) != space.total_active_elements:
+            raise AssertionError("macro-elements do not cover the active mesh")
+        member_pos = [{} for _ in self.members]
+        levels = {}
+        for block in space.quadrature(self._rule):
+            levels[block.level] = block
+            for i, e in enumerate(block.element_keys()):
+                member_pos[elem_member[(block.level, e)]].setdefault(block.level, []).append(i)
+        # per member: (level, positions in the level's canonical block)
+        member_pos = tuple(tuple(sorted(pos.items())) for pos in member_pos)
         member_fids = []
         member_ints = []
         total = np.zeros(space.ndof)
-        for idx, (lv, box) in enumerate(self.members):
-            elems = active_elements_in_box(mesh, lv, box)
-            ints = {}
-            for k, e, fids, vals, w, _ in space.quadrature(self._rule, elements=elems):
-                if (k, e) in elem_member:
-                    raise AssertionError(
-                        "element %s of level %d covered by two members" % (e, k)
-                    )
-                elem_member[(k, e)] = idx
-                contrib = vals[0] @ w
-                for fid, c in zip(fids.tolist(), contrib.tolist()):
-                    ints[fid] = ints.get(fid, 0.0) + c
-            fid_arr = np.array(sorted(ints), dtype=np.int64)
-            int_arr = np.array([ints[fid] for fid in fid_arr.tolist()])
-            member_elems.append(tuple(elems))
-            member_fids.append(fid_arr)
-            member_ints.append(int_arr)
-            total[fid_arr] += int_arr
-        if len(elem_member) != space.total_active_elements:
-            raise AssertionError("macro-elements do not cover the active mesh")
+        for pos in member_pos:
+            blocks = [levels[lv].take(p) for lv, p in pos]
+            fids = np.unique(np.concatenate([block.functions() for block in blocks]))
+            ints = np.concatenate(
+                [(block.basis(fids) @ block.weights[:, :, None])[:, :, 0] for block in blocks]
+            ).sum(axis=0)
+            member_fids.append(fids)
+            member_ints.append(ints)
+            total[fids] += ints
         if np.any(total <= 0.0):
             raise AssertionError("a basis function escaped every macro-element")
         self._elem_member = elem_member
         self._member_elems = tuple(member_elems)
+        self._member_pos = member_pos
         self._member_fids = tuple(member_fids)
         self._member_ints = tuple(member_ints)
         self.total_integrals = total
@@ -175,28 +185,16 @@ def region_gramian(space, region):
 
     ``region`` is an iterable of active (level, element) pairs (duplicates
     are ignored).  Returns (fids, gram) with the sorted ids of the
-    functions nonzero on the region; per-element Gauss quadrature of order
-    ``max(p)+1`` makes the Gramian exact up to rounding.
+    functions nonzero on the region; Gauss quadrature of order ``max(p)+1``
+    on every element of the region makes the Gramian exact up to rounding.
     """
     region = sorted(set((lv, tuple(e)) for lv, e in region))
     if not region:
         raise ValueError("empty region")
-    for lv, e in region:
-        if not space.is_active_element(lv, e):
-            raise ValueError("element %s of level %d is not active" % (e, lv))
-    fid_set = set()
-    for lv, e in region:
-        fids, _ = space.element_table(lv, e)
-        fid_set.update(fids.tolist())
-    all_fids = np.array(sorted(fid_set), dtype=np.int64)
-    pos = {fid: i for i, fid in enumerate(all_fids.tolist())}
-    gram = np.zeros((len(all_fids), len(all_fids)))
-    quad = space.quadrature(gauss_tensor(space), elements=region)
-    for _, _, fids, vals, w, _ in quad:
-        v = vals[0]
-        rows = np.array([pos[fid] for fid in fids.tolist()], dtype=np.intp)
-        gram[np.ix_(rows, rows)] += (v * w) @ v.T
-    return all_fids, gram
+    blocks = list(space.quadrature(gauss_tensor(space), elements=region))
+    fids = np.unique(np.concatenate([block.functions() for block in blocks]))
+    gram = sum(block.gram() for block in blocks)
+    return fids, gram[fids][:, fids].toarray()
 
 
 def verify_non_overloaded(space, region):
@@ -213,24 +211,24 @@ def verify_non_overloaded(space, region):
     return svd_rank(scale[:, None] * gram * scale[None, :]).rank == len(fids)
 
 
-def _local_solve(partition, idx, f):
-    """Least-squares coefficients of ``f`` on member ``idx``: (fids, coeffs)."""
-    space = partition.space
+def _local_solve(partition, idx, blocks):
+    """Least-squares coefficients on member ``idx``: (fids, coeffs).
+
+    ``blocks`` are the member's quadrature blocks of the partition's rule,
+    with the target as their one field.
+    """
     fids = partition._member_fids[idx]
-    pos = {fid: i for i, fid in enumerate(fids.tolist())}
-    blocks = []
-    rhs = []
-    quad = space.quadrature(
-        partition._rule, fields=(f,), elements=partition._member_elems[idx]
+    a = np.vstack(
+        [
+            (block.basis(fids) * np.sqrt(block.weights)[:, None, :])
+            .transpose(0, 2, 1)
+            .reshape(-1, len(fids))
+            for block in blocks
+        ]
     )
-    for _, _, efids, vals, w, (fv,) in quad:
-        sqw = np.sqrt(w)
-        block = np.zeros((len(sqw), len(fids)))
-        block[:, [pos[fid] for fid in efids.tolist()]] = (vals[0] * sqw).T
-        blocks.append(block)
-        rhs.append(sqw * fv)
-    a = np.vstack(blocks)
-    b = np.concatenate(rhs)
+    b = np.concatenate(
+        [(np.sqrt(block.weights) * block.fields[0]).ravel() for block in blocks]
+    )
     # The coefficients solve the normal equations of the weighted sampled
     # system.  The Cholesky factor of the (column-equilibrated) normal
     # matrix is taken from a QR decomposition of the weighted value matrix
@@ -268,7 +266,10 @@ def local_l2_project(partition, member, f):
     member supports linearly dependent restrictions and is a hard fault.
     """
     idx = partition.member_index(member)
-    fids, coeffs = _local_solve(partition, idx, f)
+    blocks = partition.space.quadrature(
+        partition._rule, fields=(f,), elements=partition._member_elems[idx]
+    )
+    fids, coeffs = _local_solve(partition, idx, list(blocks))
     return {int(j): float(c) for j, c in zip(fids.tolist(), coeffs)}
 
 
@@ -316,8 +317,10 @@ def bezier_project(space, f, partition=None):
     elif partition.space is not space:
         raise ValueError("partition belongs to a different space")
     coeffs = np.zeros(space.ndof)
+    levels = {block.level: block for block in space.quadrature(partition._rule, fields=(f,))}
     for idx in range(len(partition.members)):
-        fids, local = _local_solve(partition, idx, f)
+        blocks = [levels[lv].take(pos) for lv, pos in partition._member_pos[idx]]
+        fids, local = _local_solve(partition, idx, blocks)
         share = partition._member_ints[idx] / partition.total_integrals[fids]
         coeffs[fids] += share * local
     return ProjectionResult(coeffs, space.ndof)
@@ -425,7 +428,7 @@ def error_report(space, f, result, norms=_NORMS, f_grad=None):
     if "h1" in norms and f_grad is None:
         raise ValueError("the h1 norm requires f_grad")
     dim = space.dim
-    integrated = sampled = itertools.repeat(None)
+    per_element = {key: {} for key in space.all_active_elements()}
     if "l2" in norms or "h1" in norms:
         derivs = ((0,) * dim,)
         fields = (f,)
@@ -434,37 +437,31 @@ def error_report(space, f, result, norms=_NORMS, f_grad=None):
                 tuple(1 if k == d else 0 for k in range(dim)) for d in range(dim)
             )
             fields += tuple(_gradient_component(f_grad, d, dim) for d in range(dim))
-        integrated = space.quadrature(gauss_tensor(space, extra=1), derivs, fields)
+        for block in space.quadrature(gauss_tensor(space, extra=1), derivs, fields):
+            w = block.weights
+            sq = []
+            for k in range(len(derivs)):
+                err = block.evaluate(coeffs, k) - block.fields[k]
+                sq.append((err * (w * err)).sum(axis=1))
+            l2 = np.sqrt(sq[0]).tolist()
+            rms = np.sqrt(sq[0] / np.prod(block.sizes, axis=1)).tolist()
+            h1 = np.sqrt(sum(sq)).tolist()
+            for i, e in enumerate(block.element_keys()):
+                entry = per_element[(block.level, e)]
+                if "l2" in norms:
+                    entry["l2"] = l2[i]
+                    entry["rms"] = rms[i]
+                if "h1" in norms:
+                    entry["h1"] = h1[i]
     if "linf" in norms:
         grid = tuple(
             (tuple(np.linspace(0.0, 1.0, 2 * p + 3).tolist()), None)
             for p in space.degree
         )
-        sampled = space.quadrature(grid, fields=(f,))
-    # both rules advance together, element by element: two whole-mesh passes
-    # would evict each extraction table from the space's LRU cache on large
-    # meshes before the second rule needs it
-    per_element = {}
-    for key, quad, sample in zip(space.all_active_elements(), integrated, sampled):
-        entry = {}
-        if quad is not None:
-            k, e, efids, vals, w, fv = quad
-            err = coeffs[efids] @ vals[0] - fv[0]
-            l2sq = float(err @ (w * err))
-            if "l2" in norms:
-                entry["l2"] = float(np.sqrt(l2sq))
-                volume = math.prod(b - a for a, b in space.levels[k].element_bounds(e))
-                entry["rms"] = float(np.sqrt(l2sq / volume))
-            if "h1" in norms:
-                h1sq = l2sq
-                for d in range(dim):
-                    derr = coeffs[efids] @ vals[1 + d] - fv[1 + d]
-                    h1sq += float(derr @ (w * derr))
-                entry["h1"] = float(np.sqrt(h1sq))
-        if sample is not None:
-            _, _, efids, vals, _, (fv,) = sample
-            entry["linf"] = float(np.max(np.abs(coeffs[efids] @ vals[0] - fv)))
-        per_element[key] = entry
+        for block in space.quadrature(grid, fields=(f,)):
+            err = np.abs(block.evaluate(coeffs) - block.fields[0]).max(axis=1)
+            for e, val in zip(block.element_keys(), err.tolist()):
+                per_element[(block.level, e)]["linf"] = val
     return ErrorReport(per_element, norms)
 
 

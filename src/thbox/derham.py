@@ -494,12 +494,14 @@ def _operator_matrix(cs, sources, targets):
     mat = np.zeros((len(targets) * block, offsets[-1]))
     for t, terms in enumerate(targets):
         for src, deriv, sign in terms:
-            quad = sources[src].quadrature(rule, derivs=(deriv,))
-            for i, (_, _, fids, vals, w, _) in enumerate(quad):
-                row0 = t * block + i * npts
-                mat[row0 : row0 + npts, offsets[src] + fids] += sign * (
-                    vals[0] * np.sqrt(w)
-                ).T
+            row0 = t * block
+            for lvb in sources[src].quadrature(rule, derivs=(deriv,)):
+                samp = lvb.sampled().tocoo()
+                sqw = np.sqrt(lvb.weights).ravel()
+                mat[row0 + samp.row, offsets[src] + samp.col] += sign * (
+                    samp.data * sqw[samp.row]
+                )
+                row0 += samp.shape[0]
     return mat
 
 

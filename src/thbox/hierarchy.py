@@ -29,10 +29,11 @@ query point.
 import itertools
 import json
 import math
-from collections import OrderedDict
 
 import numpy as np
+import scipy.sparse
 
+from .numerics import assemble_csr
 from .splinecore import (
     KnotVector,
     TensorSpace,
@@ -62,6 +63,18 @@ def _reference_grid(ref_pts_per_dir):
     """Tensor grid (npts, dim) of per-direction reference points, C order."""
     grids = np.meshgrid(*(np.asarray(r) for r in ref_pts_per_dir), indexing="ij")
     return np.stack([g.reshape(-1) for g in grids], axis=-1)
+
+
+def _tensor_values(tables):
+    """Tensor products (nel, prod nloc_d, prod nq_d), C order, of per-direction
+    tables (nel, nloc_d, nq_d)."""
+    out = tables[0]
+    for tab in tables[1:]:
+        nel, a, m = out.shape
+        out = (out[:, :, None, :, None] * tab[:, None, :, None, :]).reshape(
+            nel, a * tab.shape[1], m * tab.shape[2]
+        )
+    return out
 
 
 def gauss_tensor(space, extra=0):
@@ -230,6 +243,7 @@ class LevelSequence:
             base = TensorSpace((base,))
         self._spaces = [base]
         self._children = []
+        self._tables = {}
         self.ensure(num_levels)
 
     @property
@@ -256,6 +270,26 @@ class LevelSequence:
             )
         return self._children[lv]
 
+    def basis_tables(self, lv, d, points, nderiv):
+        """:func:`basis_on_element` of every level-``lv`` element in direction ``d``.
+
+        ``points`` are reference coordinates in [0, 1] (a hashable tuple).
+        Returns shape (numelems, nderiv + 1, p + 1, len(points)).  Computed
+        once per level, direction, rule and derivative order and kept for
+        the life of the sequence.
+        """
+        key = (lv, d, points, nderiv)
+        tab = self._tables.get(key)
+        if tab is None:
+            kv = self[lv].kvs[d]
+            bp = kv.breakpoints
+            x = bp[:-1, None] + (bp[1:] - bp[:-1])[:, None] * np.asarray(points, dtype=float)
+            elems = np.repeat(np.arange(kv.numelems), len(points))
+            tab = basis_on_element(kv, elems, x.ravel(), nderiv)
+            tab = tab.reshape(nderiv + 1, kv.degree + 1, kv.numelems, len(points))
+            tab = self._tables[key] = tab.transpose(2, 0, 1, 3)
+        return tab
+
     def __getitem__(self, lv):
         if lv < 0:
             raise IndexError("level must be non-negative")
@@ -276,14 +310,114 @@ def _check_compatible(levels, hierarchy):
         )
 
 
+class LevelBlock:
+    """Quadrature data of some active elements of one level.
+
+    Yielded by :meth:`ThbSpace.quadrature`.  ``elements`` (nel, dim) are
+    element multi-indices and ``sizes`` (nel, dim) their edge lengths;
+    ``local`` (nel, nloc) gives the rows of ``R_lv`` of each element's
+    tensor B-splines; ``values`` holds per derivative tuple the tensor
+    B-spline values (nel, nloc, nq); ``weights`` (nel, nq) are physical
+    tensor weights (``None`` for a sampling rule); ``fields`` holds per
+    field its values (nel, nq).  The THB basis on the block is the tensor
+    basis mapped by ``R_lv``, so the methods below are linear algebra on
+    these arrays.
+    """
+
+    def __init__(self, space, level, elements, sizes, local, values, weights, fields):
+        self.space = space
+        self.level = level
+        self.elements = elements
+        self.sizes = sizes
+        self.local = local
+        self.values = values
+        self.weights = weights
+        self.fields = fields
+
+    @property
+    def extraction(self):
+        return self.space.extraction(self.level)
+
+    def element_keys(self):
+        """The elements as tuples, in block order."""
+        return [tuple(e) for e in self.elements.tolist()]
+
+    def take(self, pos):
+        """The block restricted to the elements at positions ``pos``."""
+        return LevelBlock(
+            self.space,
+            self.level,
+            self.elements[pos],
+            self.sizes[pos],
+            self.local[pos],
+            [v[pos] for v in self.values],
+            None if self.weights is None else self.weights[pos],
+            [fv[pos] for fv in self.fields],
+        )
+
+    def functions(self):
+        """Sorted ids of the functions nonzero on the block's elements."""
+        return np.unique(self.extraction[np.unique(self.local)].indices)
+
+    def basis(self, fids, k=0):
+        """Values (nel, len(fids), nq) of the functions ``fids`` for ``values[k]``."""
+        rows, inv = np.unique(self.local, return_inverse=True)
+        coeffs = self.extraction[rows][:, fids].toarray()[inv.reshape(self.local.shape)]
+        return coeffs.transpose(0, 2, 1) @ self.values[k]
+
+    def evaluate(self, coeffs, k=0):
+        """Values (nel, nq) of the function with THB ``coeffs`` for ``values[k]``."""
+        local = (self.extraction @ coeffs)[self.local]
+        return np.einsum("ea,eaq->eq", local, self.values[k])
+
+    def integrate(self, g):
+        """Vector (ndof,) of the integrals of ``g`` (nel, nq) times each function."""
+        local = np.einsum("eaq,eq->ea", self.values[0], self.weights * g)
+        ext = self.extraction
+        return ext.T @ np.bincount(self.local.ravel(), local.ravel(), ext.shape[0])
+
+    def gram(self, ks=(0,)):
+        """Sparse (ndof, ndof) sum over ``k in ks`` of the integrals of
+        ``values[k]`` products: ``R_lv^T K R_lv`` with ``K`` assembled from
+        the element blocks."""
+        blocks = sum(
+            (self.values[k] * self.weights[:, None, :]) @ self.values[k].transpose(0, 2, 1)
+            for k in ks
+        )
+        nloc = self.local.shape[1]
+        ext = self.extraction
+        mat = assemble_csr(
+            np.repeat(self.local, nloc, axis=1).ravel(),
+            np.tile(self.local, (1, nloc)).ravel(),
+            blocks.ravel(),
+            (ext.shape[0], ext.shape[0]),
+        )
+        return (ext.T @ mat @ ext).tocsr()
+
+    def sampled(self, k=0):
+        """Sparse (nel * nq, ndof): every function at every point, element-major."""
+        vals = self.values[k]
+        nel, nloc, nq = vals.shape
+        rows = np.broadcast_to(np.arange(nel * nq).reshape(nel, 1, nq), vals.shape)
+        cols = np.broadcast_to(self.local[:, :, None], vals.shape)
+        ext = self.extraction
+        samp = scipy.sparse.csr_matrix(
+            (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(nel * nq, ext.shape[0])
+        )
+        return samp @ ext
+
+
 class ThbSpace:
     """A (truncated) hierarchical B-spline basis over a domain hierarchy.
 
-    Construction is done by :func:`build_thb` / :func:`build_hb`; the class
-    stores per level both the active function multi-indices and, for every
-    level-``lv`` B-spline, the list of active functions (with coefficients)
-    whose level-``lv`` representation hits it.  Element extraction tables
-    and evaluations are derived from those lists on demand.
+    Construction is done by :func:`build_thb` / :func:`build_hb`.  Every
+    level is a plain tensor B-spline space, and the class keeps per level
+    the active function multi-indices and one sparse extraction matrix
+    ``R_lv``: its rows are the level-``lv`` B-splines nonzero on an active
+    level-``lv`` element, its columns the active functions, and row ``i``
+    holds the coefficients of every function's level-``lv`` representation
+    at B-spline ``i``.  Element tables, quadrature blocks and evaluations
+    are row gathers from it.
     """
 
     def __init__(self, levels, hierarchy, truncated=True):
@@ -295,10 +429,6 @@ class ThbSpace:
         levels.ensure(self.num_levels)
         self._build_active_sets()
         self._build_representation()
-        self._active_elem_sets = [frozenset(a) for a in self._active_elems]
-        self._uni_cache = {}
-        self._table_cache = OrderedDict()
-        self._table_cache_size = 2048
 
     # -- construction ------------------------------------------------------
 
@@ -357,20 +487,21 @@ class ThbSpace:
                 hi = tuple(qi * (b + 1) - 1 for qi, b in zip(q, box))
                 elems.extend(_product_range(lo, hi))
             self._active_elems.append(tuple(sorted(elems)))
+        self._elem_pos = [{e: i for i, e in enumerate(a)} for a in self._active_elems]
+        self._elem_array = [
+            np.array(a, dtype=np.int64).reshape(len(a), hier.dim) for a in self._active_elems
+        ]
 
     def _build_representation(self):
+        """Prolong the active functions level by level into the matrices ``R_lv``."""
         hier = self.hierarchy
-        rep = []
+        self._extraction = []
+        self._local = []
         cur = {}
         for lv in range(self.num_levels):
             for j in self.active_funcs[lv]:
                 cur.setdefault(j, {})[self.fid_of[(lv, j)]] = 1.0
-            rep.append(
-                {
-                    j: tuple(sorted(contribs.items()))
-                    for j, contribs in cur.items()
-                }
-            )
+            self._extract(lv, cur)
             if lv + 1 == self.num_levels:
                 break
             children = self.levels.children(lv)
@@ -398,7 +529,35 @@ class ThbSpace:
                         for fid, c in contribs.items():
                             tgt[fid] = tgt.get(fid, 0.0) + w * c
             cur = nxt
-        self._rep = rep
+
+    def _extract(self, lv, rep):
+        """``R_lv`` from ``rep`` (B-spline -> {fid: coefficient}) and element rows.
+
+        The rows of ``R_lv`` are the level-``lv`` B-splines nonzero on an
+        active level-``lv`` element, in raveled C order; ``_local[lv]``
+        holds, per active element, the rows of its ``prod(p+1)`` B-splines
+        in :meth:`TensorSpace.functions_on_element` order.
+        """
+        space = self.levels[lv]
+        offsets = np.array(
+            list(_product_range((0,) * self.dim, space.degree)), dtype=np.int64
+        )
+        tensor = self._elem_array[lv][:, None, :] * space.multiplicity + offsets
+        flat = np.ravel_multi_index(tuple(np.moveaxis(tensor, -1, 0)), space.numbasis)
+        keys, local = np.unique(flat.reshape(-1), return_inverse=True)
+        index = zip(*(ix.tolist() for ix in np.unravel_index(keys, space.numbasis)))
+        entries = [sorted(rep.get(j, {}).items()) for j in index]
+        self._extraction.append(
+            scipy.sparse.csr_matrix(
+                (
+                    np.array([c for en in entries for _, c in en], dtype=float),
+                    np.array([fid for en in entries for fid, _ in en], dtype=np.int64),
+                    np.cumsum([0] + [len(en) for en in entries]),
+                ),
+                shape=(len(keys), self.ndof),
+            )
+        )
+        self._local.append(local.reshape(flat.shape))
 
     # -- basic queries -------------------------------------------------
 
@@ -426,7 +585,7 @@ class ThbSpace:
         return self._active_elems[lv]
 
     def is_active_element(self, lv, e):
-        return e in self._active_elem_sets[lv]
+        return e in self._elem_pos[lv]
 
     def all_active_elements(self):
         """Iterate (level, element) pairs in canonical order."""
@@ -448,133 +607,140 @@ class ThbSpace:
 
     # -- element extraction and evaluation ------------------------------
 
+    def extraction(self, lv):
+        """The CSR matrix ``R_lv``: level-``lv`` B-splines (rows) by functions."""
+        return self._extraction[lv]
+
+    def _positions(self, lv, elements):
+        """Positions of level-``lv`` elements in :meth:`active_elements`."""
+        pos = self._elem_pos[lv]
+        out = []
+        for e in elements:
+            e = tuple(e)
+            if e not in pos:
+                raise ValueError("element %s of level %d is not active" % (e, lv))
+            out.append(pos[e])
+        return np.array(out, dtype=np.int64)
+
     def element_table(self, lv, e):
         """Extraction of the active functions on active element (lv, e).
 
         Returns (fids, C): sorted function ids and a matrix of shape
         (len(fids), prod(p+1)) giving each function's coefficients with
         respect to the level-``lv`` B-splines supported on the element
-        (C-order over the per-direction function windows).
+        (C-order over the per-direction function windows): a row gather
+        from ``R_lv``.
         """
-        key = (lv, e)
-        cached = self._table_cache.get(key)
-        if cached is not None:
-            self._table_cache.move_to_end(key)
-            return cached
-        space = self.levels[lv]
-        rep = self._rep[lv]
-        contrib = {}
-        for pos, i in enumerate(space.functions_on_element(e)):
-            entry = rep.get(i)
-            if entry is None:
-                continue
-            for fid, c in entry:
-                row = contrib.get(fid)
-                if row is None:
-                    row = contrib[fid] = {}
-                row[pos] = c
-        fids = np.array(sorted(contrib), dtype=np.int64)
-        nloc = int(np.prod([p + 1 for p in space.degree]))
-        mat = np.zeros((len(fids), nloc))
-        for r, fid in enumerate(fids):
-            for pos, c in contrib[fid].items():
-                mat[r, pos] = c
-        self._table_cache[key] = (fids, mat)
-        if len(self._table_cache) > self._table_cache_size:
-            self._table_cache.popitem(last=False)
+        rows = self._local[lv][self._positions(lv, (e,))[0]]
+        sub = self._extraction[lv][rows]
+        fids, col = np.unique(sub.indices, return_inverse=True)
+        mat = np.zeros((len(fids), len(rows)))
+        mat[col, np.repeat(np.arange(len(rows)), np.diff(sub.indptr))] = sub.data
         return fids, mat
 
-    def _uni_table(self, lv, d, e_d, ref_pts, nderiv):
-        """Univariate basis table on one element at reference points in [0, 1]."""
-        kv = self.levels[lv].kvs[d]
-        a = kv.breakpoints[e_d]
-        b = kv.breakpoints[e_d + 1]
-        return basis_on_element(kv, e_d, a + (b - a) * np.asarray(ref_pts), nderiv)
+    def element_level_range(self):
+        """Per level, the (min, max) level of the functions on each active element.
 
-    def _uni_values(self, lv, d, e_d, ref_pts, nderiv):
-        """:meth:`_uni_table` cached by reference points; only rules come here."""
-        key = (lv, d, e_d, ref_pts, nderiv)
-        tab = self._uni_cache.get(key)
-        if tab is None:
-            tab = self._uni_cache[key] = self._uni_table(lv, d, e_d, ref_pts, nderiv)
-        return tab
-
-    def local_basis_values(self, lv, e, ref_pts_per_dir, deriv):
-        """Tensor B-spline values on element (lv, e) at a tensor point grid.
-
-        ``ref_pts_per_dir`` holds per-direction reference coordinates in
-        [0, 1] (hashable tuples); ``deriv`` is the per-direction derivative
-        order.  Returns shape (prod(p+1), prod(npts)), both in C order.
+        Two int arrays per level aligned with :meth:`active_elements`, read
+        off the pattern of the ``R_lv`` rows; an element without functions
+        gets an empty range (min > max).
         """
-        out = None
-        for d in range(self.dim):
-            tab = self._uni_values(lv, d, e[d], ref_pts_per_dir[d], max(deriv))
-            vals = tab[deriv[d]]
-            if out is None:
-                out = vals
-            else:
-                out = (out[:, None, :, None] * vals[None, :, None, :]).reshape(
-                    out.shape[0] * vals.shape[0], out.shape[1] * vals.shape[1]
-                )
+        flevel = np.array([lv for lv, _ in self.functions], dtype=np.int64)
+        out = []
+        for ext, local in zip(self._extraction, self._local):
+            rmin = np.full(ext.shape[0], self.num_levels)
+            rmax = np.full(ext.shape[0], -1)
+            rows = np.flatnonzero(np.diff(ext.indptr))
+            if len(rows):
+                lev = flevel[ext.indices]
+                rmin[rows] = np.minimum.reduceat(lev, ext.indptr[rows])
+                rmax[rows] = np.maximum.reduceat(lev, ext.indptr[rows])
+            out.append((rmin[local].min(axis=1, initial=self.num_levels),
+                        rmax[local].max(axis=1, initial=-1)))
         return out
 
     def element_values(self, lv, e, ref_pts_per_dir, derivs=None):
         """Active-function values on element (lv, e) at a tensor point grid.
 
-        ``derivs`` is a sequence of per-direction derivative-order tuples.
-        Returns (fids, [V_k]) with each V_k of shape (len(fids), npts).
+        ``ref_pts_per_dir`` holds per-direction reference coordinates in
+        [0, 1] (hashable tuples); ``derivs`` is a sequence of per-direction
+        derivative-order tuples.  Returns (fids, [V_k]) with each V_k of
+        shape (len(fids), npts): the one-element :meth:`quadrature` block
+        mapped through :meth:`element_table`.
         """
-        if derivs is None:
-            derivs = ((0,) * self.dim,)
+        rule = tuple((pts, None) for pts in ref_pts_per_dir)
+        (block,) = self.quadrature(rule, derivs, elements=((lv, e),))
         fids, coeffs = self.element_table(lv, e)
-        vals = []
-        for dv in derivs:
-            local = self.local_basis_values(lv, e, ref_pts_per_dir, tuple(dv))
-            vals.append(coeffs @ local)
-        return fids, vals
+        return fids, [coeffs @ v[0] for v in block.values]
 
     def element_points(self, lv, e, ref_pts_per_dir):
         """Cartesian coordinates (npts, dim) of a tensor grid on element (lv, e)."""
-        return self._map_points(lv, e, _reference_grid(ref_pts_per_dir))
-
-    def _map_points(self, lv, e, grid):
-        """Reference points ``grid`` (npts, dim) mapped to element (lv, e)."""
         lo, hi = np.array(self.levels[lv].element_bounds(e)).T
-        return lo + (hi - lo) * grid
+        return lo + (hi - lo) * _reference_grid(ref_pts_per_dir)
 
     def quadrature(self, rule, derivs=None, fields=(), elements=None):
-        """Element-local tensor quadrature, one active element at a time.
+        """Tensor quadrature over whole levels: one :class:`LevelBlock` per level.
 
         ``rule`` holds per direction a pair ``(points, weights)``: reference
         points in [0, 1] as a hashable tuple, and their weights on [0, 1] or
         ``None`` for a direction that is only sampled (weight factor 1;
-        a rule without weights yields ``w = None``).
+        a rule without weights yields ``weights = None``).  ``derivs`` lists
+        per-direction derivative-order tuples (values only by default).
         ``elements`` lists the active (level, element) pairs to visit, all
-        of them in canonical order by default.  Yields ``(lv, e, fids,
-        vals, w, field_values)``: the :meth:`element_values` of ``derivs``,
-        the physical tensor weights in C order, and one array per entry of
-        ``fields`` with its values at the element's points.
+        of them by default.  Blocks come in level order, and a block's
+        elements in the order given (canonical by default); levels without
+        elements yield no block.
 
         A field maps a point array (npts, dim) to a value array (npts,) and
-        is called once per element; any other result raises ValueError.
-        Points are computed only when ``fields`` is nonempty.
+        is called once per block, on all of the block's points; any other
+        result raises ValueError.  Points are computed only when ``fields``
+        is nonempty.
         """
+        if derivs is None:
+            derivs = ((0,) * self.dim,)
         refs = tuple(pts for pts, _ in rule)
         grid = _reference_grid(refs) if fields else None
         if elements is None:
-            elements = self.all_active_elements()
-        for lv, e in elements:
-            fids, vals = self.element_values(lv, e, refs, derivs)
-            w = None
-            for (_, wts), kv, c in zip(rule, self.levels[lv].kvs, e):
+            chosen = [np.arange(len(a)) for a in self._active_elems]
+        else:
+            by_level = [[] for _ in range(self.num_levels)]
+            for lv, e in elements:
+                by_level[lv].append(e)
+            chosen = [self._positions(lv, es) for lv, es in enumerate(by_level)]
+        for lv, pos in enumerate(chosen):
+            if len(pos) == 0:
+                continue
+            elems = self._elem_array[lv][pos]
+            kvs = self.levels[lv].kvs
+            lo = np.stack([kv.breakpoints[elems[:, d]] for d, kv in enumerate(kvs)], axis=1)
+            size = np.stack(
+                [kv.breakpoints[elems[:, d] + 1] for d, kv in enumerate(kvs)], axis=1
+            ) - lo
+            tables = [
+                self.levels.basis_tables(lv, d, refs[d], max(dv[d] for dv in derivs))[
+                    elems[:, d]
+                ]
+                for d in range(self.dim)
+            ]
+            values = [
+                _tensor_values([tab[:, k] for tab, k in zip(tables, dv)]) for dv in derivs
+            ]
+            weights = None
+            for d, (_, wts) in enumerate(rule):
                 if wts is not None:
-                    wd = wts * (kv.breakpoints[c + 1] - kv.breakpoints[c])
-                    w = wd if w is None else (w[:, None] * wd[None, :]).reshape(-1)
-            field_values = ()
+                    wd = wts * size[:, d, None]
+                    weights = wd if weights is None else (
+                        weights[:, :, None] * wd[:, None, :]
+                    ).reshape(len(pos), -1)
+            field_values = []
             if fields:
-                pts = self._map_points(lv, e, grid)
-                field_values = [_field_values(f, pts) for f in fields]
-            yield lv, e, fids, vals, w, field_values
+                pts = (lo[:, None, :] + size[:, None, :] * grid).reshape(-1, self.dim)
+                field_values = [
+                    _field_values(f, pts).reshape(len(pos), -1) for f in fields
+                ]
+            yield LevelBlock(
+                self, lv, elems, size, self._local[lv][pos], values, weights, field_values
+            )
 
     def eval_all_at(self, x, deriv=None):
         """Values of all active functions nonzero at ``x``: (fids, values)."""
@@ -582,12 +748,10 @@ class ThbSpace:
             deriv = (0,) * self.dim
         lv, e = self.locate(x)
         fids, coeffs = self.element_table(lv, e)
-        # uncached tables: the cache is for quadrature rules, not single points
         local = np.ones(1)
-        for d, (xi, (a, b)) in enumerate(zip(x, self.levels[lv].element_bounds(e))):
-            tab = self._uni_table(lv, d, e[d], ((xi - a) / (b - a),), max(deriv))
-            local = np.outer(local, tab[deriv[d], :, 0]).reshape(-1)
-        return fids, (coeffs @ local[:, None])[:, 0]
+        for kv, xi, ed, k in zip(self.levels[lv].kvs, x, e, deriv):
+            local = np.outer(local, basis_on_element(kv, ed, xi, k)[k, :, 0]).reshape(-1)
+        return fids, coeffs @ local
 
     def boundary_function_ids(self):
         """Function ids whose mother B-spline can be nonzero on the boundary.
@@ -654,14 +818,7 @@ def admissibility_class(space):
     is the widest such window (max level - min level + 1) over the mesh.
     A single-level mesh has class 1.
     """
-    worst = 0
-    for lv, e in space.all_active_elements():
-        fids, _ = space.element_table(lv, e)
-        if len(fids) == 0:
-            continue
-        levels = [space.functions[f][0] for f in fids]
-        worst = max(worst, max(levels) - min(levels) + 1)
-    return worst
+    return max(int(np.max(hi - lo + 1, initial=0)) for lo, hi in space.element_level_range())
 
 
 # -- serialization ---------------------------------------------------------

@@ -30,6 +30,8 @@ prescribed admissibility class.
 
 import itertools
 
+import numpy as np
+
 from .hierarchy import ThbSpace
 
 _LABELS = ("border", "well-behaved", "regular")
@@ -480,14 +482,15 @@ class QBoxMesh:
     def admissibility_class(self):
         """Largest level span of basis functions nonzero on an active box."""
         worst = 0
-        for lv in range(self.num_levels):
-            for box in self._active[lv]:
-                levels = set()
-                for e in self.box_elements(lv, box):
-                    fids, _ = self.space.element_table(lv, e)
-                    levels.update(self.space.functions[f][0] for f in fids)
-                if levels:
-                    worst = max(worst, max(levels) - min(levels) + 1)
+        for lv, (lo, hi) in enumerate(self.space.element_level_range()):
+            elems = np.array(self.space.active_elements(lv), dtype=np.int64)
+            boxes = elems.reshape(len(lo), self.hierarchy.dim) // self.q
+            _, box_of = np.unique(boxes, axis=0, return_inverse=True)
+            box_lo = np.full(len(boxes), self.num_levels)
+            box_hi = np.full(len(boxes), -1)
+            np.minimum.at(box_lo, box_of.reshape(-1), lo)
+            np.maximum.at(box_hi, box_of.reshape(-1), hi)
+            worst = max(worst, int(np.max(box_hi - box_lo + 1, initial=0)))
         return worst
 
 

@@ -214,7 +214,8 @@ def _ders_basis_funs(knots, p, span, x, nderiv):
 def basis_on_element(kv, e, x, nderiv=0):
     """Tabulate the p+1 basis functions supported on element ``e`` at points ``x``.
 
-    ``x`` must lie in the closed element.  Returns shape
+    ``x`` must lie in the closed element; ``e`` may also be an array of
+    elements, one per point.  Returns shape
     (nderiv+1, p+1, len(x)); function axis is ordered by ascending index
     starting from :meth:`KnotVector.first_func_on_element`.
     """

@@ -20,7 +20,7 @@ from thbox.adaptive import (
 )
 from thbox.adaptive import _boundary_values
 from thbox.bezier import bezier_project, error_report
-from thbox.hierarchy import DomainHierarchy, admissibility_class
+from thbox.hierarchy import DomainHierarchy, ThbSpace, admissibility_class
 from thbox.numerics import assemble_csr
 from thbox.splinecore import gauss_rule
 
@@ -385,6 +385,17 @@ class TestPoissonSolve:
         rep0 = error_report(coarse, sinsin_exact,
                             poisson_solve(coarse, sinsin_rhs), norms=("l2",))
         assert rep.error_l2 < rep0.error_l2 / 4
+
+    def test_rebuilt_space_reuses_level_tables(self):
+        hier = DomainHierarchy((3, 3), (2, 2), [{(0, 0)}])
+        space = thb_space(hier, (2, 2))
+        u = poisson_solve(space, sinsin_rhs, g=sinsin_exact)
+        before = len(space.levels._tables)
+        rebuilt = ThbSpace(space.levels, hier)
+        assert rebuilt is not space
+        assert_allclose(poisson_solve(rebuilt, sinsin_rhs, g=sinsin_exact), u,
+                        rtol=0, atol=1e-14)
+        assert len(space.levels._tables) == before
 
 
 class TestResidualEstimator:

@@ -280,10 +280,12 @@ class TestTruncatedEvaluation:
     def test_point_evaluation_leaves_table_cache_unchanged(self):
         levels, hier = _make_case(*HIERARCHY_CASES[2])
         space = build_thb(levels, hier)
-        before = len(space._uni_cache)
+        next(space.quadrature((((0.5,), None),) * hier.dim))
+        before = len(levels._tables)
+        assert before > 0
         for x in np.random.default_rng(17).random((1000, hier.dim)):
             space.eval_all_at(tuple(x))
-        assert len(space._uni_cache) == before
+        assert len(levels._tables) == before
 
     def test_thb_spans_hb(self):
         # collocation on per-element tensor grids: both bases have full

@@ -1,0 +1,217 @@
+"""Tests for the per-level element kernel of :meth:`ThbSpace.quadrature`.
+
+Oracles: the naive Cox-de Boor evaluator of ``conftest`` for the tensor
+B-spline values of a block, and the one-element :meth:`element_values`,
+:meth:`element_points` and :meth:`eval_all_at` for everything the block
+maps through the extraction matrices.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+from conftest import naive_tensor_value, random_hierarchy
+from thbox.hierarchy import LevelSequence, ThbSpace, gauss_tensor
+from thbox.splinecore import uniform_space
+
+KERNEL_CASES = [
+    # (seed, dim, p, q, boxes0)
+    (3, 1, 3, (2,), (3,)),
+    (8, 2, 2, (2, 2), (2, 2)),
+    (5, 2, 3, (1, 2), (3, 2)),
+    (9, 3, 2, (2, 2, 2), (1, 2, 1)),
+]
+
+CASE_IDS = ["%dd-p%d" % (c[1], c[2]) for c in KERNEL_CASES]
+
+
+def _space(case, truncated):
+    seed, dim, p, q, boxes0 = case
+    hier = random_hierarchy(np.random.default_rng(seed), dim, q, boxes0, interface=True)
+    nelems = tuple(qi * b for qi, b in zip(q, boxes0))
+    levels = LevelSequence(uniform_space(nelems, (p,) * dim))
+    return ThbSpace(levels, hier, truncated=truncated)
+
+
+def _derivs(space):
+    """Values, every first derivative and every pure second derivative."""
+    dim = space.dim
+    unit = [tuple(int(k == d) for k in range(dim)) for d in range(dim)]
+    return ((0,) * dim,) + tuple(unit) + tuple(tuple(2 * u for u in v) for v in unit)
+
+
+def _rule(npts, dim):
+    pts = tuple(np.linspace(0.15, 0.85, npts).tolist())
+    return tuple((pts, np.linspace(1.0, 2.0, npts) + d) for d in range(dim))
+
+
+@pytest.fixture(params=list(itertools.product(KERNEL_CASES, (True, False))),
+                ids=["%s-%s" % (i, t) for i, t in itertools.product(CASE_IDS, ("thb", "hb"))])
+def space(request):
+    case, truncated = request.param
+    return _space(case, truncated)
+
+
+def _element_basis(block, i):
+    """(fids, [V_k]) of element ``i`` of the block, through its extraction rows."""
+    fids = np.unique(block.extraction[block.local[i]].indices)
+    one = block.take([i])
+    return fids, [one.basis(fids, k)[0] for k in range(len(block.values))]
+
+
+class TestLevelBlocks:
+    def test_tensor_values_match_naive_recursion(self, space):
+        rule = _rule(2, space.dim)
+        refs = tuple(pts for pts, _ in rule)
+        derivs = _derivs(space)
+        for block in space.quadrature(rule, derivs):
+            tensor = space.levels[block.level]
+            for i in range(0, len(block.elements), 7):
+                e = tuple(block.elements[i].tolist())
+                pts = space.element_points(block.level, e, refs)
+                funcs = list(tensor.functions_on_element(e))
+                for k, dv in enumerate(derivs):
+                    want = np.array(
+                        [[naive_tensor_value(tensor, j, x, dv) for x in pts] for j in funcs]
+                    )
+                    scale = max(1.0, np.abs(want).max())
+                    assert_allclose(block.values[k][i], want, rtol=0, atol=1e-11 * scale)
+
+    def test_blocks_match_element_values_and_points(self, space):
+        rule = _rule(3, space.dim)
+        refs = tuple(pts for pts, _ in rule)
+        derivs = _derivs(space)
+        pos = lambda pts: np.sin(pts @ np.arange(1.0, space.dim + 1.0))
+        seen = []
+        for block in space.quadrature(rule, derivs, fields=(pos,)):
+            for i, e in enumerate(block.element_keys()):
+                seen.append((block.level, e))
+                fids, vals = space.element_values(block.level, e, refs, derivs)
+                got_fids, got = _element_basis(block, i)
+                assert np.array_equal(got_fids, fids)
+                for a, b in zip(got, vals):
+                    assert_allclose(a, b, rtol=0, atol=1e-14 * max(1.0, np.abs(b).max()))
+                pts = space.element_points(block.level, e, refs)
+                assert np.array_equal(block.fields[0][i], pos(pts))
+                lo, hi = np.array(space.levels[block.level].element_bounds(e)).T
+                w = np.ones(1)
+                for d in range(space.dim):
+                    w = np.outer(w, rule[d][1] * (hi[d] - lo[d])).reshape(-1)
+                assert_allclose(block.weights[i], w, rtol=1e-15)
+                assert_allclose(block.sizes[i], hi - lo, rtol=1e-15)
+        assert seen == list(space.all_active_elements())
+
+    def test_element_subsets_keep_their_order(self, space):
+        rule = _rule(2, space.dim)
+        every = list(space.all_active_elements())
+        rng = np.random.default_rng(len(every))
+        subset = [every[i] for i in rng.permutation(len(every))[: max(1, len(every) // 3)]]
+        full = {b.level: b for b in space.quadrature(rule, fields=(lambda p: p[:, 0],))}
+        blocks = list(space.quadrature(rule, fields=(lambda p: p[:, 0],), elements=subset))
+        assert [b.level for b in blocks] == sorted({lv for lv, _ in subset})
+        for block in blocks:
+            want = [e for lv, e in subset if lv == block.level]
+            assert block.element_keys() == want
+            keys = full[block.level].element_keys()
+            ref = full[block.level].take([keys.index(e) for e in want])
+            for name in ("elements", "sizes", "local", "weights"):
+                assert np.array_equal(getattr(block, name), getattr(ref, name))
+            assert np.array_equal(block.values[0], ref.values[0])
+            assert np.array_equal(block.fields[0], ref.fields[0])
+
+    def test_facet_rule_with_none_weights(self, space):
+        gauss = gauss_tensor(space)
+        rule = (((1.0,), None),) + gauss[1:]
+        refs = tuple(pts for pts, _ in rule)
+        last = [
+            (lv, e)
+            for lv, e in space.all_active_elements()
+            if e[0] == space.hierarchy.elems_shape(lv)[0] - 1
+        ]
+        blocks = list(space.quadrature(rule, elements=last))
+        assert sum(len(b.elements) for b in blocks) == len(last)
+        for block in blocks:
+            if space.dim == 1:
+                assert block.weights is None
+            else:
+                nq = len(gauss[1][0]) ** (space.dim - 1)
+                assert block.weights.shape == (len(block.elements), nq)
+            for i, e in enumerate(block.element_keys()):
+                fids, (vals,) = space.element_values(block.level, e, refs)
+                assert_allclose(_element_basis(block, i)[1][0], vals, rtol=0, atol=1e-15)
+                x = space.element_points(block.level, e, refs)
+                assert np.all(x[:, 0] == 1.0)
+                for c, xc in enumerate(x):
+                    gf, gv = space.eval_all_at(tuple(xc))
+                    assert np.array_equal(gf, fids)
+                    assert_allclose(vals[:, c], gv, rtol=0, atol=1e-12)
+
+    def test_field_called_once_per_block_with_point_arrays(self, space):
+        calls = []
+
+        def field(pts):
+            calls.append(pts.shape)
+            return pts.sum(axis=1)
+
+        rule = gauss_tensor(space)
+        blocks = list(space.quadrature(rule, fields=(field, field)))
+        nq = len(rule[0][0]) ** space.dim
+        assert calls == [(len(b.elements) * nq, space.dim) for b in blocks for _ in (0, 1)]
+
+    def test_linear_algebra_matches_element_loop(self, space):
+        rule = gauss_tensor(space)
+        derivs = _derivs(space)[: space.dim + 1]
+        coeffs = np.random.default_rng(space.ndof).standard_normal(space.ndof)
+        g = lambda pts: np.cos(pts.sum(axis=1))
+        mass = np.zeros((space.ndof, space.ndof))
+        stiff = np.zeros((space.ndof, space.ndof))
+        load = np.zeros(space.ndof)
+        got_mass = got_stiff = 0
+        got_load = np.zeros(space.ndof)
+        refs = tuple(pts for pts, _ in rule)
+        for block in space.quadrature(rule, derivs, fields=(g,)):
+            got_mass = got_mass + block.gram()
+            got_stiff = got_stiff + block.gram(range(1, space.dim + 1))
+            got_load += block.integrate(block.fields[0])
+            for k in range(len(derivs)):
+                values = block.evaluate(coeffs, k)
+                for i, e in enumerate(block.element_keys()):
+                    fids, vals = space.element_values(block.level, e, refs, derivs)
+                    assert_allclose(values[i], coeffs[fids] @ vals[k], rtol=1e-12, atol=1e-12)
+            sampled = block.sampled().toarray()
+            nq = block.values[0].shape[2]
+            for i, e in enumerate(block.element_keys()):
+                fids, vals = space.element_values(block.level, e, refs, derivs)
+                w = block.weights[i]
+                mass[np.ix_(fids, fids)] += (vals[0] * w) @ vals[0].T
+                for d in range(space.dim):
+                    stiff[np.ix_(fids, fids)] += (vals[1 + d] * w) @ vals[1 + d].T
+                load[fids] += vals[0] @ (w * block.fields[0][i])
+                rows = sampled[i * nq : (i + 1) * nq]
+                assert_allclose(rows[:, fids], vals[0].T, rtol=0, atol=1e-14)
+                assert np.all(np.delete(rows, fids, axis=1) == 0.0)
+            assert np.array_equal(
+                block.functions(),
+                np.unique(np.concatenate(
+                    [space.element_table(block.level, e)[0] for e in block.element_keys()]
+                )),
+            )
+        assert_allclose(got_mass.toarray(), mass, rtol=0, atol=1e-14 * np.abs(mass).max())
+        assert_allclose(got_stiff.toarray(), stiff, rtol=0, atol=1e-13 * np.abs(stiff).max())
+        assert_allclose(got_load, load, rtol=0, atol=1e-14 * np.abs(load).max())
+
+
+def test_inactive_element_raises():
+    space = _space(KERNEL_CASES[1], True)
+    lv = space.num_levels - 1
+    inactive = next(
+        e
+        for e in itertools.product(*(range(n) for n in space.hierarchy.elems_shape(lv)))
+        if not space.is_active_element(lv, e)
+    )
+    with pytest.raises(ValueError):
+        list(space.quadrature(gauss_tensor(space), elements=[(lv, inactive)]))
+    with pytest.raises(ValueError):
+        space.element_table(lv, inactive)
