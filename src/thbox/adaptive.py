@@ -98,9 +98,18 @@ class AdaptiveConfig:
         )
 
 
+def _rounded(s):
+    """``s`` rounded to 10 significant digits: the marking order's sort key.
+
+    Indicators that agree up to rounding (mirror-image boxes of a symmetric
+    field, say) then tie, and the box key decides between them.
+    """
+    return float("%.9e" % s)
+
+
 def _checked_items(indicators):
-    """Indicator items sorted by decreasing square, ties by box key."""
-    items = sorted(indicators.items(), key=lambda kv: (-kv[1] * kv[1], kv[0]))
+    """Indicator items sorted by decreasing rounded square, ties by box key."""
+    items = sorted(indicators.items(), key=lambda kv: (-_rounded(kv[1] * kv[1]), kv[0]))
     for key, val in items:
         if not np.isfinite(val) or val < 0.0:
             raise ValueError("indicator of box %r must be finite and >= 0" % (key,))
@@ -112,7 +121,8 @@ def dorfler_mark(indicators, theta):
 
     Returns the smallest set ``M`` of keys whose squared indicators sum to
     at least ``theta`` times the total, accumulating boxes by decreasing
-    ``eta(P)**2`` with ties broken lexicographically by box key.  An
+    ``eta(P)**2`` rounded to 10 significant digits, with ties broken
+    lexicographically by box key; the sums use the unrounded squares.  An
     all-zero field yields the empty set; ``theta = 1`` marks every box
     with a positive indicator.
     """
@@ -164,10 +174,15 @@ def _coarsen_candidates(space, indicators, protected):
 
 
 def _coarsen_mark(candidates, total_sq, theta):
-    """Maximal low-indicator prefix with squared sum <= theta * total_sq."""
+    """Maximal low-indicator prefix with squared sum <= theta * total_sq.
+
+    Candidates are ordered by increasing squared sum rounded to 10
+    significant digits, ties by key; the prefix sum uses the unrounded
+    values.
+    """
     if theta <= 0.0:
         return set()
-    items = sorted(candidates.items(), key=lambda kv: (kv[1], kv[0]))
+    items = sorted(candidates.items(), key=lambda kv: (_rounded(kv[1]), kv[0]))
     allowance = theta * total_sq
     marked = set()
     cum = 0.0

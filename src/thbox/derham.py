@@ -280,29 +280,20 @@ class AssumptionVerdict:
 
 
 def interior_functions(space, lv):
-    """Level-``lv`` multi-indices whose support lies inside the next domain."""
+    """Sorted level-``lv`` multi-indices whose support lies inside the next domain.
+
+    The candidates are the B-splines on the level-``lv`` elements of the
+    refined level-``lv`` boxes.
+    """
     hier = space.hierarchy
     tens = space.levels[lv]
-    out = []
-    for j in tens.all_functions():
-        rng = tens.support_range(j)
-        lo = tuple(r[0] for r in rng)
-        hi = tuple(r[1] for r in rng)
-        if hier.support_in_next(lv, lo, hi):
-            out.append(j)
-    return out
-
-
-def _support_arrays(tens, indices):
-    """(lo, hi) inclusive element-range arrays, one row per multi-index."""
-    n = tens.dim
-    lo = np.empty((len(indices), n), dtype=np.int64)
-    hi = np.empty((len(indices), n), dtype=np.int64)
-    for i, j in enumerate(indices):
-        for d, (a, b) in enumerate(tens.support_range(j)):
-            lo[i, d] = a
-            hi[i, d] = b
-    return lo, hi
+    if lv >= len(hier.refined):
+        return []
+    ids = np.unique(tens.element_functions(hier.refined_elements(lv, lv)))
+    cand = np.stack(np.unravel_index(ids, tens.numbasis), axis=-1)
+    lo, hi = tens.support_boxes(cand)
+    inside = hier.cover(lv + 1, 2 * lo, 2 * hi + 1)[0]
+    return list(map(tuple, cand[inside].tolist()))
 
 
 def _monotone_chain(inset, s1, s2):
@@ -348,7 +339,7 @@ def check_assumption_3a(space, lv):
     if not interior:
         return AssumptionVerdict(True)
     inset = set(interior)
-    lo, hi = _support_arrays(space.levels[lv], interior)
+    lo, hi = space.levels[lv].support_boxes(interior)
     for i, s1 in enumerate(interior):
         # closed-support overlap in element units against all later rows
         ov = np.minimum(hi[i], hi[i + 1 :]) + 1 - np.maximum(lo[i], lo[i + 1 :])
@@ -389,7 +380,7 @@ def check_assumption_3b(space, lv):
     if not interior:
         return AssumptionVerdict(True)
     # all boxes in level-(lv+1) element units
-    clo, chi = _support_arrays(space.levels[lv], interior)
+    clo, chi = space.levels[lv].support_boxes(interior)
     mlo = 2 * clo
     mhi = 2 * chi + 1
     for phi_lv in (lv, lv + 1):
@@ -398,17 +389,12 @@ def check_assumption_3b(space, lv):
             tens = uniform_space(
                 hier.elems_shape(phi_lv), pt, space.multiplicity
             )
-            for j in tens.all_functions():
-                rng = tens.support_range(j)
-                plo = tuple(r[0] for r in rng)
-                phi = tuple(r[1] for r in rng)
-                if phi_lv == lv:
-                    if not hier.support_in_next(lv, plo, phi):
-                        continue
-                elif not hier.support_in_domain(lv + 1, plo, phi):
-                    continue
-                flo = tuple(c << scalexp for c in plo)
-                fhi = tuple(((c + 1) << scalexp) - 1 for c in phi)
+            funcs = np.indices(tens.numbasis).reshape(tens.dim, -1).T
+            lo, hi = tens.support_boxes(funcs)
+            # supports in level-(lv+1) element units, kept when inside Omega^{lv+1}
+            lo, hi = lo << scalexp, ((hi + 1) << scalexp) - 1
+            inside = hier.cover(lv + 1, lo, hi)[0]
+            for j, flo, fhi in zip(*(map(tuple, a[inside].tolist()) for a in (funcs, lo, hi))):
                 # interior functions whose support shares a cell with phi
                 meets = ((mlo <= fhi) & (mhi >= flo)).all(axis=1)
                 rows = np.nonzero(meets)[0]

@@ -11,13 +11,14 @@ involved.
 
 Basis selection follows the usual hierarchical rule: a level-``lv``
 B-spline is active when its open support lies inside ``Omega^{lv}`` but not
-inside ``Omega^{lv+1}``.  The truncated basis stores, for every active
-function and every level it survives to, a sparse coefficient vector in
-that level's tensor B-spline basis; passing from one level to the next
-prolongs by the two-scale weights and zeroes the coefficients of fine
-B-splines whose support lies inside the next refinement domain.  Active
-functions are ordered canonically: by level first, then lexicographically
-by multi-index.
+inside ``Omega^{lv+1}``.  The truncated basis is built as one sparse matrix
+per level, whose rows are that level's tensor B-splines and whose columns
+are the active functions: passing from one level to the next multiplies it
+by a sparse two-scale matrix whose rows are the fine B-splines that meet
+the next refinement domain, minus (truncation) those whose support lies
+inside it; the new level's active functions then enter as identity rows.
+Active functions are ordered canonically: by level first, then
+lexicographically by multi-index.
 
 Mesh elements are classified per level: an element of level ``lv`` is
 active when it lies inside ``Omega^{lv}`` and its interior misses
@@ -26,9 +27,7 @@ every evaluation routes through the unique active element containing the
 query point.
 """
 
-import itertools
 import json
-import math
 
 import numpy as np
 import scipy.sparse
@@ -39,13 +38,23 @@ from .splinecore import (
     TensorSpace,
     basis_on_element,
     gauss_rule,
-    refinement_children,
+    insertion_matrix,
 )
 
 
-def _product_range(lo, hi):
-    """Iterate integer multi-indices of the inclusive box [lo, hi]."""
-    return itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+def _index_grid(shape):
+    """All multi-indices (prod(shape), dim) of a grid, C order."""
+    return np.indices(shape, dtype=np.int64).reshape(len(shape), -1).T
+
+
+def _raveled(indices, shape):
+    """Raveled C-order ids of multi-indices (..., dim)."""
+    return np.ravel_multi_index(tuple(np.moveaxis(indices, -1, 0)), shape)
+
+
+def _unraveled(ids, shape):
+    """Multi-indices (n, dim) of raveled C-order ids."""
+    return np.stack(np.unravel_index(ids, shape), axis=-1)
 
 
 def _field_values(f, pts):
@@ -91,7 +100,8 @@ class DomainHierarchy:
     """Nested refinement domains stored as refined q-box index sets per level.
 
     ``refined[lv]`` holds the level-``lv`` boxes whose closed union is the
-    next domain ``Omega^{lv+1}``.  Nestedness requires the parent of every
+    next domain ``Omega^{lv+1}``, as a set of multi-indices and as a sorted
+    array of raveled box ids.  Nestedness requires the parent of every
     refined level-``lv`` box (``lv >= 1``) to be refined at level ``lv-1``.
     """
 
@@ -107,6 +117,10 @@ class DomainHierarchy:
             refined.pop()
         self.refined = tuple(refined)
         self._validate()
+        self._ids = tuple(
+            np.sort(_raveled(np.array(list(boxes), dtype=np.int64), self.boxes_shape(lv)))
+            for lv, boxes in enumerate(self.refined)
+        )
         self._active_boxes = {}
 
     def _validate(self):
@@ -164,8 +178,8 @@ class DomainHierarchy:
         return lv < len(self.refined) and box in self.refined[lv]
 
     def box_in_domain(self, lv, box):
-        """Whether the level-``lv`` box lies inside Omega^{lv}."""
-        return self.element_in_domain(lv, tuple(c * qi for c, qi in zip(box, self.q)))
+        """Whether the level-``lv`` box lies inside Omega^{lv}: its parent is refined."""
+        return lv == 0 or self.is_refined(lv - 1, tuple(c // 2 for c in box))
 
     def box_active(self, lv, box):
         return self.box_in_domain(lv, box) and not self.is_refined(lv, box)
@@ -175,59 +189,56 @@ class DomainHierarchy:
 
     def element_in_domain(self, lv, e):
         """Whether the level-``lv`` element lies inside Omega^{lv}."""
-        return self.support_in_domain(lv, e, e)
+        return self.box_in_domain(lv, self.element_box(e))
 
     def element_active(self, lv, e):
-        return self.element_in_domain(lv, e) and not self.is_refined(lv, self.element_box(e))
+        return self.box_active(lv, self.element_box(e))
 
     def active_boxes(self, lv):
         """Sorted tuple of active level-``lv`` box multi-indices."""
         if lv not in self._active_boxes:
+            shape = self.boxes_shape(lv)
             if lv == 0:
-                cand = itertools.product(*(range(s) for s in self.boxes_shape(0)))
+                ids = np.arange(np.prod(shape))
             else:
-                cand = itertools.chain.from_iterable(
-                    _product_range(tuple(2 * c for c in box), tuple(2 * c + 1 for c in box))
-                    for box in sorted(self.refined[lv - 1])
-                )
-            self._active_boxes[lv] = tuple(
-                sorted(b for b in cand if not self.is_refined(lv, b))
-            )
+                parents = _unraveled(self._ids[lv - 1], self.boxes_shape(lv - 1))
+                kids = 2 * parents[:, None, :] + _index_grid((2,) * self.dim)
+                ids = np.sort(_raveled(kids, shape).ravel())
+            if lv < len(self.refined):
+                ids = ids[~np.isin(ids, self._ids[lv])]
+            self._active_boxes[lv] = tuple(map(tuple, _unraveled(ids, shape).tolist()))
         return self._active_boxes[lv]
 
-    # -- support queries for level-lv element index boxes ------------------
+    # -- the domain rule for level-lv element ranges ----------------------
 
-    def _cover(self, lv, lo, hi):
-        """Whether each q-box covering level-``lv`` elements [lo, hi] is in Omega^{lv}.
+    def cover(self, lv, lo, hi):
+        """Whether all, and whether any, level-``lv`` elements of each range lie in Omega^{lv}.
 
-        The one domain rule: an element index halves to its level-(lv-1)
-        parent, whose box ``c // q`` must be one of ``refined[lv - 1]``.
+        ``lo`` and ``hi`` (n, dim) are inclusive element ranges; returns two
+        boolean arrays (n,).  The one domain rule: an element halves to its
+        level-(lv-1) parent, whose q-box ``c // q`` must be one of
+        ``refined[lv - 1]``.  Box offsets are clamped to each range's last
+        box, so short ranges repeat a box instead of needing a mask.
         """
-        if lv == 0:
-            return (True,)
-        if lv > len(self.refined):
-            return (False,)
-        marked = self.refined[lv - 1]
-        ranges = (
-            range(a // 2 // qi, b // 2 // qi + 1) for a, b, qi in zip(lo, hi, self.q)
-        )
-        return (box in marked for box in itertools.product(*ranges))
+        if lv == 0 or lv > len(self.refined):
+            return np.full(len(lo), lv == 0), np.full(len(lo), lv == 0)
+        q = np.array(self.q)
+        blo, bhi = lo // 2 // q, hi // 2 // q
+        offsets = _index_grid(tuple(np.max(bhi - blo, axis=0, initial=0) + 1))
+        boxes = np.minimum(blo[:, None, :] + offsets, bhi[:, None, :])
+        flat = _raveled(boxes, self.boxes_shape(lv - 1))
+        ids = self._ids[lv - 1]
+        hit = ids[np.minimum(np.searchsorted(ids, flat), len(ids) - 1)] == flat
+        return hit.all(axis=1), hit.any(axis=1)
 
-    def support_in_domain(self, lv, lo, hi):
-        """All level-``lv`` elements of the box [lo, hi] lie inside Omega^{lv}."""
-        return all(self._cover(lv, lo, hi))
+    def refined_elements(self, lv, k):
+        """Level-``k`` elements (n, dim) of the refined level-``lv`` boxes, ``k >= lv``.
 
-    def support_meets_domain(self, lv, lo, hi):
-        """Some level-``lv`` element of the box [lo, hi] lies inside Omega^{lv}."""
-        return any(self._cover(lv, lo, hi))
-
-    def support_in_next(self, lv, lo, hi):
-        """All level-``lv`` elements of [lo, hi] lie inside Omega^{lv+1}.
-
-        They are the level-(lv+1) elements [2 lo, 2 hi + 1]."""
-        return all(
-            self._cover(lv + 1, tuple(2 * c for c in lo), tuple(2 * c + 1 for c in hi))
-        )
+        With ``k = lv + 1`` these are the elements of Omega^{lv+1}.
+        """
+        boxes = _unraveled(self._ids[lv], self.boxes_shape(lv))
+        span = np.array(self.q) * 2 ** (k - lv)
+        return (boxes[:, None, :] * span + _index_grid(tuple(span))).reshape(-1, self.dim)
 
     # -- editing -----------------------------------------------------------
 
@@ -259,14 +270,17 @@ class LevelSequence:
             self._spaces.append(self._spaces[-1].refine())
 
     def children(self, lv):
-        """Per-direction :func:`refinement_children` of level ``lv`` into ``lv + 1``.
+        """Per-direction two-scale arrays of level ``lv`` into ``lv + 1``.
 
-        Computed once per level and kept for the life of the sequence.
+        Direction ``d`` gives ``(index, weight)``, both (numbasis_d, width):
+        coarse B-spline ``i`` is ``sum_k weight[i, k] * B_fine[index[i, k]]``,
+        padded with weight 0.  Computed once per level and kept for the life
+        of the sequence.
         """
         while len(self._children) <= lv:
             coarse, fine = self[len(self._children)], self[len(self._children) + 1]
             self._children.append(
-                tuple(refinement_children(c, f) for c, f in zip(coarse.kvs, fine.kvs))
+                tuple(_two_scale_arrays(c, f) for c, f in zip(coarse.kvs, fine.kvs))
             )
         return self._children[lv]
 
@@ -298,6 +312,18 @@ class LevelSequence:
 
     def __len__(self):
         return len(self._spaces)
+
+
+def _two_scale_arrays(coarse, fine):
+    """Padded (index, weight) arrays of the columns of :func:`insertion_matrix`."""
+    a = insertion_matrix(coarse, fine).tocsc()
+    counts = np.diff(a.indptr)
+    col = np.repeat(np.arange(coarse.numbasis), counts)
+    slot = np.arange(a.nnz) - a.indptr[col]
+    index = np.zeros((coarse.numbasis, counts.max()), dtype=np.int64)
+    weight = np.zeros(index.shape)
+    index[col, slot], weight[col, slot] = a.indices, a.data
+    return index, weight
 
 
 def _check_compatible(levels, hierarchy):
@@ -432,132 +458,97 @@ class ThbSpace:
 
     # -- construction ------------------------------------------------------
 
-    def _candidate_functions(self, lv):
-        space = self.levels[lv]
-        if lv == 0:
-            return space.all_functions()
-        q = self.hierarchy.q
-        m = space.multiplicity
-        p = space.degree
-        nb = space.numbasis
-        cand = set()
-        for box in sorted(self.hierarchy.refined[lv - 1]):
-            lo = []
-            hi = []
-            for d in range(space.dim):
-                first_elem = 2 * q[d] * box[d]
-                last_elem = 2 * q[d] * (box[d] + 1) - 1
-                lo.append(max(0, first_elem * m[d]))
-                hi.append(min(nb[d] - 1, last_elem * m[d] + p[d]))
-            cand.update(_product_range(tuple(lo), tuple(hi)))
-        return sorted(cand)
-
-    def _support_box(self, lv, j):
-        rng = self.levels[lv].support_range(j)
-        return tuple(r[0] for r in rng), tuple(r[1] for r in rng)
-
     def _build_active_sets(self):
         hier = self.hierarchy
-        self.active_funcs = []
+        self._active_ids = []
         for lv in range(self.num_levels):
-            act = []
-            for j in self._candidate_functions(lv):
-                lo, hi = self._support_box(lv, j)
-                if not hier.support_in_domain(lv, lo, hi):
-                    continue
-                if hier.support_in_next(lv, lo, hi):
-                    continue
-                act.append(j)
-            self.active_funcs.append(tuple(sorted(act)))
-
-        self.functions = []
-        self.fid_of = {}
-        for lv, act in enumerate(self.active_funcs):
-            for j in act:
-                self.fid_of[(lv, j)] = len(self.functions)
-                self.functions.append((lv, j))
+            space = self.levels[lv]
+            # candidates: the B-splines on the elements of Omega^lv
+            elems = hier.refined_elements(lv - 1, lv) if lv else _index_grid(space.numelems)
+            cand = np.unique(space.element_functions(elems))
+            lo, hi = space.support_boxes(_unraveled(cand, space.numbasis))
+            inside = hier.cover(lv, lo, hi)[0] & ~hier.cover(lv + 1, 2 * lo, 2 * hi + 1)[0]
+            self._active_ids.append(cand[inside])
+        self.active_funcs = [
+            tuple(map(tuple, _unraveled(ids, self.levels[lv].numbasis).tolist()))
+            for lv, ids in enumerate(self._active_ids)
+        ]
+        self.functions = [(lv, j) for lv, act in enumerate(self.active_funcs) for j in act]
+        self.fid_of = {key: fid for fid, key in enumerate(self.functions)}
         self.ndof = len(self.functions)
 
-        self._active_elems = []
+        self._elem_array = []
         for lv in range(self.num_levels):
-            q = hier.q
-            elems = []
-            for box in hier.active_boxes(lv):
-                lo = tuple(qi * b for qi, b in zip(q, box))
-                hi = tuple(qi * (b + 1) - 1 for qi, b in zip(q, box))
-                elems.extend(_product_range(lo, hi))
-            self._active_elems.append(tuple(sorted(elems)))
+            boxes = np.array(hier.active_boxes(lv), dtype=np.int64).reshape(-1, self.dim)
+            shape = self.levels[lv].numelems
+            elems = _raveled(boxes[:, None, :] * hier.q + _index_grid(hier.q), shape)
+            self._elem_array.append(_unraveled(np.sort(elems.ravel()), shape))
+        self._active_elems = [tuple(map(tuple, a.tolist())) for a in self._elem_array]
         self._elem_pos = [{e: i for i, e in enumerate(a)} for a in self._active_elems]
-        self._elem_array = [
-            np.array(a, dtype=np.int64).reshape(len(a), hier.dim) for a in self._active_elems
-        ]
 
     def _build_representation(self):
-        """Prolong the active functions level by level into the matrices ``R_lv``."""
+        """Prolong the active functions level by level into the matrices ``R_lv``.
+
+        ``cur`` (level-``lv`` tensor B-splines by functions) holds every
+        function's level-``lv`` representation.  The rows of ``R_lv`` are
+        the B-splines nonzero on an active level-``lv`` element, in raveled
+        C order; ``_local[lv]`` holds, per active element, the rows of its
+        ``prod(p+1)`` B-splines in :meth:`TensorSpace.functions_on_element`
+        order.
+        """
         hier = self.hierarchy
         self._extraction = []
         self._local = []
-        cur = {}
-        for lv in range(self.num_levels):
-            for j in self.active_funcs[lv]:
-                cur.setdefault(j, {})[self.fid_of[(lv, j)]] = 1.0
-            self._extract(lv, cur)
+        cur = scipy.sparse.csr_matrix((self.levels[0].total_basis, self.ndof))
+        first = 0
+        for lv, act in enumerate(self._active_ids):
+            space = self.levels[lv]
+            fids = np.arange(first, first + len(act))
+            first += len(act)
+            cur = cur + scipy.sparse.csr_matrix(
+                (np.ones(len(act)), (act, fids)), shape=cur.shape
+            )
+            flat = space.element_functions(self._elem_array[lv])
+            rows, local = np.unique(flat, return_inverse=True)
+            ext = cur[rows]
+            ext.sort_indices()
+            self._extraction.append(ext)
+            self._local.append(local.reshape(flat.shape))
             if lv + 1 == self.num_levels:
                 break
-            children = self.levels.children(lv)
-            kept = {}
-            nxt = {}
-            for i, contribs in cur.items():
-                lo, hi = self._support_box(lv, i)
-                if not hier.support_meets_domain(
-                    lv + 1, tuple(2 * c for c in lo), tuple(2 * c + 1 for c in hi)
-                ):
-                    continue
-                per_dir = (zip(*children[d][c]) for d, c in enumerate(i))
-                for combo in itertools.product(*per_dir):
-                    ch = tuple(j for j, _ in combo)
-                    if ch not in kept:
-                        # truncation drops B-splines inside Omega^{lv+1}; a child
-                        # whose support misses Omega^{lv+1} never reaches an element
-                        clo, chi = self._support_box(lv + 1, ch)
-                        kept[ch] = hier.support_meets_domain(lv + 1, clo, chi) and not (
-                            self.truncated and hier.support_in_domain(lv + 1, clo, chi)
-                        )
-                    if kept[ch]:
-                        w = math.prod(wd for _, wd in combo)
-                        tgt = nxt.setdefault(ch, {})
-                        for fid, c in contribs.items():
-                            tgt[fid] = tgt.get(fid, 0.0) + w * c
-            cur = nxt
+            # only rows whose support meets Omega^{lv+1} reach an active element
+            live = np.flatnonzero(np.diff(cur.indptr))
+            lo, hi = space.support_boxes(_unraveled(live, space.numbasis))
+            cur = self._prolongation(lv, live[hier.cover(lv + 1, 2 * lo, 2 * hi + 1)[1]]) @ cur
 
-    def _extract(self, lv, rep):
-        """``R_lv`` from ``rep`` (B-spline -> {fid: coefficient}) and element rows.
+    def _prolongation(self, lv, rows):
+        """Two-scale matrix (level-``lv+1`` by level-``lv`` B-splines) of the coarse ``rows``.
 
-        The rows of ``R_lv`` are the level-``lv`` B-splines nonzero on an
-        active level-``lv`` element, in raveled C order; ``_local[lv]``
-        holds, per active element, the rows of its ``prod(p+1)`` B-splines
-        in :meth:`TensorSpace.functions_on_element` order.
+        Its rows are the children that meet Omega^{lv+1} and, for THB, do
+        not lie inside it (truncation); weights multiply direction by
+        direction.
         """
-        space = self.levels[lv]
-        offsets = np.array(
-            list(_product_range((0,) * self.dim, space.degree)), dtype=np.int64
+        coarse, fine = self.levels[lv], self.levels[lv + 1]
+        child = np.zeros((len(rows), 1), dtype=np.int64)
+        weight = np.ones((len(rows), 1))
+        for (index, wts), j, nf in zip(
+            self.levels.children(lv), _unraveled(rows, coarse.numbasis).T, fine.numbasis
+        ):
+            width = child.shape[1] * index.shape[1]
+            child = (child[:, :, None] * nf + index[j][:, None, :]).reshape(-1, width)
+            weight = (weight[:, :, None] * wts[j][:, None, :]).reshape(-1, width)
+        parent = np.broadcast_to(rows[:, None], child.shape)
+        nz = weight != 0.0
+        child, weight, parent = child[nz], weight[nz], parent[nz]
+        ids, inv = np.unique(child, return_inverse=True)
+        inside, meets = self.hierarchy.cover(
+            lv + 1, *fine.support_boxes(_unraveled(ids, fine.numbasis))
         )
-        tensor = self._elem_array[lv][:, None, :] * space.multiplicity + offsets
-        flat = np.ravel_multi_index(tuple(np.moveaxis(tensor, -1, 0)), space.numbasis)
-        keys, local = np.unique(flat.reshape(-1), return_inverse=True)
-        index = zip(*(ix.tolist() for ix in np.unravel_index(keys, space.numbasis)))
-        entries = [sorted(rep.get(j, {}).items()) for j in index]
-        self._extraction.append(
-            scipy.sparse.csr_matrix(
-                (
-                    np.array([c for en in entries for _, c in en], dtype=float),
-                    np.array([fid for en in entries for fid, _ in en], dtype=np.int64),
-                    np.cumsum([0] + [len(en) for en in entries]),
-                ),
-                shape=(len(keys), self.ndof),
-            )
+        keep = (meets & ~inside if self.truncated else meets)[inv]
+        return scipy.sparse.csr_matrix(
+            (weight[keep], (child[keep], parent[keep])),
+            shape=(fine.total_basis, coarse.total_basis),
         )
-        self._local.append(local.reshape(flat.shape))
 
     # -- basic queries -------------------------------------------------
 
@@ -759,12 +750,12 @@ class ThbSpace:
         These are the functions carrying an extreme index (first or last) in
         some direction; all others vanish identically on the boundary.
         """
-        out = []
-        for fid, (lv, j) in enumerate(self.functions):
-            nb = self.levels[lv].numbasis
-            if any(ji == 0 or ji == nbd - 1 for ji, nbd in zip(j, nb)):
-                out.append(fid)
-        return np.array(out, dtype=np.int64)
+        flags = []
+        for lv, ids in enumerate(self._active_ids):
+            nb = np.array(self.levels[lv].numbasis)
+            j = _unraveled(ids, nb)
+            flags.append(((j == 0) | (j == nb - 1)).any(axis=1))
+        return np.flatnonzero(np.concatenate(flags))
 
 
 def build_thb(levels, hierarchy):
@@ -787,15 +778,8 @@ def truncate(levels, hierarchy, lv, coeffs):
     """
     space = levels[lv]
     out = np.array(coeffs, dtype=float).reshape(space.numbasis).copy()
-    if lv == 0:
-        out[...] = 0.0  # Omega^0 is the whole domain
-        return out
-    for j in itertools.product(*(range(n) for n in space.numbasis)):
-        rng = space.support_range(j)
-        lo = tuple(r[0] for r in rng)
-        hi = tuple(r[1] for r in rng)
-        if hierarchy.support_in_domain(lv, lo, hi):
-            out[j] = 0.0
+    inside = hierarchy.cover(lv, *space.support_boxes(_index_grid(space.numbasis)))[0]
+    out.reshape(-1)[inside] = 0.0
     return out
 
 

@@ -108,17 +108,22 @@ class KnotVector:
         return e * self.multiplicity
 
     def support_range(self, j):
-        """Inclusive element index range (lo, hi) where function ``j`` is nonzero."""
-        if not 0 <= j < self.numbasis:
-            raise IndexError("function index %d out of range" % j)
+        """Inclusive element index range (lo, hi) where function ``j`` is nonzero.
+
+        ``j`` may also be an index array; ``lo`` and ``hi`` are then arrays
+        of its shape.
+        """
+        j = np.asarray(j)
+        if np.any((j < 0) | (j >= self.numbasis)):
+            raise IndexError("function index out of range 0..%d" % (self.numbasis - 1))
         lo = self._breakpoint_of_knot(j)
         hi = self._breakpoint_of_knot(j + self.degree + 1) - 1
+        if j.ndim == 0:
+            return int(lo), int(hi)
         return lo, hi
 
     def _breakpoint_of_knot(self, k):
-        if k <= self.degree:
-            return 0
-        return min(self.numelems, (k - self.degree - 1) // self.multiplicity + 1)
+        return np.clip((k - self.degree - 1) // self.multiplicity + 1, 0, self.numelems)
 
     def greville(self, j):
         """Greville abscissa (knot average) of basis function ``j``."""
@@ -285,20 +290,6 @@ def two_scale_matrix(coarse, fine):
     return insertion_matrix(coarse, fine).T.toarray()
 
 
-def refinement_children(coarse, fine):
-    """Per coarse function, the refined functions and weights it expands into.
-
-    Returns a list over coarse indices of pairs (indices, weights) such that
-    ``B_coarse[j] = sum_k weights[k] * B_fine[indices[k]]``.
-    """
-    a = insertion_matrix(coarse, fine).tocsc()
-    out = []
-    for j in range(coarse.numbasis):
-        sl = slice(a.indptr[j], a.indptr[j + 1])
-        out.append((a.indices[sl].copy(), a.data[sl].copy()))
-    return out
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Gauss-Legendre points and weights on an interval."""
@@ -354,6 +345,13 @@ class TensorSpace:
         """Per-direction inclusive element ranges of tensor function ``j``."""
         return tuple(kv.support_range(ji) for kv, ji in zip(self.kvs, j))
 
+    def support_boxes(self, indices):
+        """Inclusive element boxes (lo, hi), each (n, dim), of the functions
+        ``indices`` (n, dim)."""
+        indices = np.asarray(indices, dtype=np.int64).reshape(-1, self.dim)
+        ranges = [kv.support_range(indices[:, d]) for d, kv in enumerate(self.kvs)]
+        return tuple(np.stack(r, axis=1) for r in zip(*ranges))
+
     def element_bounds(self, e):
         """Per-direction (lo, hi) coordinates of element ``e``."""
         return tuple(
@@ -368,6 +366,14 @@ class TensorSpace:
             for kv, ei in zip(self.kvs, e)
         ]
         return itertools.product(*ranges)
+
+    def element_functions(self, elements):
+        """Raveled ids (n, prod(p+1)) of the functions on ``elements`` (n, dim),
+        in :meth:`functions_on_element` order."""
+        offsets = np.indices(tuple(p + 1 for p in self.degree)).reshape(self.dim, -1).T
+        first = np.asarray(elements, dtype=np.int64) * self.multiplicity
+        index = first[:, None, :] + offsets
+        return np.ravel_multi_index(tuple(np.moveaxis(index, -1, 0)), self.numbasis)
 
     def all_functions(self):
         return itertools.product(*(range(n) for n in self.numbasis))

@@ -18,7 +18,7 @@ from thbox.adaptive import (
     poisson_solve,
     residual_estimator,
 )
-from thbox.adaptive import _boundary_values
+from thbox.adaptive import _boundary_values, _coarsen_mark
 from thbox.bezier import bezier_project, error_report
 from thbox.hierarchy import DomainHierarchy, ThbSpace, admissibility_class
 from thbox.numerics import assemble_csr
@@ -85,6 +85,19 @@ class TestDorflerMark:
         ind = {(0, (3,)): 1.0, (0, (0,)): 1.0, (0, (2,)): 1.0, (0, (1,)): 1.0}
         assert dorfler_mark(ind, 0.5) == {(0, (0,)), (0, (1,))}
 
+    def test_rounding_ties_go_to_earlier_key(self):
+        # squares one ulp apart tie after rounding; the earlier key wins
+        ind = {(0, (0,)): 1.0, (0, (1,)): float(np.nextafter(1.0, 2.0))}
+        assert dorfler_mark(ind, 0.3) == {(0, (0,))}
+        ind = {(0, (0,)): 1.0, (0, (1,)): 1.0 + 1e-7}
+        assert dorfler_mark(ind, 0.3) == {(0, (1,))}
+
+    def test_sums_use_unrounded_squares(self):
+        # rounded, the first square alone would reach the goal 1.0
+        big = float(np.nextafter(1.0, 0.0))
+        ind = {(0, (0,)): big, (0, (1,)): 1.0}
+        assert dorfler_mark(ind, 1.0 / (big * big + 1.0)) == {(0, (0,)), (0, (1,))}
+
     @pytest.mark.parametrize("theta", [-0.1, 0.0, 1.2])
     def test_theta_out_of_range(self, theta):
         with pytest.raises(ValueError):
@@ -124,6 +137,24 @@ class TestDorflerMark:
         if marked:
             smallest = min(marked, key=lambda k: (squares[k], k))
             assert sum(squares[k] for k in marked - {smallest}) < goal
+
+
+class TestCoarsenMark:
+    def test_lowest_first_ties_by_key(self):
+        cand = {(0, (k,)): float(v) for k, v in enumerate([3, 1, 2, 1])}
+        assert _coarsen_mark(cand, 10.0, 0.2) == {(0, (1,)), (0, (3,))}
+        assert _coarsen_mark(cand, 10.0, 0.0) == set()
+
+    def test_rounding_ties_go_to_earlier_key(self):
+        # sums one ulp apart tie after rounding; the earlier key wins
+        cand = {(0, (0, 0)): float(np.nextafter(1.0, 2.0)), (0, (1, 0)): 1.0}
+        assert _coarsen_mark(cand, 3.0, 0.5) == {(0, (0, 0))}
+
+    def test_prefix_sum_uses_unrounded_values(self):
+        # 0.25 + (0.25 + 2**-53) exceeds the allowance 0.5 by one ulp; the
+        # rounded values would fit it
+        cand = {(0, (0,)): 0.25, (0, (1,)): 0.25 + 2.0**-53}
+        assert _coarsen_mark(cand, 1.0, 0.5) == {(0, (0,))}
 
 
 class TestAdaptLoop:

@@ -13,7 +13,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from conftest import random_hierarchy
+from conftest import element_support_sets, random_hierarchy
 from thbox.derham import (
     AssumptionVerdict,
     ExactnessReport,
@@ -48,6 +48,14 @@ def fine_supports(space, lv, indices):
             tuple(2 * r[1] + 1 for r in rng),
         )
     return out
+
+
+def next_domain_grid(hier, lv):
+    """Boolean grid of the level-(lv+1) elements inside Omega^{lv+1}."""
+    grid = np.zeros(hier.elems_shape(lv + 1), dtype=bool)
+    for box in hier.refined[lv] if lv < len(hier.refined) else ():
+        grid[tuple(slice(2 * qi * b, 2 * qi * (b + 1)) for qi, b in zip(hier.q, box))] = True
+    return grid
 
 
 def l1(a, b):
@@ -99,6 +107,7 @@ def oracle_3b(space, lv, max_meeting=14):
     if not interior:
         return None
     sup = fine_supports(space, lv, interior)
+    next_domain = next_domain_grid(hier, lv)
     skipped = False
     for phi_lv in (lv, lv + 1):
         scale = 2 if phi_lv == lv else 1
@@ -106,15 +115,10 @@ def oracle_3b(space, lv, max_meeting=14):
             tens = uniform_space(hier.elems_shape(phi_lv), pt, space.multiplicity)
             for j in tens.all_functions():
                 rng = tens.support_range(j)
-                plo = tuple(r[0] for r in rng)
-                phi = tuple(r[1] for r in rng)
-                if phi_lv == lv:
-                    if not hier.support_in_next(lv, plo, phi):
-                        continue
-                elif not hier.support_in_domain(lv + 1, plo, phi):
+                flo = tuple(scale * r[0] for r in rng)
+                fhi = tuple(scale * (r[1] + 1) - 1 for r in rng)
+                if not next_domain[tuple(slice(a, b + 1) for a, b in zip(flo, fhi))].all():
                     continue
-                flo = tuple(scale * c for c in plo)
-                fhi = tuple(scale * (c + 1) - 1 for c in phi)
                 meeting = [
                     m
                     for m in interior
@@ -365,6 +369,26 @@ NOTCHED_L = (
     | {(x, y) for x in range(5, 9) for y in range(4, 8)}
     | {(5, 1), (5, 2)}
 )
+
+
+class TestInteriorFunctions:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_match_element_scan(self, seed):
+        rng = np.random.default_rng(2500 + seed)
+        h = random_hierarchy(rng, 2, (2, 1), (3, 2), max_levels=4, interface=True)
+        space = build_thb(LevelSequence(uniform_space(h.elems_level0, (2, 3))), h)
+        found = 0
+        for lv in range(h.num_levels + 1):
+            grid = next_domain_grid(h, lv)
+            want = sorted(
+                j
+                for j, supp in element_support_sets(space.levels[lv]).items()
+                if all(grid[tuple(2 * c + o for c, o in zip(e, off))]
+                       for e in supp for off in itertools.product((0, 1), repeat=2))
+            )
+            assert interior_functions(space, lv) == want
+            found += len(want)
+        assert found
 
 
 class TestAssumption3a:

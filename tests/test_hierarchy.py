@@ -5,10 +5,12 @@ Two independent oracles drive the core checks:
 - the level-by-level selection recursion (start from all level-0 functions,
   swap in finer functions whose support entered the next domain), computed
   from sampled supports;
-- dense prolongation: represent an active function on the finest tensor
+- dense prolongation: represent an active function on every finer tensor
   level by repeatedly applying Kronecker two-scale matrices, zeroing (for
   the truncated variant) the coefficients of functions supported inside the
-  next domain, then evaluating the finest-level combination directly.
+  next domain; its coefficients are compared entry by entry with the
+  extraction matrices, and its finest-level combination is evaluated
+  directly.
 """
 
 import itertools
@@ -37,7 +39,6 @@ from thbox.hierarchy import (
 from thbox.splinecore import (
     KnotVector,
     TensorSpace,
-    refinement_children,
     two_scale_matrix,
     uniform_knot_vector,
     uniform_space,
@@ -90,13 +91,14 @@ def _reference_active_sets(levels, hier):
     return [tuple(sorted(a)) for a in active]
 
 
-def _dense_rep(levels, hier, lv, j, truncated, supports, domains):
-    """Finest-level coefficients of the (truncated) function via Kronecker."""
-    num = hier.num_levels
-    space = levels[lv]
-    coeffs = np.zeros(space.numbasis)
-    coeffs[j] = 1.0
-    for k in range(lv, num - 1):
+def _dense_reps(levels, hier, lv, js, truncated, supports, domains):
+    """Coefficients of the (truncated) functions ``js`` of level ``lv`` on levels
+    lv, lv+1, ... via Kronecker: one (numbasis_k raveled, len(js)) array per level."""
+    coeffs = np.zeros((levels[lv].total_basis, len(js)))
+    for col, j in enumerate(js):
+        coeffs[np.ravel_multi_index(j, levels[lv].numbasis), col] = 1.0
+    reps = [coeffs]
+    for k in range(lv, hier.num_levels - 1):
         mats = [
             two_scale_matrix(levels[k].kvs[d], levels[k + 1].kvs[d])
             for d in range(hier.dim)
@@ -104,12 +106,19 @@ def _dense_rep(levels, hier, lv, j, truncated, supports, domains):
         full = mats[0]
         for m in mats[1:]:
             full = np.kron(full, m)
-        coeffs = (coeffs.reshape(-1) @ full).reshape(levels[k + 1].numbasis)
+        coeffs = full.T @ coeffs
         if truncated:
             for jj, supp in supports[k + 1].items():
                 if supp <= domains[k + 1]:
-                    coeffs[jj] = 0.0
-    return coeffs
+                    coeffs[np.ravel_multi_index(jj, levels[k + 1].numbasis)] = 0.0
+        reps.append(coeffs)
+    return reps
+
+
+def _dense_rep(levels, hier, lv, j, truncated, supports, domains):
+    """Finest-level coefficients of the (truncated) function via Kronecker."""
+    finest = _dense_reps(levels, hier, lv, [j], truncated, supports, domains)[-1]
+    return finest.reshape(levels[hier.num_levels - 1].numbasis)
 
 
 HIERARCHY_CASES = [
@@ -121,6 +130,10 @@ HIERARCHY_CASES = [
     (5, 2, 3, 1, (2, 1), (2, 3), 2),
     (6, 2, 2, 2, (2, 2), (2, 2), 3),
 ]
+
+
+# a 3D case for the entry-level extraction oracle
+CASE_3D = (7, 3, 2, 1, (1, 1, 1), (2, 2, 2), 3)
 
 
 def _make_case(seed, dim, p, m, q, boxes0, max_levels):
@@ -179,21 +192,32 @@ class TestDomainHierarchy:
         rng = np.random.default_rng(500 + seed)
         for lv in range(h.num_levels):
             shape = h.elems_shape(lv)
-            for _ in range(60):
-                ends = [sorted(rng.integers(0, n, size=2)) for n in shape]
-                lo = tuple(int(a) for a, _ in ends)
-                hi = tuple(int(b) for _, b in ends)
-                elems = list(itertools.product(*(range(a, b + 1) for a, b in ends)))
+            ends = np.sort(rng.integers(0, shape, size=(2, 60, dim)), axis=0)
+            lo, hi = ends
+            all_in, any_in = h.cover(lv, lo, hi)
+            # [lo, hi] at level lv is [2 lo, 2 hi + 1] at level lv + 1
+            next_in = h.cover(lv + 1, 2 * lo, 2 * hi + 1)[0]
+            for a, b, got_all, got_any, got_next in zip(
+                lo.tolist(), hi.tolist(), all_in, any_in, next_in
+            ):
+                elems = list(itertools.product(*(range(u, v + 1) for u, v in zip(a, b))))
                 inside = [e in domains[lv] for e in elems]
-                assert h.support_in_domain(lv, lo, hi) == all(inside)
-                assert h.support_meets_domain(lv, lo, hi) == any(inside)
-                assert h.element_in_domain(lv, lo) == (lo in domains[lv])
-                # [lo, hi] at level lv is [2 lo, 2 hi + 1] at level lv + 1
-                assert h.support_in_next(lv, lo, hi) == all(
+                assert got_all == all(inside) and got_any == any(inside)
+                assert got_next == all(
                     tuple(2 * c + o for c, o in zip(e, off)) in domains[lv + 1]
                     for e in elems
                     for off in itertools.product((0, 1), repeat=dim)
                 )
+            # an element is active when it is in Omega^lv and its children are not
+            # in Omega^{lv+1}; a box answers as its first element
+            for e in itertools.product(*(range(n) for n in shape)):
+                active = e in domains[lv] and tuple(2 * c for c in e) not in domains[lv + 1]
+                assert h.element_in_domain(lv, e) == (e in domains[lv])
+                assert h.element_active(lv, e) == active
+                if all(c % qi == 0 for c, qi in zip(e, h.q)):
+                    box = h.element_box(e)
+                    assert h.box_in_domain(lv, box) == (e in domains[lv])
+                    assert h.box_active(lv, box) == active
 
     def test_equality(self):
         a = DomainHierarchy((2,), (2,), [{(0,)}])
@@ -253,6 +277,51 @@ class TestTruncatedEvaluation:
                 )
                 got = eval_thb(space, fid, tuple(x))
                 nt.assert_allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("case", HIERARCHY_CASES + [CASE_3D])
+    @pytest.mark.parametrize("truncated", [True, False])
+    def test_extraction_matches_dense_prolongation(self, case, truncated):
+        levels, hier = _make_case(*case)
+        space = ThbSpace(levels, hier, truncated=truncated)
+        num = hier.num_levels
+        supports = {k: element_support_sets(levels[k]) for k in range(num)}
+        domains = {k: _domain_elements(hier, k) for k in range(num)}
+        # R_k: the level-k coefficients of every function (columns) on the
+        # B-splines nonzero on an active level-k element (rows, raveled order)
+        rows = []
+        for k in range(num):
+            active = set(space.active_elements(k))
+            nonzero = [j for j, supp in supports[k].items() if supp & active]
+            rows.append(np.sort([np.ravel_multi_index(j, levels[k].numbasis) for j in nonzero]))
+        expected = [np.zeros((len(r), space.ndof)) for r in rows]
+        first = 0
+        for lv, act in enumerate(space.active_funcs):
+            reps = _dense_reps(levels, hier, lv, act, truncated, supports, domains)
+            for k, coeffs in enumerate(reps, start=lv):
+                expected[k][:, first : first + len(act)] = coeffs[rows[k].astype(int)]
+            first += len(act)
+        assert first == space.ndof
+        for k in range(num):
+            got = space.extraction(k)
+            assert got.shape == expected[k].shape
+            nt.assert_allclose(got.toarray(), expected[k], rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("case", HIERARCHY_CASES[:4])
+    @pytest.mark.parametrize("truncated", [True, False])
+    def test_prolongation_keeps_only_children_meeting_next_domain(self, case, truncated):
+        # the filter bounds what the build carries from level to level; the
+        # extraction matrices are the same without it
+        levels, hier = _make_case(*case)
+        space = ThbSpace(levels, hier, truncated=truncated)
+        for lv in range(hier.num_levels - 1):
+            fine = levels[lv + 1]
+            supports = element_support_sets(fine)
+            dom = _domain_elements(hier, lv + 1)
+            prol = space._prolongation(lv, np.arange(levels[lv].total_basis)).tocsr()
+            for r in range(fine.total_basis):
+                supp = supports[tuple(int(c) for c in np.unravel_index(r, fine.numbasis))]
+                kept = bool(supp & dom) and not (truncated and supp <= dom)
+                assert (prol.indptr[r + 1] > prol.indptr[r]) == kept
 
     @pytest.mark.parametrize("case", HIERARCHY_CASES)
     def test_partition_of_unity_and_nonnegativity(self, case):
@@ -380,9 +449,8 @@ class TestElementMachinery:
         lv = space.num_levels - 1
         j = space.active_funcs[lv][0]
         fid = space.fid_of[(lv, j)]
-        lo, hi = space._support_box(lv, j)
         kv = space.levels[lv].kvs[0]
-        right_end = kv.breakpoints[hi[0] + 1]
+        right_end = kv.breakpoints[kv.support_range(j[0])[1] + 1]
         x = right_end + 0.5 * (1.0 - right_end)
         if x < 1.0:
             assert eval_thb(space, fid, (x,)) == 0.0
@@ -509,12 +577,15 @@ class TestLevelSequence:
             kids = seq.children(lv)
             assert seq.children(lv) is kids  # computed once per level
             assert len(kids) == 2
-            for d, per_fn in enumerate(kids):
-                ref = refinement_children(seq[lv].kvs[d], seq[lv + 1].kvs[d])
-                assert len(per_fn) == len(ref)
-                for (idx, w), (ref_idx, ref_w) in zip(per_fn, ref):
-                    nt.assert_array_equal(idx, ref_idx)
-                    nt.assert_array_equal(w, ref_w)
+            for d, (index, weight) in enumerate(kids):
+                ref = two_scale_matrix(seq[lv].kvs[d], seq[lv + 1].kvs[d])
+                assert index.shape == weight.shape and len(index) == len(ref)
+                dense = np.zeros_like(ref)
+                np.add.at(dense, (np.arange(len(ref))[:, None], index), weight)
+                nt.assert_array_equal(dense, ref)
+                # each child appears once with a nonzero weight; padding has weight 0
+                for i, (idx, w) in enumerate(zip(index, weight)):
+                    nt.assert_array_equal(np.sort(idx[w != 0]), np.flatnonzero(ref[i]))
 
     def test_incompatible_base_rejected(self):
         levels = LevelSequence(uniform_space((3,), (2,)))

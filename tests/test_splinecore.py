@@ -16,6 +16,7 @@ from conftest import (
     naive_bspline,
     naive_bspline_deriv,
     naive_tensor_value,
+    univariate_support_flags,
 )
 from thbox.splinecore import (
     KnotVector,
@@ -24,7 +25,6 @@ from thbox.splinecore import (
     eval_basis,
     gauss_rule,
     insertion_matrix,
-    refinement_children,
     tensor_eval,
     two_scale_matrix,
     uniform_knot_vector,
@@ -174,6 +174,32 @@ class TestSupports:
                 assert nonzero == (lo <= e <= hi), (j, e)
 
     @pytest.mark.parametrize("p,m", PM_CASES)
+    def test_array_support_ranges_match_flags(self, p, m):
+        kvs = [_random_kv(450 + p * 10 + m + d, p, m) for d in range(2)]
+        for kv in kvs:
+            flags = univariate_support_flags(kv)
+            lo, hi = kv.support_range(np.arange(kv.numbasis))
+            elems = np.arange(kv.numelems)
+            nt.assert_array_equal((lo[:, None] <= elems) & (elems <= hi[:, None]), flags)
+        space = TensorSpace(kvs)
+        funcs = np.array(list(space.all_functions())).reshape(-1, 2)
+        lo, hi = space.support_boxes(funcs)
+        assert lo.shape == hi.shape == funcs.shape
+        for j, a, b in zip(funcs, lo, hi):
+            assert tuple(zip(a, b)) == space.support_range(tuple(j))
+        with pytest.raises(IndexError):
+            kvs[0].support_range(np.array([0, kvs[0].numbasis]))
+
+    @pytest.mark.parametrize("p,m", PM_CASES)
+    def test_element_functions_match_functions_on_element(self, p, m):
+        space = TensorSpace([_random_kv(470 + p * 10 + m + d, p, m) for d in range(2)])
+        elems = np.array(list(space.all_elements())).reshape(-1, 2)
+        ids = space.element_functions(elems)
+        for e, row in zip(elems, ids):
+            want = [np.ravel_multi_index(j, space.numbasis) for j in space.functions_on_element(e)]
+            nt.assert_array_equal(row, want)
+
+    @pytest.mark.parametrize("p,m", PM_CASES)
     def test_functions_on_element(self, p, m):
         kv = _random_kv(500 + p * 10 + m, p, m)
         for e in range(kv.numelems):
@@ -262,16 +288,6 @@ class TestTwoScale:
             insertion_matrix(coarse, uniform_knot_vector(4, 3))
         with pytest.raises(ValueError):
             insertion_matrix(coarse, uniform_knot_vector(3, 2))
-
-    def test_refinement_children_cover_two_scale(self):
-        coarse = uniform_knot_vector(3, 2)
-        fine = coarse.refine()
-        mat = two_scale_matrix(coarse, fine)
-        children = refinement_children(coarse, fine)
-        dense = np.zeros_like(mat)
-        for j, (idx, w) in enumerate(children):
-            dense[j, idx] = w
-        nt.assert_array_equal(dense, mat)
 
     def test_refine_breakpoints_are_exact_midpoints(self):
         kv = _random_kv(77, 3, 2)
