@@ -51,7 +51,6 @@ from .bezier import (
     ProjectionResult,
     ProjectorPartition,
     SupportExtension,
-    active_elements_in_box,
     bezier_project,
     error_report,
     local_l2_project,
@@ -115,7 +114,6 @@ __all__ = [
     "ProjectionResult",
     "ProjectorPartition",
     "SupportExtension",
-    "active_elements_in_box",
     "bezier_project",
     "error_report",
     "local_l2_project",

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse
 
 from .bezier import bezier_project, error_report
-from .hierarchy import gauss_tensor
+from .hierarchy import gauss_tensor, index_grid, unraveled
 from .numerics import sparse_solve
 from .qbox import AdmissibilityPolicy, coarsen_qboxes, refine_qboxes
 
@@ -155,21 +155,16 @@ def _coarsen_candidates(space, indicators, protected):
     sum of its children's squared indicators.
     """
     hier = space.hierarchy
-    dim = hier.dim
-    offsets = tuple(itertools.product((0, 1), repeat=dim))
     out = {}
-    for lv, boxes in enumerate(hier.refined):
-        for box in sorted(boxes):
-            children = [
-                tuple(2 * c + o for c, o in zip(box, off)) for off in offsets
-            ]
-            if not all(hier.box_active(lv + 1, c) for c in children):
+    for lv, ids in enumerate(hier.refined_ids):
+        boxes = unraveled(ids, hier.boxes_shape(lv))
+        kids = 2 * boxes[:, None, :] + index_grid((2,) * hier.dim)
+        free = ~hier.refined_mask(lv + 1, kids).any(axis=1)
+        for box, children in zip(boxes[free].tolist(), kids[free].tolist()):
+            children = [(lv + 1, tuple(c)) for c in children]
+            if any(c in protected for c in children):
                 continue
-            if any((lv + 1, c) in protected for c in children):
-                continue
-            out[(lv, box)] = sum(
-                indicators.get((lv + 1, c), 0.0) ** 2 for c in children
-            )
+            out[(lv, tuple(box))] = sum(indicators.get(c, 0.0) ** 2 for c in children)
     return out
 
 
@@ -391,15 +386,19 @@ def _boundary_values(space, g):
     fields = () if g is None else (g,)
     mass = scipy.sparse.csr_matrix((space.ndof, space.ndof))
     rhs = np.zeros(space.ndof)
+    elems = [
+        np.array(space.active_elements(lv), dtype=np.int64).reshape(-1, space.dim)
+        for lv in range(space.num_levels)
+    ]
     for d, side in itertools.product(range(space.dim), (0, 1)):
         # the facet x_d = side: one sampled point across it, Gauss along it
         rule = tuple(
             ((float(side),), None) if dd == d else r for dd, r in enumerate(gauss)
         )
         facet = [
-            (lv, e)
-            for lv, e in space.all_active_elements()
-            if e[d] == side * (space.hierarchy.elems_shape(lv)[d] - 1)
+            (lv, tuple(e))
+            for lv, arr in enumerate(elems)
+            for e in arr[arr[:, d] == side * (space.hierarchy.elems_shape(lv)[d] - 1)].tolist()
         ]
         for block in space.quadrature(rule, fields=fields, elements=facet):
             mass = mass + block.gram()

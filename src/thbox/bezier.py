@@ -21,8 +21,6 @@ macro-elements are independent; coefficient accumulation always runs in
 canonical member order, so results are bit-reproducible.
 """
 
-import itertools
-
 import numpy as np
 import scipy.linalg
 
@@ -31,26 +29,6 @@ from .numerics import SPD_PIVOT_REL, NonSPDError, svd_rank
 from .qbox import classify
 
 _NORMS = ("l2", "linf", "h1")
-
-
-def active_elements_in_box(mesh, lv, box):
-    """Active elements of any level covering the closed box (lv, box).
-
-    The box is recursively split where it is deactivated; boxes outside
-    their level's domain raise ValueError.
-    """
-    out = []
-    stack = [(lv, tuple(box))]
-    while stack:
-        k, b = stack.pop()
-        if mesh.is_active(k, b):
-            out.extend((k, e) for e in mesh.box_elements(k, b))
-        elif mesh.in_domain(k, b):
-            for ch in itertools.product(*((2 * v, 2 * v + 1) for v in b)):
-                stack.append((k + 1, ch))
-        else:
-            raise ValueError("box %s at level %d is outside its domain" % (b, k))
-    return sorted(out)
 
 
 class ProjectorPartition:
@@ -79,34 +57,34 @@ class ProjectorPartition:
         self.space = space
         self.mesh = mesh
         members = []
+        first = []
         for lv in range(mesh.num_levels):
+            first.append(len(members))
             boxes = sorted(set(mesh.well_behaved(lv)) | set(mesh.regular(lv)))
             members.extend((lv, b) for b in boxes)
         self.members = tuple(members)
         self._index = {m: i for i, m in enumerate(self.members)}
+        self._first = np.array(first)
         self._rule = gauss_tensor(space)
 
-        elem_member = {}
-        member_elems = []
-        for idx, (lv, box) in enumerate(self.members):
-            elems = active_elements_in_box(mesh, lv, box)
-            for key in elems:
-                if key in elem_member:
-                    raise AssertionError(
-                        "element %s of level %d covered by two members" % (key[1], key[0])
-                    )
-                elem_member[key] = idx
-            member_elems.append(tuple(elems))
-        if len(elem_member) != space.total_active_elements:
-            raise AssertionError("macro-elements do not cover the active mesh")
-        member_pos = [{} for _ in self.members]
-        levels = {}
-        for block in space.quadrature(self._rule):
-            levels[block.level] = block
-            for i, e in enumerate(block.element_keys()):
-                member_pos[elem_member[(block.level, e)]].setdefault(block.level, []).append(i)
+        levels = {block.level: block for block in space.quadrature(self._rule)}
+        owner = np.concatenate([self._owners(lv, b.elements) for lv, b in levels.items()])
+        level = np.concatenate([np.full(len(b.elements), lv) for lv, b in levels.items()])
+        where = np.concatenate([np.arange(len(b.elements)) for b in levels.values()])
+        # a stable sort keeps each member's elements level-major, then canonical
+        order = np.argsort(owner, kind="stable")
+        owner, level, where = owner[order], level[order], where[order]
+        cuts = np.flatnonzero((np.diff(owner) != 0) | (np.diff(level) != 0)) + 1
+        starts = np.concatenate([[0], cuts])
         # per member: (level, positions in the level's canonical block)
-        member_pos = tuple(tuple(sorted(pos.items())) for pos in member_pos)
+        member_pos = [[] for _ in self.members]
+        for idx, lv, p in zip(owner[starts].tolist(), level[starts].tolist(), np.split(where, cuts)):
+            member_pos[idx].append((lv, p))
+        member_pos = tuple(tuple(mp) for mp in member_pos)
+        member_elems = tuple(
+            tuple((lv, space.active_elements(lv)[i]) for lv, p in mp for i in p.tolist())
+            for mp in member_pos
+        )
         member_fids = []
         member_ints = []
         total = np.zeros(space.ndof)
@@ -121,8 +99,7 @@ class ProjectorPartition:
             total[fids] += ints
         if np.any(total <= 0.0):
             raise AssertionError("a basis function escaped every macro-element")
-        self._elem_member = elem_member
-        self._member_elems = tuple(member_elems)
+        self._member_elems = member_elems
         self._member_pos = member_pos
         self._member_fids = tuple(member_fids)
         self._member_ints = tuple(member_ints)
@@ -132,6 +109,13 @@ class ProjectorPartition:
             for fid in fid_arr.tolist():
                 fid_members[fid].append(idx)
         self._fid_members = tuple(tuple(v) for v in fid_members)
+
+    def _owners(self, lv, elements):
+        """Member index of each active level-``lv`` element (n, dim)."""
+        level, pos = self.mesh.macro_element_of(lv, elements // self.mesh.q)
+        if np.any(level < 0):
+            raise AssertionError("macro-elements do not cover the active mesh")
+        return self._first[level] + pos
 
     def __len__(self):
         return len(self.members)
@@ -168,10 +152,9 @@ class ProjectorPartition:
 
     def member_of_element(self, lv, e):
         """Index of the unique member covering active element (lv, e)."""
-        key = (lv, tuple(e))
-        if key not in self._elem_member:
+        if not (0 <= lv < self.space.num_levels and self.space.is_active_element(lv, tuple(e))):
             raise ValueError("element %s of level %d is not active" % (e, lv))
-        return self._elem_member[key]
+        return int(self._owners(lv, np.array([e]))[0])
 
     def members_for_function(self, fid):
         """Indices of the members on which function ``fid`` is nonzero."""

@@ -42,19 +42,32 @@ from .splinecore import (
 )
 
 
-def _index_grid(shape):
+def index_grid(shape):
     """All multi-indices (prod(shape), dim) of a grid, C order."""
     return np.indices(shape, dtype=np.int64).reshape(len(shape), -1).T
 
 
-def _raveled(indices, shape):
+def raveled(indices, shape):
     """Raveled C-order ids of multi-indices (..., dim)."""
     return np.ravel_multi_index(tuple(np.moveaxis(indices, -1, 0)), shape)
 
 
-def _unraveled(ids, shape):
+def unraveled(ids, shape):
     """Multi-indices (n, dim) of raveled C-order ids."""
     return np.stack(np.unravel_index(ids, shape), axis=-1)
+
+
+def sorted_lookup(ids, values):
+    """Positions of ``values`` in the sorted id array ``ids``, and which are there.
+
+    The one membership rule for box and element id sets.  Returns two
+    arrays shaped like ``values``: positions, clamped into range so that
+    absent values index some entry, and the flags saying which are present.
+    """
+    if len(ids) == 0:
+        return np.zeros(np.shape(values), dtype=np.int64), np.zeros(np.shape(values), dtype=bool)
+    pos = np.minimum(np.searchsorted(ids, values), len(ids) - 1)
+    return pos, ids[pos] == values
 
 
 def _field_values(f, pts):
@@ -100,9 +113,10 @@ class DomainHierarchy:
     """Nested refinement domains stored as refined q-box index sets per level.
 
     ``refined[lv]`` holds the level-``lv`` boxes whose closed union is the
-    next domain ``Omega^{lv+1}``, as a set of multi-indices and as a sorted
-    array of raveled box ids.  Nestedness requires the parent of every
-    refined level-``lv`` box (``lv >= 1``) to be refined at level ``lv-1``.
+    next domain ``Omega^{lv+1}`` as a set of multi-indices, and
+    ``refined_ids[lv]`` holds them as a sorted array of raveled box ids.
+    Nestedness requires the parent of every refined level-``lv`` box
+    (``lv >= 1``) to be refined at level ``lv-1``.
     """
 
     def __init__(self, q, boxes_level0, refined=()):
@@ -117,8 +131,8 @@ class DomainHierarchy:
             refined.pop()
         self.refined = tuple(refined)
         self._validate()
-        self._ids = tuple(
-            np.sort(_raveled(np.array(list(boxes), dtype=np.int64), self.boxes_shape(lv)))
+        self.refined_ids = tuple(
+            np.sort(raveled(np.array(list(boxes), dtype=np.int64), self.boxes_shape(lv)))
             for lv, boxes in enumerate(self.refined)
         )
         self._active_boxes = {}
@@ -201,12 +215,12 @@ class DomainHierarchy:
             if lv == 0:
                 ids = np.arange(np.prod(shape))
             else:
-                parents = _unraveled(self._ids[lv - 1], self.boxes_shape(lv - 1))
-                kids = 2 * parents[:, None, :] + _index_grid((2,) * self.dim)
-                ids = np.sort(_raveled(kids, shape).ravel())
+                parents = unraveled(self.refined_ids[lv - 1], self.boxes_shape(lv - 1))
+                kids = 2 * parents[:, None, :] + index_grid((2,) * self.dim)
+                ids = np.sort(raveled(kids, shape).ravel())
             if lv < len(self.refined):
-                ids = ids[~np.isin(ids, self._ids[lv])]
-            self._active_boxes[lv] = tuple(map(tuple, _unraveled(ids, shape).tolist()))
+                ids = ids[~sorted_lookup(self.refined_ids[lv], ids)[1]]
+            self._active_boxes[lv] = tuple(map(tuple, unraveled(ids, shape).tolist()))
         return self._active_boxes[lv]
 
     # -- the domain rule for level-lv element ranges ----------------------
@@ -224,21 +238,24 @@ class DomainHierarchy:
             return np.full(len(lo), lv == 0), np.full(len(lo), lv == 0)
         q = np.array(self.q)
         blo, bhi = lo // 2 // q, hi // 2 // q
-        offsets = _index_grid(tuple(np.max(bhi - blo, axis=0, initial=0) + 1))
-        boxes = np.minimum(blo[:, None, :] + offsets, bhi[:, None, :])
-        flat = _raveled(boxes, self.boxes_shape(lv - 1))
-        ids = self._ids[lv - 1]
-        hit = ids[np.minimum(np.searchsorted(ids, flat), len(ids) - 1)] == flat
+        offsets = index_grid(tuple(np.max(bhi - blo, axis=0, initial=0) + 1))
+        hit = self.refined_mask(lv - 1, np.minimum(blo[:, None, :] + offsets, bhi[:, None, :]))
         return hit.all(axis=1), hit.any(axis=1)
+
+    def refined_mask(self, lv, boxes):
+        """Whether each level-``lv`` box of ``boxes`` (..., dim) is one of ``refined[lv]``."""
+        if lv >= len(self.refined):
+            return np.zeros(boxes.shape[:-1], dtype=bool)
+        return sorted_lookup(self.refined_ids[lv], raveled(boxes, self.boxes_shape(lv)))[1]
 
     def refined_elements(self, lv, k):
         """Level-``k`` elements (n, dim) of the refined level-``lv`` boxes, ``k >= lv``.
 
         With ``k = lv + 1`` these are the elements of Omega^{lv+1}.
         """
-        boxes = _unraveled(self._ids[lv], self.boxes_shape(lv))
+        boxes = unraveled(self.refined_ids[lv], self.boxes_shape(lv))
         span = np.array(self.q) * 2 ** (k - lv)
-        return (boxes[:, None, :] * span + _index_grid(tuple(span))).reshape(-1, self.dim)
+        return (boxes[:, None, :] * span + index_grid(tuple(span))).reshape(-1, self.dim)
 
     # -- editing -----------------------------------------------------------
 
@@ -464,13 +481,13 @@ class ThbSpace:
         for lv in range(self.num_levels):
             space = self.levels[lv]
             # candidates: the B-splines on the elements of Omega^lv
-            elems = hier.refined_elements(lv - 1, lv) if lv else _index_grid(space.numelems)
+            elems = hier.refined_elements(lv - 1, lv) if lv else index_grid(space.numelems)
             cand = np.unique(space.element_functions(elems))
-            lo, hi = space.support_boxes(_unraveled(cand, space.numbasis))
+            lo, hi = space.support_boxes(unraveled(cand, space.numbasis))
             inside = hier.cover(lv, lo, hi)[0] & ~hier.cover(lv + 1, 2 * lo, 2 * hi + 1)[0]
             self._active_ids.append(cand[inside])
         self.active_funcs = [
-            tuple(map(tuple, _unraveled(ids, self.levels[lv].numbasis).tolist()))
+            tuple(map(tuple, unraveled(ids, self.levels[lv].numbasis).tolist()))
             for lv, ids in enumerate(self._active_ids)
         ]
         self.functions = [(lv, j) for lv, act in enumerate(self.active_funcs) for j in act]
@@ -481,8 +498,8 @@ class ThbSpace:
         for lv in range(self.num_levels):
             boxes = np.array(hier.active_boxes(lv), dtype=np.int64).reshape(-1, self.dim)
             shape = self.levels[lv].numelems
-            elems = _raveled(boxes[:, None, :] * hier.q + _index_grid(hier.q), shape)
-            self._elem_array.append(_unraveled(np.sort(elems.ravel()), shape))
+            elems = raveled(boxes[:, None, :] * hier.q + index_grid(hier.q), shape)
+            self._elem_array.append(unraveled(np.sort(elems.ravel()), shape))
         self._active_elems = [tuple(map(tuple, a.tolist())) for a in self._elem_array]
         self._elem_pos = [{e: i for i, e in enumerate(a)} for a in self._active_elems]
 
@@ -518,7 +535,7 @@ class ThbSpace:
                 break
             # only rows whose support meets Omega^{lv+1} reach an active element
             live = np.flatnonzero(np.diff(cur.indptr))
-            lo, hi = space.support_boxes(_unraveled(live, space.numbasis))
+            lo, hi = space.support_boxes(unraveled(live, space.numbasis))
             cur = self._prolongation(lv, live[hier.cover(lv + 1, 2 * lo, 2 * hi + 1)[1]]) @ cur
 
     def _prolongation(self, lv, rows):
@@ -532,7 +549,7 @@ class ThbSpace:
         child = np.zeros((len(rows), 1), dtype=np.int64)
         weight = np.ones((len(rows), 1))
         for (index, wts), j, nf in zip(
-            self.levels.children(lv), _unraveled(rows, coarse.numbasis).T, fine.numbasis
+            self.levels.children(lv), unraveled(rows, coarse.numbasis).T, fine.numbasis
         ):
             width = child.shape[1] * index.shape[1]
             child = (child[:, :, None] * nf + index[j][:, None, :]).reshape(-1, width)
@@ -542,7 +559,7 @@ class ThbSpace:
         child, weight, parent = child[nz], weight[nz], parent[nz]
         ids, inv = np.unique(child, return_inverse=True)
         inside, meets = self.hierarchy.cover(
-            lv + 1, *fine.support_boxes(_unraveled(ids, fine.numbasis))
+            lv + 1, *fine.support_boxes(unraveled(ids, fine.numbasis))
         )
         keep = (meets & ~inside if self.truncated else meets)[inv]
         return scipy.sparse.csr_matrix(
@@ -753,7 +770,7 @@ class ThbSpace:
         flags = []
         for lv, ids in enumerate(self._active_ids):
             nb = np.array(self.levels[lv].numbasis)
-            j = _unraveled(ids, nb)
+            j = unraveled(ids, nb)
             flags.append(((j == 0) | (j == nb - 1)).any(axis=1))
         return np.flatnonzero(np.concatenate(flags))
 
@@ -778,7 +795,7 @@ def truncate(levels, hierarchy, lv, coeffs):
     """
     space = levels[lv]
     out = np.array(coeffs, dtype=float).reshape(space.numbasis).copy()
-    inside = hierarchy.cover(lv, *space.support_boxes(_index_grid(space.numbasis)))[0]
+    inside = hierarchy.cover(lv, *space.support_boxes(index_grid(space.numbasis)))[0]
     out.reshape(-1)[inside] = 0.0
     return out
 

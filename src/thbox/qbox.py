@@ -21,6 +21,12 @@ Well-behaved and regular boxes together cover every active element exactly
 once.  The *depth* of a well-behaved box is the smallest ``d >= 0`` such
 that an active border box of level ``lv + d`` lies inside it.
 
+The labels are computed per level as sorted arrays of raveled box ids,
+read off the hierarchy's refined-box id arrays with one lookup rule
+(:func:`~thbox.hierarchy.sorted_lookup`): border boxes by testing the
+``3^n - 1`` neighbor offsets of each in-domain box, well-behaved and
+regular boxes and depths by looking up ancestors ``box >> (lv - k)``.
+
 Refinement and coarsening operate on whole q-boxes at the hierarchy's own
 granularity.  Both consult neighborhoods built from the multilevel support
 extension ``S(box, k)`` — the level-``k`` boxes reachable from a box
@@ -32,7 +38,7 @@ import itertools
 
 import numpy as np
 
-from .hierarchy import ThbSpace
+from .hierarchy import ThbSpace, index_grid, raveled, sorted_lookup, unraveled
 
 _LABELS = ("border", "well-behaved", "regular")
 
@@ -76,17 +82,6 @@ class CoarsenReport:
             len(self.reactivated),
             len(self.skipped),
         )
-
-
-def _neighbors(box, shape):
-    """In-grid neighbors sharing at least a corner with ``box``."""
-    dim = len(box)
-    for off in itertools.product((-1, 0, 1), repeat=dim):
-        if all(o == 0 for o in off):
-            continue
-        nb = tuple(c + o for c, o in zip(box, off))
-        if all(0 <= c < s for c, s in zip(nb, shape)):
-            yield nb
 
 
 def _support_interval(kv, q, a, b):
@@ -157,32 +152,22 @@ def coarsening_neighborhood(space, lv, box, c, refined=None):
     """Level-(lv+c) in-domain boxes blocking the reactivation of ``box``.
 
     A box ``t`` of level ``lv+c`` blocks when its level-(lv+1) ancestor lies
-    in ``S(s, lv+1)`` for some child ``s`` of ``box``.  An empty result
-    means the reactivation cannot break the admissibility class.
+    in ``S(s, lv+1)`` for some child ``s`` of ``box``; together those
+    extensions make up ``S(box, lv+1)``.  An empty result means the
+    reactivation cannot break the admissibility class.
     """
     if refined is None:
         refined = space.hierarchy.refined
     tl = lv + c
-    if tl >= len(refined) + 1:
+    if tl > len(refined):
         return ()
     scale = 2 ** (c - 1)
-    rects = []
-    for s in itertools.product(*((2 * v, 2 * v + 1) for v in box)):
-        rect = support_extension_rect(space, lv + 1, s, lv + 1)
-        rects.append(rect)
+    rect = support_extension_rect(space, lv, box, lv + 1)
     out = []
-    seen = set()
-    for parent in sorted(refined[tl - 1]):
-        for t in itertools.product(*((2 * v, 2 * v + 1) for v in parent)):
-            if t in seen:
-                continue
-            anc = tuple(v // scale for v in t)
-            for rect in rects:
-                if all(a <= v <= b for v, (a, b) in zip(anc, rect)):
-                    seen.add(t)
-                    out.append(t)
-                    break
-    return tuple(sorted(out))
+    for t in itertools.product(*(range(a * scale, (b + 1) * scale) for a, b in rect)):
+        if tuple(v // 2 for v in t) in refined[tl - 1]:
+            out.append(t)
+    return tuple(out)
 
 
 def refine_qboxes(space, marked, policy=None):
@@ -274,6 +259,23 @@ def coarsen_qboxes(space, marked, policy=None):
     )
 
 
+def _ancestors(ids, shapes, lv, boxes, levels):
+    """The ancestors of level-``lv`` boxes (n, dim) found in per-level sorted ids.
+
+    Level ``k`` of ``levels``, searched in order, holds the ancestor
+    ``box >> (lv - k)`` when it is one of ``ids[k]``, raveled over the box
+    grid ``shapes[k]``.  Returns (level, position) arrays of the first
+    ancestor found, level -1 where there is none.
+    """
+    level = np.full(len(boxes), -1)
+    pos = np.zeros(len(boxes), dtype=np.int64)
+    for k in levels:
+        at, hit = sorted_lookup(ids[k], raveled(boxes >> (lv - k), shapes[k]))
+        hit &= level < 0
+        level[hit], pos[hit] = k, at[hit]
+    return level, pos
+
+
 class QBoxMesh:
     """Classified q-box mesh over a hierarchical space.
 
@@ -341,139 +343,109 @@ class QBoxMesh:
 
     # -- classification ----------------------------------------------------
 
-    def _in_domain_boxes(self, lv):
-        if lv == 0:
-            return sorted(itertools.product(*(range(s) for s in self.boxes_shape(0))))
-        scale = tuple(hq // v for hq, v in zip(self.hierarchy.q, self.q))
-        out = []
-        for hbox in sorted(self.hierarchy.refined[lv - 1]):
-            ranges = [
-                range(2 * h * s, 2 * (h + 1) * s) for h, s in zip(hbox, scale)
-            ]
-            out.extend(itertools.product(*ranges))
-        return sorted(out)
-
     def _classify(self):
-        self._active = []
-        self._border = []
-        self._wb = []
-        self._regular = []
-        wb_all = set()  # (lv, box) pairs
-        for lv in range(self.num_levels):
-            in_dom = self._in_domain_boxes(lv)
-            shape = self.boxes_shape(lv)
-            in_dom_set = set(in_dom)
-            active = [b for b in in_dom if self.is_active(lv, b)]
+        """Sorted box ids per level and label, and each well-behaved box's depth."""
+        hier = self.hierarchy
+        q = np.array(self.q)
+        offsets = index_grid((3,) * hier.dim) - 1
+        self._shapes = [self.boxes_shape(lv) for lv in range(self.num_levels)]
+        self._ids = {label: [] for label in ("active",) + _LABELS}
+        wb = self._ids["well-behaved"]
+        self._depth = []
+        for lv, shape in enumerate(self._shapes):
             if lv == 0:
-                border = []
+                dom = np.arange(np.prod(shape))
             else:
-                border = [
-                    b
-                    for b in in_dom
-                    if any(nb not in in_dom_set for nb in _neighbors(b, shape))
-                ]
-            wb = []
-            for b in border:
-                covered = False
-                for k in range(1, lv):
-                    if (k, tuple(v >> (lv - k) for v in b)) in wb_all:
-                        covered = True
-                        break
-                if not covered:
-                    wb.append(b)
-                    wb_all.add((lv, b))
-            regular = []
-            for b in active:
-                if (lv, b) in wb_all:
-                    continue
-                if any(
-                    (k, tuple(v >> (lv - k) for v in b)) in wb_all
-                    for k in range(1, lv)
-                ):
-                    continue
-                regular.append(b)
-            self._active.append(tuple(active))
-            self._border.append(tuple(border))
-            self._wb.append(tuple(wb))
-            self._regular.append(tuple(regular))
-        self._wb_set = wb_all
-        self._border_sets = [set(b) for b in self._border]
-        self._depth = {}
-        for lv in range(self.num_levels):
-            for b in self._wb[lv]:
-                self._depth[(lv, b)] = self._compute_depth(lv, b)
+                dom = np.unique(raveled(hier.refined_elements(lv - 1, lv) // q, shape))
+            boxes = unraveled(dom, shape)
+            act = ~hier.refined_mask(lv, boxes * q // hier.q)
+            if lv == 0:
+                brd = np.zeros(len(dom), dtype=bool)
+            else:
+                # a neighbor beyond the grid is clamped onto the box itself or
+                # onto another neighbor, so it never makes a border
+                nbs = np.clip(boxes[:, None, :] + offsets, 0, np.array(shape) - 1)
+                brd = ~hier.refined_mask(lv - 1, nbs * q // hier.q // 2).all(axis=1)
+            above, _ = _ancestors(wb, self._shapes, lv, boxes[brd], range(1, lv))
+            wb.append(dom[brd][above < 0])
+            self._depth.append(np.full(len(wb[lv]), self.num_levels))
+            above, pos = _ancestors(wb, self._shapes, lv, boxes[act], range(1, lv + 1))
+            self._ids["active"].append(dom[act])
+            self._ids["border"].append(dom[brd])
+            self._ids["regular"].append(dom[act][above < 0])
+            # the active border boxes of this level bound the depth of the
+            # well-behaved boxes above them
+            for k in range(1, lv + 1):
+                np.minimum.at(self._depth[k], pos[brd[act] & (above == k)], lv - k)
+        for lv, depth in enumerate(self._depth):
+            if np.any(depth == self.num_levels):
+                raise AssertionError(
+                    "a well-behaved box of level %d has no active border descendant" % lv
+                )
+        self._macro = [np.union1d(w, r) for w, r in zip(wb, self._ids["regular"])]
 
-    def _compute_depth(self, lv, box):
-        for d in range(self.num_levels - lv):
-            scale = 2**d
-            lo = tuple(v * scale for v in box)
-            hi = tuple((v + 1) * scale - 1 for v in box)
-            for cand in itertools.product(
-                *(range(a, b + 1) for a, b in zip(lo, hi))
-            ):
-                if cand in self._border_sets[lv + d] and self.is_active(lv + d, cand):
-                    return d
-        raise AssertionError(
-            "well-behaved box %s at level %d has no active border descendant"
-            % (box, lv)
-        )
+    def _boxes(self, label, lv):
+        ids = self._ids[label][lv]
+        return tuple(map(tuple, unraveled(ids, self._shapes[lv]).tolist()))
+
+    def _find(self, label, lv, box):
+        """Position of the box among the level's ``label`` ids, and whether it is one."""
+        return sorted_lookup(self._ids[label][lv], raveled(np.array(box), self._shapes[lv]))
 
     # -- queries -------------------------------------------------------
 
     def active(self, lv):
-        return self._active[lv]
+        return self._boxes("active", lv)
 
     def border(self, lv):
-        return self._border[lv]
+        return self._boxes("border", lv)
 
     def well_behaved(self, lv):
-        return self._wb[lv]
+        return self._boxes("well-behaved", lv)
 
     def regular(self, lv):
-        return self._regular[lv]
+        return self._boxes("regular", lv)
 
     def all_well_behaved(self):
         """Iterate (level, box) pairs of well-behaved boxes, canonical order."""
         for lv in range(self.num_levels):
-            for b in self._wb[lv]:
+            for b in self.well_behaved(lv):
                 yield lv, b
 
     def all_regular(self):
         for lv in range(self.num_levels):
-            for b in self._regular[lv]:
+            for b in self.regular(lv):
                 yield lv, b
 
     def is_border(self, lv, box):
-        return box in self._border_sets[lv]
+        return bool(self._find("border", lv, box)[1])
 
     def is_well_behaved(self, lv, box):
-        return (lv, box) in self._wb_set
+        return bool(self._find("well-behaved", lv, box)[1])
 
     def is_regular(self, lv, box):
-        return box in self._regular_sets()[lv]
-
-    def _regular_sets(self):
-        if not hasattr(self, "_reg_sets"):
-            self._reg_sets = [set(r) for r in self._regular]
-        return self._reg_sets
+        return bool(self._find("regular", lv, box)[1])
 
     def labels(self, lv, box):
         """The classification labels applying to the box (possibly empty)."""
-        out = []
-        if self.is_border(lv, box):
-            out.append("border")
-        if self.is_well_behaved(lv, box):
-            out.append("well-behaved")
-        if self.is_regular(lv, box):
-            out.append("regular")
-        return tuple(out)
+        return tuple(label for label in _LABELS if self._find(label, lv, box)[1])
 
     def depth(self, lv, box):
         """Smallest d with an active border box of level lv+d inside the box."""
-        key = (lv, box)
-        if key not in self._depth:
+        pos, hit = self._find("well-behaved", lv, box)
+        if not hit:
             raise ValueError("box %s at level %d is not well-behaved" % (box, lv))
-        return self._depth[key]
+        return int(self._depth[lv][pos])
+
+    def macro_element_of(self, lv, boxes):
+        """The well-behaved or regular box containing each active level-``lv`` box.
+
+        ``boxes`` (n, dim) are at the classification granularity.  Returns
+        (level, position) arrays: the containing box's level and its
+        position among that level's well-behaved and regular boxes in
+        canonical order; level -1 marks a box that none contains.
+        """
+        return _ancestors(self._macro, self._shapes, lv, boxes, range(lv + 1))
 
     def support_extension_S(self, lv, box, k):
         """Multilevel support extension of the box at classification granularity."""

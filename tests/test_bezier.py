@@ -14,7 +14,6 @@ from numpy.testing import assert_allclose
 from conftest import naive_bspline, random_admissible_space, thb_space
 from thbox.bezier import (
     ProjectorPartition,
-    active_elements_in_box,
     bezier_project,
     error_report,
     local_l2_project,
@@ -103,12 +102,17 @@ def thb_field_grad(space, coeffs):
 
 class TestPartition:
     def test_members_cover_active_elements_once(self, rspace, rpartition):
+        q = rpartition.mesh.q
         seen = {}
-        for idx in range(len(rpartition)):
-            for key in rpartition.member_elements(idx):
+        for idx, (mlv, box) in enumerate(rpartition.members):
+            elems = rpartition.member_elements(idx)
+            assert list(elems) == sorted(elems)
+            for key in elems:
                 assert key not in seen
                 seen[key] = idx
                 assert rpartition.member_of_element(*key) == idx
+                lv, e = key
+                assert tuple((c // v) >> (lv - mlv) for c, v in zip(e, q)) == box
         assert sorted(seen) == sorted(rspace.all_active_elements())
 
     def test_members_are_well_behaved_plus_regular(self, rpartition):
@@ -443,26 +447,3 @@ class TestErrorReport:
         fids, vals = space.element_values(lv, e, refs)
         diff = (r2.coefficients[fids] - r1.coefficients[fids]) @ vals[0]
         assert np.max(np.abs(diff)) <= 1e-12
-
-
-class TestActiveElementsInBox:
-    def test_active_box_is_its_elements(self, rspace, rpartition):
-        mesh = rpartition.mesh
-        lv = 0
-        box = mesh.active(0)[0]
-        got = active_elements_in_box(mesh, lv, box)
-        assert got == sorted((lv, e) for e in mesh.box_elements(lv, box))
-
-    def test_deactivated_box_descends(self):
-        space = thb_space(DomainHierarchy((2, 2), (2, 2), [{(0, 0)}]), (2, 2))
-        mesh = classify(space, (2, 2))
-        got = active_elements_in_box(mesh, 0, (0, 0))
-        assert got == sorted(
-            (1, (i, j)) for i in range(4) for j in range(4)
-        )
-
-    def test_out_of_domain_box_raises(self):
-        space = thb_space(DomainHierarchy((2, 2), (2, 2), [{(0, 0)}]), (2, 2))
-        mesh = classify(space, (2, 2))
-        with pytest.raises(ValueError):
-            active_elements_in_box(mesh, 1, (3, 3))

@@ -217,6 +217,11 @@ class TestConvergeProjection:
         log = capsys.readouterr().out
         assert "slope" in log
 
+    def test_default_two_dimensional_config_passes(self, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, {"kind": "converge-projection", "dim": 2})
+        assert code == 0
+        capsys.readouterr()
+
     def test_errors_shrink_row_to_row(self, tmp_path, capsys):
         payload = {"kind": "converge-projection", "dim": 2, "degree": 2}
         _, out = run_cli(tmp_path, payload)

@@ -273,11 +273,25 @@ def _random_case(seed, dim, p, m, q, boxes0, max_levels):
     return _space(hier, p, m)
 
 
+# classification granularities finer than the hierarchy's q
+FINER_CASES = [
+    (RANDOM_CASES[6], (2, 2)),
+    (RANDOM_CASES[6], (1, 1)),
+    (RANDOM_CASES[2], (1, 1)),
+    (RANDOM_CASES[4], (1,)),
+]
+
+
 class TestClassificationOracle:
-    @pytest.mark.parametrize("case", RANDOM_CASES)
-    def test_matches_definitions(self, case):
+    @pytest.mark.parametrize(
+        "case,q",
+        [(c, None) for c in RANDOM_CASES] + FINER_CASES,
+        ids=["case%d" % i for i in range(len(RANDOM_CASES))]
+        + ["case%d-q%s" % (c[0] - 1, "x".join(map(str, q))) for c, q in FINER_CASES],
+    )
+    def test_matches_definitions(self, case, q):
         space = _random_case(*case)
-        mesh = classify(space)
+        mesh = classify(space, q)
         brute = BruteClassification(space, mesh.q)
         for lv in range(mesh.num_levels):
             assert set(mesh.active(lv)) == brute.active[lv], lv
