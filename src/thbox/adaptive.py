@@ -386,10 +386,7 @@ def _boundary_values(space, g):
     fields = () if g is None else (g,)
     mass = scipy.sparse.csr_matrix((space.ndof, space.ndof))
     rhs = np.zeros(space.ndof)
-    elems = [
-        np.array(space.active_elements(lv), dtype=np.int64).reshape(-1, space.dim)
-        for lv in range(space.num_levels)
-    ]
+    elems = [space.element_rows(lv)[0] for lv in range(space.num_levels)]
     for d, side in itertools.product(range(space.dim), (0, 1)):
         # the facet x_d = side: one sampled point across it, Gauss along it
         rule = tuple(

@@ -14,7 +14,10 @@ projection: any function already in the space is returned unchanged.
 
 Quadrature runs over whole levels (:meth:`ThbSpace.quadrature` blocks):
 the target is sampled once per level, and every macro-element gathers its
-elements' rows from those blocks.  Rules are tensor Gauss rules on active
+elements' rows from those blocks and maps them to its functions with its
+dense extraction table, rebuilt from the partition's flat member arrays
+(one builder for the member integrals, :func:`bezier_project` and
+:func:`local_l2_project`).  Rules are tensor Gauss rules on active
 elements, where every basis function is a polynomial, so Gramians and
 integrals are exact up to rounding.  Local solves over distinct
 macro-elements are independent; coefficient accumulation always runs in
@@ -23,6 +26,7 @@ canonical member order, so results are bit-reproducible.
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .hierarchy import gauss_tensor
 from .numerics import SPD_PIVOT_REL, NonSPDError, svd_rank
@@ -43,10 +47,11 @@ class ProjectorPartition:
     violation surfaces as a :class:`~thbox.numerics.NonSPDError` in the
     local solves.
 
-    Construction precomputes, per member, the active elements covered, the
-    ids of the functions nonzero on it, and those functions' integrals
-    over the member; the whole-domain integral of every function (the sum
-    of its member integrals) is cached as well.
+    Construction keeps flat arrays with member pointers: the active
+    elements in member order, the ids of the functions nonzero on each
+    member with their member integrals (summed per function in
+    ``total_integrals``), and the ``R_lv`` nonzeros of the member's elements
+    as cells of its dense extraction table, which :meth:`_basis` rebuilds.
     """
 
     def __init__(self, space, mesh=None):
@@ -67,48 +72,47 @@ class ProjectorPartition:
         self._first = np.array(first)
         self._rule = gauss_tensor(space)
 
-        levels = {block.level: block for block in space.quadrature(self._rule)}
-        owner = np.concatenate([self._owners(lv, b.elements) for lv, b in levels.items()])
-        level = np.concatenate([np.full(len(b.elements), lv) for lv, b in levels.items()])
-        where = np.concatenate([np.arange(len(b.elements)) for b in levels.values()])
+        levels = range(space.num_levels)
+        elements, local = zip(*(space.element_rows(lv) for lv in levels))
+        self._offsets = np.cumsum([0] + [len(e) for e in elements])
+        owner = np.concatenate([self._owners(lv, elements[lv]) for lv in levels])
         # a stable sort keeps each member's elements level-major, then canonical
-        order = np.argsort(owner, kind="stable")
-        owner, level, where = owner[order], level[order], where[order]
-        cuts = np.flatnonzero((np.diff(owner) != 0) | (np.diff(level) != 0)) + 1
-        starts = np.concatenate([[0], cuts])
-        # per member: (level, positions in the level's canonical block)
-        member_pos = [[] for _ in self.members]
-        for idx, lv, p in zip(owner[starts].tolist(), level[starts].tolist(), np.split(where, cuts)):
-            member_pos[idx].append((lv, p))
-        member_pos = tuple(tuple(mp) for mp in member_pos)
-        member_elems = tuple(
-            tuple((lv, space.active_elements(lv)[i]) for lv, p in mp for i in p.tolist())
-            for mp in member_pos
-        )
-        member_fids = []
-        member_ints = []
-        total = np.zeros(space.ndof)
-        for pos in member_pos:
-            blocks = [levels[lv].take(p) for lv, p in pos]
-            fids = np.unique(np.concatenate([block.functions() for block in blocks]))
-            ints = np.concatenate(
-                [(block.basis(fids) @ block.weights[:, :, None])[:, :, 0] for block in blocks]
-            ).sum(axis=0)
-            member_fids.append(fids)
-            member_ints.append(ints)
-            total[fids] += ints
+        self._elements = np.argsort(owner, kind="stable")
+        owner = owner[self._elements]
+        self._elem_ptr = np.searchsorted(owner, np.arange(len(members) + 1))
+        # the R_lv nonzeros of every element's B-splines, in member order
+        exts = [space.extraction(lv) for lv in levels]
+        first_row = np.cumsum([0] + [ext.shape[0] for ext in exts])
+        rows = np.concatenate([local[lv] + first_row[lv] for lv in levels])[self._elements]
+        sub = scipy.sparse.vstack(exts, format="csr")[rows.ravel()]
+        slot = np.repeat(np.arange(rows.size), np.diff(sub.indptr))  # element * nloc + row
+        member = owner[slot // rows.shape[1]]
+        keys, col = np.unique(member * space.ndof + sub.indices, return_inverse=True)
+        self._fids = (keys % space.ndof).astype(sub.indices.dtype)
+        self._key_member = keys // space.ndof
+        self._fid_ptr = np.searchsorted(self._key_member, np.arange(len(members) + 1))
+        self._entry_ptr = np.searchsorted(member, np.arange(len(members) + 1))
+        base = self._elem_ptr[member] * rows.shape[1]
+        self._cells = (slot - base) * np.diff(self._fid_ptr)[member] + col - self._fid_ptr[member]
+        self._values = sub.data
+        # free the entry-sized temporaries before the quadrature blocks exist
+        del rows, sub, slot, member, keys, col, base
+
+        blocks = {b.level: (b.values[0], b.weights) for b in space.quadrature(self._rule)}
+        ints = []
+        for idx in range(len(members)):
+            values, weights = self._rows(idx, blocks)
+            ints.append((self._basis(idx, values) @ weights[:, :, None])[:, :, 0].sum(axis=0))
+        ints = np.concatenate(ints)
+        total = np.bincount(self._fids, ints, space.ndof)
         if np.any(total <= 0.0):
             raise AssertionError("a basis function escaped every macro-element")
-        self._member_elems = member_elems
-        self._member_pos = member_pos
-        self._member_fids = tuple(member_fids)
-        self._member_ints = tuple(member_ints)
+        self._ints = ints
+        self._shares = ints / total[self._fids]
         self.total_integrals = total
-        fid_members = [[] for _ in range(space.ndof)]
-        for idx, fid_arr in enumerate(self._member_fids):
-            for fid in fid_arr.tolist():
-                fid_members[fid].append(idx)
-        self._fid_members = tuple(tuple(v) for v in fid_members)
+        # each function's (member, function) pairs, members in canonical order
+        self._by_fid = np.argsort(self._fids, kind="stable")
+        self._by_fid_ptr = np.searchsorted(self._fids[self._by_fid], np.arange(space.ndof + 1))
 
     def _owners(self, lv, elements):
         """Member index of each active level-``lv`` element (n, dim)."""
@@ -116,6 +120,24 @@ class ProjectorPartition:
         if np.any(level < 0):
             raise AssertionError("macro-elements do not cover the active mesh")
         return self._first[level] + pos
+
+    def _rows(self, idx, levels):
+        """Member ``idx``'s rows of every array in ``levels[lv]`` (one row per
+        active level-``lv`` element), concatenated in member order."""
+        g = self._elements[self._elem_ptr[idx]:self._elem_ptr[idx + 1]]
+        cut = np.searchsorted(g, self._offsets).tolist()
+        parts = [[arr[g[i:j] - self._offsets[lv]] for arr in levels[lv]]
+                 for lv, (i, j) in enumerate(zip(cut, cut[1:])) if i < j]
+        return [np.concatenate(arrays) for arrays in zip(*parts)]
+
+    def _basis(self, idx, values):
+        """Values (nel, nf, nq) of member ``idx``'s functions, ``C_e^T V_e`` per
+        element, from tensor B-spline ``values`` (nel, nloc, nq) in member order."""
+        a, b = self._entry_ptr[idx], self._entry_ptr[idx + 1]
+        nf = self._fid_ptr[idx + 1] - self._fid_ptr[idx]
+        table = np.zeros(values.shape[:2] + (nf,))
+        np.put(table, self._cells[a:b], self._values[a:b])
+        return table.transpose(0, 2, 1) @ values
 
     def __len__(self):
         return len(self.members)
@@ -140,15 +162,23 @@ class ProjectorPartition:
 
     def member_elements(self, member):
         """Active (level, element) pairs covered by the member."""
-        return self._member_elems[self.member_index(member)]
+        idx = self.member_index(member)
+        g = self._elements[self._elem_ptr[idx]:self._elem_ptr[idx + 1]]
+        level = np.searchsorted(self._offsets, g, side="right") - 1
+        return tuple(
+            (lv, self.space.active_elements(lv)[i])
+            for lv, i in zip(level.tolist(), (g - self._offsets[level]).tolist())
+        )
 
     def member_functions(self, member):
         """Sorted ids of the functions nonzero on the member."""
-        return self._member_fids[self.member_index(member)]
+        idx = self.member_index(member)
+        return self._fids[self._fid_ptr[idx]:self._fid_ptr[idx + 1]]
 
     def member_integrals(self, member):
         """Member integrals of the member's functions (aligned with ids)."""
-        return self._member_ints[self.member_index(member)]
+        idx = self.member_index(member)
+        return self._ints[self._fid_ptr[idx]:self._fid_ptr[idx + 1]]
 
     def member_of_element(self, lv, e):
         """Index of the unique member covering active element (lv, e)."""
@@ -156,11 +186,15 @@ class ProjectorPartition:
             raise ValueError("element %s of level %d is not active" % (e, lv))
         return int(self._owners(lv, np.array([e]))[0])
 
-    def members_for_function(self, fid):
-        """Indices of the members on which function ``fid`` is nonzero."""
+    def _pairs_of(self, fid):
+        """Positions of function ``fid``'s (member, function) pairs."""
         if not 0 <= fid < self.space.ndof:
             raise IndexError("function id %d out of range" % fid)
-        return self._fid_members[fid]
+        return self._by_fid[self._by_fid_ptr[fid]:self._by_fid_ptr[fid + 1]]
+
+    def members_for_function(self, fid):
+        """Indices of the members on which function ``fid`` is nonzero."""
+        return tuple(self._key_member[self._pairs_of(fid)].tolist())
 
 
 def region_gramian(space, region):
@@ -174,9 +208,10 @@ def region_gramian(space, region):
     region = sorted(set((lv, tuple(e)) for lv, e in region))
     if not region:
         raise ValueError("empty region")
-    blocks = list(space.quadrature(gauss_tensor(space), elements=region))
-    fids = np.unique(np.concatenate([block.functions() for block in blocks]))
-    gram = sum(block.gram() for block in blocks)
+    gram = sum(block.gram() for block in space.quadrature(gauss_tensor(space), elements=region))
+    # B-splines and the functions' coefficients on them are nonnegative, so
+    # the diagonal is positive exactly for the functions nonzero on the region
+    fids = np.flatnonzero(gram.diagonal())
     return fids, gram[fids][:, fids].toarray()
 
 
@@ -194,24 +229,17 @@ def verify_non_overloaded(space, region):
     return svd_rank(scale[:, None] * gram * scale[None, :]).rank == len(fids)
 
 
-def _local_solve(partition, idx, blocks):
-    """Least-squares coefficients on member ``idx``: (fids, coeffs).
+def _local_solve(partition, idx, values, weights, target):
+    """Least-squares coefficients of member ``idx``, aligned with its function ids.
 
-    ``blocks`` are the member's quadrature blocks of the partition's rule,
-    with the target as their one field.
+    ``values``, ``weights`` and ``target`` hold the partition's rule on the
+    member's elements in member order (tensor B-spline values, weights and
+    target values).
     """
-    fids = partition._member_fids[idx]
-    a = np.vstack(
-        [
-            (block.basis(fids) * np.sqrt(block.weights)[:, None, :])
-            .transpose(0, 2, 1)
-            .reshape(-1, len(fids))
-            for block in blocks
-        ]
-    )
-    b = np.concatenate(
-        [(np.sqrt(block.weights) * block.fields[0]).ravel() for block in blocks]
-    )
+    nf = partition._fid_ptr[idx + 1] - partition._fid_ptr[idx]
+    root = np.sqrt(weights)
+    a = (partition._basis(idx, values) * root[:, None, :]).transpose(0, 2, 1).reshape(-1, nf)
+    b = (root * target).ravel()
     # The coefficients solve the normal equations of the weighted sampled
     # system.  The Cholesky factor of the (column-equilibrated) normal
     # matrix is taken from a QR decomposition of the weighted value matrix
@@ -225,11 +253,11 @@ def _local_solve(partition, idx, blocks):
     # diag(r)^2 are the Cholesky pivots; equilibration makes the trace the
     # member's function count
     pivots = np.square(np.diag(r))
-    if np.min(pivots) < SPD_PIVOT_REL * len(fids):
+    if np.min(pivots) < SPD_PIVOT_REL * nf:
         raise NonSPDError(
             "member %r Gramian pivot %.3e below %.1e * trace = %.3e"
             % (partition.members[idx], np.min(pivots), SPD_PIVOT_REL,
-               SPD_PIVOT_REL * len(fids))
+               SPD_PIVOT_REL * nf)
         )
     y = scipy.linalg.solve_triangular(r, q.T @ b)
     resid = np.asarray(
@@ -237,23 +265,24 @@ def _local_solve(partition, idx, blocks):
         dtype=float,
     )
     y = y + scipy.linalg.solve_triangular(r, q.T @ resid)
-    return fids, y / col
+    return y / col
 
 
 def local_l2_project(partition, member, f):
     """Best L2 fit of ``f`` on one macro-element: map function id -> coefficient.
 
     The coefficients minimize the L2 distance between ``f`` and the span
-    of the member's function restrictions.  A numerically singular Gramian
-    raises :class:`~thbox.numerics.NonSPDError`: it signals that the
-    member supports linearly dependent restrictions and is a hard fault.
+    of the member's function restrictions; ``f`` is sampled on the
+    member's elements only.  A numerically singular Gramian raises
+    :class:`~thbox.numerics.NonSPDError`: it signals that the member
+    supports linearly dependent restrictions and is a hard fault.
     """
     idx = partition.member_index(member)
-    blocks = partition.space.quadrature(
-        partition._rule, fields=(f,), elements=partition._member_elems[idx]
-    )
-    fids, coeffs = _local_solve(partition, idx, list(blocks))
-    return {int(j): float(c) for j, c in zip(fids.tolist(), coeffs)}
+    elements = partition.member_elements(idx)
+    blocks = partition.space.quadrature(partition._rule, fields=(f,), elements=elements)
+    arrays = zip(*((block.values[0], block.weights, block.fields[0]) for block in blocks))
+    coeffs = _local_solve(partition, idx, *(np.concatenate(a) for a in arrays))
+    return dict(zip(partition.member_functions(idx).tolist(), coeffs.tolist()))
 
 
 def smoothing_weights(partition, fid):
@@ -263,15 +292,9 @@ def smoothing_weights(partition, fid):
     by its integral over the whole domain; the weights of the members
     meeting the function's support sum to one.
     """
-    if not 0 <= fid < partition.space.ndof:
-        raise IndexError("function id %d out of range" % fid)
-    total = partition.total_integrals[fid]
-    out = {}
-    for idx in partition._fid_members[fid]:
-        fids = partition._member_fids[idx]
-        pos = int(np.searchsorted(fids, fid))
-        out[partition.members[idx]] = float(partition._member_ints[idx][pos] / total)
-    return out
+    pairs = partition._pairs_of(fid)
+    members = partition._key_member[pairs].tolist()
+    return {partition.members[m]: s for m, s in zip(members, partition._shares[pairs].tolist())}
 
 
 class ProjectionResult:
@@ -299,13 +322,12 @@ def bezier_project(space, f, partition=None):
         partition = ProjectorPartition(space)
     elif partition.space is not space:
         raise ValueError("partition belongs to a different space")
-    coeffs = np.zeros(space.ndof)
-    levels = {block.level: block for block in space.quadrature(partition._rule, fields=(f,))}
-    for idx in range(len(partition.members)):
-        blocks = [levels[lv].take(pos) for lv, pos in partition._member_pos[idx]]
-        fids, local = _local_solve(partition, idx, blocks)
-        share = partition._member_ints[idx] / partition.total_integrals[fids]
-        coeffs[fids] += share * local
+    blocks = space.quadrature(partition._rule, fields=(f,))
+    levels = {b.level: (b.values[0], b.weights, b.fields[0]) for b in blocks}
+    local = np.concatenate(
+        [_local_solve(partition, i, *partition._rows(i, levels)) for i in range(len(partition))]
+    )
+    coeffs = np.bincount(partition._fids, partition._shares * local, space.ndof)
     return ProjectionResult(coeffs, space.ndof)
 
 
@@ -333,17 +355,10 @@ def support_extension(partition, lv, e):
     their union cannot change the projection on the element.
     """
     idx = partition.member_of_element(lv, e)
-    seen = set()
-    for fid in partition._member_fids[idx].tolist():
-        seen.update(partition._fid_members[fid])
-    members = [partition.members[i] for i in sorted(seen)]
-    dim = partition.space.dim
-    lo = [np.inf] * dim
-    hi = [-np.inf] * dim
-    for mlv, box in members:
-        for d, (a, b) in enumerate(partition.mesh.box_bounds(mlv, box)):
-            lo[d] = min(lo[d], a)
-            hi[d] = max(hi[d], b)
+    meets = np.isin(partition._fids, partition.member_functions(idx))
+    members = [partition.members[i] for i in np.unique(partition._key_member[meets]).tolist()]
+    bounds = np.array([partition.mesh.box_bounds(mlv, box) for mlv, box in members])
+    lo, hi = bounds[:, :, 0].min(axis=0).tolist(), bounds[:, :, 1].max(axis=0).tolist()
     return SupportExtension(members, tuple(zip(lo, hi)))
 
 
@@ -419,7 +434,7 @@ def error_report(space, f, result, norms=_NORMS, f_grad=None):
             derivs += tuple(
                 tuple(1 if k == d else 0 for k in range(dim)) for d in range(dim)
             )
-            fields += tuple(_gradient_component(f_grad, d, dim) for d in range(dim))
+            fields += _gradient_components(f_grad, dim)
         for block in space.quadrature(gauss_tensor(space, extra=1), derivs, fields):
             w = block.weights
             sq = []
@@ -448,13 +463,20 @@ def error_report(space, f, result, norms=_NORMS, f_grad=None):
     return ErrorReport(per_element, norms)
 
 
-def _gradient_component(f_grad, d, dim):
-    """Component ``d`` of ``f_grad`` as a field; ``f_grad`` must give (npts, dim)."""
+def _gradient_components(f_grad, dim):
+    """The components of ``f_grad`` as ``dim`` fields sharing one call per point array.
 
-    def component(pts):
-        grads = np.asarray(f_grad(pts), dtype=float)
-        if grads.shape != (len(pts), dim):
-            raise ValueError("f_grad must return an (npts, dim) array")
-        return grads[:, d]
+    Quadrature calls every field of a block with the same point array, so
+    ``f_grad``, which must give (npts, dim), runs once per block.
+    """
+    last = [None, None]
 
-    return component
+    def component(pts, d):
+        if last[0] is not pts:
+            grads = np.asarray(f_grad(pts), dtype=float)
+            if grads.shape != (len(pts), dim):
+                raise ValueError("f_grad must return an (npts, dim) array")
+            last[:] = pts, grads
+        return last[1][:, d]
+
+    return tuple(lambda pts, d=d: component(pts, d) for d in range(dim))

@@ -385,29 +385,6 @@ class LevelBlock:
         """The elements as tuples, in block order."""
         return [tuple(e) for e in self.elements.tolist()]
 
-    def take(self, pos):
-        """The block restricted to the elements at positions ``pos``."""
-        return LevelBlock(
-            self.space,
-            self.level,
-            self.elements[pos],
-            self.sizes[pos],
-            self.local[pos],
-            [v[pos] for v in self.values],
-            None if self.weights is None else self.weights[pos],
-            [fv[pos] for fv in self.fields],
-        )
-
-    def functions(self):
-        """Sorted ids of the functions nonzero on the block's elements."""
-        return np.unique(self.extraction[np.unique(self.local)].indices)
-
-    def basis(self, fids, k=0):
-        """Values (nel, len(fids), nq) of the functions ``fids`` for ``values[k]``."""
-        rows, inv = np.unique(self.local, return_inverse=True)
-        coeffs = self.extraction[rows][:, fids].toarray()[inv.reshape(self.local.shape)]
-        return coeffs.transpose(0, 2, 1) @ self.values[k]
-
     def evaluate(self, coeffs, k=0):
         """Values (nel, nq) of the function with THB ``coeffs`` for ``values[k]``."""
         local = (self.extraction @ coeffs)[self.local]
@@ -618,6 +595,10 @@ class ThbSpace:
     def extraction(self, lv):
         """The CSR matrix ``R_lv``: level-``lv`` B-splines (rows) by functions."""
         return self._extraction[lv]
+
+    def element_rows(self, lv):
+        """Active level-``lv`` elements (n, dim) and their B-splines' ``R_lv`` rows (n, nloc)."""
+        return self._elem_array[lv], self._local[lv]
 
     def _positions(self, lv, elements):
         """Positions of level-``lv`` elements in :meth:`active_elements`."""

@@ -455,8 +455,7 @@ class QBoxMesh:
         """Largest level span of basis functions nonzero on an active box."""
         worst = 0
         for lv, (lo, hi) in enumerate(self.space.element_level_range()):
-            elems = np.array(self.space.active_elements(lv), dtype=np.int64)
-            boxes = elems.reshape(len(lo), self.hierarchy.dim) // self.q
+            boxes = self.space.element_rows(lv)[0] // self.q
             _, box_of = np.unique(boxes, axis=0, return_inverse=True)
             box_lo = np.full(len(boxes), self.num_levels)
             box_hi = np.full(len(boxes), -1)

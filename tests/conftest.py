@@ -12,7 +12,7 @@ import numpy as np
 
 from thbox.hierarchy import DomainHierarchy, LevelSequence, build_thb
 from thbox.qbox import AdmissibilityPolicy, refine_qboxes
-from thbox.splinecore import uniform_space
+from thbox.splinecore import basis_on_element, uniform_space
 
 
 def naive_bspline(knots, j, p, x):
@@ -136,6 +136,59 @@ def random_admissible_space(
         take = rng.choice(len(eligible), size=min(marks_per_round, len(eligible)), replace=False)
         space = refine_qboxes(space, [eligible[i] for i in sorted(take)], policy)
     return space
+
+
+def _thb_eval(space, coeffs, pts, order):
+    """Values (order 0, shape (1, npts)) or gradient components (order 1,
+    shape (dim, npts)) of the THB function with ``coeffs`` at ``pts``.
+
+    Points are located on the finest level whose element holding them is
+    active (as :meth:`ThbSpace.locate` does), grouped by that element, and
+    mapped through its :meth:`ThbSpace.element_table`; the tensor B-spline
+    values come from per-direction ``basis_on_element`` tables.
+    """
+    pts = np.asarray(pts, dtype=float)
+    dim = space.dim
+    derivs = [tuple(int(k == d) for k in range(dim)) for d in range(dim)] if order else [(0,) * dim]
+    out = np.zeros((len(derivs), len(pts)))
+    todo = np.arange(len(pts))
+    for lv in reversed(range(space.num_levels)):
+        kvs = space.levels[lv].kvs
+        shape = tuple(kv.numelems for kv in kvs)
+        elems = np.stack(
+            [np.searchsorted(kv.breakpoints, pts[todo, d], side="right") - 1
+             for d, kv in enumerate(kvs)],
+            axis=1,
+        ).clip(0, np.array(shape) - 1)
+        active = np.array(space.active_elements(lv), dtype=np.int64).reshape(-1, dim)
+        hit = np.isin(np.ravel_multi_index(elems.T, shape), np.ravel_multi_index(active.T, shape))
+        groups, inv = np.unique(elems[hit], axis=0, return_inverse=True)
+        inv = inv.ravel()
+        split = np.cumsum(np.bincount(inv, minlength=len(groups)))[:-1]
+        by_element = np.split(todo[hit][np.argsort(inv, kind="stable")], split)
+        for e, idx in zip(groups.tolist(), by_element):
+            fids, table = space.element_table(lv, tuple(e))
+            tabs = [basis_on_element(kv, ed, pts[idx, d], order)
+                    for d, (kv, ed) in enumerate(zip(kvs, e))]
+            for k, dv in enumerate(derivs):
+                vals = np.ones((1, len(idx)))
+                for tab, kd in zip(tabs, dv):
+                    vals = (vals[:, None, :] * tab[kd][None, :, :]).reshape(-1, len(idx))
+                out[k, idx] = coeffs[fids] @ (table @ vals)
+        todo = todo[~hit]
+    if len(todo):
+        raise ValueError("points not covered by any active element")
+    return out
+
+
+def thb_field(space, coeffs):
+    """Field (npts, dim) -> (npts,) of the THB function with ``coeffs``."""
+    return lambda pts: _thb_eval(space, coeffs, pts, 0)[0]
+
+
+def thb_field_grad(space, coeffs):
+    """Gradient field (npts, dim) -> (npts, dim) of the THB function with ``coeffs``."""
+    return lambda pts: _thb_eval(space, coeffs, pts, 1).T
 
 
 def univariate_support_flags(kv):

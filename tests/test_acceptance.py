@@ -39,7 +39,7 @@ import time
 
 import numpy as np
 
-from conftest import random_admissible_space, random_hierarchy, thb_space
+from conftest import random_admissible_space, random_hierarchy, thb_field, thb_space
 from thbox import cli
 from thbox.adaptive import (
     AdaptiveConfig,
@@ -68,17 +68,6 @@ from thbox.qbox import (
 
 def _passed(name, detail):
     print("PASS %s: %s" % (name, detail))
-
-
-def thb_field(space, coeffs):
-    def f(pts):
-        out = np.empty(len(pts))
-        for i, x in enumerate(pts):
-            fids, vals = space.eval_all_at(tuple(x))
-            out[i] = float(coeffs[fids] @ vals)
-        return out
-
-    return f
 
 
 def poly_field(pts):

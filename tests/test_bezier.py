@@ -9,9 +9,17 @@ extensions).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import naive_bspline, random_admissible_space, thb_space
+from conftest import (
+    naive_bspline,
+    random_admissible_space,
+    thb_field,
+    thb_field_grad,
+    thb_space,
+)
 from thbox.bezier import (
     ProjectorPartition,
     bezier_project,
@@ -22,8 +30,8 @@ from thbox.bezier import (
     support_extension,
     verify_non_overloaded,
 )
-from thbox.hierarchy import DomainHierarchy
-from thbox.numerics import svd_rank
+from thbox.hierarchy import DomainHierarchy, build_hb, gauss_tensor
+from thbox.numerics import NonSPDError, svd_rank
 from thbox.qbox import AdmissibilityPolicy, classify, refine_qboxes
 
 # (id, degree, multiplicity, boxes0, class, rounds, marks, seed)
@@ -42,9 +50,8 @@ def rcase(request):
     return request.param
 
 
-@pytest.fixture(scope="module")
-def rspace(rcase):
-    _, p, m, boxes0, cls, rounds, marks, seed = rcase
+def case_space(case):
+    _, p, m, boxes0, cls, rounds, marks, seed = case
     rng = np.random.default_rng(seed)
     return random_admissible_space(
         rng,
@@ -55,6 +62,11 @@ def rspace(rcase):
         admissibility=cls,
         marks_per_round=marks,
     )
+
+
+@pytest.fixture(scope="module")
+def rspace(rcase):
+    return case_space(rcase)
 
 
 @pytest.fixture(scope="module")
@@ -72,32 +84,6 @@ def poly_field(pts):
 
 def second_field(pts):
     return np.cos(1.7 * pts[:, -1]) - 0.5 * pts[:, 0] ** 2
-
-
-def thb_field(space, coeffs):
-    """Pointwise evaluator of a coefficient vector over the space."""
-
-    def f(pts):
-        out = np.empty(len(pts))
-        for i, x in enumerate(pts):
-            fids, vals = space.eval_all_at(tuple(x))
-            out[i] = float(coeffs[fids] @ vals)
-        return out
-
-    return f
-
-
-def thb_field_grad(space, coeffs):
-    def g(pts):
-        out = np.empty((len(pts), space.dim))
-        for i, x in enumerate(pts):
-            for d in range(space.dim):
-                dv = tuple(1 if k == d else 0 for k in range(space.dim))
-                fids, vals = space.eval_all_at(tuple(x), deriv=dv)
-                out[i, d] = float(coeffs[fids] @ vals)
-        return out
-
-    return g
 
 
 class TestPartition:
@@ -150,6 +136,74 @@ class TestPartition:
         space = thb_space(DomainHierarchy((2, 2), (2, 2), [{(0, 0)}]), (3, 3))
         with pytest.raises(ValueError):
             ProjectorPartition(space)
+
+
+@st.composite
+def admissible_spaces(draw):
+    """Random admissible THB spaces, 1-2D, p 1-3, multiplicity at most p."""
+    dim = draw(st.integers(1, 2))
+    p = draw(st.integers(1, 3))
+    m = draw(st.integers(1, p))
+    boxes0 = tuple(draw(st.integers(1, 3)) for _ in range(dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return random_admissible_space(
+        rng, (p,) * dim, boxes0, multiplicity=(m,) * dim,
+        rounds=draw(st.integers(1, 2)), admissibility=draw(st.integers(2, 3)),
+    )
+
+
+class TestMemberLayoutOracle:
+    """The partition's flat member arrays against element-by-element sums."""
+
+    @settings(max_examples=50, derandomize=True, database=None, deadline=None)
+    @given(admissible_spaces())
+    def test_members_match_element_tables(self, space):
+        part = ProjectorPartition(space)
+        rule = gauss_tensor(space)
+        refs = tuple(pts for pts, _ in rule)
+        owners = {}
+        for idx in range(len(part)):
+            fids = part.member_functions(idx)
+            ints = dict.fromkeys(fids.tolist(), 0.0)
+            tables = []
+            for lv, e in part.member_elements(idx):
+                efids, (vals,) = space.element_values(lv, e, refs)
+                lo, hi = np.array(space.levels[lv].element_bounds(e)).T
+                w = np.ones(1)
+                for d, (_, wts) in enumerate(rule):
+                    w = np.outer(w, np.asarray(wts) * (hi[d] - lo[d])).reshape(-1)
+                for fid, val in zip(efids.tolist(), vals @ w):
+                    ints[fid] += val
+                tables.append(efids)
+            assert np.array_equal(fids, np.unique(np.concatenate(tables)))
+            want = np.array(list(ints.values()))
+            assert_allclose(part.member_integrals(idx), want, rtol=1e-14, atol=0)
+            for fid in fids.tolist():
+                owners.setdefault(fid, []).append(idx)
+        assert sorted(owners) == list(range(space.ndof))
+        for fid, idxs in owners.items():
+            assert part.members_for_function(fid) == tuple(idxs)
+
+        coeffs = bezier_project(space, poly_field, part).coefficients
+        blended = np.zeros(space.ndof)
+        local = [local_l2_project(part, idx, poly_field) for idx in range(len(part))]
+        for fid in range(space.ndof):
+            for member, share in smoothing_weights(part, fid).items():
+                blended[fid] += share * local[part.member_index(member)][fid]
+        assert_allclose(coeffs, blended, rtol=0, atol=1e-14 * max(1.0, np.abs(coeffs).max()))
+
+
+class TestOverloadedMembers:
+    def test_hierarchical_basis_member_raises(self):
+        """The non-truncated basis of case 1 is linearly dependent on member
+        (1, (2,)), whose smallest Gramian pivot is about 1.7e-32."""
+        thb = case_space(SPACE_CASES[0])
+        space = build_hb(thb.levels, thb.hierarchy)
+        part = ProjectorPartition(space)
+        with pytest.raises(NonSPDError):
+            local_l2_project(part, (1, (2,)), poly_field)
+        with pytest.raises(NonSPDError):
+            bezier_project(space, poly_field, part)
 
 
 class TestVerifyNonOverloaded:
@@ -374,6 +428,21 @@ class TestErrorReport:
         assert report.nelem == rspace.total_active_elements
         for entry in report.per_element.values():
             assert set(entry) == {"l2", "rms", "linf", "h1"}
+
+    def test_gradient_called_once_per_block(self, rspace):
+        calls = []
+
+        def grad(pts):
+            calls.append(len(pts))
+            return np.zeros((len(pts), rspace.dim))
+
+        zero = np.zeros(rspace.ndof)
+        error_report(rspace, const_field(0.0), zero, norms=("h1",), f_grad=grad)
+        nq = (max(rspace.degree) + 2) ** rspace.dim
+        sizes = [len(rspace.active_elements(lv)) for lv in range(rspace.num_levels)]
+        assert calls == [n * nq for n in sizes if n]
+        with pytest.raises(ValueError):
+            error_report(rspace, const_field(0.0), zero, norms=("h1",), f_grad=lambda p: p[:, 0])
 
     def test_accepts_raw_coefficients(self, rspace, rpartition):
         result = bezier_project(rspace, const_field(1.0), rpartition)
