@@ -63,13 +63,11 @@ from .derham import (
     AssumptionVerdict,
     ComplexSpaces,
     ExactnessReport,
-    IndexGrid,
     build_complex,
     check_assumption_3a,
     check_assumption_3b,
     exactness_report,
     interior_functions,
-    shortest_chain,
 )
 from .adaptive import (
     AdaptiveConfig,
@@ -124,13 +122,11 @@ __all__ = [
     "AssumptionVerdict",
     "ComplexSpaces",
     "ExactnessReport",
-    "IndexGrid",
     "build_complex",
     "check_assumption_3a",
     "check_assumption_3b",
     "exactness_report",
     "interior_functions",
-    "shortest_chain",
     "AdaptiveConfig",
     "AdaptiveTrace",
     "TraceStep",

@@ -182,82 +182,6 @@ def build_complex(hierarchy, degree, multiplicity=None):
     return ComplexSpaces(hierarchy, degree, multiplicity)
 
 
-# -- index grids and chains -------------------------------------------------
-
-
-class IndexGrid:
-    """Axis-aligned box of integer multi-indices: lo <= t <= hi componentwise."""
-
-    def __init__(self, lo, hi):
-        self.lo = tuple(int(c) for c in lo)
-        self.hi = tuple(int(c) for c in hi)
-        if len(self.lo) != len(self.hi):
-            raise ValueError("bound dimension mismatch")
-        if any(a > b for a, b in zip(self.lo, self.hi)):
-            raise ValueError("lower bound exceeds upper bound")
-
-    @property
-    def dim(self):
-        return len(self.lo)
-
-    def __contains__(self, t):
-        return len(t) == self.dim and all(
-            a <= c <= b for c, a, b in zip(t, self.lo, self.hi)
-        )
-
-    def overlaps(self, other):
-        return all(
-            a2 <= b1 and a1 <= b2
-            for a1, b1, a2, b2 in zip(self.lo, self.hi, other.lo, other.hi)
-        )
-
-    def __iter__(self):
-        return itertools.product(*(range(a, b + 1) for a, b in zip(self.lo, self.hi)))
-
-    def __repr__(self):
-        return "IndexGrid(lo=%r, hi=%r)" % (self.lo, self.hi)
-
-
-def _staircase(s1, s2):
-    """Monotone unit-step chain from s1 to s2, one direction at a time."""
-    chain = [tuple(s1)]
-    cur = list(s1)
-    for d in range(len(s1)):
-        step = 1 if s2[d] >= cur[d] else -1
-        while cur[d] != s2[d]:
-            cur[d] += step
-            chain.append(tuple(cur))
-    return chain
-
-
-def shortest_chain(g1, g2, s1, s2):
-    """A shortest unit-step chain from ``s1`` to ``s2`` inside ``g1`` | ``g2``.
-
-    The chain has length sum_j |s1^j - s2^j| and visits only indices of the
-    two grids; when the endpoints sit in different grids the chain switches
-    grids exactly once.  Returns ``None`` when no such chain can be built
-    (disjoint grids with endpoints on opposite sides, or an endpoint
-    outside both grids).
-    """
-    s1, s2 = tuple(s1), tuple(s2)
-    for g in (g1, g2):
-        if s1 in g and s2 in g:
-            return _staircase(s1, s2)
-    if s1 in g1 and s2 in g2:
-        ga, gb = g1, g2
-    elif s1 in g2 and s2 in g1:
-        ga, gb = g2, g1
-    else:
-        return None
-    if not ga.overlaps(gb):
-        return None
-    # walk inside the start grid, clamping each coordinate toward the
-    # target; the clamped waypoint lies in both grids, and the remainder of
-    # the walk stays in the target grid
-    mid = tuple(min(max(c, a), b) for c, a, b in zip(s2, ga.lo, ga.hi))
-    return _staircase(s1, mid) + _staircase(mid, s2)[1:]
-
-
 # -- combinatorial checks ---------------------------------------------------
 
 

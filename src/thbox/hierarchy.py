@@ -38,7 +38,7 @@ from .splinecore import (
     TensorSpace,
     basis_on_element,
     gauss_rule,
-    insertion_matrix,
+    two_scale_arrays,
 )
 
 
@@ -289,15 +289,15 @@ class LevelSequence:
     def children(self, lv):
         """Per-direction two-scale arrays of level ``lv`` into ``lv + 1``.
 
-        Direction ``d`` gives ``(index, weight)``, both (numbasis_d, width):
-        coarse B-spline ``i`` is ``sum_k weight[i, k] * B_fine[index[i, k]]``,
-        padded with weight 0.  Computed once per level and kept for the life
-        of the sequence.
+        Direction ``d`` gives the :func:`two_scale_arrays` ``(index, weight)``
+        of its knot vectors: coarse B-spline ``i`` is
+        ``sum_k weight[i, k] * B_fine[index[i, k]]``, padded with weight 0.
+        Computed once per level and kept for the life of the sequence.
         """
         while len(self._children) <= lv:
             coarse, fine = self[len(self._children)], self[len(self._children) + 1]
             self._children.append(
-                tuple(_two_scale_arrays(c, f) for c, f in zip(coarse.kvs, fine.kvs))
+                tuple(two_scale_arrays(c, f) for c, f in zip(coarse.kvs, fine.kvs))
             )
         return self._children[lv]
 
@@ -329,18 +329,6 @@ class LevelSequence:
 
     def __len__(self):
         return len(self._spaces)
-
-
-def _two_scale_arrays(coarse, fine):
-    """Padded (index, weight) arrays of the columns of :func:`insertion_matrix`."""
-    a = insertion_matrix(coarse, fine).tocsc()
-    counts = np.diff(a.indptr)
-    col = np.repeat(np.arange(coarse.numbasis), counts)
-    slot = np.arange(a.nnz) - a.indptr[col]
-    index = np.zeros((coarse.numbasis, counts.max()), dtype=np.int64)
-    weight = np.zeros(index.shape)
-    index[col, slot], weight[col, slot] = a.indices, a.data
-    return index, weight
 
 
 def _check_compatible(levels, hierarchy):
@@ -471,14 +459,14 @@ class ThbSpace:
         self.fid_of = {key: fid for fid, key in enumerate(self.functions)}
         self.ndof = len(self.functions)
 
-        self._elem_array = []
+        self._elem_ids, self._elem_array = [], []
         for lv in range(self.num_levels):
             boxes = np.array(hier.active_boxes(lv), dtype=np.int64).reshape(-1, self.dim)
             shape = self.levels[lv].numelems
             elems = raveled(boxes[:, None, :] * hier.q + index_grid(hier.q), shape)
-            self._elem_array.append(unraveled(np.sort(elems.ravel()), shape))
+            self._elem_ids.append(np.sort(elems.ravel()))
+            self._elem_array.append(unraveled(self._elem_ids[-1], shape))
         self._active_elems = [tuple(map(tuple, a.tolist())) for a in self._elem_array]
-        self._elem_pos = [{e: i for i, e in enumerate(a)} for a in self._active_elems]
 
     def _build_representation(self):
         """Prolong the active functions level by level into the matrices ``R_lv``.
@@ -570,7 +558,11 @@ class ThbSpace:
         return self._active_elems[lv]
 
     def is_active_element(self, lv, e):
-        return e in self._elem_pos[lv]
+        """Whether element ``e`` of level ``lv`` is active; outside the grid it is not."""
+        shape = self.levels[lv].numelems
+        if not all(0 <= c < n for c, n in zip(e, shape)):
+            return False
+        return bool(sorted_lookup(self._elem_ids[lv], np.ravel_multi_index(e, shape))[1])
 
     def all_active_elements(self):
         """Iterate (level, element) pairs in canonical order."""
@@ -601,15 +593,18 @@ class ThbSpace:
         return self._elem_array[lv], self._local[lv]
 
     def _positions(self, lv, elements):
-        """Positions of level-``lv`` elements in :meth:`active_elements`."""
-        pos = self._elem_pos[lv]
-        out = []
-        for e in elements:
-            e = tuple(e)
-            if e not in pos:
-                raise ValueError("element %s of level %d is not active" % (e, lv))
-            out.append(pos[e])
-        return np.array(out, dtype=np.int64)
+        """Positions of level-``lv`` elements (n, dim) in :meth:`active_elements`."""
+        elements = np.asarray(elements, dtype=np.int64).reshape(-1, self.dim)
+        shape = self.levels[lv].numelems
+        inside = np.all((elements >= 0) & (elements < shape), axis=1)
+        pos, found = sorted_lookup(
+            self._elem_ids[lv], raveled(np.where(inside[:, None], elements, 0), shape)
+        )
+        bad = np.flatnonzero(~(found & inside))
+        if len(bad):
+            e = tuple(elements[bad[0]].tolist())
+            raise ValueError("element %s of level %d is not active" % (e, lv))
+        return pos
 
     def element_table(self, lv, e):
         """Extraction of the active functions on active element (lv, e).
@@ -830,6 +825,14 @@ def hierarchy_to_json(hierarchy, degree, multiplicity):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _json_ints(values, field):
+    """The JSON list ``values`` as a tuple; ValueError unless every entry is
+    a JSON integer (bools and floats such as ``4.0`` are not)."""
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise ValueError("'%s' entries must be integers, got %r" % (field, values))
+    return tuple(values)
+
+
 def hierarchy_from_json(text):
     """Parse :func:`hierarchy_to_json` output: (hierarchy, degree, multiplicity)."""
     obj = json.loads(text)
@@ -844,17 +847,19 @@ def hierarchy_from_json(text):
             % (sorted(missing), sorted(unknown))
         )
     dim = obj["dim"]
-    degree = tuple(int(p) for p in obj["degree"])
-    multiplicity = tuple(int(m) for m in obj["multiplicity"])
-    nelems = tuple(int(n) for n in obj["level1_elements_per_dir"])
-    q = tuple(int(v) for v in obj["qbox_q"])
+    if type(dim) is not int:
+        raise ValueError("'dim' must be an integer, got %r" % (dim,))
+    degree = _json_ints(obj["degree"], "degree")
+    multiplicity = _json_ints(obj["multiplicity"], "multiplicity")
+    nelems = _json_ints(obj["level1_elements_per_dir"], "level1_elements_per_dir")
+    q = _json_ints(obj["qbox_q"], "qbox_q")
     if not (len(degree) == len(multiplicity) == len(nelems) == len(q) == dim):
         raise ValueError("per-direction arrays must all have length 'dim'")
     if any(n % qi != 0 for n, qi in zip(nelems, q)):
         raise ValueError("level-1 element counts %s not divisible by q=%s" % (nelems, q))
     boxes0 = tuple(n // qi for n, qi in zip(nelems, q))
     refined = [
-        frozenset(tuple(int(c) for c in box) for box in lvl)
+        frozenset(_json_ints(box, "refined_boxes") for box in lvl)
         for lvl in obj["refined_boxes"]
     ]
     return DomainHierarchy(q, boxes0, refined), degree, multiplicity

@@ -1,18 +1,17 @@
 """Linear-algebra kernels shared by the spline modules.
 
 numpy/scipy supply the factorizations; this module pins down the behaviour
-the rest of the package relies on: an explicit symmetric-positive-definite
-pivot check, rank decisions that report the singular-value gap they were
-based on, deterministic triplet assembly, and a residual-checked sparse
-solve.  Everything here is deterministic: the same inputs produce
-bit-identical outputs.
+the rest of the package relies on: the symmetric-positive-definite pivot
+threshold and the error raised below it, rank decisions that report the
+singular-value gap they were based on, deterministic triplet assembly, and
+a residual-checked sparse solve.  Everything here is deterministic: the
+same inputs produce bit-identical outputs.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -30,32 +29,6 @@ class NonSPDError(RuntimeError):
 
 class SolveError(RuntimeError):
     """A linear solve produced a residual above the accepted bound."""
-
-
-def cholesky_solve(a, b):
-    """Solve ``a @ x = b`` for symmetric positive definite ``a``.
-
-    Raises :class:`NonSPDError` when the factorization fails outright or
-    any squared Cholesky pivot falls below ``1e-14 * trace(a)``.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square, got shape %s" % (a.shape,))
-    if a.shape[0] == 0:
-        return np.zeros_like(b)
-    trace = float(np.trace(a))
-    try:
-        factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NonSPDError("Cholesky factorization failed: %s" % exc) from None
-    pivots = np.diag(factor[0]) ** 2
-    if np.min(pivots) < SPD_PIVOT_REL * trace:
-        raise NonSPDError(
-            "Cholesky pivot %.3e below %.1e * trace = %.3e"
-            % (np.min(pivots), SPD_PIVOT_REL, SPD_PIVOT_REL * trace)
-        )
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
 
 
 @dataclass(frozen=True)

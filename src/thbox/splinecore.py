@@ -14,19 +14,20 @@ endpoint, so the basis forms a partition of unity on the closed interval.
 
 Dyadic refinement (:meth:`KnotVector.refine`) bisects every element by
 inserting each midpoint with multiplicity ``m``; degree and multiplicity
-are shared by all levels of a hierarchy.  :func:`two_scale_matrix` returns
+are shared by all levels of a hierarchy.  :func:`two_scale_arrays` returns
 the subdivision weights expressing each coarse B-spline in the refined
-basis.
+basis as padded (index, weight) arrays, written by local knot insertion;
+:func:`two_scale_matrix` is their dense view.
 
 Function and element multi-indices in tensor products are raveled in
 C order (last direction fastest) throughout the package.
 """
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 
 def _as_breakpoints(breakpoints):
@@ -244,50 +245,62 @@ def eval_basis(kv, j, x, deriv=0):
     return float(vals[deriv, j - kv.first_func_on_element(e), 0])
 
 
-def insertion_matrix(coarse, fine):
-    """Knot-insertion matrix A (N_fine x N_coarse): ``c_fine = A @ c_coarse``.
+def two_scale_arrays(coarse, fine):
+    """Two-scale relation of ``coarse`` into its bisection ``fine`` as padded arrays.
 
-    ``fine`` must be the dyadic refinement of ``coarse`` (same degree and
-    multiplicity; breakpoints equal to coarse breakpoints plus exact
-    midpoints).  Built by iterated single-knot insertion.
+    Returns ``(index, weight)``, both (N_coarse, width): coarse B-spline
+    ``i`` is ``sum_k weight[i, k] * B_fine[index[i, k]]``, ascending in
+    ``index`` and padded with index 0 and weight 0.  ``fine`` must be
+    ``coarse.refine()`` up to equality.
+
+    The midpoints are inserted left to right, each ``m`` times (Boehm's
+    knot insertion).  Row ``i`` of ``rows`` maps coarse functions to the
+    weights of the current ``i``-th coefficient; a knot ``x`` with
+    ``t_k <= x < t_{k+1}`` replaces rows ``k-p+1 .. k`` by
+    ``alpha * row_i + (1 - alpha) * row_{i-1}`` with
+    ``alpha = (x - t_i) / (t_{i+p} - t_i)`` and shifts the later rows by one.
     """
     if coarse.degree != fine.degree or coarse.multiplicity != fine.multiplicity:
         raise ValueError("coarse and fine must share degree and multiplicity")
-    expected = coarse.refine()
-    if not np.array_equal(expected.breakpoints, fine.breakpoints):
+    if not np.array_equal(coarse.refine().breakpoints, fine.breakpoints):
         raise ValueError("fine is not the bisection refinement of coarse")
     p = coarse.degree
-    knots = list(coarse.knots)
-    a = scipy.sparse.identity(coarse.numbasis, format="csr")
+    knots = coarse.knots.tolist()
+    rows = [{c: 1.0} for c in range(coarse.numbasis)]
     mids = 0.5 * (coarse.breakpoints[:-1] + coarse.breakpoints[1:])
-    for xnew in mids:
-        for _ in range(coarse.multiplicity):
-            n = a.shape[0]
-            # largest k with knots[k] <= xnew (xnew is strictly interior)
-            k = int(np.searchsorted(np.asarray(knots), xnew, side="right")) - 1
-            rows, cols, vals = [], [], []
-            for i in range(n + 1):
-                if i <= k - p:
-                    rows.append(i), cols.append(i), vals.append(1.0)
-                elif i >= k + 1:
-                    rows.append(i), cols.append(i - 1), vals.append(1.0)
-                else:
-                    alpha = (xnew - knots[i]) / (knots[i + p] - knots[i])
-                    rows.append(i), cols.append(i), vals.append(alpha)
-                    rows.append(i), cols.append(i - 1), vals.append(1.0 - alpha)
-            step = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n + 1, n))
-            a = step @ a
-            knots.insert(k + 1, float(xnew))
-    return a.tocsr()
+    for x in np.repeat(mids, coarse.multiplicity).tolist():
+        k = bisect.bisect_right(knots, x) - 1
+        new = []
+        for i in range(k - p + 1, k + 1):
+            alpha = (x - knots[i]) / (knots[i + p] - knots[i])
+            row = {c: (1.0 - alpha) * w for c, w in rows[i - 1].items()}
+            for c, w in rows[i].items():
+                row[c] = row[c] + alpha * w if c in row else alpha * w
+            new.append(row)
+        # p = 0 has no blended rows: row k is simply repeated
+        rows[k - p + 1 : k] = new or [rows[k]]
+        knots.insert(k + 1, x)
+    kids = [[] for _ in range(coarse.numbasis)]
+    for i, row in enumerate(rows):
+        for c, w in row.items():
+            kids[c].append((i, w))
+    index = np.zeros((coarse.numbasis, max(map(len, kids))), dtype=np.int64)
+    weight = np.zeros(index.shape)
+    for c, pairs in enumerate(kids):
+        index[c, : len(pairs)], weight[c, : len(pairs)] = zip(*pairs)
+    return index, weight
 
 
 def two_scale_matrix(coarse, fine):
     """Subdivision weights M (N_coarse x N_fine): B_coarse[i] = sum_j M[i,j] B_fine[j].
 
-    Rows follow coarse basis functions.  Columns sum to 1 because refinement
-    preserves the partition of unity.
+    The dense view of :func:`two_scale_arrays`.  Columns sum to 1 because
+    refinement preserves the partition of unity.
     """
-    return insertion_matrix(coarse, fine).T.toarray()
+    index, weight = two_scale_arrays(coarse, fine)
+    mat = np.zeros((coarse.numbasis, fine.numbasis))
+    np.add.at(mat, (np.arange(coarse.numbasis)[:, None], index), weight)
+    return mat
 
 
 @dataclass(frozen=True)

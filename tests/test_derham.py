@@ -17,15 +17,13 @@ from conftest import element_support_sets, random_hierarchy
 from thbox.derham import (
     AssumptionVerdict,
     ExactnessReport,
-    IndexGrid,
     build_complex,
     check_assumption_3a,
     check_assumption_3b,
     exactness_report,
     interior_functions,
-    shortest_chain,
 )
-from thbox.derham import _least_squares_fit
+from thbox.derham import _least_squares_fit, _monotone_chain
 from thbox.hierarchy import DomainHierarchy, LevelSequence, build_thb
 from thbox.numerics import NonSPDError
 from thbox.splinecore import uniform_space
@@ -267,70 +265,40 @@ class TestComplexConstruction:
         assert cs.euler == 1
 
 
-class TestIndexGrid:
-    def test_membership(self):
-        g = IndexGrid((1, 2), (3, 4))
-        assert (1, 2) in g and (3, 4) in g and (2, 3) in g
-        assert (0, 2) not in g and (1, 5) not in g
-        assert (1,) not in g
-
-    def test_overlaps(self):
-        g = IndexGrid((0, 0), (2, 2))
-        assert g.overlaps(IndexGrid((2, 2), (4, 4)))
-        assert not g.overlaps(IndexGrid((3, 0), (4, 2)))
-
-    def test_iteration(self):
-        g = IndexGrid((0, 1), (1, 2))
-        assert list(g) == [(0, 1), (0, 2), (1, 1), (1, 2)]
-
-    def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            IndexGrid((2, 0), (1, 3))
-        with pytest.raises(ValueError):
-            IndexGrid((0,), (1, 2))
+def grid(lo, hi):
+    """The integer multi-indices t with lo <= t <= hi, as a set."""
+    return set(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
 
 
-def chain_is_valid(chain, g1, g2, s1, s2):
+def chain_is_valid(chain, inset, s1, s2):
     assert chain[0] == s1 and chain[-1] == s2
     assert len(chain) == l1(s1, s2) + 1
-    assert all(a in g1 or a in g2 for a in chain)
+    assert all(a in inset for a in chain)
     assert all(l1(a, b) == 1 for a, b in zip(chain, chain[1:]))
 
 
 class TestShortestChain:
+    """The monotone chain search of ``check_assumption_3a`` against BFS."""
+
     def test_identical_endpoints(self):
-        g = IndexGrid((0, 0), (2, 2))
-        assert shortest_chain(g, g, (1, 1), (1, 1)) == [(1, 1)]
+        assert _monotone_chain(grid((0, 0), (2, 2)), (1, 1), (1, 1)) == [(1, 1)]
 
     def test_within_single_grid(self):
-        g1 = IndexGrid((0, 0), (4, 4))
-        g2 = IndexGrid((9, 9), (9, 9))
-        chain = shortest_chain(g1, g2, (3, 0), (0, 2))
-        chain_is_valid(chain, g1, g2, (3, 0), (0, 2))
-        assert all(a in g1 for a in chain)
-
-    def test_cross_grid_single_switch(self):
-        g1 = IndexGrid((0, 0), (2, 1))
-        g2 = IndexGrid((1, 1), (3, 2))
-        chain = shortest_chain(g1, g2, (0, 0), (3, 2))
-        chain_is_valid(chain, g1, g2, (0, 0), (3, 2))
-        # the walk stays in the first grid up to one switch index
-        switch = min(i for i, a in enumerate(chain) if a in g2)
-        assert all(a in g1 for a in chain[:switch])
-        assert all(a in g2 for a in chain[switch:])
+        inset = grid((0, 0), (4, 4)) | grid((9, 9), (9, 9))
+        chain = _monotone_chain(inset, (3, 0), (0, 2))
+        chain_is_valid(chain, inset, (3, 0), (0, 2))
 
     def test_nonoverlapping_grids_absent(self):
-        g1 = IndexGrid((0, 0), (1, 1))
-        g2 = IndexGrid((3, 0), (4, 1))
-        assert shortest_chain(g1, g2, (0, 0), (4, 1)) is None
-        # adjacent but not overlapping counts as impossible too
-        g3 = IndexGrid((2, 0), (3, 1))
-        assert shortest_chain(g1, g3, (0, 0), (3, 1)) is None
+        inset = grid((0, 0), (1, 1)) | grid((3, 0), (4, 1))
+        assert _monotone_chain(inset, (0, 0), (4, 1)) is None
+        # a detour of length 4 joins (0, 0) and (2, 0), but no chain of length 2
+        detour = {(0, 0), (0, 1), (1, 1), (2, 1), (2, 0)}
+        assert bfs_distance(detour, (0, 0), (2, 0)) == 4
+        assert _monotone_chain(detour, (0, 0), (2, 0)) is None
 
     def test_endpoint_outside_both_absent(self):
-        g1 = IndexGrid((0, 0), (1, 1))
-        g2 = IndexGrid((1, 1), (2, 2))
-        assert shortest_chain(g1, g2, (5, 5), (0, 0)) is None
+        inset = grid((0, 0), (1, 1)) | grid((1, 1), (2, 2))
+        assert _monotone_chain(inset, (5, 5), (0, 0)) is None
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_overlapping_grids_match_breadth_first(self, seed):
@@ -341,16 +309,13 @@ class TestShortestChain:
             hi1 = lo1 + rng.integers(0, 4, size=dim)
             lo2 = rng.integers(0, 4, size=dim)
             hi2 = lo2 + rng.integers(0, 4, size=dim)
-            g1 = IndexGrid(tuple(lo1), tuple(hi1))
-            g2 = IndexGrid(tuple(lo2), tuple(hi2))
-            if g1.overlaps(g2):
+            if (np.minimum(hi1, hi2) >= np.maximum(lo1, lo2)).all():
                 break
-        s1 = tuple(int(rng.integers(a, b + 1)) for a, b in zip(g1.lo, g1.hi))
-        s2 = tuple(int(rng.integers(a, b + 1)) for a, b in zip(g2.lo, g2.hi))
-        chain = shortest_chain(g1, g2, s1, s2)
-        chain_is_valid(chain, g1, g2, s1, s2)
-        members = set(g1) | set(g2)
+        s1 = tuple(int(rng.integers(a, b + 1)) for a, b in zip(lo1, hi1))
+        s2 = tuple(int(rng.integers(a, b + 1)) for a, b in zip(lo2, hi2))
+        members = grid(lo1, hi1) | grid(lo2, hi2)
         assert bfs_distance(members, s1, s2) == l1(s1, s2)
+        chain_is_valid(_monotone_chain(members, s1, s2), members, s1, s2)
 
 
 # two blocks of refined elements whose closures share only a piece of the

@@ -14,6 +14,7 @@ Two independent oracles drive the core checks:
 """
 
 import itertools
+import json
 
 import numpy as np
 import numpy.testing as nt
@@ -419,6 +420,23 @@ class TestElementMachinery:
             total += vol
         nt.assert_allclose(total, 1.0, rtol=1e-12)
 
+    @pytest.mark.parametrize("case", HIERARCHY_CASES[:4])
+    def test_element_activity_matches_enumeration(self, case):
+        levels, hier = _make_case(*case)
+        space = build_thb(levels, hier)
+        for lv in range(space.num_levels):
+            active = set(space.active_elements(lv))
+            shape = hier.elems_shape(lv)
+            grid = itertools.product(*(range(-1, n + 1) for n in shape))
+            for e in grid:
+                assert space.is_active_element(lv, e) == (e in active)
+            if len(active) < np.prod(shape):
+                gap = next(e for e in itertools.product(*map(range, shape)) if e not in active)
+                with pytest.raises(ValueError, match="is not active"):
+                    space.element_table(lv, gap)
+        with pytest.raises(ValueError, match="is not active"):
+            space.element_table(0, (-1,) * hier.dim)
+
     @pytest.mark.parametrize("case", HIERARCHY_CASES[:3])
     def test_element_table_matches_pointwise_eval(self, case):
         levels, hier = _make_case(*case)
@@ -518,14 +536,32 @@ class TestSerialization:
     def test_rejects_unknown_and_missing_keys(self):
         hier = DomainHierarchy((2,), (2,))
         text = hierarchy_to_json(hier, (2,), (1,))
-        import json
-
         obj = json.loads(text)
         obj["extra"] = 1
         with pytest.raises(ValueError):
             hierarchy_from_json(json.dumps(obj))
         del obj["extra"], obj["degree"]
         with pytest.raises(ValueError):
+            hierarchy_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dim", True),
+            ("degree", [2.7]),
+            ("multiplicity", [True]),
+            ("level1_elements_per_dir", [4.0]),
+            ("qbox_q", [2.0]),
+            ("refined_boxes", [[[1.9]]]),
+        ],
+    )
+    def test_rejects_non_integer_entries(self, field, value):
+        obj = {"degree": [2], "dim": 1, "level1_elements_per_dir": [4],
+               "multiplicity": [1], "qbox_q": [2], "refined_boxes": [[[1]]]}
+        hier, degree, mult = hierarchy_from_json(json.dumps(obj))
+        assert hier.refined == (frozenset({(1,)}),) and degree == (2,) and mult == (1,)
+        obj[field] = value
+        with pytest.raises(ValueError, match=field):
             hierarchy_from_json(json.dumps(obj))
 
     def test_rejects_bad_divisibility(self):

@@ -9,46 +9,9 @@ from thbox.numerics import (
     NonSPDError,
     SolveError,
     assemble_csr,
-    cholesky_solve,
     sparse_solve,
     svd_rank,
 )
-
-
-class TestCholeskySolve:
-    def test_known_2x2(self):
-        a = np.array([[4.0, 2.0], [2.0, 3.0]])
-        b = np.array([2.0, 1.0])
-        # inverse is [[3,-2],[-2,4]]/8, so x = (0.5, 0.0)
-        x = cholesky_solve(a, b)
-        nt.assert_allclose(x, [0.5, 0.0], atol=1e-14)
-
-    def test_multiple_rhs(self):
-        rng = np.random.default_rng(3)
-        g = rng.random((5, 5))
-        a = g @ g.T + 5 * np.eye(5)
-        b = rng.random((5, 3))
-        x = cholesky_solve(a, b)
-        assert x.shape == (5, 3)
-        nt.assert_allclose(a @ x, b, atol=1e-12)
-
-    def test_indefinite_raises(self):
-        a = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
-        with pytest.raises(NonSPDError):
-            cholesky_solve(a, np.ones(2))
-
-    def test_near_singular_raises(self):
-        a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-16]])
-        with pytest.raises(NonSPDError):
-            cholesky_solve(a, np.ones(2))
-
-    def test_empty(self):
-        x = cholesky_solve(np.zeros((0, 0)), np.zeros(0))
-        assert x.shape == (0,)
-
-    def test_non_square_raises(self):
-        with pytest.raises(ValueError):
-            cholesky_solve(np.ones((2, 3)), np.ones(2))
 
 
 class TestSvdRank:

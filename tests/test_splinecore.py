@@ -6,6 +6,7 @@ are checked against dense sampling.
 """
 
 import itertools
+import math
 
 import numpy as np
 import numpy.testing as nt
@@ -24,8 +25,8 @@ from thbox.splinecore import (
     basis_on_element,
     eval_basis,
     gauss_rule,
-    insertion_matrix,
     tensor_eval,
+    two_scale_arrays,
     two_scale_matrix,
     uniform_knot_vector,
     uniform_space,
@@ -282,12 +283,53 @@ class TestTwoScale:
             mat = two_scale_matrix(coarse, coarse.refine())
             assert (mat >= 0.0).all()
 
-    def test_insertion_matrix_rejects_mismatch(self):
+    def test_two_scale_matrix_rejects_mismatch(self):
         coarse = uniform_knot_vector(2, 2)
         with pytest.raises(ValueError):
-            insertion_matrix(coarse, uniform_knot_vector(4, 3))
+            two_scale_matrix(coarse, uniform_knot_vector(4, 3))
         with pytest.raises(ValueError):
-            insertion_matrix(coarse, uniform_knot_vector(3, 2))
+            two_scale_matrix(coarse, uniform_knot_vector(3, 2))
+
+    @pytest.mark.parametrize("p,m", [(p, m) for p in range(5) for m in range(1, p + 2)])
+    def test_arrays_match_naive_recursion(self, p, m):
+        """B_coarse(x) = sum weight * B_fine(x), both sides by Cox-de Boor."""
+        rng = np.random.default_rng(1200 + p * 10 + m)
+        coarse = KnotVector(grid_breakpoints(rng), p, m)
+        xs = np.concatenate([[0.0, 1.0], rng.random(14)])
+
+        def naive(kv):
+            return np.array(
+                [[naive_bspline(kv.knots, j, p, x) for x in xs] for j in range(kv.numbasis)]
+            )
+
+        vals = naive(coarse)
+        for _ in range(3):
+            fine = coarse.refine()
+            index, weight = two_scale_arrays(coarse, fine)
+            assert index.dtype == np.int64 and index.shape == weight.shape
+            assert len(index) == coarse.numbasis
+            fine_vals = naive(fine)
+            nt.assert_allclose(
+                np.einsum("ik,ikx->ix", weight, fine_vals[index]), vals, atol=1e-13
+            )
+            coarse, vals = fine, fine_vals
+
+    @pytest.mark.parametrize("p", range(5))
+    def test_uniform_interior_weights_are_binomial(self, p):
+        """Uniform B-splines away from the ends split into 2^-p C(p+1, k)."""
+        expect = np.array([math.comb(p + 1, k) for k in range(p + 2)]) / 2.0**p
+        coarse = uniform_knot_vector(1, p)
+        for _ in range(7):
+            fine = coarse.refine()
+            index, weight = two_scale_arrays(coarse, fine)
+            for i in range(p, coarse.numbasis - p):
+                nt.assert_array_equal(index[i, : p + 2], 2 * i - p + np.arange(p + 2))
+                assert not weight[i, p + 2 :].any()
+                if p <= 3:
+                    nt.assert_array_equal(weight[i, : p + 2], expect)
+                else:
+                    nt.assert_allclose(weight[i, : p + 2], expect, rtol=0, atol=1e-16)
+            coarse = fine
 
     def test_refine_breakpoints_are_exact_midpoints(self):
         kv = _random_kv(77, 3, 2)
