@@ -63,6 +63,7 @@ from .derham import (
     AssumptionVerdict,
     ComplexSpaces,
     ExactnessReport,
+    RankCheckLimitError,
     build_complex,
     check_assumption_3a,
     check_assumption_3b,
@@ -122,6 +123,7 @@ __all__ = [
     "AssumptionVerdict",
     "ComplexSpaces",
     "ExactnessReport",
+    "RankCheckLimitError",
     "build_complex",
     "check_assumption_3a",
     "check_assumption_3b",

@@ -15,9 +15,11 @@ rejected) and writes deterministic artifacts into the output directory:
 - ``mesh-info`` / ``mesh-svg``: a seeded random admissible mesh,
   described as ``mesh.json`` or rendered as ``mesh.svg``.
 
-Exit codes: 0 on success, 2 when the experiment ran but its verification
-target failed (slope off, tolerance not reached, complex not exact), and
-1 for configuration errors.  Repeating a run with the same config and
+Exit codes: 0 on success; 2 when the experiment ran but its verification
+target failed (slope off, tolerance not reached, complex not exact) or
+could not be checked (a valid 3D ``derham-check`` complex above
+``MAX_RANK_CHECK_DOFS_3D`` dofs: one line on stderr, no report); 1 for
+configuration errors only.  Repeating a run with the same config and
 seed reproduces every artifact byte for byte.
 """
 
@@ -31,7 +33,7 @@ import numpy as np
 
 from .adaptive import AdaptiveConfig, adapt_poisson, adapt_project
 from .bezier import bezier_project, error_report
-from .derham import build_complex, exactness_report
+from .derham import RankCheckLimitError, build_complex, exactness_report
 from .hierarchy import DomainHierarchy, LevelSequence, build_thb
 from .qbox import AdmissibilityPolicy, QBoxMesh, refine_qboxes
 from .splinecore import uniform_space
@@ -489,6 +491,9 @@ def run_derham_check(params, quiet=False):
         report = exactness_report(cs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    except RankCheckLimitError as exc:
+        print("thbox: derham-check not verified: %s" % exc, file=sys.stderr)
+        return 2
     payload = {
         "dims": list(report.dims),
         "cohomology": list(report.cohomology),

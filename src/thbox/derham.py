@@ -43,6 +43,10 @@ RANK_BAND_TOL = 1e-7
 MAX_RANK_CHECK_DOFS_3D = 4000
 
 
+class RankCheckLimitError(RuntimeError):
+    """A valid complex too large for the dense rank checks."""
+
+
 def _component_degrees(degree):
     """Per-slot component degrees of the complex for head degree ``degree``."""
     n = len(degree)
@@ -211,7 +215,7 @@ def interior_functions(space, lv):
     """
     hier = space.hierarchy
     tens = space.levels[lv]
-    if lv >= len(hier.refined):
+    if lv >= len(hier.refined_ids):
         return []
     ids = np.unique(tens.element_functions(hier.refined_elements(lv, lv)))
     cand = np.stack(np.unravel_index(ids, tens.numbasis), axis=-1)
@@ -513,10 +517,11 @@ def exactness_report(cs):
     1e-7 of the largest one mark the verdict indeterminate.  The report
     also carries the worst relative least-squares residual of first-map
     images fitted in the next slot and the combinatorial check verdicts
-    for every pair of adjacent levels.
+    for every pair of adjacent levels.  Raises :class:`RankCheckLimitError`
+    above :data:`MAX_RANK_CHECK_DOFS_3D` dofs in 3D.
     """
     if cs.dim == 3 and sum(cs.dims) > MAX_RANK_CHECK_DOFS_3D:
-        raise ValueError(
+        raise RankCheckLimitError(
             "three-dimensional rank checks are limited to %d total dofs, "
             "got %d" % (MAX_RANK_CHECK_DOFS_3D, sum(cs.dims))
         )

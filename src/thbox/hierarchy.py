@@ -3,11 +3,11 @@
 A :class:`DomainHierarchy` records nested refinement domains
 ``Omega = Omega^0 >= Omega^1 >= ... >= Omega^{L-1}``.  Level ``lv`` of the
 hierarchy refines level ``lv-1`` by bisection, and ``Omega^{lv}`` is stored
-as the set of level-(lv-1) q-box multi-indices whose closed union it is
-(so refinement domains are always unions of macro-element blocks of ``q``
-elements per direction).  All geometry queries reduce to integer index
-arithmetic on element and box ranges; no floating-point comparisons are
-involved.
+as the sorted array of raveled ids of the level-(lv-1) q-boxes whose closed
+union it is (so refinement domains are always unions of macro-element
+blocks of ``q`` elements per direction).  All geometry queries reduce to
+integer index arithmetic on element and box ranges, looked up in those
+arrays; no floating-point comparisons are involved.
 
 Basis selection follows the usual hierarchical rule: a level-``lv``
 B-spline is active when its open support lies inside ``Omega^{lv}`` but not
@@ -57,6 +57,17 @@ def unraveled(ids, shape):
     return np.stack(np.unravel_index(ids, shape), axis=-1)
 
 
+def range_points(lo, hi):
+    """Every integer point of each inclusive range ``[lo, hi]`` (n, dim): (n, m, dim).
+
+    ``m`` is the point count of the widest range per direction; offsets are
+    clamped to each range's ``hi``, so a shorter range repeats points
+    instead of needing a mask.
+    """
+    offsets = index_grid(tuple(np.max(hi - lo, axis=0, initial=0) + 1))
+    return np.minimum(lo[:, None, :] + offsets, hi[:, None, :])
+
+
 def sorted_lookup(ids, values):
     """Positions of ``values`` in the sorted id array ``ids``, and which are there.
 
@@ -68,6 +79,12 @@ def sorted_lookup(ids, values):
         return np.zeros(np.shape(values), dtype=np.int64), np.zeros(np.shape(values), dtype=bool)
     pos = np.minimum(np.searchsorted(ids, values), len(ids) - 1)
     return pos, ids[pos] == values
+
+
+def require_no_box(boxes, bad, lv, what):
+    """ValueError naming the first level-``lv`` box of ``boxes`` (n, dim) flagged in ``bad``."""
+    if bad.any():
+        raise ValueError("box %s at level %d %s" % (tuple(boxes[bad][0].tolist()), lv, what))
 
 
 def _field_values(f, pts):
@@ -110,13 +127,16 @@ def gauss_tensor(space, extra=0):
 
 
 class DomainHierarchy:
-    """Nested refinement domains stored as refined q-box index sets per level.
+    """Nested refinement domains stored as sorted refined q-box id arrays per level.
 
-    ``refined[lv]`` holds the level-``lv`` boxes whose closed union is the
-    next domain ``Omega^{lv+1}`` as a set of multi-indices, and
-    ``refined_ids[lv]`` holds them as a sorted array of raveled box ids.
+    ``refined_ids[lv]`` holds, sorted and without repeats, the raveled ids
+    (C order over the level-``lv`` box grid) of the level-``lv`` boxes whose
+    closed union is the next domain ``Omega^{lv+1}``; every membership
+    question goes through :meth:`refined_mask` and :meth:`cover`.
     Nestedness requires the parent of every refined level-``lv`` box
-    (``lv >= 1``) to be refined at level ``lv-1``.
+    (``lv >= 1``) to be refined at level ``lv-1``.  The constructor takes
+    per level any collection of box multi-indices, an (n, dim) array
+    included; repeats are dropped and trailing empty levels trimmed.
     """
 
     def __init__(self, q, boxes_level0, refined=()):
@@ -126,32 +146,22 @@ class DomainHierarchy:
             raise ValueError("q and boxes_level0 must have equal length")
         if any(v < 1 for v in self.q) or any(v < 1 for v in self.boxes_level0):
             raise ValueError("q and boxes_level0 entries must be >= 1")
-        refined = [frozenset(tuple(int(c) for c in box) for box in lvl) for lvl in refined]
-        while refined and not refined[-1]:
-            refined.pop()
-        self.refined = tuple(refined)
-        self._validate()
-        self.refined_ids = tuple(
-            np.sort(raveled(np.array(list(boxes), dtype=np.int64), self.boxes_shape(lv)))
-            for lv, boxes in enumerate(self.refined)
-        )
-        self._active_boxes = {}
-
-    def _validate(self):
-        for lv, boxes in enumerate(self.refined):
+        self.refined_ids = []
+        for lv, boxes in enumerate(refined):
+            boxes = np.array(list(boxes), dtype=np.int64)
+            if len(boxes) and boxes.shape[1:] != (self.dim,):
+                raise ValueError("level-%d boxes must have dimension %d" % (lv, self.dim))
+            boxes = boxes.reshape(-1, self.dim)
             shape = self.boxes_shape(lv)
-            for box in boxes:
-                if len(box) != self.dim:
-                    raise ValueError("box %s has wrong dimension" % (box,))
-                if any(not 0 <= c < s for c, s in zip(box, shape)):
-                    raise ValueError("box %s outside level-%d grid %s" % (box, lv, shape))
-                if lv > 0:
-                    parent = tuple(c // 2 for c in box)
-                    if parent not in self.refined[lv - 1]:
-                        raise ValueError(
-                            "refined box %s of level %d not nested in level %d"
-                            % (box, lv, lv - 1)
-                        )
+            outside = np.any((boxes < 0) | (boxes >= shape), axis=1)
+            require_no_box(boxes, outside, lv, "is off the grid")
+            if lv:
+                require_no_box(boxes, ~self.refined_mask(lv - 1, boxes // 2), lv, "is not nested")
+            self.refined_ids.append(np.unique(raveled(boxes, shape)))
+        while self.refined_ids and not len(self.refined_ids[-1]):
+            self.refined_ids.pop()
+        self.refined_ids = tuple(self.refined_ids)
+        self._active_boxes = {}
 
     @property
     def dim(self):
@@ -159,7 +169,16 @@ class DomainHierarchy:
 
     @property
     def num_levels(self):
-        return len(self.refined) + 1
+        return len(self.refined_ids) + 1
+
+    @property
+    def refined(self):
+        """Per level, the refined boxes as a frozenset of multi-index tuples,
+        read off ``refined_ids``."""
+        return tuple(
+            frozenset(map(tuple, self.refined_boxes(lv).tolist()))
+            for lv in range(len(self.refined_ids))
+        )
 
     @property
     def elems_level0(self):
@@ -176,7 +195,8 @@ class DomainHierarchy:
             isinstance(other, DomainHierarchy)
             and self.q == other.q
             and self.boxes_level0 == other.boxes_level0
-            and self.refined == other.refined
+            and len(self.refined_ids) == len(other.refined_ids)
+            and all(map(np.array_equal, self.refined_ids, other.refined_ids))
         )
 
     def __repr__(self):
@@ -186,27 +206,7 @@ class DomainHierarchy:
             self.num_levels,
         )
 
-    # -- membership tests (all index arithmetic) --------------------------
-
-    def is_refined(self, lv, box):
-        return lv < len(self.refined) and box in self.refined[lv]
-
-    def box_in_domain(self, lv, box):
-        """Whether the level-``lv`` box lies inside Omega^{lv}: its parent is refined."""
-        return lv == 0 or self.is_refined(lv - 1, tuple(c // 2 for c in box))
-
-    def box_active(self, lv, box):
-        return self.box_in_domain(lv, box) and not self.is_refined(lv, box)
-
-    def element_box(self, e):
-        return tuple(c // qi for c, qi in zip(e, self.q))
-
-    def element_in_domain(self, lv, e):
-        """Whether the level-``lv`` element lies inside Omega^{lv}."""
-        return self.box_in_domain(lv, self.element_box(e))
-
-    def element_active(self, lv, e):
-        return self.box_active(lv, self.element_box(e))
+    # -- the domain rule: sorted refined-box ids --------------------------
 
     def active_boxes(self, lv):
         """Sorted tuple of active level-``lv`` box multi-indices."""
@@ -215,15 +215,12 @@ class DomainHierarchy:
             if lv == 0:
                 ids = np.arange(np.prod(shape))
             else:
-                parents = unraveled(self.refined_ids[lv - 1], self.boxes_shape(lv - 1))
-                kids = 2 * parents[:, None, :] + index_grid((2,) * self.dim)
+                kids = 2 * self.refined_boxes(lv - 1)[:, None, :] + index_grid((2,) * self.dim)
                 ids = np.sort(raveled(kids, shape).ravel())
-            if lv < len(self.refined):
+            if lv < len(self.refined_ids):
                 ids = ids[~sorted_lookup(self.refined_ids[lv], ids)[1]]
             self._active_boxes[lv] = tuple(map(tuple, unraveled(ids, shape).tolist()))
         return self._active_boxes[lv]
-
-    # -- the domain rule for level-lv element ranges ----------------------
 
     def cover(self, lv, lo, hi):
         """Whether all, and whether any, level-``lv`` elements of each range lie in Omega^{lv}.
@@ -231,29 +228,31 @@ class DomainHierarchy:
         ``lo`` and ``hi`` (n, dim) are inclusive element ranges; returns two
         boolean arrays (n,).  The one domain rule: an element halves to its
         level-(lv-1) parent, whose q-box ``c // q`` must be one of
-        ``refined[lv - 1]``.  Box offsets are clamped to each range's last
-        box, so short ranges repeat a box instead of needing a mask.
+        ``refined[lv - 1]``; the boxes of each range come from
+        :func:`range_points`.
         """
-        if lv == 0 or lv > len(self.refined):
+        if lv == 0 or lv > len(self.refined_ids):
             return np.full(len(lo), lv == 0), np.full(len(lo), lv == 0)
         q = np.array(self.q)
-        blo, bhi = lo // 2 // q, hi // 2 // q
-        offsets = index_grid(tuple(np.max(bhi - blo, axis=0, initial=0) + 1))
-        hit = self.refined_mask(lv - 1, np.minimum(blo[:, None, :] + offsets, bhi[:, None, :]))
+        hit = self.refined_mask(lv - 1, range_points(lo // 2 // q, hi // 2 // q))
         return hit.all(axis=1), hit.any(axis=1)
 
     def refined_mask(self, lv, boxes):
         """Whether each level-``lv`` box of ``boxes`` (..., dim) is one of ``refined[lv]``."""
-        if lv >= len(self.refined):
+        if lv >= len(self.refined_ids):
             return np.zeros(boxes.shape[:-1], dtype=bool)
         return sorted_lookup(self.refined_ids[lv], raveled(boxes, self.boxes_shape(lv)))[1]
+
+    def refined_boxes(self, lv):
+        """The refined level-``lv`` boxes (n, dim), in sorted id order."""
+        return unraveled(self.refined_ids[lv], self.boxes_shape(lv))
 
     def refined_elements(self, lv, k):
         """Level-``k`` elements (n, dim) of the refined level-``lv`` boxes, ``k >= lv``.
 
         With ``k = lv + 1`` these are the elements of Omega^{lv+1}.
         """
-        boxes = unraveled(self.refined_ids[lv], self.boxes_shape(lv))
+        boxes = self.refined_boxes(lv)
         span = np.array(self.q) * 2 ** (k - lv)
         return (boxes[:, None, :] * span + index_grid(tuple(span))).reshape(-1, self.dim)
 
@@ -819,7 +818,7 @@ def hierarchy_to_json(hierarchy, degree, multiplicity):
         "level1_elements_per_dir": [int(n) for n in hierarchy.elems_level0],
         "qbox_q": [int(qi) for qi in hierarchy.q],
         "refined_boxes": [
-            [list(box) for box in sorted(lvl)] for lvl in hierarchy.refined
+            hierarchy.refined_boxes(lv).tolist() for lv in range(len(hierarchy.refined_ids))
         ],
     }
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"

@@ -28,17 +28,34 @@ read off the hierarchy's refined-box id arrays with one lookup rule
 regular boxes and depths by looking up ancestors ``box >> (lv - k)``.
 
 Refinement and coarsening operate on whole q-boxes at the hierarchy's own
-granularity.  Both consult neighborhoods built from the multilevel support
+granularity, on (n, dim) box arrays looked up in the same refined-box id
+arrays.  Both consult neighborhoods built from the multilevel support
 extension ``S(box, k)`` — the level-``k`` boxes reachable from a box
 through one level-``k`` B-spline support — to keep the mesh within a
-prescribed admissibility class.
+prescribed admissibility class ``c``:
+
+- the refinement closure is a fixpoint: every in-domain, unrefined
+  level-(lv-c+1) box in the neighborhood of a level-``lv`` box being
+  refined is refined too, and the sweep repeats until it adds nothing;
+- coarsening is order-free for ``c >= 2``: whether a level-``lv`` box may
+  be reactivated depends only on level ``lv + c - 1`` of the hierarchy,
+  which reactivating boxes of level ``lv`` or below never changes, so
+  every mark is tested at once against the input hierarchy.
 """
 
 import itertools
 
 import numpy as np
 
-from .hierarchy import ThbSpace, index_grid, raveled, sorted_lookup, unraveled
+from .hierarchy import (
+    ThbSpace,
+    index_grid,
+    range_points,
+    raveled,
+    require_no_box,
+    sorted_lookup,
+    unraveled,
+)
 
 _LABELS = ("border", "well-behaved", "regular")
 
@@ -84,177 +101,161 @@ class CoarsenReport:
         )
 
 
-def _support_interval(kv, q, a, b):
-    """Boxes touched by the B-splines touching elements [a, b] (one direction)."""
-    m = kv.multiplicity
-    p = kv.degree
-    jlo = a * m
-    jhi = min(kv.numbasis - 1, b * m + p)
-    lo = kv.support_range(jlo)[0]
-    hi = kv.support_range(jhi)[1]
-    return lo // q, hi // q
+def support_extension_rect(space, lv, boxes, k, q=None):
+    """Inclusive box ranges (lo, hi), each (n, dim), of multilevel support extensions.
 
-
-def _box_elem_interval(q, r, lv, k):
-    """Level-``k`` element interval covered by level-``lv`` box index ``r``."""
-    a = q * r
-    b = q * (r + 1) - 1
-    if k >= lv:
-        return a * 2 ** (k - lv), (b + 1) * 2 ** (k - lv) - 1
-    return a >> (lv - k), b >> (lv - k)
-
-
-def support_extension_rect(space, lv, box, k, q=None):
-    """Per-direction (lo, hi) box intervals of the multilevel support extension.
-
-    ``S(box, k)``: the level-``k`` boxes sharing a level-``k`` B-spline
-    support with the level-``lv`` box.  Granularity defaults to the
-    hierarchy's own q.
+    ``S(box, k)`` of a level-``lv`` box of ``boxes`` (n, dim) is the range of
+    level-``k`` boxes sharing a level-``k`` B-spline support with it: the
+    boxes met by the supports of the first and the last B-spline on the
+    box's level-``k`` elements.  Granularity defaults to the hierarchy's
+    own q.
     """
-    if q is None:
-        q = space.hierarchy.q
+    q = np.array(space.hierarchy.q if q is None else q)
+    boxes = np.asarray(boxes, dtype=np.int64).reshape(-1, space.dim)
+    first, last = q * boxes, q * (boxes + 1) - 1
+    if k >= lv:
+        first, last = first << (k - lv), ((last + 1) << (k - lv)) - 1
+    else:
+        first, last = first >> (lv - k), last >> (lv - k)
     tgt = space.levels[k]
-    rect = []
-    for d in range(space.dim):
-        a, b = _box_elem_interval(q[d], box[d], lv, k)
-        rect.append(_support_interval(tgt.kvs[d], q[d], a, b))
-    return tuple(rect)
+    lo = tgt.support_boxes(first * tgt.multiplicity)[0]
+    top = np.minimum(np.array(tgt.numbasis) - 1, last * tgt.multiplicity + tgt.degree)
+    return lo // q, tgt.support_boxes(top)[1] // q
 
 
 def support_extension_S(space, lv, box, k, q=None):
     """The multilevel support extension as a sorted tuple of level-k boxes."""
-    rect = support_extension_rect(space, lv, box, k, q)
-    return tuple(itertools.product(*(range(a, b + 1) for a, b in rect)))
+    lo, hi = support_extension_rect(space, lv, (box,), k, q)
+    return tuple(map(tuple, range_points(lo, hi)[0].tolist()))
 
 
-def refinement_neighborhood(space, lv, box, c, refined=None):
-    """Level-(lv-c+1) in-domain boxes whose refinement must precede this one.
+def _in_domain(hier, lv, boxes):
+    """Whether each level-``lv`` box (n, dim) of the hierarchy lies inside Omega^{lv}."""
+    first = boxes * hier.q
+    return hier.cover(lv, first, first)[0]
 
-    A box ``t`` of level ``lv-c+1`` belongs to the neighborhood when some
-    level-(lv-c+2) box of ``S(box, lv-c+2)`` is contained in ``t``.
-    ``refined`` overrides the hierarchy's refined sets (used mid-closure).
+
+def refinement_neighborhood(space, lv, boxes, c, hierarchy=None):
+    """Level-(lv-c+1) in-domain boxes whose refinement must precede that of ``boxes``.
+
+    A box ``t`` of level ``lv-c+1`` belongs to the neighborhood of a
+    level-``lv`` box when some level-(lv-c+2) box of ``S(box, lv-c+2)`` is
+    contained in ``t``.  Returns the union over ``boxes`` (n, dim) as an
+    (m, dim) array in sorted id order.  ``hierarchy`` overrides the space's
+    (used mid-closure).
     """
-    if refined is None:
-        refined = space.hierarchy.refined
+    hier = space.hierarchy if hierarchy is None else hierarchy
     tl = lv - c + 1
     if tl < 0:
-        return ()
-    rect = support_extension_rect(space, lv, box, tl + 1)
-    parents = [(a // 2, b // 2) for a, b in rect]
-    out = []
-    for t in itertools.product(*(range(a, b + 1) for a, b in parents)):
-        if tl == 0 or tuple(v // 2 for v in t) in refined[tl - 1]:
-            out.append(t)
-    return tuple(out)
+        return np.zeros((0, hier.dim), dtype=np.int64)
+    lo, hi = support_extension_rect(space, lv, boxes, tl + 1)
+    shape = hier.boxes_shape(tl)
+    t = unraveled(np.unique(raveled(range_points(lo // 2, hi // 2), shape)), shape)
+    return t[_in_domain(hier, tl, t)]
 
 
-def coarsening_neighborhood(space, lv, box, c, refined=None):
-    """Level-(lv+c) in-domain boxes blocking the reactivation of ``box``.
+def coarsening_blocked(space, lv, boxes, c):
+    """Whether reactivating each refined level-``lv`` box (n, dim) could break class ``c``.
 
-    A box ``t`` of level ``lv+c`` blocks when its level-(lv+1) ancestor lies
-    in ``S(s, lv+1)`` for some child ``s`` of ``box``; together those
-    extensions make up ``S(box, lv+1)``.  An empty result means the
-    reactivation cannot break the admissibility class.
+    A box is blocked when some box of Omega^{lv+c} has its level-(lv+1)
+    ancestor in ``S(box, lv+1)``, the union of its children's extensions:
+    one :meth:`~thbox.hierarchy.DomainHierarchy.cover` of the level-(lv+c)
+    elements under that range.
     """
-    if refined is None:
-        refined = space.hierarchy.refined
-    tl = lv + c
-    if tl > len(refined):
-        return ()
-    scale = 2 ** (c - 1)
-    rect = support_extension_rect(space, lv, box, lv + 1)
-    out = []
-    for t in itertools.product(*(range(a * scale, (b + 1) * scale) for a, b in rect)):
-        if tuple(v // 2 for v in t) in refined[tl - 1]:
-            out.append(t)
-    return tuple(out)
+    lo, hi = support_extension_rect(space, lv, boxes, lv + 1)
+    span = np.array(space.hierarchy.q) * 2 ** (c - 1)
+    return space.hierarchy.cover(lv + c, lo * span, (hi + 1) * span - 1)[1]
+
+
+def _marks_by_level(marked, dim):
+    """Marked (level, box) pairs as {level: boxes (n, dim)}, in sorted order."""
+    return {
+        lv: np.array([box for _, box in group], dtype=np.int64).reshape(-1, dim)
+        for lv, group in itertools.groupby(sorted(marked), key=lambda mark: mark[0])
+    }
+
+
+def _with_boxes(hier, boxes):
+    """``hier`` with the boxes of every (level, (n, dim) array) pair refined too."""
+    levels = [[hier.refined_boxes(lv)] for lv in range(len(hier.refined_ids))]
+    for lv, b in boxes:
+        levels += [[] for _ in range(lv + 1 - len(levels))]
+        levels[lv].append(b)
+    return hier.with_refined([np.concatenate(parts) for parts in levels])
+
+
+def _added(old, new, lv):
+    """Level-``lv`` boxes (n, dim) refined in ``new`` but not in ``old``."""
+    ids = new.refined_ids[lv]
+    if lv < len(old.refined_ids):
+        ids = ids[~sorted_lookup(old.refined_ids[lv], ids)[1]]
+    return unraveled(ids, new.boxes_shape(lv))
 
 
 def refine_qboxes(space, marked, policy=None):
     """Refine the marked active boxes (hierarchy granularity), with closure.
 
     Each marked box is deactivated and its ``2^n`` children activated.
-    Under a bounded admissibility class the refinement neighborhood is
-    refined first, recursively, so the result stays within class ``c``.
-    Returns a new space; the input is untouched.
+    Under a bounded admissibility class ``c`` the closure is a fixpoint:
+    every in-domain, unrefined box in the :func:`refinement_neighborhood`
+    of a box being refined is refined as well, until nothing is added, so
+    the result stays within class ``c``.  Returns a new space; the input
+    is untouched.
     """
     if policy is None:
         policy = AdmissibilityPolicy()
     hier = space.hierarchy
-    refined = [set(s) for s in hier.refined]
-
-    def in_domain(lv, box):
-        return lv == 0 or tuple(v // 2 for v in box) in refined[lv - 1]
-
-    def is_active(lv, box):
-        return in_domain(lv, box) and not (lv < len(refined) and box in refined[lv])
-
-    marked = sorted(marked)
-    for lv, box in marked:
-        if not is_active(lv, box):
-            raise ValueError("marked box %s at level %d is not active" % (box, lv))
-
-    def do_refine(lv, box):
-        if not in_domain(lv, box):
-            do_refine(lv - 1, tuple(v // 2 for v in box))
-        c = policy.admissibility_class
-        if c is not None:
-            for t in refinement_neighborhood(space, lv, box, c, refined):
-                if is_active(lv - c + 1, t):
-                    do_refine(lv - c + 1, t)
-        if is_active(lv, box):
-            if lv + 2 > policy.max_levels:
-                raise RefinementLimitError(
-                    "refining a level-%d box exceeds max_levels=%d"
-                    % (lv, policy.max_levels)
-                )
-            while len(refined) <= lv:
-                refined.append(set())
-            refined[lv].add(box)
-
-    for lv, box in marked:
-        do_refine(lv, box)
-    return ThbSpace(space.levels, hier.with_refined(refined), truncated=space.truncated)
+    marks = _marks_by_level(marked, hier.dim)
+    for lv, boxes in marks.items():
+        inactive = ~_in_domain(hier, lv, boxes) | hier.refined_mask(lv, boxes)
+        require_no_box(boxes, inactive, lv, "is not active")
+    if marks and max(marks) + 2 > policy.max_levels:
+        raise RefinementLimitError(
+            "refining a level-%d box exceeds max_levels=%d" % (max(marks), policy.max_levels)
+        )
+    c = policy.admissibility_class
+    new = _with_boxes(hier, marks.items())
+    while c is not None:
+        closure = []
+        for lv in range(c - 1, len(new.refined_ids)):
+            t = refinement_neighborhood(space, lv, _added(hier, new, lv), c, new)
+            closure.append((lv - c + 1, t[~new.refined_mask(lv - c + 1, t)]))
+        if not any(len(t) for _, t in closure):
+            break
+        new = _with_boxes(new, closure)
+    return ThbSpace(space.levels, new, truncated=space.truncated)
 
 
 def coarsen_qboxes(space, marked, policy=None):
     """Reactivate marked deactivated boxes where the class permits.
 
     Every marked box must be a deactivated (refined) box whose children are
-    all active.  A box is reactivated only when its coarsening neighborhood
-    is empty; blocked boxes are skipped and reported.  Returns
+    all active.  A box is reactivated unless :func:`coarsening_blocked`;
+    blocked boxes are skipped and reported.  For ``c >= 2`` the test of a
+    level-``lv`` box reads only level ``lv + c - 1 > lv``, which no
+    reactivation of a box of level ``lv`` or below changes, so all marks
+    are tested at once against the input hierarchy.  Returns
     ``(new_space, CoarsenReport)``.
     """
     if policy is None:
         policy = AdmissibilityPolicy()
     hier = space.hierarchy
-    refined = [set(s) for s in hier.refined]
-
-    marked = sorted(marked)
-    for lv, box in marked:
-        if lv >= len(refined) or box not in refined[lv]:
-            raise ValueError("box %s at level %d is not refined" % (box, lv))
-        for child in itertools.product(*((2 * v, 2 * v + 1) for v in box)):
-            if lv + 1 < len(refined) and child in refined[lv + 1]:
-                raise ValueError(
-                    "box %s at level %d has a refined child %s" % (box, lv, child)
-                )
-
-    reactivated = []
-    skipped = []
-    for lv, box in marked:
-        c = policy.admissibility_class
-        blocking = (
-            coarsening_neighborhood(space, lv, box, c, refined) if c is not None else ()
-        )
-        if blocking:
-            skipped.append((lv, box))
-        else:
-            refined[lv].discard(box)
-            reactivated.append((lv, box))
-    new_hier = hier.with_refined(refined)
+    c = policy.admissibility_class
+    refined = [hier.refined_boxes(lv) for lv in range(len(hier.refined_ids))]
+    reactivated, skipped = [], []
+    for lv, boxes in _marks_by_level(marked, hier.dim).items():
+        require_no_box(boxes, ~hier.refined_mask(lv, boxes), lv, "is not refined")
+        kids = hier.refined_mask(lv + 1, 2 * boxes[:, None, :] + index_grid((2,) * hier.dim))
+        require_no_box(boxes, kids.any(axis=1), lv, "has a refined child")
+        blocked = np.zeros(len(boxes), dtype=bool)
+        if c is not None:
+            blocked = coarsening_blocked(space, lv, boxes, c)
+        skipped += [(lv, box) for box in map(tuple, boxes[blocked].tolist())]
+        reactivated += [(lv, box) for box in map(tuple, boxes[~blocked].tolist())]
+        gone = raveled(boxes[~blocked], hier.boxes_shape(lv))
+        refined[lv] = refined[lv][~sorted_lookup(gone, hier.refined_ids[lv])[1]]
     return (
-        ThbSpace(space.levels, new_hier, truncated=space.truncated),
+        ThbSpace(space.levels, hier.with_refined(refined), truncated=space.truncated),
         CoarsenReport(reactivated, skipped),
     )
 
@@ -332,15 +333,6 @@ class QBoxMesh:
             out.append((bp[self.q[d] * box[d]], bp[self.q[d] * (box[d] + 1)]))
         return tuple(out)
 
-    def in_domain(self, lv, box):
-        """Whether the box lies inside Omega^{lv}."""
-        first = tuple(v * r for v, r in zip(self.q, box))
-        return self.hierarchy.element_in_domain(lv, first)
-
-    def is_active(self, lv, box):
-        first = tuple(v * r for v, r in zip(self.q, box))
-        return self.hierarchy.element_active(lv, first)
-
     # -- classification ----------------------------------------------------
 
     def _classify(self):
@@ -417,15 +409,6 @@ class QBoxMesh:
             for b in self.regular(lv):
                 yield lv, b
 
-    def is_border(self, lv, box):
-        return bool(self._find("border", lv, box)[1])
-
-    def is_well_behaved(self, lv, box):
-        return bool(self._find("well-behaved", lv, box)[1])
-
-    def is_regular(self, lv, box):
-        return bool(self._find("regular", lv, box)[1])
-
     def labels(self, lv, box):
         """The classification labels applying to the box (possibly empty)."""
         return tuple(label for label in _LABELS if self._find(label, lv, box)[1])
@@ -446,10 +429,6 @@ class QBoxMesh:
         canonical order; level -1 marks a box that none contains.
         """
         return _ancestors(self._macro, self._shapes, lv, boxes, range(lv + 1))
-
-    def support_extension_S(self, lv, box, k):
-        """Multilevel support extension of the box at classification granularity."""
-        return support_extension_S(self.space, lv, box, k, self.q)
 
     def admissibility_class(self):
         """Largest level span of basis functions nonzero on an active box."""

@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 
 from thbox.hierarchy import DomainHierarchy, LevelSequence, build_thb
-from thbox.qbox import AdmissibilityPolicy, refine_qboxes
+from thbox.qbox import AdmissibilityPolicy, RefinementLimitError, refine_qboxes
 from thbox.splinecore import basis_on_element, uniform_space
 
 
@@ -218,3 +218,101 @@ def element_support_sets(space):
         axes = [np.nonzero(per_dir[d][j[d]])[0] for d in range(space.dim)]
         supports[j] = set(itertools.product(*axes))
     return supports
+
+
+# -- refine/coarsen oracle: one box at a time on sets of box tuples ---------
+
+
+def _box_support_rect(space, lv, box, k):
+    """``S(box, k)`` of one level-``lv`` box: per direction an inclusive
+    (lo, hi) interval of level-``k`` boxes, from the supports of the first
+    and the last B-spline on the box's level-``k`` elements."""
+    rect = []
+    for kv, q, r in zip(space.levels[k].kvs, space.hierarchy.q, box):
+        a, b = q * r, q * (r + 1) - 1
+        if k >= lv:
+            a, b = a * 2 ** (k - lv), (b + 1) * 2 ** (k - lv) - 1
+        else:
+            a, b = a >> (lv - k), b >> (lv - k)
+        last = min(kv.numbasis - 1, b * kv.multiplicity + kv.degree)
+        rect.append((kv.support_range(a * kv.multiplicity)[0] // q, kv.support_range(last)[1] // q))
+    return rect
+
+
+def _trimmed(refined):
+    refined = [frozenset(s) for s in refined]
+    while refined and not refined[-1]:
+        refined.pop()
+    return refined
+
+
+def oracle_refine(space, marked, policy):
+    """Refined box sets (list of frozensets) after refining ``marked`` by recursion.
+
+    Before a box is refined, every active box of its refinement
+    neighborhood (computed once, when the box is reached) is refined
+    first, recursively.  Raises ValueError for a marked box that is not
+    active and RefinementLimitError for refinement past ``max_levels``.
+    """
+    refined = [set(s) for s in space.hierarchy.refined]
+
+    def in_domain(lv, box):
+        return lv == 0 or tuple(v // 2 for v in box) in refined[lv - 1]
+
+    def is_active(lv, box):
+        return in_domain(lv, box) and not (lv < len(refined) and box in refined[lv])
+
+    def neighborhood(lv, box, c):
+        tl = lv - c + 1
+        if tl < 0:
+            return []
+        rect = _box_support_rect(space, lv, box, tl + 1)
+        boxes = itertools.product(*(range(a // 2, b // 2 + 1) for a, b in rect))
+        return [t for t in boxes if in_domain(tl, t)]
+
+    marked = sorted(marked)
+    for lv, box in marked:
+        if not is_active(lv, box):
+            raise ValueError("marked box %s at level %d is not active" % (box, lv))
+
+    def do_refine(lv, box):
+        c = policy.admissibility_class
+        if c is not None:
+            for t in neighborhood(lv, box, c):
+                if is_active(lv - c + 1, t):
+                    do_refine(lv - c + 1, t)
+        if is_active(lv, box):
+            if lv + 2 > policy.max_levels:
+                raise RefinementLimitError("level %d past max_levels" % lv)
+            while len(refined) <= lv:
+                refined.append(set())
+            refined[lv].add(box)
+
+    for lv, box in marked:
+        do_refine(lv, box)
+    return _trimmed(refined)
+
+
+def oracle_coarsen(space, marked, policy):
+    """Coarsening one mark at a time, in sorted order, each tested on the
+    refined sets as they stand: (refined sets, reactivated, skipped).
+
+    A level-``lv`` mark is blocked when a level-``lv+c`` box in the domain
+    lies under ``S(box, lv + 1)``.
+    """
+    refined = [set(s) for s in space.hierarchy.refined]
+    c = policy.admissibility_class
+    reactivated, skipped = [], []
+    for lv, box in sorted(marked):
+        blocked = False
+        if c is not None and lv + c <= len(refined):
+            scale = 2 ** (c - 1)
+            rect = _box_support_rect(space, lv, box, lv + 1)
+            under = itertools.product(*(range(a * scale, (b + 1) * scale) for a, b in rect))
+            blocked = any(tuple(v // 2 for v in t) in refined[lv + c - 1] for t in under)
+        if blocked:
+            skipped.append((lv, box))
+        else:
+            refined[lv].discard(box)
+            reactivated.append((lv, box))
+    return _trimmed(refined), reactivated, skipped

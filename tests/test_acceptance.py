@@ -289,11 +289,8 @@ def _domains_are_box_unions(hier):
                     )
                 )
             )
-        got = {
-            e
-            for e in itertools.product(*(range(n) for n in hier.elems_shape(lv)))
-            if hier.element_in_domain(lv, e)
-        }
+        elems = np.array(list(itertools.product(*(range(n) for n in hier.elems_shape(lv)))))
+        got = set(map(tuple, elems[hier.cover(lv, elems, elems)[0]].tolist()))
         if want != got:
             return False
     return True

@@ -160,6 +160,18 @@ class TestDerhamCheck:
         assert report["dims"] == [91, 166, 76]
         capsys.readouterr()
 
+    def test_complex_over_rank_check_limit_exits_two(self, tmp_path, capsys):
+        # a valid 3D config of 4,887 dofs that the dense rank check refuses:
+        # not a config error, and no report
+        code, out = run_cli(
+            tmp_path, {"kind": "derham-check", "dim": 3, "central_refinements": 1}
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "4000" in err and "config error" not in err
+        assert not (out / "report.json").exists()
+
 
 class TestMeshKinds:
     def test_mesh_info_payload(self, tmp_path, capsys):

@@ -17,6 +17,7 @@ from conftest import element_support_sets, random_hierarchy
 from thbox.derham import (
     AssumptionVerdict,
     ExactnessReport,
+    RankCheckLimitError,
     build_complex,
     check_assumption_3a,
     check_assumption_3b,
@@ -562,8 +563,10 @@ class TestExactnessReport:
     def test_three_dimensional_size_gate(self):
         h = DomainHierarchy((3, 3, 3), (2, 2, 2), [{(1, 1, 1)}])
         cs = build_complex(h, (2, 2, 2))
-        with pytest.raises(ValueError, match="4000"):
+        with pytest.raises(RankCheckLimitError, match="4000"):
             exactness_report(cs)
+        # a valid complex over the limit is not a configuration error
+        assert not issubclass(RankCheckLimitError, ValueError)
 
     def test_verdict_logic(self):
         yes = AssumptionVerdict(True)

@@ -149,12 +149,25 @@ class TestDomainHierarchy:
     def test_validation(self):
         with pytest.raises(ValueError):
             DomainHierarchy((0,), (2,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="off the grid"):
             DomainHierarchy((2,), (2,), [{(5,)}])  # outside grid
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="off the grid"):
+            DomainHierarchy((2,), (2,), [{(0,)}, {(-1,)}])
+        with pytest.raises(ValueError, match="not nested"):
             DomainHierarchy((2,), (2,), [{(0,)}, {(3,)}])  # not nested
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dimension"):
             DomainHierarchy((2, 2), (2, 2), [{(0,)}])  # wrong dimension
+
+    def test_boxes_as_arrays(self):
+        # one input path: any collection per level, an (n, dim) array included;
+        # repeats are dropped
+        a = DomainHierarchy((2, 2), (2, 2), [{(0, 0), (1, 0)}, [(1, 1), (0, 0), (1, 1)]])
+        b = DomainHierarchy(
+            (2, 2), (2, 2), [np.array([[1, 0], [0, 0]]), np.array([[0, 0], [1, 1]])]
+        )
+        assert a == b
+        assert a.refined == (frozenset({(0, 0), (1, 0)}), frozenset({(0, 0), (1, 1)}))
+        assert [ids.tolist() for ids in a.refined_ids] == [[0, 2], [0, 5]]
 
     def test_trailing_empty_levels_trimmed(self):
         h = DomainHierarchy((2,), (2,), [{(0,)}, set()])
@@ -162,12 +175,18 @@ class TestDomainHierarchy:
 
     def test_box_and_element_membership(self):
         h = DomainHierarchy((2, 2), (2, 2), [{(0, 0)}, {(1, 1)}])
-        assert h.box_in_domain(1, (1, 1)) and not h.box_in_domain(1, (2, 1))
-        assert h.box_active(1, (0, 0)) and not h.box_active(1, (1, 1))
+        # a level-1 box lies in Omega^1 when its parent is refined
+        assert h.refined_mask(0, np.array([(1, 1), (2, 1)]) // 2).tolist() == [True, False]
+        # box (0, 0) of level 1 is active, box (1, 1) refined
+        assert h.refined_mask(1, np.array([(0, 0), (1, 1)])).tolist() == [False, True]
         # level-2 elements of box (1,1) are indices 4..7 per direction
-        assert h.element_in_domain(2, (4, 5)) and h.element_active(2, (4, 5))
-        assert not h.element_in_domain(2, (3, 4))
-        assert h.element_box((5, 7)) == (2, 3)
+        elems = np.array([(4, 5), (3, 4)])
+        assert h.cover(2, elems, elems)[0].tolist() == [True, False]
+        assert not h.cover(3, 2 * elems, 2 * elems + 1)[1][0]
+        # an element's box is its index divided by q: (5, 7) lies in box (2, 3)
+        assert h.refined_mask(1, np.array([(2, 2), (3, 3), (5, 7)]) // h.q).tolist() == [
+            True, True, False
+        ]
 
     def test_active_boxes_partition(self):
         rng = np.random.default_rng(17)
@@ -210,21 +229,31 @@ class TestDomainHierarchy:
                     for off in itertools.product((0, 1), repeat=dim)
                 )
             # an element is active when it is in Omega^lv and its children are not
-            # in Omega^{lv+1}; a box answers as its first element
-            for e in itertools.product(*(range(n) for n in shape)):
-                active = e in domains[lv] and tuple(2 * c for c in e) not in domains[lv + 1]
-                assert h.element_in_domain(lv, e) == (e in domains[lv])
-                assert h.element_active(lv, e) == active
+            # in Omega^{lv+1}; a box answers as its first element: it lies in
+            # Omega^lv when its parent is refined, and is active unless refined
+            elems = np.array(list(itertools.product(*(range(n) for n in shape))))
+            in_dom = h.cover(lv, elems, elems)[0]
+            active = in_dom & ~h.cover(lv + 1, 2 * elems, 2 * elems)[0]
+            boxes = elems // h.q
+            box_in = lv == 0 or h.refined_mask(lv - 1, boxes // 2)
+            box_active = box_in & ~h.refined_mask(lv, boxes)
+            for e, got_in, got_active, got_box_in, got_box_active in zip(
+                map(tuple, elems.tolist()), in_dom, active,
+                np.broadcast_to(box_in, len(elems)), box_active,
+            ):
+                want_active = e in domains[lv] and tuple(2 * c for c in e) not in domains[lv + 1]
+                assert got_in == (e in domains[lv])
+                assert got_active == want_active
                 if all(c % qi == 0 for c, qi in zip(e, h.q)):
-                    box = h.element_box(e)
-                    assert h.box_in_domain(lv, box) == (e in domains[lv])
-                    assert h.box_active(lv, box) == active
+                    assert got_box_in == (e in domains[lv])
+                    assert got_box_active == want_active
 
     def test_equality(self):
         a = DomainHierarchy((2,), (2,), [{(0,)}])
         b = DomainHierarchy((2,), (2,), [{(0,)}])
         c = DomainHierarchy((2,), (2,), [{(1,)}])
-        assert a == b and a != c
+        d = DomainHierarchy((2,), (2,), [{(0,)}, {(0,)}])
+        assert a == b and a != c and a != d and d != a
 
 
 class TestActiveSelection:

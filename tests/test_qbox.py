@@ -11,7 +11,13 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_hierarchy, univariate_support_flags
+from conftest import (
+    oracle_coarsen,
+    oracle_refine,
+    random_admissible_space,
+    random_hierarchy,
+    univariate_support_flags,
+)
 from thbox.hierarchy import DomainHierarchy, LevelSequence, build_thb
 from thbox.qbox import (
     AdmissibilityPolicy,
@@ -19,7 +25,7 @@ from thbox.qbox import (
     RefinementLimitError,
     classify,
     coarsen_qboxes,
-    coarsening_neighborhood,
+    coarsening_blocked,
     refine_qboxes,
     refinement_neighborhood,
     support_extension_S,
@@ -252,7 +258,7 @@ class TestDepthTwo:
             [{(0, 0), (0, 1), (1, 0)}, all_l1, {(3, 3)}],
         )
         mesh = classify(_space(hier, 2))
-        assert mesh.is_well_behaved(1, (1, 1))
+        assert "well-behaved" in mesh.labels(1, (1, 1))
         assert mesh.depth(1, (1, 1)) == 2
 
 
@@ -433,25 +439,29 @@ class TestNeighborhoods:
         space = _random_case(*case)
         refined = space.hierarchy.refined
         for lv in range(space.num_levels):
-            mesh_boxes = [
-                b
-                for b in space.hierarchy.active_boxes(lv)
-            ][:3]
+            mesh_boxes = space.hierarchy.active_boxes(lv)[:3]
+            union = set()
             for box in mesh_boxes:
-                got = set(refinement_neighborhood(space, lv, box, c))
+                got = refinement_neighborhood(space, lv, np.array([box]), c)
                 want = _brute_neighborhood_r(space, lv, box, c, refined)
-                assert got == want, (lv, box)
+                assert set(map(tuple, got.tolist())) == want, (lv, box)
+                union |= want
+            # all boxes at once give the union, in sorted order
+            got = refinement_neighborhood(space, lv, np.array(mesh_boxes), c).tolist()
+            assert list(map(tuple, got)) == sorted(union), lv
 
     @pytest.mark.parametrize("case", RANDOM_CASES[:4])
     @pytest.mark.parametrize("c", [2, 3])
     def test_coarsening_neighborhood_matches(self, case, c):
+        # a refined box is blocked exactly when its coarsening neighborhood,
+        # enumerated box by box, is nonempty
         space = _random_case(*case)
         refined = space.hierarchy.refined
         for lv in range(len(refined)):
-            for box in sorted(refined[lv])[:3]:
-                got = set(coarsening_neighborhood(space, lv, box, c))
-                want = _brute_neighborhood_c(space, lv, box, c, refined)
-                assert got == want, (lv, box)
+            boxes = sorted(refined[lv])[:3]
+            got = coarsening_blocked(space, lv, np.array(boxes), c)
+            want = [bool(_brute_neighborhood_c(space, lv, box, c, refined)) for box in boxes]
+            assert got.tolist() == want, lv
 
 
 class TestRefine:
@@ -629,22 +639,30 @@ class TestCoarsen:
                 assert classify(space).admissibility_class() <= c
 
 
+def _all_well_behaved_active(mesh):
+    """Whether every well-behaved box lies inside its level's domain and is not refined."""
+    hier = mesh.hierarchy
+    for lv in range(mesh.num_levels):
+        first = np.array(mesh.well_behaved(lv), dtype=np.int64).reshape(-1, hier.dim) * mesh.q
+        inside = hier.cover(lv, first, first + np.array(mesh.q) - 1)[0]
+        if not (inside & ~hier.refined_mask(lv, first // hier.q)).all():
+            return False
+    return True
+
+
 class TestPropositionClassTwo:
     """With q >= p: every well-behaved box active <=> box class is 2."""
 
     def test_class_two_example(self):
         hier = DomainHierarchy((2, 2), (2, 2), [{(0, 0)}])
         mesh = classify(_space(hier, 2))
-        assert all(
-            mesh.is_active(lv, b) for lv, b in mesh.all_well_behaved()
-        )
+        assert any(mesh.well_behaved(lv) for lv in range(mesh.num_levels))
+        assert _all_well_behaved_active(mesh)
         assert mesh.admissibility_class() == 2
 
     def test_class_three_example(self):
         mesh = classify(_space(FIG_HIER, 2))
-        assert not all(
-            mesh.is_active(lv, b) for lv, b in mesh.all_well_behaved()
-        )
+        assert not _all_well_behaved_active(mesh)
         assert mesh.admissibility_class() > 2
 
     @pytest.mark.parametrize("seed", range(8))
@@ -654,9 +672,7 @@ class TestPropositionClassTwo:
         space = _space(hier, 2)  # q = (2,2) >= p = (2,2)
         mesh = classify(space)
         assert any(mesh.well_behaved(lv) for lv in range(mesh.num_levels))
-        all_wb_active = all(
-            mesh.is_active(lv, b) for lv, b in mesh.all_well_behaved()
-        )
+        all_wb_active = _all_well_behaved_active(mesh)
         assert all_wb_active == (mesh.admissibility_class() == 2)
 
 
@@ -674,3 +690,107 @@ class TestRegularBoxesSingleLevel:
                 fids, _ = space.element_table(lv, e)
                 for f in fids:
                     assert space.functions[f][0] == lv
+
+
+def _random_grid_case(rng):
+    """Degree, q, level-0 boxes and policy drawn from 1-3D, p 1-3, q 1-3,
+    c in {2, 3, 4, None} and max_levels 3-5 (fewer boxes in higher dimension)."""
+    dim = int(rng.integers(1, 4))
+    p = (int(rng.integers(1, 4)),) * dim
+    q = tuple(int(v) for v in rng.integers(1, 4, dim))
+    boxes0 = tuple(int(v) for v in rng.integers(1, 6 - dim, dim))
+    c = (2, 3, 4, None)[int(rng.integers(4))]
+    return p, q, boxes0, AdmissibilityPolicy(c, int(rng.integers(3, 6)))
+
+
+class TestClosureOracle:
+    """The array closure and coarsening against one-box-at-a-time oracles."""
+
+    def test_fixpoint_matches_recursive_closure(self):
+        # rounds of 1-3 random marks from a single-level mesh, so every
+        # input mesh is one the closure itself produced
+        rng = np.random.default_rng(9000)
+        rounds = raised = grew = 0
+        while rounds < 240:
+            p, q, boxes0, policy = _random_grid_case(rng)
+            space = _space(DomainHierarchy(q, boxes0), p[0])
+            for _ in range(5):
+                active = [
+                    (lv, box)
+                    for lv in range(space.num_levels)
+                    for box in space.hierarchy.active_boxes(lv)
+                ]
+                picks = rng.choice(len(active), size=min(len(active), int(rng.integers(1, 4))),
+                                   replace=False)
+                marked = [active[i] for i in picks]
+                rounds += 1
+                try:
+                    want = oracle_refine(space, marked, policy)
+                except RefinementLimitError:
+                    with pytest.raises(RefinementLimitError):
+                        refine_qboxes(space, marked, policy)
+                    raised += 1
+                    break
+                out = refine_qboxes(space, marked, policy)
+                assert list(out.hierarchy.refined) == want, (rounds, marked)
+                before = sum(len(s) for s in space.hierarchy.refined)
+                grew += sum(len(s) for s in want) - before > len(set(marked))
+                space = out
+        # both outcomes occur, and the closure adds boxes beyond the marks
+        assert raised >= 10 and grew >= 10, (raised, grew)
+
+    def test_closure_is_a_fixpoint(self):
+        # on arbitrary nested hierarchies, not only admissible ones: the
+        # neighborhood of every box the call refined is refined in the result
+        rng = np.random.default_rng(9200)
+        for _ in range(60):
+            p, q, boxes0, policy = _random_grid_case(rng)
+            c = policy.admissibility_class or 2
+            policy = AdmissibilityPolicy(c, 6)
+            space = _space(random_hierarchy(rng, len(q), q, boxes0, 4), p[0])
+            active = [
+                (lv, box)
+                for lv in range(space.num_levels)
+                for box in space.hierarchy.active_boxes(lv)
+            ]
+            picks = rng.choice(len(active), size=min(len(active), 3), replace=False)
+            out = refine_qboxes(space, [active[i] for i in picks], policy).hierarchy
+            old = space.hierarchy.refined
+            for lv, boxes in enumerate(out.refined):
+                added = np.array(sorted(boxes - (old[lv] if lv < len(old) else set())))
+                if len(added) and lv >= c - 1:
+                    t = refinement_neighborhood(space, lv, added, c, out)
+                    assert out.refined_mask(lv - c + 1, t).all(), (lv, c)
+
+    def test_coarsening_all_at_once_matches_sequential(self):
+        rng = np.random.default_rng(9100)
+        skipped = reactivated = 0
+        for _ in range(100):
+            p, q, boxes0, policy = _random_grid_case(rng)
+            space = random_admissible_space(
+                rng, p, boxes0, q=q, rounds=3, admissibility=policy.admissibility_class or 2,
+                max_levels=5, marks_per_round=3,
+            )
+            refined = space.hierarchy.refined
+            leaves = [
+                (lv, box)
+                for lv in range(len(refined))
+                for box in sorted(refined[lv])
+                if not any(
+                    lv + 1 < len(refined) and child in refined[lv + 1]
+                    for child in itertools.product(*((2 * v, 2 * v + 1) for v in box))
+                )
+            ]
+            if not leaves:
+                continue
+            picks = rng.choice(len(leaves), size=int(rng.integers(1, len(leaves) + 1)),
+                               replace=False)
+            marked = [leaves[i] for i in picks]
+            want_refined, want_reactivated, want_skipped = oracle_coarsen(space, marked, policy)
+            out, report = coarsen_qboxes(space, marked, policy)
+            assert list(out.hierarchy.refined) == want_refined
+            assert list(report.reactivated) == want_reactivated
+            assert list(report.skipped) == want_skipped
+            skipped += len(want_skipped)
+            reactivated += len(want_reactivated)
+        assert skipped >= 20 and reactivated >= 20, (skipped, reactivated)
