@@ -81,22 +81,20 @@ def mesh_svg(space):
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1000 1000">'
     ]
-    for lv, e in space.all_active_elements():
-        kvs = space.levels[lv].kvs
-        x0 = kvs[0].breakpoints[e[0]]
-        x1 = kvs[0].breakpoints[e[0] + 1]
-        y0 = kvs[1].breakpoints[e[1]]
-        y1 = kvs[1].breakpoints[e[1] + 1]
-        lines.append(
-            '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" '
-            'fill="%s" stroke="#333333" stroke-width="1"/>'
-            % (
-                1000.0 * x0,
-                1000.0 * (1.0 - y1),
-                1000.0 * (x1 - x0),
-                1000.0 * (y1 - y0),
-                LEVEL_PALETTE[lv % len(LEVEL_PALETTE)],
-            )
+    for lv in range(space.num_levels):
+        bx, by = (kv.breakpoints for kv in space.levels[lv].kvs)
+        # the four numbers of element (i, j), formatted once per grid line
+        xs = ["%.2f" % v for v in (1000.0 * bx[:-1]).tolist()]
+        ws = ["%.2f" % v for v in (1000.0 * (bx[1:] - bx[:-1])).tolist()]
+        ys = ["%.2f" % v for v in (1000.0 * (1.0 - by[1:])).tolist()]
+        hs = ["%.2f" % v for v in (1000.0 * (by[1:] - by[:-1])).tolist()]
+        tail = '" fill="%s" stroke="#333333" stroke-width="1"/>' % (
+            LEVEL_PALETTE[lv % len(LEVEL_PALETTE)]
+        )
+        lines.extend(
+            '<rect x="' + xs[i] + '" y="' + ys[j] + '" width="' + ws[i]
+            + '" height="' + hs[j] + tail
+            for i, j in space.element_rows(lv)[0].tolist()
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -15,8 +15,10 @@ Two independent verification routes are provided:
   subdomain; and
 - a *linear-algebraic* route (:func:`exactness_report`) that samples every
   basis function and operator image on the active elements (faithful for
-  elementwise polynomials) and reads the cohomology dimensions off matrix
-  ranks.
+  elementwise polynomials) into sparse matrices, fits each map's images in
+  the next space to get its coefficient-space differential, and reads the
+  cohomology dimensions off the ranks of those small dense matrices; the
+  fit residual of every map checks that the images lie in the next space.
 
 For hierarchies refined by (p+1)-sized boxes on a box domain both routes
 agree and the cohomology is that of a contractible domain: (1, 0, ..., 0).
@@ -26,6 +28,7 @@ import itertools
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .hierarchy import LevelSequence, build_thb, gauss_tensor
 from .numerics import NonSPDError
@@ -39,7 +42,8 @@ RANK_REL_TOL = 1e-9
 RANK_BAND_TOL = 1e-7
 
 #: Total-dof bound above which the three-dimensional rank checks refuse to
-#: run (dense SVDs grow too large).
+#: run.  The route itself needs no dense sampled matrix; the bound is the
+#: largest size whose run time and memory have been validated.
 MAX_RANK_CHECK_DOFS_3D = 4000
 
 
@@ -392,9 +396,14 @@ def _violating_bbox(flo, fhi, alo, ahi, klo, khi):
 
 # -- rank-based route -------------------------------------------------------
 
+#: Columns per block of the sample-space refinement and residual in
+#: :func:`_least_squares_fit`; its dense work arrays are (rows, FIT_CHUNK).
+FIT_CHUNK = 64
+
 
 def _operator_matrix(cs, sources, targets):
-    """Sampled, weight-scaled images of the spaces ``sources``: rows (comp, elem, pt).
+    """Sampled, weight-scaled images of the spaces ``sources`` as a CSR
+    matrix: rows (comp, elem, pt), columns the concatenated source dofs.
 
     ``targets`` holds per output component the terms ``(src, deriv,
     sign)`` whose sum it is.  Every space shares the hierarchy, so all
@@ -405,38 +414,71 @@ def _operator_matrix(cs, sources, targets):
     npts = len(rule[0][0]) ** cs.dim
     block = cs.v0.total_active_elements * npts
     offsets = np.cumsum([0] + [s.ndof for s in sources])
-    mat = np.zeros((len(targets) * block, offsets[-1]))
+    rows, cols, vals = [], [], []
     for t, terms in enumerate(targets):
         for src, deriv, sign in terms:
             row0 = t * block
             for lvb in sources[src].quadrature(rule, derivs=(deriv,)):
                 samp = lvb.sampled().tocoo()
                 sqw = np.sqrt(lvb.weights).ravel()
-                mat[row0 + samp.row, offsets[src] + samp.col] += sign * (
-                    samp.data * sqw[samp.row]
-                )
+                rows.append(row0 + samp.row)
+                cols.append(offsets[src] + samp.col)
+                vals.append(sign * (samp.data * sqw[samp.row]))
                 row0 += samp.shape[0]
-    return mat
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(len(targets) * block, offsets[-1]),
+    )
 
 
 def _least_squares_fit(a, b):
-    """Least-squares solution columns of ``a x = b`` for tall full-rank ``a``.
+    """Least-squares solution of ``a x = b`` for sparse ``a`` (tall, full
+    column rank) and sparse ``b``, with its worst relative column residual.
 
-    Solves the normal equations by Cholesky and polishes with two
-    refinement steps, which is much cheaper than an SVD solver at these
-    shapes.  The THB basis is linearly independent, so a failed
-    factorization means a broken basis and raises :class:`NonSPDError`.
+    Solves the normal equations, formed sparse and factored dense by
+    Cholesky, then takes one refinement step (it brings the residual to
+    rounding level; a second one changed it only within rounding) and the
+    residual in sample space, :data:`FIT_CHUNK` columns at a time, so no
+    dense array has both a sample-row and a full ``b``-column dimension.
+    Returns the dense solution ``(a.shape[1], b.shape[1])`` and the
+    largest ``||a x_j - b_j|| / ||b_j||``.  The THB basis is linearly
+    independent, so a failed factorization means a broken basis and
+    raises :class:`NonSPDError`.
     """
     try:
-        cf = scipy.linalg.cho_factor(a.T @ a)
+        cf = scipy.linalg.cho_factor((a.T @ a).toarray())
     except scipy.linalg.LinAlgError as exc:
         raise NonSPDError(
             "basis normal equations are not positive definite: %s" % exc
         ) from None
-    x = scipy.linalg.cho_solve(cf, a.T @ b)
-    for _ in range(2):
-        x += scipy.linalg.cho_solve(cf, a.T @ (b - a @ x))
-    return x
+    at = a.T.tocsr()
+    b = b.tocsc()
+    x = scipy.linalg.cho_solve(cf, (at @ b).toarray())
+    worst = 0.0
+    for j in range(0, b.shape[1], FIT_CHUNK):
+        cols = slice(j, j + FIT_CHUNK)
+        bj = b[:, cols].toarray()
+        x[:, cols] += scipy.linalg.cho_solve(cf, at @ (bj - a @ x[:, cols]))
+        resid = np.linalg.norm(a @ x[:, cols] - bj, axis=0)
+        norms = np.maximum(np.linalg.norm(bj, axis=0), np.finfo(float).tiny)
+        worst = max(worst, float(np.max(resid / norms)))
+    return x, worst
+
+
+def _rank_decision(mat):
+    """Numerical rank of ``mat``, its singular values in the unreliable
+    band and the gap ``(smallest kept, largest dropped)``, all relative to
+    the largest singular value (0.0 for an empty set)."""
+    sv = np.linalg.svd(mat, compute_uv=False)
+    smax = sv[0] if len(sv) else 0.0
+    if smax == 0.0:
+        return 0, [], (0.0, 0.0)
+    rank = int(np.sum(sv > RANK_REL_TOL * smax))
+    band = [
+        float(s / smax) for s in sv if RANK_REL_TOL * smax < s <= RANK_BAND_TOL * smax
+    ]
+    dropped = sv[rank] / smax if rank < len(sv) else 0.0
+    return rank, band, (float(sv[rank - 1] / smax), float(dropped))
 
 
 class ExactnessReport:
@@ -450,6 +492,7 @@ class ExactnessReport:
         assumption3a,
         assumption3b,
         band,
+        gaps=(),
     ):
         self.cohomology = tuple(int(h) for h in cohomology)
         self.dims = tuple(int(d) for d in dims)
@@ -457,6 +500,9 @@ class ExactnessReport:
         self.assumption3a = assumption3a
         self.assumption3b = assumption3b
         self.band = tuple(float(b) for b in band)
+        #: per map, (smallest kept, largest dropped) singular value of its
+        #: coefficient-space differential relative to the largest one
+        self.gaps = tuple((float(k), float(d)) for k, d in gaps)
         #: conditions taken as given rather than verified: the component
         #: spaces are built over one shared hierarchy with box size
         #: degree+1, which makes the inter-space differentiation and
@@ -508,17 +554,23 @@ class ExactnessReport:
 
 
 def exactness_report(cs):
-    """Cohomology dimensions of the complex via sampled-matrix ranks.
+    """Cohomology dimensions of the complex via the ranks of its maps.
 
     Every basis function and operator image is sampled at tensor Gauss
     points on the active elements (faithful because all functions are
-    elementwise polynomials there); ranks use singular values with
-    relative threshold 1e-9, and singular values falling between 1e-9 and
-    1e-7 of the largest one mark the verdict indeterminate.  The report
-    also carries the worst relative least-squares residual of first-map
-    images fitted in the next slot and the combinatorial check verdicts
-    for every pair of adjacent levels.  Raises :class:`RankCheckLimitError`
-    above :data:`MAX_RANK_CHECK_DOFS_3D` dofs in 3D.
+    elementwise polynomials there) into sparse matrices: ``D_k``, the
+    images of slot k under map k, and ``B_{k+1}``, the basis of slot k+1.
+    Map k is fitted in the next slot, ``D_k = B_{k+1} G_k``, by
+    :func:`_least_squares_fit`; since ``B_{k+1}`` has full column rank,
+    ``rank D_k = rank G_k``, and the rank is read off the singular values
+    of the small dense coefficient-space differential ``G_k``
+    (``ndof_{k+1} x ndof_k``) with relative threshold 1e-9.  Singular
+    values between 1e-9 and 1e-7 of the largest one mark the verdict
+    indeterminate.  The report also carries the worst relative
+    least-squares residual of the fit over every map, the per-map rank
+    gaps and the combinatorial check verdicts for every pair of adjacent
+    levels.  Raises :class:`RankCheckLimitError` above
+    :data:`MAX_RANK_CHECK_DOFS_3D` dofs in 3D.
     """
     if cs.dim == 3 and sum(cs.dims) > MAX_RANK_CHECK_DOFS_3D:
         raise RankCheckLimitError(
@@ -528,38 +580,24 @@ def exactness_report(cs):
     n = cs.dim
     dims = cs.dims
     ranks = []
-    nullities = []
     band = []
-    first_map = None
+    gaps = []
+    residual = 0.0
     for k in range(n):
-        mat = _operator_matrix(cs, cs.slots[k], _operators(n)[k])
-        if k == 0:
-            first_map = mat
-        sv = np.linalg.svd(mat, compute_uv=False)
-        smax = sv[0] if len(sv) else 0.0
-        if smax == 0.0:
-            rank = 0
-        else:
-            rank = int(np.sum(sv > RANK_REL_TOL * smax))
-            band.extend(
-                float(s / smax)
-                for s in sv
-                if RANK_REL_TOL * smax < s <= RANK_BAND_TOL * smax
-            )
+        image = _operator_matrix(cs, cs.slots[k], _operators(n)[k])
+        # the slot-(k+1) basis itself: one identity term per component
+        identity = [((c, (0,) * n, 1.0),) for c in range(len(cs.slots[k + 1]))]
+        basis = _operator_matrix(cs, cs.slots[k + 1], identity)
+        fit, resid = _least_squares_fit(basis, image)
+        rank, kband, kgaps = _rank_decision(fit)
         ranks.append(rank)
-        nullities.append(mat.shape[1] - rank)
-    cohomology = [nullities[0]]
+        band.extend(kband)
+        gaps.append(kgaps)
+        residual = max(residual, resid)
+    cohomology = [dims[0] - ranks[0]]
     for k in range(1, n):
-        cohomology.append(nullities[k] - ranks[k - 1])
+        cohomology.append(dims[k] - ranks[k] - ranks[k - 1])
     cohomology.append(dims[n] - ranks[n - 1])
-
-    # the slot-1 basis itself: one identity term per component
-    identity = [((c, (0,) * n, 1.0),) for c in range(len(cs.slots[1]))]
-    basis1 = _operator_matrix(cs, cs.slots[1], identity)
-    fit = _least_squares_fit(basis1, first_map)
-    resid = np.linalg.norm(basis1 @ fit - first_map, axis=0)
-    norms = np.maximum(np.linalg.norm(first_map, axis=0), np.finfo(float).tiny)
-    residual = float(np.max(resid / norms))
 
     pass3a, pass3b = AssumptionVerdict(True), AssumptionVerdict(True)
     for lv in range(cs.hierarchy.num_levels - 1):
@@ -567,4 +605,4 @@ def exactness_report(cs):
             pass3a = check_assumption_3a(cs.v0, lv)
         if pass3b:
             pass3b = check_assumption_3b(cs.v0, lv)
-    return ExactnessReport(cohomology, dims, residual, pass3a, pass3b, band)
+    return ExactnessReport(cohomology, dims, residual, pass3a, pass3b, band, gaps)

@@ -10,7 +10,8 @@ import itertools
 
 import numpy as np
 
-from thbox.hierarchy import DomainHierarchy, LevelSequence, build_thb
+from thbox.derham import RANK_REL_TOL, _operators
+from thbox.hierarchy import DomainHierarchy, LevelSequence, build_thb, gauss_tensor
 from thbox.qbox import AdmissibilityPolicy, RefinementLimitError, refine_qboxes
 from thbox.splinecore import basis_on_element, uniform_space
 
@@ -316,3 +317,41 @@ def oracle_coarsen(space, marked, policy):
             refined[lv].discard(box)
             reactivated.append((lv, box))
     return _trimmed(refined), reactivated, skipped
+
+
+def dense_operator_matrix(cs, sources, targets):
+    """Dense sampled, weight-scaled images of the spaces ``sources``: rows
+    (comp, elem, pt), as ``thbox.derham`` builds its sparse matrices."""
+    rule = gauss_tensor(cs.v0)
+    npts = len(rule[0][0]) ** cs.dim
+    block = cs.v0.total_active_elements * npts
+    offsets = np.cumsum([0] + [s.ndof for s in sources])
+    mat = np.zeros((len(targets) * block, offsets[-1]))
+    for t, terms in enumerate(targets):
+        for src, deriv, sign in terms:
+            row0 = t * block
+            for lvb in sources[src].quadrature(rule, derivs=(deriv,)):
+                samp = lvb.sampled().tocoo()
+                sqw = np.sqrt(lvb.weights).ravel()
+                mat[row0 + samp.row, offsets[src] + samp.col] += sign * (
+                    samp.data * sqw[samp.row]
+                )
+                row0 += samp.shape[0]
+    return mat
+
+
+def dense_rank_oracle(cs):
+    """Per-map ranks and cohomology of a complex from dense SVDs of the
+    sampled operator images, with the thresholds of ``exactness_report``."""
+    n = cs.dim
+    ranks = []
+    for k in range(n):
+        sv = np.linalg.svd(
+            dense_operator_matrix(cs, cs.slots[k], _operators(n)[k]), compute_uv=False
+        )
+        ranks.append(int(np.sum(sv > RANK_REL_TOL * sv[0])) if sv[0] > 0 else 0)
+    dims = cs.dims
+    cohomology = [dims[0] - ranks[0]]
+    cohomology += [dims[k] - ranks[k] - ranks[k - 1] for k in range(1, n)]
+    cohomology.append(dims[n] - ranks[n - 1])
+    return ranks, tuple(cohomology)

@@ -12,7 +12,10 @@ Eight independent checks, one test each, run at pinned tolerances:
     independent — no member is overloaded.
 4.  On 50 seeded random nested hierarchies, the compatible complex built
     on top is exact (cohomology of a contractible domain), its chain
-    assumptions hold, and the combinatorial and rank routes agree.
+    assumptions hold, and the combinatorial and rank routes agree; a
+    second test checks on the same reports that every rank decision has
+    a wide singular-value gap (smallest kept >= 1e-6, largest dropped
+    <= 1e-12, relative to the largest).
 5.  The local projector is idempotent, linear, reproduces members of the
     space, and depends only on data inside the support extension, on 20
     seeded random meshes.
@@ -38,6 +41,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from conftest import random_admissible_space, random_hierarchy, thb_field, thb_space
 from thbox import cli
@@ -180,16 +184,24 @@ def test_local_projector_never_overloaded_on_random_meshes():
     )
 
 
-def test_complex_exactness_on_random_hierarchies():
-    """50 random nested hierarchies: the compatible complex is exact."""
-    worst_residual = 0.0
+@pytest.fixture(scope="module")
+def random_complex_reports():
+    """Exactness reports of the complexes on 50 random nested hierarchies."""
+    reports = []
     for i in range(50):
         p = (2, 3)[i % 2]
         rng = np.random.default_rng(5100 + i)
         hier = random_hierarchy(
             rng, 2, (p + 1, p + 1), (2, 2), max_levels=3, p_refine=0.4
         )
-        rep = exactness_report(build_complex(hier, (p, p), (1, 1)))
+        reports.append(exactness_report(build_complex(hier, (p, p), (1, 1))))
+    return reports
+
+
+def test_complex_exactness_on_random_hierarchies(random_complex_reports):
+    """50 random nested hierarchies: the compatible complex is exact."""
+    worst_residual = 0.0
+    for i, rep in enumerate(random_complex_reports):
         assert rep.cohomology == (1, 0, 0), "seed %d: %s" % (i, rep.cohomology)
         assert rep.containment_residual <= 1e-10, (
             "seed %d: residual %.2e" % (i, rep.containment_residual)
@@ -200,11 +212,22 @@ def test_complex_exactness_on_random_hierarchies():
         # route (measured cohomology) must reach the same conclusion
         assert rep.verdict == "exact", "seed %d: verdict %s" % (i, rep.verdict)
         worst_residual = max(worst_residual, rep.containment_residual)
+    kept = min(k for rep in random_complex_reports for k, _ in rep.gaps)
+    dropped = max(d for rep in random_complex_reports for _, d in rep.gaps)
     _passed(
         "complex exactness",
-        "cohomology (1, 0, 0) on 50 hierarchies, worst residual %.1e"
-        % worst_residual,
+        "cohomology (1, 0, 0) on 50 hierarchies, worst residual %.1e, "
+        "worst rank gap: kept %.1e, dropped %.1e" % (worst_residual, kept, dropped),
     )
+
+
+def test_rank_gaps_on_random_hierarchies(random_complex_reports):
+    """The rank decisions of check 4 sit far from both rank thresholds."""
+    for i, rep in enumerate(random_complex_reports):
+        assert len(rep.gaps) == 2, "seed %d: %r" % (i, rep.gaps)
+        for k, (kept, dropped) in enumerate(rep.gaps):
+            assert kept >= 1e-6, "seed %d map %d: kept %.2e" % (i, k, kept)
+            assert dropped <= 1e-12, "seed %d map %d: dropped %.2e" % (i, k, dropped)
 
 
 def test_projector_algebra_on_random_meshes():

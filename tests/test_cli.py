@@ -3,9 +3,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from conftest import thb_space
+from conftest import random_hierarchy, thb_space
 from thbox import cli
 from thbox.cli import (
     ConfigError,
@@ -59,6 +60,24 @@ class TestMeshSvg:
         one = mesh_svg(make_space((2, 2), (3, 3), (2, 2), [{(1, 1)}]))
         two = mesh_svg(make_space((2, 2), (3, 3), (2, 2), [{(1, 1)}]))
         assert one == two
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_element_by_element_rendering(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        space = thb_space(
+            random_hierarchy(rng, 2, (3, 3), (2, 3), max_levels=4, interface=True),
+            (2, 2),
+        )
+        rects = []
+        for lv, e in space.all_active_elements():
+            (x0, x1), (y0, y1) = space.levels[lv].element_bounds(e)
+            rects.append(
+                '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="%s" '
+                'stroke="#333333" stroke-width="1"/>'
+                % (1000.0 * x0, 1000.0 * (1.0 - y1), 1000.0 * (x1 - x0),
+                   1000.0 * (y1 - y0), LEVEL_PALETTE[lv % len(LEVEL_PALETTE)])
+            )
+        assert mesh_svg(space).split("\n")[1:-2] == rects
 
     def test_three_dimensional_mesh_rejected(self):
         space = make_space((2, 2, 2), (2, 2, 2), (2, 2, 2))

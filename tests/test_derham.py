@@ -3,8 +3,9 @@
 Oracles: univariate dimension counts (n_elem + degree) and the two-level
 active-function formula for complex dimensions, breadth-first search over
 index sets for chains, exhaustive covering-subset enumeration for the
-bounding-box property, and the contractible-domain cohomology (1, 0, ...,
-0) for box hierarchies.
+bounding-box property, the contractible-domain cohomology (1, 0, ...,
+0) for box hierarchies, and per-map ranks from dense SVDs of the sampled
+matrices (``conftest.dense_rank_oracle``).
 """
 
 import itertools
@@ -12,8 +13,9 @@ from collections import deque
 
 import numpy as np
 import pytest
+import scipy.sparse
 
-from conftest import element_support_sets, random_hierarchy
+from conftest import dense_rank_oracle, element_support_sets, random_hierarchy
 from thbox.derham import (
     AssumptionVerdict,
     ExactnessReport,
@@ -24,7 +26,13 @@ from thbox.derham import (
     exactness_report,
     interior_functions,
 )
-from thbox.derham import _least_squares_fit, _monotone_chain
+from thbox.derham import (
+    _least_squares_fit,
+    _monotone_chain,
+    _operator_matrix,
+    _operators,
+    _rank_decision,
+)
 from thbox.hierarchy import DomainHierarchy, LevelSequence, build_thb
 from thbox.numerics import NonSPDError
 from thbox.splinecore import uniform_space
@@ -473,12 +481,27 @@ class TestAssumption3b:
         assert verdict.passed == (result is None)
 
 
+def map_fits(cs):
+    """Per map k: the rank of its coefficient-space differential and the
+    relative residual of its sampled images fitted in slot k+1."""
+    n = cs.dim
+    out = []
+    for k in range(n):
+        identity = [((c, (0,) * n, 1.0),) for c in range(len(cs.slots[k + 1]))]
+        fit, resid = _least_squares_fit(
+            _operator_matrix(cs, cs.slots[k + 1], identity),
+            _operator_matrix(cs, cs.slots[k], _operators(n)[k]),
+        )
+        out.append((_rank_decision(fit)[0], resid))
+    return out
+
+
 class TestExactnessReport:
     def test_dependent_basis_raises(self):
         # a linearly dependent basis has singular normal equations; no fallback
-        a = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
+        a = scipy.sparse.csr_matrix([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
         with pytest.raises(NonSPDError):
-            _least_squares_fit(a, np.ones((3, 1)))
+            _least_squares_fit(a, scipy.sparse.csr_matrix(np.ones((3, 1))))
 
     def test_unrefined_tensor_space_exact(self):
         cs = build_complex(DomainHierarchy((3, 3), (2, 2)), (2, 2))
@@ -560,6 +583,15 @@ class TestExactnessReport:
         assert rep.containment_residual <= 1e-10
         assert rep.verdict == "exact"
 
+    def test_three_dimensional_residual_of_every_map(self):
+        cs = build_complex(DomainHierarchy((3, 3, 3), (1, 2, 2)), (2, 2, 2))
+        fits = map_fits(cs)
+        assert len(fits) == 3
+        for k, (_, resid) in enumerate(fits):
+            assert resid <= 1e-10, "map %d: residual %.2e" % (k, resid)
+        rep = exactness_report(cs)
+        assert rep.containment_residual == max(resid for _, resid in fits)
+
     def test_three_dimensional_size_gate(self):
         h = DomainHierarchy((3, 3, 3), (2, 2, 2), [{(1, 1, 1)}])
         cs = build_complex(h, (2, 2, 2))
@@ -577,3 +609,28 @@ class TestExactnessReport:
         assert rep2.verdict == "inexact"
         with pytest.raises(AttributeError):
             rep2.h3
+
+
+class TestDenseRankOracle:
+    """Per-map ranks and cohomology against dense SVDs of the sampled matrices."""
+
+    @pytest.mark.parametrize(
+        "degree, seed",
+        [((2, 2), 0), ((2, 2), 2), ((2, 2), 3), ((3, 3), 2), ((3, 3), 3)],
+    )
+    def test_random_two_dimensional_hierarchies(self, degree, seed):
+        rng = np.random.default_rng(4600 + seed)
+        q = tuple(p + 1 for p in degree)
+        h = random_hierarchy(rng, 2, q, (2, 2), max_levels=3, interface=True)
+        assert h.num_levels == 3
+        cs = build_complex(h, degree)
+        ranks, cohomology = dense_rank_oracle(cs)
+        assert [rank for rank, _ in map_fits(cs)] == ranks
+        assert exactness_report(cs).cohomology == cohomology
+
+    def test_three_dimensional_complex(self):
+        cs = build_complex(DomainHierarchy((3, 3, 3), (1, 2, 2)), (2, 2, 2))
+        ranks, cohomology = dense_rank_oracle(cs)
+        assert [rank for rank, _ in map_fits(cs)] == ranks
+        assert cohomology == (1, 0, 0, 0)
+        assert exactness_report(cs).cohomology == cohomology
