@@ -226,7 +226,7 @@ def verify_non_overloaded(space, region):
     """
     fids, gram = region_gramian(space, region)
     scale = 1.0 / np.sqrt(np.diag(gram))
-    return svd_rank(scale[:, None] * gram * scale[None, :]).rank == len(fids)
+    return svd_rank(scale[:, None] * gram * scale[None, :], 1e-10)[0] == len(fids)
 
 
 def _local_solve(partition, idx, values, weights, target):

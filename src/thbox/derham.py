@@ -13,26 +13,29 @@ Two independent verification routes are provided:
   :func:`check_assumption_3b`) that checks index-chain connectivity and
   covering properties of the coarse functions interior to each refined
   subdomain; and
-- a *linear-algebraic* route (:func:`exactness_report`) that samples every
-  basis function and operator image on the active elements (faithful for
-  elementwise polynomials) into sparse matrices, fits each map's images in
-  the next space to get its coefficient-space differential, and reads the
-  cohomology dimensions off the ranks of those small dense matrices; the
-  fit residual of every map checks that the images lie in the next space.
+- a *linear-algebraic* route (:func:`exactness_report`) that writes every
+  operator image as B-spline coefficients of the next slot's levels: the
+  derivative of a degree-p B-spline is a two-term difference of
+  degree-(p-1) B-splines on the same knots, and the reduced slots are
+  exactly those spaces.  Fitting each map's images in the next space gives
+  its coefficient-space differential, and the cohomology dimensions are
+  read off the ranks of those small dense matrices; the fit residual of
+  every map checks that the images lie in the next space.
 
 For hierarchies refined by (p+1)-sized boxes on a box domain both routes
 agree and the cohomology is that of a contractible domain: (1, 0, ..., 0).
 """
 
+import functools
 import itertools
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .hierarchy import LevelSequence, build_thb, gauss_tensor
-from .numerics import NonSPDError
-from .splinecore import uniform_space
+from .hierarchy import LevelSequence, build_thb
+from .numerics import NonSPDError, svd_rank
+from .splinecore import derivative_matrix, uniform_space
 
 #: Relative singular-value cutoff for rank decisions.
 RANK_REL_TOL = 1e-9
@@ -42,8 +45,9 @@ RANK_REL_TOL = 1e-9
 RANK_BAND_TOL = 1e-7
 
 #: Total-dof bound above which the three-dimensional rank checks refuse to
-#: run.  The route itself needs no dense sampled matrix; the bound is the
-#: largest size whose run time and memory have been validated.
+#: run.  The route needs no quadrature; its largest arrays are the dense
+#: differentials and their SVDs.  The bound is the largest size whose run
+#: time and memory have been validated.
 MAX_RANK_CHECK_DOFS_3D = 4000
 
 
@@ -396,54 +400,54 @@ def _violating_bbox(flo, fhi, alo, ahi, klo, khi):
 
 # -- rank-based route -------------------------------------------------------
 
-#: Columns per block of the sample-space refinement and residual in
-#: :func:`_least_squares_fit`; its dense work arrays are (rows, FIT_CHUNK).
-FIT_CHUNK = 64
 
+def _operator_matrix(sources, targets, terms):
+    """Images of the spaces ``sources`` as sparse B-spline coefficients in
+    the spaces ``targets``: rows (target comp, level, row of its ``R_lv``),
+    columns the concatenated source dofs.
 
-def _operator_matrix(cs, sources, targets):
-    """Sampled, weight-scaled images of the spaces ``sources`` as a CSR
-    matrix: rows (comp, elem, pt), columns the concatenated source dofs.
-
-    ``targets`` holds per output component the terms ``(src, deriv,
-    sign)`` whose sum it is.  Every space shares the hierarchy, so all
-    visit the same active elements in the same order, sampled by the head
-    space's rule.
+    ``terms`` holds per target component the terms ``(src, deriv, sign)``
+    whose sum it is.  Per level, a term is ``Delta_lv R_lv`` of its source,
+    ``Delta_lv`` the Kronecker product of :func:`derivative_matrix` in the
+    differentiated direction and identities, cut to the rows of the
+    target's ``R_lv``; those rows reach only the source's rows, since a
+    B-spline's derivative terms have supports inside its own.
     """
-    rule = gauss_tensor(cs.v0)
-    npts = len(rule[0][0]) ** cs.dim
-    block = cs.v0.total_active_elements * npts
     offsets = np.cumsum([0] + [s.ndof for s in sources])
     rows, cols, vals = [], [], []
-    for t, terms in enumerate(targets):
-        for src, deriv, sign in terms:
-            row0 = t * block
-            for lvb in sources[src].quadrature(rule, derivs=(deriv,)):
-                samp = lvb.sampled().tocoo()
-                sqw = np.sqrt(lvb.weights).ravel()
-                rows.append(row0 + samp.row)
-                cols.append(offsets[src] + samp.col)
-                vals.append(sign * (samp.data * sqw[samp.row]))
-                row0 += samp.shape[0]
+    row0 = 0
+    for target, tterms in zip(targets, terms):
+        for lv in range(target.num_levels):
+            ids = target.extraction_ids(lv)
+            for src, deriv, sign in tterms:
+                space = sources[src]
+                factors = [
+                    derivative_matrix(kv) if k else scipy.sparse.identity(kv.numbasis)
+                    for kv, k in zip(space.levels[lv].kvs, deriv)
+                ]
+                delta = functools.reduce(scipy.sparse.kron, factors).tocsr()
+                image = (delta[ids][:, space.extraction_ids(lv)] @ space.extraction(lv)).tocoo()
+                rows.append(row0 + image.row)
+                cols.append(offsets[src] + image.col)
+                vals.append(sign * image.data)
+            row0 += len(ids)
     return scipy.sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(len(targets) * block, offsets[-1]),
+        shape=(row0, offsets[-1]),
     )
 
 
 def _least_squares_fit(a, b):
-    """Least-squares solution of ``a x = b`` for sparse ``a`` (tall, full
-    column rank) and sparse ``b``, with its worst relative column residual.
+    """Least-squares solution of ``a x = b`` for sparse ``a`` (full column
+    rank) and sparse ``b``, with its worst relative column residual.
 
     Solves the normal equations, formed sparse and factored dense by
-    Cholesky, then takes one refinement step (it brings the residual to
-    rounding level; a second one changed it only within rounding) and the
-    residual in sample space, :data:`FIT_CHUNK` columns at a time, so no
-    dense array has both a sample-row and a full ``b``-column dimension.
-    Returns the dense solution ``(a.shape[1], b.shape[1])`` and the
-    largest ``||a x_j - b_j|| / ||b_j||``.  The THB basis is linearly
-    independent, so a failed factorization means a broken basis and
-    raises :class:`NonSPDError`.
+    Cholesky, then takes one refinement step.  The rows are B-spline
+    coefficients, at most a few thousand, so the step and the residual
+    run on whole dense arrays.  Returns the dense solution
+    ``(a.shape[1], b.shape[1])`` and the largest ``||a x_j - b_j|| /
+    ||b_j||``.  The THB basis is linearly independent, so a failed
+    factorization means a broken basis and raises :class:`NonSPDError`.
     """
     try:
         cf = scipy.linalg.cho_factor((a.T @ a).toarray())
@@ -451,34 +455,25 @@ def _least_squares_fit(a, b):
         raise NonSPDError(
             "basis normal equations are not positive definite: %s" % exc
         ) from None
-    at = a.T.tocsr()
-    b = b.tocsc()
-    x = scipy.linalg.cho_solve(cf, (at @ b).toarray())
-    worst = 0.0
-    for j in range(0, b.shape[1], FIT_CHUNK):
-        cols = slice(j, j + FIT_CHUNK)
-        bj = b[:, cols].toarray()
-        x[:, cols] += scipy.linalg.cho_solve(cf, at @ (bj - a @ x[:, cols]))
-        resid = np.linalg.norm(a @ x[:, cols] - bj, axis=0)
-        norms = np.maximum(np.linalg.norm(bj, axis=0), np.finfo(float).tiny)
-        worst = max(worst, float(np.max(resid / norms)))
-    return x, worst
+    b = b.toarray()
+    x = scipy.linalg.cho_solve(cf, a.T @ b)
+    x += scipy.linalg.cho_solve(cf, a.T @ (b - a @ x))
+    resid = np.linalg.norm(a @ x - b, axis=0)
+    norms = np.maximum(np.linalg.norm(b, axis=0), np.finfo(float).tiny)
+    return x, float(np.max(resid / norms))
 
 
-def _rank_decision(mat):
-    """Numerical rank of ``mat``, its singular values in the unreliable
-    band and the gap ``(smallest kept, largest dropped)``, all relative to
-    the largest singular value (0.0 for an empty set)."""
-    sv = np.linalg.svd(mat, compute_uv=False)
-    smax = sv[0] if len(sv) else 0.0
-    if smax == 0.0:
-        return 0, [], (0.0, 0.0)
-    rank = int(np.sum(sv > RANK_REL_TOL * smax))
-    band = [
-        float(s / smax) for s in sv if RANK_REL_TOL * smax < s <= RANK_BAND_TOL * smax
-    ]
-    dropped = sv[rank] / smax if rank < len(sv) else 0.0
-    return rank, band, (float(sv[rank - 1] / smax), float(dropped))
+def _differential(cs, k):
+    """The coefficient-space differential ``G_k`` of map k, fitted from
+    ``D_k = B_{k+1} G_k``, and the relative residual of the fit."""
+    n = cs.dim
+    targets = cs.slots[k + 1]
+    # the slot-(k+1) basis itself: one identity term per component
+    identity = [((c, (0,) * n, 1.0),) for c in range(len(targets))]
+    return _least_squares_fit(
+        _operator_matrix(targets, targets, identity),
+        _operator_matrix(cs.slots[k], targets, _operators(n)[k]),
+    )
 
 
 class ExactnessReport:
@@ -556,20 +551,21 @@ class ExactnessReport:
 def exactness_report(cs):
     """Cohomology dimensions of the complex via the ranks of its maps.
 
-    Every basis function and operator image is sampled at tensor Gauss
-    points on the active elements (faithful because all functions are
-    elementwise polynomials there) into sparse matrices: ``D_k``, the
-    images of slot k under map k, and ``B_{k+1}``, the basis of slot k+1.
-    Map k is fitted in the next slot, ``D_k = B_{k+1} G_k``, by
-    :func:`_least_squares_fit`; since ``B_{k+1}`` has full column rank,
-    ``rank D_k = rank G_k``, and the rank is read off the singular values
-    of the small dense coefficient-space differential ``G_k``
-    (``ndof_{k+1} x ndof_k``) with relative threshold 1e-9.  Singular
-    values between 1e-9 and 1e-7 of the largest one mark the verdict
-    indeterminate.  The report also carries the worst relative
-    least-squares residual of the fit over every map, the per-map rank
-    gaps and the combinatorial check verdicts for every pair of adjacent
-    levels.  Raises :class:`RankCheckLimitError` above
+    Map k's images ``D_k`` are the B-spline coefficients, on the rows of
+    slot k+1's ``R_lv``, of its difference matrices applied to slot k's
+    ``R_lv`` (:func:`_operator_matrix`); the stack of slot k+1's ``R_lv``
+    is its basis ``B_{k+1}``.  The level-``lv`` B-splines on the active
+    level-``lv`` elements are linearly independent there, so equal
+    functions have equal rows and no quadrature is needed.  Map k is
+    fitted, ``D_k = B_{k+1} G_k``, by :func:`_least_squares_fit`; since
+    ``B_{k+1}`` has full column rank, ``rank D_k = rank G_k``, read off
+    the small dense ``G_k`` (``ndof_{k+1} x ndof_k``) by
+    :func:`~thbox.numerics.svd_rank` with relative threshold 1e-9.
+    Singular values between 1e-9 and 1e-7 of the largest one mark the
+    verdict indeterminate.  The report also carries the worst relative
+    fit residual over every map, the per-map rank gaps and the
+    combinatorial check verdicts for every pair of adjacent levels.
+    Raises :class:`RankCheckLimitError` above
     :data:`MAX_RANK_CHECK_DOFS_3D` dofs in 3D.
     """
     if cs.dim == 3 and sum(cs.dims) > MAX_RANK_CHECK_DOFS_3D:
@@ -584,15 +580,11 @@ def exactness_report(cs):
     gaps = []
     residual = 0.0
     for k in range(n):
-        image = _operator_matrix(cs, cs.slots[k], _operators(n)[k])
-        # the slot-(k+1) basis itself: one identity term per component
-        identity = [((c, (0,) * n, 1.0),) for c in range(len(cs.slots[k + 1]))]
-        basis = _operator_matrix(cs, cs.slots[k + 1], identity)
-        fit, resid = _least_squares_fit(basis, image)
-        rank, kband, kgaps = _rank_decision(fit)
+        fit, resid = _differential(cs, k)
+        rank, gap, rel = svd_rank(fit, RANK_REL_TOL)
         ranks.append(rank)
-        band.extend(kband)
-        gaps.append(kgaps)
+        band.extend(float(r) for r in rel[:rank] if r <= RANK_BAND_TOL)
+        gaps.append(gap)
         residual = max(residual, resid)
     cohomology = [dims[0] - ranks[0]]
     for k in range(1, n):

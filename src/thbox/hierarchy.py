@@ -401,18 +401,6 @@ class LevelBlock:
         )
         return (ext.T @ mat @ ext).tocsr()
 
-    def sampled(self, k=0):
-        """Sparse (nel * nq, ndof): every function at every point, element-major."""
-        vals = self.values[k]
-        nel, nloc, nq = vals.shape
-        rows = np.broadcast_to(np.arange(nel * nq).reshape(nel, 1, nq), vals.shape)
-        cols = np.broadcast_to(self.local[:, :, None], vals.shape)
-        ext = self.extraction
-        samp = scipy.sparse.csr_matrix(
-            (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(nel * nq, ext.shape[0])
-        )
-        return samp @ ext
-
 
 class ThbSpace:
     """A (truncated) hierarchical B-spline basis over a domain hierarchy.
@@ -479,6 +467,7 @@ class ThbSpace:
         """
         hier = self.hierarchy
         self._extraction = []
+        self._extraction_ids = []
         self._local = []
         cur = scipy.sparse.csr_matrix((self.levels[0].total_basis, self.ndof))
         first = 0
@@ -494,6 +483,7 @@ class ThbSpace:
             ext = cur[rows]
             ext.sort_indices()
             self._extraction.append(ext)
+            self._extraction_ids.append(rows)
             self._local.append(local.reshape(flat.shape))
             if lv + 1 == self.num_levels:
                 break
@@ -586,6 +576,10 @@ class ThbSpace:
     def extraction(self, lv):
         """The CSR matrix ``R_lv``: level-``lv`` B-splines (rows) by functions."""
         return self._extraction[lv]
+
+    def extraction_ids(self, lv):
+        """Sorted raveled level-``lv`` tensor B-spline id of each row of ``R_lv``."""
+        return self._extraction_ids[lv]
 
     def element_rows(self, lv):
         """Active level-``lv`` elements (n, dim) and their B-splines' ``R_lv`` rows (n, nloc)."""

@@ -9,7 +9,6 @@ same inputs produce bit-identical outputs.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -31,46 +30,25 @@ class SolveError(RuntimeError):
     """A linear solve produced a residual above the accepted bound."""
 
 
-@dataclass(frozen=True)
-class RankInfo:
-    """Rank decision of :func:`svd_rank`, with the gap it was based on.
+def svd_rank(a, rel_tol):
+    """Numerical rank of ``a``, the number of ``sigma_i > rel_tol * sigma_max``.
 
-    ``sigma_kept`` is the smallest singular value counted toward the rank
-    and ``sigma_dropped`` the largest one discarded (both 0.0 when the
-    corresponding set is empty), so callers can detect indeterminate
-    thresholds by inspecting the gap.
+    Returns ``(rank, (kept, dropped), rel)``: ``rel`` are the singular
+    values relative to the largest one, ``kept`` the smallest of them
+    counted toward the rank and ``dropped`` the largest one discarded (0.0
+    when that set is empty), so callers can judge the gap the decision was
+    based on.  A zero or empty matrix has rank 0 and gap (0.0, 0.0).
     """
-
-    rank: int
-    nullity: int
-    sigma_max: float
-    sigma_kept: float
-    sigma_dropped: float
-
-    @property
-    def singular_values_gap(self):
-        if self.sigma_kept == 0.0 or self.sigma_dropped == 0.0:
-            return np.inf
-        return self.sigma_kept / self.sigma_dropped
-
-
-def svd_rank(a, rel_tol=1e-10):
-    """Numerical rank of ``a``: the number of ``sigma_i > rel_tol * sigma_max``."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError("expected a 2-d array")
-    ncols = a.shape[1]
-    if a.size == 0:
-        return RankInfo(0, ncols, 0.0, 0.0, 0.0)
     sigma = np.linalg.svd(a, compute_uv=False)
-    smax = float(sigma[0])
-    if smax == 0.0:
-        return RankInfo(0, ncols, 0.0, 0.0, 0.0)
-    keep = sigma > rel_tol * smax
-    rank = int(np.count_nonzero(keep))
-    kept = float(sigma[rank - 1]) if rank > 0 else 0.0
-    dropped = float(sigma[rank]) if rank < len(sigma) else 0.0
-    return RankInfo(rank, ncols - rank, smax, kept, dropped)
+    if not len(sigma) or sigma[0] == 0.0:
+        return 0, (0.0, 0.0), np.zeros_like(sigma)
+    rank = int(np.count_nonzero(sigma > rel_tol * sigma[0]))
+    rel = sigma / sigma[0]
+    dropped = rel[rank] if rank < len(rel) else 0.0
+    return rank, (float(rel[rank - 1]), float(dropped)), rel
 
 
 def assemble_csr(rows, cols, vals, shape):

@@ -17,7 +17,8 @@ inserting each midpoint with multiplicity ``m``; degree and multiplicity
 are shared by all levels of a hierarchy.  :func:`two_scale_arrays` returns
 the subdivision weights expressing each coarse B-spline in the refined
 basis as padded (index, weight) arrays, written by local knot insertion;
-:func:`two_scale_matrix` is their dense view.
+:func:`two_scale_matrix` is their dense view.  :func:`derivative_matrix`
+maps coefficients to those of the derivative in the degree-(p-1) basis.
 
 Function and element multi-indices in tensor products are raveled in
 C order (last direction fastest) throughout the package.
@@ -28,6 +29,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 
 def _as_breakpoints(breakpoints):
@@ -301,6 +303,20 @@ def two_scale_matrix(coarse, fine):
     mat = np.zeros((coarse.numbasis, fine.numbasis))
     np.add.at(mat, (np.arange(coarse.numbasis)[:, None], index), weight)
     return mat
+
+
+def derivative_matrix(kv):
+    """Sparse bidiagonal (N-1, N) map from coefficients on ``kv`` to those of
+    their derivative in the degree-(p-1) basis on the same breakpoints and
+    multiplicity (the knots of ``kv`` without the first and the last).
+
+    ``N'_i = p/(t_{i+p}-t_i) N^{p-1}_{i-1} - p/(t_{i+p+1}-t_{i+1}) N^{p-1}_i``
+    in the reduced basis's indices; the 0/0 terms of the first and the last
+    function drop.  Needs ``1 <= m <= p``.
+    """
+    p, t, n = kv.degree, kv.knots, kv.numbasis
+    w = p / (t[p + 1 : n + p] - t[1:n])
+    return scipy.sparse.diags([-w, w], [0, 1], shape=(n - 1, n), format="csr")
 
 
 @dataclass(frozen=True)

@@ -321,7 +321,8 @@ def oracle_coarsen(space, marked, policy):
 
 def dense_operator_matrix(cs, sources, targets):
     """Dense sampled, weight-scaled images of the spaces ``sources``: rows
-    (comp, elem, pt), as ``thbox.derham`` builds its sparse matrices."""
+    (comp, elem, pt), each element's tensor B-spline values times the rows
+    of ``R_lv`` they gather, by the head space's Gauss rule."""
     rule = gauss_tensor(cs.v0)
     npts = len(rule[0][0]) ** cs.dim
     block = cs.v0.total_active_elements * npts
@@ -331,27 +332,31 @@ def dense_operator_matrix(cs, sources, targets):
         for src, deriv, sign in terms:
             row0 = t * block
             for lvb in sources[src].quadrature(rule, derivs=(deriv,)):
-                samp = lvb.sampled().tocoo()
-                sqw = np.sqrt(lvb.weights).ravel()
-                mat[row0 + samp.row, offsets[src] + samp.col] += sign * (
-                    samp.data * sqw[samp.row]
-                )
-                row0 += samp.shape[0]
+                ext = lvb.extraction.toarray()[lvb.local]
+                samp = np.einsum("eaq,eaf->eqf", lvb.values[0], ext)
+                samp *= np.sqrt(lvb.weights)[:, :, None]
+                rows = slice(row0, row0 + samp.shape[0] * samp.shape[1])
+                mat[rows, offsets[src] : offsets[src + 1]] += sign * samp.reshape(-1, ext.shape[2])
+                row0 = rows.stop
     return mat
 
 
 def dense_rank_oracle(cs):
-    """Per-map ranks and cohomology of a complex from dense SVDs of the
-    sampled operator images, with the thresholds of ``exactness_report``."""
+    """Per-map ranks, cohomology and coefficient-space differentials of a
+    complex from its dense sampled matrices: each rank from the SVD of the
+    map's images with the threshold of ``exactness_report``, each ``G_k``
+    from ``np.linalg.lstsq`` of the images in the sampled slot-k+1 basis."""
     n = cs.dim
-    ranks = []
+    ranks, fits = [], []
     for k in range(n):
-        sv = np.linalg.svd(
-            dense_operator_matrix(cs, cs.slots[k], _operators(n)[k]), compute_uv=False
-        )
+        image = dense_operator_matrix(cs, cs.slots[k], _operators(n)[k])
+        identity = [((c, (0,) * n, 1.0),) for c in range(len(cs.slots[k + 1]))]
+        basis = dense_operator_matrix(cs, cs.slots[k + 1], identity)
+        sv = np.linalg.svd(image, compute_uv=False)
         ranks.append(int(np.sum(sv > RANK_REL_TOL * sv[0])) if sv[0] > 0 else 0)
+        fits.append(np.linalg.lstsq(basis, image, rcond=None)[0])
     dims = cs.dims
     cohomology = [dims[0] - ranks[0]]
     cohomology += [dims[k] - ranks[k] - ranks[k - 1] for k in range(1, n)]
     cohomology.append(dims[n] - ranks[n - 1])
-    return ranks, tuple(cohomology)
+    return ranks, tuple(cohomology), fits

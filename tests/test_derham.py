@@ -5,7 +5,8 @@ active-function formula for complex dimensions, breadth-first search over
 index sets for chains, exhaustive covering-subset enumeration for the
 bounding-box property, the contractible-domain cohomology (1, 0, ...,
 0) for box hierarchies, and per-map ranks from dense SVDs of the sampled
-matrices (``conftest.dense_rank_oracle``).
+matrices, with the differentials from dense least squares on them
+(``conftest.dense_rank_oracle``).
 """
 
 import itertools
@@ -26,15 +27,9 @@ from thbox.derham import (
     exactness_report,
     interior_functions,
 )
-from thbox.derham import (
-    _least_squares_fit,
-    _monotone_chain,
-    _operator_matrix,
-    _operators,
-    _rank_decision,
-)
+from thbox.derham import RANK_REL_TOL, _differential, _least_squares_fit, _monotone_chain
 from thbox.hierarchy import DomainHierarchy, LevelSequence, build_thb
-from thbox.numerics import NonSPDError
+from thbox.numerics import NonSPDError, svd_rank
 from thbox.splinecore import uniform_space
 
 
@@ -482,17 +477,13 @@ class TestAssumption3b:
 
 
 def map_fits(cs):
-    """Per map k: the rank of its coefficient-space differential and the
-    relative residual of its sampled images fitted in slot k+1."""
-    n = cs.dim
+    """Per map k: the rank of its coefficient-space differential ``G_k``,
+    the relative residual of its B-spline coefficient images fitted in
+    slot k+1, and ``G_k`` itself."""
     out = []
-    for k in range(n):
-        identity = [((c, (0,) * n, 1.0),) for c in range(len(cs.slots[k + 1]))]
-        fit, resid = _least_squares_fit(
-            _operator_matrix(cs, cs.slots[k + 1], identity),
-            _operator_matrix(cs, cs.slots[k], _operators(n)[k]),
-        )
-        out.append((_rank_decision(fit)[0], resid))
+    for k in range(cs.dim):
+        fit, resid = _differential(cs, k)
+        out.append((svd_rank(fit, RANK_REL_TOL)[0], resid, fit))
     return out
 
 
@@ -587,10 +578,10 @@ class TestExactnessReport:
         cs = build_complex(DomainHierarchy((3, 3, 3), (1, 2, 2)), (2, 2, 2))
         fits = map_fits(cs)
         assert len(fits) == 3
-        for k, (_, resid) in enumerate(fits):
+        for k, (_, resid, _) in enumerate(fits):
             assert resid <= 1e-10, "map %d: residual %.2e" % (k, resid)
         rep = exactness_report(cs)
-        assert rep.containment_residual == max(resid for _, resid in fits)
+        assert rep.containment_residual == max(resid for _, resid, _ in fits)
 
     def test_three_dimensional_size_gate(self):
         h = DomainHierarchy((3, 3, 3), (2, 2, 2), [{(1, 1, 1)}])
@@ -611,8 +602,21 @@ class TestExactnessReport:
             rep2.h3
 
 
+def assert_matches_dense_oracle(cs):
+    """Per-map ranks, ``G_k`` (1e-10 relative, Frobenius) and cohomology
+    against the dense sampled matrices of ``conftest.dense_rank_oracle``."""
+    ranks, cohomology, dense_fits = dense_rank_oracle(cs)
+    fits = map_fits(cs)
+    assert [rank for rank, _, _ in fits] == ranks
+    for k, ((_, _, fit), dense) in enumerate(zip(fits, dense_fits)):
+        err = np.linalg.norm(fit - dense) / np.linalg.norm(dense)
+        assert err <= 1e-10, "map %d: G_k off by %.2e" % (k, err)
+    assert exactness_report(cs).cohomology == cohomology
+    return cohomology
+
+
 class TestDenseRankOracle:
-    """Per-map ranks and cohomology against dense SVDs of the sampled matrices."""
+    """Per-map ranks, differentials and cohomology against dense sampled matrices."""
 
     @pytest.mark.parametrize(
         "degree, seed",
@@ -623,14 +627,15 @@ class TestDenseRankOracle:
         q = tuple(p + 1 for p in degree)
         h = random_hierarchy(rng, 2, q, (2, 2), max_levels=3, interface=True)
         assert h.num_levels == 3
-        cs = build_complex(h, degree)
-        ranks, cohomology = dense_rank_oracle(cs)
-        assert [rank for rank, _ in map_fits(cs)] == ranks
-        assert exactness_report(cs).cohomology == cohomology
+        assert_matches_dense_oracle(build_complex(h, degree))
+
+    def test_multiplicity_two(self):
+        # p = 3, C^1 across breakpoints: the reduced slots are C^0
+        h = DomainHierarchy((4, 4), (2, 1), [{(0, 0)}, {(1, 1)}])
+        cs = build_complex(h, (3, 3), (2, 2))
+        assert cs.dims == (564, 1100, 537)
+        assert assert_matches_dense_oracle(cs) == (1, 0, 0)
 
     def test_three_dimensional_complex(self):
         cs = build_complex(DomainHierarchy((3, 3, 3), (1, 2, 2)), (2, 2, 2))
-        ranks, cohomology = dense_rank_oracle(cs)
-        assert [rank for rank, _ in map_fits(cs)] == ranks
-        assert cohomology == (1, 0, 0, 0)
-        assert exactness_report(cs).cohomology == cohomology
+        assert assert_matches_dense_oracle(cs) == (1, 0, 0, 0)

@@ -180,8 +180,6 @@ class TestLevelBlocks:
                 for i, e in enumerate(block.element_keys()):
                     fids, vals = space.element_values(block.level, e, refs, derivs)
                     assert_allclose(values[i], coeffs[fids] @ vals[k], rtol=1e-12, atol=1e-12)
-            sampled = block.sampled().toarray()
-            nq = block.values[0].shape[2]
             for i, e in enumerate(block.element_keys()):
                 fids, vals = space.element_values(block.level, e, refs, derivs)
                 w = block.weights[i]
@@ -189,9 +187,6 @@ class TestLevelBlocks:
                 for d in range(space.dim):
                     stiff[np.ix_(fids, fids)] += (vals[1 + d] * w) @ vals[1 + d].T
                 load[fids] += vals[0] @ (w * block.fields[0][i])
-                rows = sampled[i * nq : (i + 1) * nq]
-                assert_allclose(rows[:, fids], vals[0].T, rtol=0, atol=1e-14)
-                assert np.all(np.delete(rows, fids, axis=1) == 0.0)
             # the Gramian diagonal is positive exactly for the functions on the block
             assert np.array_equal(
                 np.flatnonzero(block.gram().diagonal()),

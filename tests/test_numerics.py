@@ -20,26 +20,37 @@ class TestSvdRank:
         u, _ = np.linalg.qr(rng.random((6, 6)))
         v, _ = np.linalg.qr(rng.random((4, 4)))
         s = np.zeros((6, 4))
-        s[0, 0], s[1, 1], s[2, 2] = 1.0, 1e-3, 1e-12
+        s[0, 0], s[1, 1], s[2, 2] = 2.0, 2e-3, 2e-12
         a = u @ s @ v
-        info = svd_rank(a, rel_tol=1e-10)
-        assert info.rank == 2
-        assert info.nullity == 2  # relative to min(m, n)
-        nt.assert_allclose(info.sigma_max, 1.0, rtol=1e-12)
-        assert info.singular_values_gap > 1e6
+        rank, (kept, dropped), rel = svd_rank(a, rel_tol=1e-10)
+        assert rank == 2
+        nt.assert_allclose(rel[:3], [1.0, 1e-3, 1e-12], rtol=1e-10, atol=1e-15)
+        assert rel[3] <= 1e-15
+        assert kept == rel[1] and dropped == rel[2]
+        assert kept / dropped > 1e6
+
+    def test_threshold_is_relative_to_the_largest(self):
+        a = np.diag([4.0, 4e-9])
+        assert svd_rank(a, 1e-10)[0] == 2
+        assert svd_rank(a, 1e-8)[0] == 1
+        assert svd_rank(1e-20 * a, 1e-10)[0] == 2
 
     def test_full_rank(self):
         a = np.eye(5) * 3.0
-        info = svd_rank(a)
-        assert info.rank == 5
-        assert info.nullity == 0
-        assert info.singular_values_gap == np.inf
+        rank, gap, rel = svd_rank(a, 1e-10)
+        assert rank == 5
+        assert gap == (1.0, 0.0)
+        assert np.array_equal(rel, np.ones(5))
 
     def test_zero_and_empty(self):
-        assert svd_rank(np.zeros((3, 2))).rank == 0
-        assert svd_rank(np.zeros((3, 2))).nullity == 2
-        assert svd_rank(np.zeros((0, 4))).rank == 0
-        assert svd_rank(np.zeros((0, 4))).nullity == 4
+        for a in (np.zeros((3, 2)), np.zeros((0, 4)), np.zeros((3, 0))):
+            rank, gap, rel = svd_rank(a, 1e-10)
+            assert rank == 0 and gap == (0.0, 0.0)
+            assert len(rel) == min(a.shape) and not rel.any()
+
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ValueError):
+            svd_rank(np.ones(3), 1e-10)
 
 
 class TestAssembleCsr:

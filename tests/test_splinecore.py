@@ -23,6 +23,7 @@ from thbox.splinecore import (
     KnotVector,
     TensorSpace,
     basis_on_element,
+    derivative_matrix,
     eval_basis,
     gauss_rule,
     tensor_eval,
@@ -337,6 +338,35 @@ class TestTwoScale:
         mids = 0.5 * (kv.breakpoints[:-1] + kv.breakpoints[1:])
         expect = np.sort(np.concatenate([kv.breakpoints, mids]))
         nt.assert_array_equal(fine.breakpoints, expect)
+
+
+class TestDerivativeMatrix:
+    """The difference matrix maps each B-spline to its derivative."""
+
+    @pytest.mark.parametrize(
+        "p, m, level", [(p, m, lv) for p in (2, 3, 4) for m in range(1, p) for lv in range(3)]
+    )
+    def test_matches_naive_derivatives(self, p, m, level):
+        kv = _random_kv(900 + 10 * p + m, p, m)
+        for _ in range(level):
+            kv = kv.refine()
+        reduced = KnotVector(kv.breakpoints, p - 1, m)
+        assert np.array_equal(reduced.knots, kv.knots[1:-1])
+        diff = derivative_matrix(kv).toarray()
+        assert diff.shape == (reduced.numbasis, kv.numbasis)
+        # Gauss points of every element
+        pts = (kv.breakpoints[:-1, None] + np.diff(kv.breakpoints)[:, None] * gauss_rule(p).points).ravel()
+        deriv = np.array(
+            [[naive_bspline_deriv(kv.knots, j, p, x) for x in pts] for j in range(kv.numbasis)]
+        )
+        low = np.array(
+            [[naive_bspline(reduced.knots, i, p - 1, x) for x in pts] for i in range(reduced.numbasis)]
+        )
+        nt.assert_allclose(diff.T @ low, deriv, rtol=0, atol=1e-13 * np.abs(deriv).max())
+        # the first and the last function keep one term each: their 0/0 terms drop
+        assert np.count_nonzero(diff[:, 0]) == 1 and diff[0, 0] < 0
+        assert np.count_nonzero(diff[:, -1]) == 1 and diff[-1, -1] > 0
+        assert np.all(np.count_nonzero(diff, axis=0)[1:-1] == 2)
 
 
 class TestQuadrature:
