@@ -13,19 +13,22 @@ by each macro-element.  The composite map is linear, local, and a
 projection: any function already in the space is returned unchanged.
 
 Quadrature runs over whole levels (:meth:`ThbSpace.quadrature` blocks):
-the target is sampled once per level, and every macro-element gathers its
-elements' rows from those blocks and maps them to its functions with its
-dense extraction table, rebuilt from the partition's flat member arrays
-(one builder for the member integrals, :func:`bezier_project` and
-:func:`local_l2_project`).  Rules are tensor Gauss rules on active
-elements, where every basis function is a polynomial, so Gramians and
-integrals are exact up to rounding.  Local solves over distinct
-macro-elements are independent; coefficient accumulation always runs in
-canonical member order, so results are bit-reproducible.
+the target is sampled once per level.  The member systems are solved in
+stacks: members are grouped by shape (element count, function count), and
+each chunk of a group, at most :data:`STACK_BYTES` of weighted systems,
+gathers its elements' rows straight from the level blocks, rebuilds its
+members' dense extraction tables from the partition's flat member arrays
+and forms their function values ``V_e^T C_e`` at once.  The same gather
+feeds the member integrals, and one stacked solve serves
+:func:`bezier_project` and :func:`local_l2_project` (a stack of one).
+Rules are tensor Gauss rules on active elements, where every basis
+function is a polynomial, so Gramians and integrals are exact up to
+rounding.  A member's coefficients do not depend on the chunk that holds
+it, and coefficient accumulation always runs in canonical member order,
+so results are bit-reproducible.
 """
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .hierarchy import gauss_tensor
@@ -33,6 +36,10 @@ from .numerics import SPD_PIVOT_REL, NonSPDError, svd_rank
 from .qbox import classify
 
 _NORMS = ("l2", "linf", "h1")
+
+#: Bytes of the weighted member systems ``[A | b]`` one stacked solve
+#: holds: a chunk takes as many members of one shape as fit, at least one.
+STACK_BYTES = 2**20
 
 
 class ProjectorPartition:
@@ -51,7 +58,9 @@ class ProjectorPartition:
     elements in member order, the ids of the functions nonzero on each
     member with their member integrals (summed per function in
     ``total_integrals``), and the ``R_lv`` nonzeros of the member's elements
-    as cells of its dense extraction table, which :meth:`_basis` rebuilds.
+    as cells of its dense extraction table.  :meth:`_stacks` gathers chunks
+    of same-shape members from level arrays, and :meth:`_member_values`
+    rebuilds their tables and forms their function values.
     """
 
     def __init__(self, space, mesh=None):
@@ -98,12 +107,19 @@ class ProjectorPartition:
         # free the entry-sized temporaries before the quadrature blocks exist
         del rows, sub, slot, member, keys, col, base
 
+        # members grouped by shape (elements, functions), canonical within a group
+        nel, nf = np.diff(self._elem_ptr), np.diff(self._fid_ptr)
+        order = np.lexsort((nf, nel))
+        cut = np.flatnonzero(np.diff(nel[order]) | np.diff(nf[order])) + 1
+        self._groups = np.split(order, cut)
+        self._nq = int(np.prod([len(pts) for pts, _ in self._rule]))
+
         blocks = {b.level: (b.values[0], b.weights) for b in space.quadrature(self._rule)}
-        ints = []
-        for idx in range(len(members)):
-            values, weights = self._rows(idx, blocks)
-            ints.append((self._basis(idx, values) @ weights[:, :, None])[:, :, 0].sum(axis=0))
-        ints = np.concatenate(ints)
+        ints = np.empty(len(self._fids))
+        for mids, (values, weights) in self._stacks(blocks):
+            # the weights applied first: (V_e w_e)^T C_e per element
+            basis = self._member_values(mids, values @ weights[..., None])
+            ints[self._slots(mids)] = basis[:, :, 0].sum(axis=1)
         total = np.bincount(self._fids, ints, space.ndof)
         if np.any(total <= 0.0):
             raise AssertionError("a basis function escaped every macro-element")
@@ -121,23 +137,48 @@ class ProjectorPartition:
             raise AssertionError("macro-elements do not cover the active mesh")
         return self._first[level] + pos
 
-    def _rows(self, idx, levels):
-        """Member ``idx``'s rows of every array in ``levels[lv]`` (one row per
-        active level-``lv`` element), concatenated in member order."""
-        g = self._elements[self._elem_ptr[idx]:self._elem_ptr[idx + 1]]
-        cut = np.searchsorted(g, self._offsets).tolist()
-        parts = [[arr[g[i:j] - self._offsets[lv]] for arr in levels[lv]]
-                 for lv, (i, j) in enumerate(zip(cut, cut[1:])) if i < j]
-        return [np.concatenate(arrays) for arrays in zip(*parts)]
+    def _slots(self, mids):
+        """Positions (k, nf) of the (member, function) pairs of same-shape members."""
+        nf = self._fid_ptr[mids[0] + 1] - self._fid_ptr[mids[0]]
+        return self._fid_ptr[mids][:, None] + np.arange(nf)
 
-    def _basis(self, idx, values):
-        """Values (nel, nf, nq) of member ``idx``'s functions, ``C_e^T V_e`` per
-        element, from tensor B-spline ``values`` (nel, nloc, nq) in member order."""
-        a, b = self._entry_ptr[idx], self._entry_ptr[idx + 1]
-        nf = self._fid_ptr[idx + 1] - self._fid_ptr[idx]
-        table = np.zeros(values.shape[:2] + (nf,))
-        np.put(table, self._cells[a:b], self._values[a:b])
-        return table.transpose(0, 2, 1) @ values
+    def _stacks(self, levels):
+        """Chunks of same-shape members with their rows of level arrays.
+
+        ``levels[lv]`` holds arrays with one row per active level-``lv``
+        element.  Yields ``(mids, arrays)``: the indices of members of one
+        shape in canonical order, and each array gathered to (k, nel, ...)
+        in member order.  The chunk's weighted systems ``[A | b]`` take at
+        most :data:`STACK_BYTES`, unless one member alone takes more.
+        """
+        for group in self._groups:
+            nel = self._elem_ptr[group[0] + 1] - self._elem_ptr[group[0]]
+            nf = self._fid_ptr[group[0] + 1] - self._fid_ptr[group[0]]
+            size = max(1, STACK_BYTES // (8 * nel * self._nq * (nf + 1)))
+            for start in range(0, len(group), size):
+                mids = group[start:start + size]
+                g = self._elements[self._elem_ptr[mids][:, None] + np.arange(nel)]
+                level = np.searchsorted(self._offsets, g, side="right") - 1
+                out = [np.empty(g.shape + arr.shape[1:]) for arr in next(iter(levels.values()))]
+                for lv, arrays in levels.items():
+                    sel = level == lv
+                    rows = g[sel] - self._offsets[lv]
+                    for dst, arr in zip(out, arrays):
+                        dst[sel] = arr[rows]
+                yield mids, out
+
+    def _member_values(self, mids, values):
+        """Values (k, nel, n, nf) of the functions of same-shape members
+        ``mids``, ``V_e^T C_e`` per element, from their tensor B-spline
+        ``values`` (k, nel, nloc, n) in member order."""
+        k, nel, nloc, _ = values.shape
+        nf = self._fid_ptr[mids[0] + 1] - self._fid_ptr[mids[0]]
+        first, count = self._entry_ptr[mids], np.diff(self._entry_ptr)[mids]
+        entries = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+        cells = self._cells[entries] + np.repeat(np.arange(k) * (nel * nloc * nf), count)
+        table = np.zeros((k, nel, nloc, nf))
+        np.put(table, cells, self._values[entries])
+        return values.transpose(0, 1, 3, 2) @ table
 
     def __len__(self):
         return len(self.members)
@@ -229,43 +270,68 @@ def verify_non_overloaded(space, region):
     return svd_rank(scale[:, None] * gram * scale[None, :], 1e-10)[0] == len(fids)
 
 
-def _local_solve(partition, idx, values, weights, target):
-    """Least-squares coefficients of member ``idx``, aligned with its function ids.
+def _member_solves(partition, stacks):
+    """Least-squares coefficients of the members in ``stacks``, placed at
+    their (member, function) positions of a zero vector over all pairs.
 
-    ``values``, ``weights`` and ``target`` hold the partition's rule on the
-    member's elements in member order (tensor B-spline values, weights and
-    target values).
+    ``stacks`` yields ``(mids, (values, weights, target))`` as
+    :meth:`ProjectorPartition._stacks` does: same-shape members and the
+    partition's rule on their elements (tensor B-spline values (k, nel,
+    nloc, nq), weights and target values (k, nel, nq)).  A numerically
+    singular member raises :class:`~thbox.numerics.NonSPDError` naming the
+    first one in canonical order.
     """
-    nf = partition._fid_ptr[idx + 1] - partition._fid_ptr[idx]
-    root = np.sqrt(weights)
-    a = (partition._basis(idx, values) * root[:, None, :]).transpose(0, 2, 1).reshape(-1, nf)
-    b = (root * target).ravel()
-    # The coefficients solve the normal equations of the weighted sampled
-    # system.  The Cholesky factor of the (column-equilibrated) normal
-    # matrix is taken from a QR decomposition of the weighted value matrix
-    # itself, which halves the condition number exponent: truncation can
-    # leave near-parallel sliver restrictions on deep members, where the
-    # explicitly squared Gramian loses up to eight digits.  One refinement
-    # step with an extended-precision residual polishes the solution.
-    col = np.sqrt(np.einsum("ij,ij->j", a, a))
-    scaled = a / col
-    q, r = scipy.linalg.qr(scaled, mode="economic")
-    # diag(r)^2 are the Cholesky pivots; equilibration makes the trace the
-    # member's function count
-    pivots = np.square(np.diag(r))
-    if np.min(pivots) < SPD_PIVOT_REL * nf:
+    local = np.zeros(len(partition._fids))
+    failed = []
+    for mids, (values, weights, target) in stacks:
+        k, nel, _, nq = values.shape
+        nf = partition._fid_ptr[mids[0] + 1] - partition._fid_ptr[mids[0]]
+        # The coefficients solve the normal equations of the weighted sampled
+        # system.  The Cholesky factor of the (column-equilibrated) normal
+        # matrix is the R of a QR decomposition of the weighted value matrix
+        # itself, which halves the condition number exponent: truncation can
+        # leave near-parallel sliver restrictions on deep members, where the
+        # explicitly squared Gramian loses up to eight digits.  Factoring
+        # [A | b] puts Q^T b in the last column of R, so Q is never formed.
+        root = np.sqrt(weights)
+        ab = np.empty((k, nel, nq, nf + 1))
+        ab[..., :nf] = partition._member_values(mids, values)
+        ab[..., :nf] *= root[..., None]
+        ab[..., nf] = root * target
+        ab = ab.reshape(k, nel * nq, nf + 1)
+        a = ab[:, :, :nf]
+        col = np.sqrt(np.einsum("kij,kij->kj", a, a))
+        a /= col[:, None, :]
+        r = np.linalg.qr(ab, mode="r")
+        # diag(r)^2 are the Cholesky pivots; equilibration makes the trace the
+        # member's function count; fewer sample rows than functions is a 0 pivot
+        pivots = np.zeros((k, nf))
+        diag = np.diagonal(r, axis1=1, axis2=2)[:, :nf]
+        pivots[:, :diag.shape[1]] = np.square(diag)
+        worst = pivots.min(axis=1)
+        bad = np.flatnonzero(worst < SPD_PIVOT_REL * nf)
+        if len(bad):
+            failed.append((int(mids[bad[0]]), worst[bad[0]], nf))
+            continue
+        # R is upper triangular, so LU solves with it are back substitutions
+        rr = r[:, :nf, :nf]
+        y = np.linalg.solve(rr, r[:, :nf, nf:])
+        # one refinement step with an extended-precision residual, corrected
+        # through the semi-normal equations R^T R dy = A^T res; R^T with its
+        # rows and columns reversed is upper triangular too
+        yl = y.astype(np.longdouble)
+        res = (ab[:, :, nf:] - np.einsum("kij,kjl->kil", a, yl, dtype=np.longdouble)).astype(float)
+        rt = rr.transpose(0, 2, 1)[:, ::-1, ::-1]
+        z = np.linalg.solve(rt, (a.transpose(0, 2, 1) @ res)[:, ::-1])[:, ::-1]
+        y += np.linalg.solve(rr, z)
+        local[partition._slots(mids)] = y[..., 0] / col
+    if failed:
+        idx, pivot, nf = min(failed)
         raise NonSPDError(
             "member %r Gramian pivot %.3e below %.1e * trace = %.3e"
-            % (partition.members[idx], np.min(pivots), SPD_PIVOT_REL,
-               SPD_PIVOT_REL * nf)
+            % (partition.members[idx], pivot, SPD_PIVOT_REL, SPD_PIVOT_REL * nf)
         )
-    y = scipy.linalg.solve_triangular(r, q.T @ b)
-    resid = np.asarray(
-        b.astype(np.longdouble) - scaled.astype(np.longdouble) @ y.astype(np.longdouble),
-        dtype=float,
-    )
-    y = y + scipy.linalg.solve_triangular(r, q.T @ resid)
-    return y / col
+    return local
 
 
 def local_l2_project(partition, member, f):
@@ -281,7 +347,9 @@ def local_l2_project(partition, member, f):
     elements = partition.member_elements(idx)
     blocks = partition.space.quadrature(partition._rule, fields=(f,), elements=elements)
     arrays = zip(*((block.values[0], block.weights, block.fields[0]) for block in blocks))
-    coeffs = _local_solve(partition, idx, *(np.concatenate(a) for a in arrays))
+    stack = [np.concatenate(a)[None] for a in arrays]
+    local = _member_solves(partition, [(np.array([idx]), stack)])
+    coeffs = local[partition._fid_ptr[idx]:partition._fid_ptr[idx + 1]]
     return dict(zip(partition.member_functions(idx).tolist(), coeffs.tolist()))
 
 
@@ -324,9 +392,7 @@ def bezier_project(space, f, partition=None):
         raise ValueError("partition belongs to a different space")
     blocks = space.quadrature(partition._rule, fields=(f,))
     levels = {b.level: (b.values[0], b.weights, b.fields[0]) for b in blocks}
-    local = np.concatenate(
-        [_local_solve(partition, i, *partition._rows(i, levels)) for i in range(len(partition))]
-    )
+    local = _member_solves(partition, partition._stacks(levels))
     coeffs = np.bincount(partition._fids, partition._shares * local, space.ndof)
     return ProjectionResult(coeffs, space.ndof)
 

@@ -88,12 +88,18 @@ def require_no_box(boxes, bad, lv, what):
 
 
 def _field_values(f, pts):
-    """Values of the field ``f`` at points (npts, dim): an (npts,) array."""
+    """Values of the field ``f`` at points (npts, dim): a finite (npts,) array."""
     vals = np.asarray(f(pts), dtype=float)
     if vals.shape != (len(pts),):
         raise ValueError(
             "a field must map points (npts, dim) to values (npts,); got shape %s "
             "for %d points" % (vals.shape, len(pts))
+        )
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if len(bad):
+        raise ValueError(
+            "a field gave %d non-finite values; the first, %r, at point %s"
+            % (len(bad), vals[bad[0]], tuple(pts[bad[0]].tolist()))
         )
     return vals
 
@@ -668,10 +674,10 @@ class ThbSpace:
         elements in the order given (canonical by default); levels without
         elements yield no block.
 
-        A field maps a point array (npts, dim) to a value array (npts,) and
-        is called once per block, on all of the block's points; any other
-        result raises ValueError.  Points are computed only when ``fields``
-        is nonempty.
+        A field maps a point array (npts, dim) to a finite value array
+        (npts,) and is called once per block, on all of the block's points;
+        any other result, a NaN or an infinity included, raises ValueError.
+        Points are computed only when ``fields`` is nonempty.
         """
         if derivs is None:
             derivs = ((0,) * self.dim,)

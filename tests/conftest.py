@@ -9,6 +9,7 @@ oracle for the vectorized evaluators.
 import itertools
 
 import numpy as np
+import scipy.linalg
 
 from thbox.derham import RANK_REL_TOL, _operators
 from thbox.hierarchy import DomainHierarchy, LevelSequence, build_thb, gauss_tensor
@@ -190,6 +191,46 @@ def thb_field(space, coeffs):
 def thb_field_grad(space, coeffs):
     """Gradient field (npts, dim) -> (npts, dim) of the THB function with ``coeffs``."""
     return lambda pts: _thb_eval(space, coeffs, pts, 1).T
+
+
+def member_solve_oracle(space, elements, f):
+    """Least-squares fit of ``f`` on a union of active (level, element)
+    pairs by the functions nonzero there: (sorted fids, coefficients).
+
+    One element at a time: its function values from
+    :meth:`ThbSpace.element_values` at the Gauss points of
+    ``gauss_tensor(space)``, its tensor weights from its bounds, ``f`` at
+    its points.  The weighted, column-equilibrated system is solved with
+    ``scipy.linalg.qr`` and ``Q^T b``, plus one refinement step whose
+    residual is formed in extended precision and mapped back through
+    ``Q^T``.
+    """
+    rule = gauss_tensor(space)
+    refs = tuple(pts for pts, _ in rule)
+    parts = []
+    for lv, e in elements:
+        fids, (vals,) = space.element_values(lv, e, refs)
+        lo, hi = np.array(space.levels[lv].element_bounds(e)).T
+        w = np.ones(1)
+        for d, (_, wts) in enumerate(rule):
+            w = np.outer(w, np.asarray(wts) * (hi[d] - lo[d])).reshape(-1)
+        parts.append((fids, vals, w, f(space.element_points(lv, e, refs))))
+    fids = np.unique(np.concatenate([p[0] for p in parts]))
+    rows, rhs = [], []
+    for efids, vals, w, target in parts:
+        block = np.zeros((len(w), len(fids)))
+        block[:, np.searchsorted(fids, efids)] = (vals * np.sqrt(w)).T
+        rows.append(block)
+        rhs.append(np.sqrt(w) * target)
+    a, b = np.vstack(rows), np.concatenate(rhs)
+    col = np.linalg.norm(a, axis=0)
+    scaled = a / col
+    q, r = scipy.linalg.qr(scaled, mode="economic")
+    y = scipy.linalg.solve_triangular(r, q.T @ b)
+    ld = np.longdouble
+    resid = (b.astype(ld) - scaled.astype(ld) @ y.astype(ld)).astype(float)
+    y = y + scipy.linalg.solve_triangular(r, q.T @ resid)
+    return fids, y / col
 
 
 def univariate_support_flags(kv):

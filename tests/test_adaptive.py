@@ -566,3 +566,40 @@ class TestFieldContract:
     def test_error_report(self, field, norm):
         with pytest.raises(ValueError, match="npts"):
             error_report(self.space, field, np.zeros(self.space.ndof), norms=(norm,))
+
+
+def half_nan_field(p):
+    """Finite on the left half of the square, NaN on the right half."""
+    return np.where(p[:, 0] < 0.5, sinsin_exact(p), np.nan)
+
+
+def inf_field(p):
+    return np.where(p[:, 1] > 0.7, np.inf, 1.0)
+
+
+@pytest.mark.parametrize("field", [half_nan_field, inf_field])
+class TestNonFiniteFields:
+    """A NaN or an infinity in a field raises instead of reaching a result:
+    Python's ``max`` skips NaN, so an error report could read as converged."""
+
+    space = unit_space((2, 2), (2, 2), (2, 2))
+
+    def test_bezier_project(self, field):
+        with pytest.raises(ValueError, match="non-finite"):
+            bezier_project(self.space, field)
+
+    @pytest.mark.parametrize("norm", ["l2", "linf"])
+    def test_error_report(self, field, norm):
+        with pytest.raises(ValueError, match="non-finite"):
+            error_report(self.space, field, np.zeros(self.space.ndof), norms=(norm,))
+
+    def test_error_report_gradient(self, field):
+        with pytest.raises(ValueError, match="non-finite"):
+            error_report(self.space, sinsin_exact, np.zeros(self.space.ndof), norms=("h1",),
+                         f_grad=lambda p: np.stack([field(p), field(p)], axis=1))
+
+    def test_poisson_load_and_boundary_data(self, field):
+        with pytest.raises(ValueError, match="non-finite"):
+            poisson_solve(self.space, field)
+        with pytest.raises(ValueError, match="non-finite"):
+            poisson_solve(self.space, sinsin_rhs, g=field)

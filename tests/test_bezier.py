@@ -2,10 +2,13 @@
 
 Oracles: composite per-element high-order Gauss quadrature driven by the
 naive B-spline recursion (integrals, smoothing weights), a hand-assembled
-3x3 normal-equation solve for the single-element case, and brute-force
-enumeration of the members meeting each function's support (support
-extensions).
+3x3 normal-equation solve for the single-element case, the one-member
+scipy QR of ``conftest.member_solve_oracle`` (stacked member solves), and
+brute-force enumeration of the members meeting each function's support
+(support extensions).
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -14,12 +17,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
+    member_solve_oracle,
     naive_bspline,
     random_admissible_space,
     thb_field,
     thb_field_grad,
     thb_space,
 )
+from thbox import bezier
 from thbox.bezier import (
     ProjectorPartition,
     bezier_project,
@@ -139,12 +144,14 @@ class TestPartition:
 
 
 @st.composite
-def admissible_spaces(draw):
-    """Random admissible THB spaces, 1-2D, p 1-3, multiplicity at most p."""
-    dim = draw(st.integers(1, 2))
-    p = draw(st.integers(1, 3))
+def admissible_spaces(draw, dims=(1, 2), max_p=3, max_boxes=3):
+    """Random admissible THB spaces, ``dims`` a (lo, hi) range of dimensions,
+    p 1..``max_p``, multiplicity at most p, 1..``max_boxes`` level-0 boxes
+    per direction."""
+    dim = draw(st.integers(*dims))
+    p = draw(st.integers(1, max_p))
     m = draw(st.integers(1, p))
-    boxes0 = tuple(draw(st.integers(1, 3)) for _ in range(dim))
+    boxes0 = tuple(draw(st.integers(1, max_boxes)) for _ in range(dim))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     return random_admissible_space(
         rng, (p,) * dim, boxes0, multiplicity=(m,) * dim,
@@ -193,16 +200,88 @@ class TestMemberLayoutOracle:
         assert_allclose(coeffs, blended, rtol=0, atol=1e-14 * max(1.0, np.abs(coeffs).max()))
 
 
+class TestMemberSolveOracle:
+    """Stacked member solves against the one-member scipy QR of
+    ``conftest.member_solve_oracle``, built element by element."""
+
+    def check(self, space):
+        part = ProjectorPartition(space)
+        # every member's coefficients as bezier_project stacks them
+        blocks = space.quadrature(part._rule, fields=(poly_field,))
+        levels = {b.level: (b.values[0], b.weights, b.fields[0]) for b in blocks}
+        local = bezier._member_solves(part, part._stacks(levels))
+        for idx in range(len(part)):
+            fids, want = member_solve_oracle(space, part.member_elements(idx), poly_field)
+            assert np.array_equal(fids, part.member_functions(idx))
+            got = local[part._fid_ptr[idx]:part._fid_ptr[idx + 1]]
+            one = np.array(list(local_l2_project(part, idx, poly_field).values()))
+            scale = np.abs(want).max()
+            assert np.abs(got - want).max() <= 1e-13 * scale
+            assert np.abs(one - want).max() <= 1e-13 * scale
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(admissible_spaces(dims=(2, 2)))
+    def test_two_dimensional(self, space):
+        self.check(space)
+
+    @settings(max_examples=8, derandomize=True, database=None, deadline=None)
+    @given(admissible_spaces(dims=(3, 3), max_p=2, max_boxes=2))
+    def test_three_dimensional(self, space):
+        self.check(space)
+
+
+class TestStackChunks:
+    def test_chunk_size_leaves_coefficients_bit_identical(self, rspace, monkeypatch):
+        """One member per chunk and one chunk per shape group give the same bits."""
+        out = []
+        for budget in (1, 2**62):
+            monkeypatch.setattr(bezier, "STACK_BYTES", budget)
+            part = ProjectorPartition(rspace)
+            weights = {b.level: (b.weights,) for b in rspace.quadrature(part._rule)}
+            sizes = [len(mids) for mids, _ in part._stacks(weights)]
+            assert sizes == ([1] * len(part) if budget == 1 else [len(g) for g in part._groups])
+            coeffs = bezier_project(rspace, poly_field, part).coefficients
+            out.append((part.total_integrals, coeffs))
+        assert np.array_equal(out[0][0], out[1][0])
+        assert np.array_equal(out[0][1], out[1][1])
+
+
 class TestOverloadedMembers:
     def test_hierarchical_basis_member_raises(self):
         """The non-truncated basis of case 1 is linearly dependent on member
-        (1, (2,)), whose smallest Gramian pivot is about 1.7e-32."""
+        (1, (2,)), whose smallest Gramian pivot is about 1.7e-32; both entry
+        points name it."""
         thb = case_space(SPACE_CASES[0])
         space = build_hb(thb.levels, thb.hierarchy)
         part = ProjectorPartition(space)
-        with pytest.raises(NonSPDError):
+        name = re.escape("member (1, (2,))")
+        with pytest.raises(NonSPDError, match=name):
             local_l2_project(part, (1, (2,)), poly_field)
-        with pytest.raises(NonSPDError):
+        with pytest.raises(NonSPDError, match=name):
+            bezier_project(space, poly_field, part)
+
+    def test_first_failing_member_in_canonical_order_is_named(self):
+        """Case 2's non-truncated basis fails on 13 members of several shape
+        groups.  In solve order (by shape) the first failing member is
+        (2, (4, 6)); the error names the first in canonical order."""
+        thb = case_space(SPACE_CASES[1])
+        space = build_hb(thb.levels, thb.hierarchy)
+        with pytest.raises(NonSPDError, match=re.escape("member (1, (0, 3)) ")):
+            bezier_project(space, poly_field)
+
+    def test_more_functions_than_samples_raises(self):
+        """Member (3, (0,)) of this linear non-truncated basis is one element
+        with two Gauss points and three functions: its QR has fewer rows than
+        functions, which counts as a zero pivot."""
+        thb = thb_space(DomainHierarchy((1,), (2,), [{(0,), (1,)}, {(0,), (1,), (2,), (3,)},
+                                                     {(0,), (6,)}]), (1,))
+        space = build_hb(thb.levels, thb.hierarchy)
+        part = ProjectorPartition(space)
+        assert len(part.member_functions((3, (0,)))) == 3
+        name = re.escape("member (3, (0,)) Gramian pivot 0.000e+00")
+        with pytest.raises(NonSPDError, match=name):
+            local_l2_project(part, (3, (0,)), poly_field)
+        with pytest.raises(NonSPDError, match=name):
             bezier_project(space, poly_field, part)
 
 
