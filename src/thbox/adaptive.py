@@ -6,10 +6,11 @@ record a trace step, and stop once the largest indicator falls below the
 configured tolerance; otherwise refine the Dörfler set of boxes and, on a
 configurable cadence, coarsen the weakest refined regions.  Indicator
 fields are plain dicts mapping active ``(level, box)`` keys to values
-``eta(P) >= 0``.  Two concrete drivers are provided: adaptive local
-projection (:func:`adapt_project`) and an adaptive Poisson solver
-(:func:`adapt_poisson`) built on :func:`poisson_solve` and the interior
-residual estimator.
+``eta(P) >= 0``; the built-in estimators fold per-level element arrays
+into them with one array reduction.  Two concrete drivers are provided:
+adaptive local projection (:func:`adapt_project`) and an adaptive Poisson
+solver (:func:`adapt_poisson`) built on :func:`poisson_solve` and the
+interior residual estimator.
 
 Everything is deterministic: marking sorts boxes canonically, assembly
 runs level by level (``R_lv^T K_lv R_lv``, with ``K_lv`` assembled from
@@ -23,7 +24,7 @@ import numpy as np
 import scipy.sparse
 
 from .bezier import bezier_project, error_report
-from .hierarchy import gauss_tensor, index_grid, unraveled
+from .hierarchy import gauss_tensor, index_grid, raveled, unraveled
 from .numerics import sparse_solve
 from .qbox import AdmissibilityPolicy, coarsen_qboxes, refine_qboxes
 
@@ -202,10 +203,8 @@ class TraceStep:
         self.space = space
         self.ndof = space.ndof
         self.nelem = space.total_active_elements
-        hier = space.hierarchy
-        self.nboxes = sum(
-            len(hier.active_boxes(lv)) for lv in range(hier.num_levels)
-        )
+        # boxes are refined whole: every active box holds prod(q) active elements
+        self.nboxes = self.nelem // int(np.prod(space.hierarchy.q))
         self.error_l2 = float(error_l2)
         self.error_linf = float(error_linf)
         self.eta_total = float(eta_total)
@@ -335,9 +334,22 @@ def adapt_loop(space, solve, estimate, cfg):
     return AdaptiveTrace(steps, converged, solution)
 
 
-def _box_key(lv, e, q):
-    """Active box containing active element ``(lv, e)``."""
-    return lv, tuple(c // qd for c, qd in zip(e, q))
+def _box_reduce(space, levels, ufunc, initial):
+    """Sorted ``(level, box)`` keys and values (n,) of ``ufunc.at`` from ``initial``
+    over per-level element values aligned with ``space.element_rows(lv)[0]``:
+    boxes are refined whole, so an active element lies in box ``element // q``."""
+    hier = space.hierarchy
+    keys, out = [], []
+    for lv, values in enumerate(levels):
+        shape = hier.boxes_shape(lv)
+        ids, box = np.unique(
+            raveled(space.element_rows(lv)[0] // hier.q, shape), return_inverse=True
+        )
+        acc = np.full(len(ids), initial)
+        ufunc.at(acc, box, values)
+        keys += [(lv, b) for b in map(tuple, unraveled(ids, shape).tolist())]
+        out.append(acc)
+    return keys, np.concatenate(out)
 
 
 def adapt_project(f, space, cfg):
@@ -356,13 +368,8 @@ def adapt_project(f, space, cfg):
 
     def estimate(sp, result):
         rep = error_report(sp, f, result, norms=("l2", "linf"))
-        q = sp.hierarchy.q
-        indicators = {}
-        for (lv, e), entry in rep.per_element.items():
-            key = _box_key(lv, e, q)
-            if entry["linf"] > indicators.get(key, -1.0):
-                indicators[key] = entry["linf"]
-        return indicators, {
+        keys, values = _box_reduce(sp, rep.linf, np.maximum, -np.inf)
+        return dict(zip(keys, values.tolist())), {
             "error_l2": rep.error_l2,
             "error_linf": rep.error_linf,
         }
@@ -393,9 +400,8 @@ def _boundary_values(space, g):
             ((float(side),), None) if dd == d else r for dd, r in enumerate(gauss)
         )
         facet = [
-            (lv, tuple(e))
+            arr[arr[:, d] == side * (space.hierarchy.elems_shape(lv)[d] - 1)]
             for lv, arr in enumerate(elems)
-            for e in arr[arr[:, d] == side * (space.hierarchy.elems_shape(lv)[d] - 1)].tolist()
         ]
         for block in space.quadrature(rule, fields=fields, elements=facet):
             mass = mass + block.gram()
@@ -463,15 +469,13 @@ def residual_estimator(space, solution, f):
     derivs = tuple(
         tuple(2 * int(k == d) for k in range(dim)) for d in range(dim)
     )
-    q = space.hierarchy.q
-    acc = {}
+    eta_sq = [np.zeros(0)] * space.num_levels
     for block in space.quadrature(gauss_tensor(space, extra=1), derivs, (f,)):
         res = block.fields[0] + sum(block.evaluate(coeffs, d) for d in range(dim))
-        eta_sq = (block.sizes**2).sum(axis=1) * (res * (block.weights * res)).sum(axis=1)
-        for e, val in zip(block.element_keys(), eta_sq.tolist()):
-            key = _box_key(block.level, e, q)
-            acc[key] = acc.get(key, 0.0) + val
-    return {key: float(np.sqrt(val)) for key, val in sorted(acc.items())}
+        sq = (res * (block.weights * res)).sum(axis=1)
+        eta_sq[block.level] = (block.sizes**2).sum(axis=1) * sq
+    keys, values = _box_reduce(space, eta_sq, np.add, 0.0)
+    return dict(zip(keys, np.sqrt(values).tolist()))
 
 
 def adapt_poisson(space, f, cfg, g=None, exact=None):

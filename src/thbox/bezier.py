@@ -201,15 +201,19 @@ class ProjectorPartition:
             raise ValueError("box %s at level %d is not a member" % (key[1], key[0]))
         return self._index[key]
 
-    def member_elements(self, member):
-        """Active (level, element) pairs covered by the member."""
-        idx = self.member_index(member)
+    def _member_arrays(self, idx):
+        """The elements of member ``idx``: one array (n_lv, dim) per level, canonical."""
         g = self._elements[self._elem_ptr[idx]:self._elem_ptr[idx + 1]]
         level = np.searchsorted(self._offsets, g, side="right") - 1
-        return tuple(
-            (lv, self.space.active_elements(lv)[i])
-            for lv, i in zip(level.tolist(), (g - self._offsets[level]).tolist())
-        )
+        return [
+            self.space.element_rows(lv)[0][g[level == lv] - self._offsets[lv]]
+            for lv in range(self.space.num_levels)
+        ]
+
+    def member_elements(self, member):
+        """Active (level, element) pairs covered by the member."""
+        arrays = self._member_arrays(self.member_index(member))
+        return tuple((lv, e) for lv, arr in enumerate(arrays) for e in map(tuple, arr.tolist()))
 
     def member_functions(self, member):
         """Sorted ids of the functions nonzero on the member."""
@@ -249,7 +253,10 @@ def region_gramian(space, region):
     region = sorted(set((lv, tuple(e)) for lv, e in region))
     if not region:
         raise ValueError("empty region")
-    gram = sum(block.gram() for block in space.quadrature(gauss_tensor(space), elements=region))
+    if not 0 <= region[0][0] <= region[-1][0] < space.num_levels:
+        raise ValueError("region levels must lie in [0, %d)" % space.num_levels)
+    elements = [[e for lv, e in region if lv == k] for k in range(space.num_levels)]
+    gram = sum(block.gram() for block in space.quadrature(gauss_tensor(space), elements=elements))
     # B-splines and the functions' coefficients on them are nonnegative, so
     # the diagonal is positive exactly for the functions nonzero on the region
     fids = np.flatnonzero(gram.diagonal())
@@ -344,7 +351,7 @@ def local_l2_project(partition, member, f):
     supports linearly dependent restrictions and is a hard fault.
     """
     idx = partition.member_index(member)
-    elements = partition.member_elements(idx)
+    elements = partition._member_arrays(idx)
     blocks = partition.space.quadrature(partition._rule, fields=(f,), elements=elements)
     arrays = zip(*((block.values[0], block.weights, block.fields[0]) for block in blocks))
     stack = [np.concatenate(a)[None] for a in arrays]
@@ -431,37 +438,23 @@ def support_extension(partition, lv, e):
 class ErrorReport:
     """Per-element and global projection errors.
 
-    ``per_element`` maps active (level, element) pairs to dicts with the
-    requested norms: "l2" (with "rms", the element L2 error divided by the
-    square root of the element volume), "linf" (dense tensor sampling),
-    and "h1" (full first-order Sobolev norm on the element).  Globals:
-    ``error_l2``/``error_h1`` (square-summed), ``error_linf`` (max), and
-    ``max_elem_l2`` — the largest per-element "rms" value, an
-    element-size-independent quality measure.
+    Per norm, one array per level aligned with ``space.element_rows(lv)[0]``
+    (``None`` if not requested): ``l2`` (with ``rms``, the element L2 error
+    divided by the square root of the element volume), ``linf`` (dense
+    tensor sampling), and ``h1`` (full first-order Sobolev norm on the
+    element).  Globals: ``error_l2``/``error_h1`` (square-summed in
+    canonical element order), ``error_linf`` (max), and ``max_elem_l2`` —
+    the largest element "rms" value, an element-size-independent measure.
     """
 
-    def __init__(self, per_element, norms):
-        self.per_element = per_element
+    def __init__(self, nelem, norms, l2=None, rms=None, linf=None, h1=None):
+        self.nelem = int(nelem)
         self.norms = tuple(norms)
-        self.error_l2 = None
-        self.error_linf = None
-        self.error_h1 = None
-        self.max_elem_l2 = None
-        if "l2" in norms:
-            self.error_l2 = float(
-                np.sqrt(sum(v["l2"] ** 2 for v in per_element.values()))
-            )
-            self.max_elem_l2 = max(v["rms"] for v in per_element.values())
-        if "linf" in norms:
-            self.error_linf = max(v["linf"] for v in per_element.values())
-        if "h1" in norms:
-            self.error_h1 = float(
-                np.sqrt(sum(v["h1"] ** 2 for v in per_element.values()))
-            )
-
-    @property
-    def nelem(self):
-        return len(self.per_element)
+        self.l2, self.rms, self.linf, self.h1 = l2, rms, linf, h1
+        self.error_l2 = None if l2 is None else _root_square_sum(l2)
+        self.error_h1 = None if h1 is None else _root_square_sum(h1)
+        self.error_linf = None if linf is None else float(np.concatenate(linf).max())
+        self.max_elem_l2 = None if rms is None else float(np.concatenate(rms).max())
 
     def __repr__(self):
         parts = ["nelem=%d" % self.nelem]
@@ -470,6 +463,11 @@ class ErrorReport:
             if val is not None:
                 parts.append("%s=%.3e" % (name, val))
         return "ErrorReport(%s)" % ", ".join(parts)
+
+
+def _root_square_sum(levels):
+    """Root of the squares of per-level arrays summed one by one, in order."""
+    return float(np.sqrt(sum(v**2 for values in levels for v in values.tolist())))
 
 
 def error_report(space, f, result, norms=_NORMS, f_grad=None):
@@ -492,14 +490,13 @@ def error_report(space, f, result, norms=_NORMS, f_grad=None):
     if "h1" in norms and f_grad is None:
         raise ValueError("the h1 norm requires f_grad")
     dim = space.dim
-    per_element = {key: {} for key in space.all_active_elements()}
+    names = {"l2": ("l2", "rms"), "linf": ("linf",), "h1": ("h1",)}
+    arrays = {name: [np.zeros(0)] * space.num_levels for n in norms for name in names[n]}
     if "l2" in norms or "h1" in norms:
         derivs = ((0,) * dim,)
         fields = (f,)
         if "h1" in norms:
-            derivs += tuple(
-                tuple(1 if k == d else 0 for k in range(dim)) for d in range(dim)
-            )
+            derivs += tuple(tuple(int(k == d) for k in range(dim)) for d in range(dim))
             fields += _gradient_components(f_grad, dim)
         for block in space.quadrature(gauss_tensor(space, extra=1), derivs, fields):
             w = block.weights
@@ -507,26 +504,17 @@ def error_report(space, f, result, norms=_NORMS, f_grad=None):
             for k in range(len(derivs)):
                 err = block.evaluate(coeffs, k) - block.fields[k]
                 sq.append((err * (w * err)).sum(axis=1))
-            l2 = np.sqrt(sq[0]).tolist()
-            rms = np.sqrt(sq[0] / np.prod(block.sizes, axis=1)).tolist()
-            h1 = np.sqrt(sum(sq)).tolist()
-            for i, e in enumerate(block.element_keys()):
-                entry = per_element[(block.level, e)]
-                if "l2" in norms:
-                    entry["l2"] = l2[i]
-                    entry["rms"] = rms[i]
-                if "h1" in norms:
-                    entry["h1"] = h1[i]
+            if "l2" in norms:
+                arrays["l2"][block.level] = np.sqrt(sq[0])
+                arrays["rms"][block.level] = np.sqrt(sq[0] / np.prod(block.sizes, axis=1))
+            if "h1" in norms:
+                arrays["h1"][block.level] = np.sqrt(sum(sq))
     if "linf" in norms:
-        grid = tuple(
-            (tuple(np.linspace(0.0, 1.0, 2 * p + 3).tolist()), None)
-            for p in space.degree
-        )
+        grid = tuple((tuple(np.linspace(0, 1, 2 * p + 3).tolist()), None) for p in space.degree)
         for block in space.quadrature(grid, fields=(f,)):
             err = np.abs(block.evaluate(coeffs) - block.fields[0]).max(axis=1)
-            for e, val in zip(block.element_keys(), err.tolist()):
-                per_element[(block.level, e)]["linf"] = val
-    return ErrorReport(per_element, norms)
+            arrays["linf"][block.level] = err
+    return ErrorReport(space.total_active_elements, norms, **arrays)
 
 
 def _gradient_components(f_grad, dim):

@@ -250,7 +250,12 @@ _SCHEMAS = {
             "elements": (9, _int_field("elements", 2)),
             "target": ("circular-front", _str_field("target", {"circular-front"})),
         },
-        **_ADAPT_FIELDS,
+        **dict(
+            _ADAPT_FIELDS,
+            theta_refine=(0.9, _ADAPT_FIELDS["theta_refine"][1]),
+            tolerance=(1e-2, _ADAPT_FIELDS["tolerance"][1]),
+            max_iterations=(12, _ADAPT_FIELDS["max_iterations"][1]),
+        ),
     ),
     "derham-check": {
         "dim": (2, _int_field("dim", 2, 3)),
@@ -271,15 +276,6 @@ _SCHEMAS = {
     },
 }
 _SCHEMAS["mesh-svg"] = dict(_SCHEMAS["mesh-info"], dim=(2, _int_field("dim", 2, 2)))
-_SCHEMAS["adapt-poisson"]["theta_refine"] = (
-    0.9,
-    _ADAPT_FIELDS["theta_refine"][1],
-)
-_SCHEMAS["adapt-poisson"]["tolerance"] = (1e-2, _ADAPT_FIELDS["tolerance"][1])
-_SCHEMAS["adapt-poisson"]["max_iterations"] = (
-    12,
-    _ADAPT_FIELDS["max_iterations"][1],
-)
 
 
 def load_config(path):
@@ -324,9 +320,10 @@ def normalize_config(raw, out_dir=None, seed=None):
     return kind, params
 
 
-def _uniform_thb(q, boxes0, degree, multiplicity=1):
+def _uniform_thb(q, boxes0, degree, multiplicity=1, refined=()):
+    """THB space on uniform knots over ``DomainHierarchy(q, boxes0, refined)``."""
     try:
-        hier = DomainHierarchy(q, boxes0, ())
+        hier = DomainHierarchy(q, boxes0, refined)
         base = uniform_space(hier.elems_level0, degree, (multiplicity,) * len(q))
         return build_thb(LevelSequence(base), hier)
     except ValueError as exc:
@@ -359,14 +356,7 @@ def run_converge_projection(params, quiet=False):
     for i in range(params["steps"]):
         b0 = 2 * 2**i
         corner = set(itertools.product(range(b0 // 2), repeat=dim))
-        try:
-            hier = DomainHierarchy(q, (b0,) * dim, [corner])
-            base = uniform_space(
-                hier.elems_level0, (p,) * dim, (params["multiplicity"],) * dim
-            )
-            space = build_thb(LevelSequence(base), hier)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        space = _uniform_thb(q, (b0,) * dim, (p,) * dim, params["multiplicity"], [corner])
         result = bezier_project(space, sine_product)
         rep = error_report(
             space, sine_product, result, norms=("l2", "h1"),

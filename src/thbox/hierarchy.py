@@ -81,6 +81,21 @@ def sorted_lookup(ids, values):
     return pos, ids[pos] == values
 
 
+def index_array(values, dim, what):
+    """Multi-indices (n, dim) given as an array or a collection of sequences,
+    as int64; ValueError naming ``what`` for a bool, float or other
+    non-integer entry, or a length other than ``dim``, instead of a cast."""
+    if not isinstance(values, np.ndarray):
+        values = np.array(list(values), dtype=object)
+    kinds = set(map(type, values.flat)) if values.dtype == object else {values.dtype.type}
+    if len(values) == 0:
+        return np.zeros((0, dim), dtype=np.int64)
+    ints = all(t is int or issubclass(t, np.integer) for t in kinds)
+    if not ints or values.ndim != 2 or values.shape[1] != dim:
+        raise ValueError("%s must be integer multi-indices of dimension %d" % (what, dim))
+    return values.astype(np.int64, copy=False)
+
+
 def require_no_box(boxes, bad, lv, what):
     """ValueError naming the first level-``lv`` box of ``boxes`` (n, dim) flagged in ``bad``."""
     if bad.any():
@@ -154,10 +169,7 @@ class DomainHierarchy:
             raise ValueError("q and boxes_level0 entries must be >= 1")
         self.refined_ids = []
         for lv, boxes in enumerate(refined):
-            boxes = np.array(list(boxes), dtype=np.int64)
-            if len(boxes) and boxes.shape[1:] != (self.dim,):
-                raise ValueError("level-%d boxes must have dimension %d" % (lv, self.dim))
-            boxes = boxes.reshape(-1, self.dim)
+            boxes = index_array(boxes, self.dim, "level-%d boxes" % lv)
             shape = self.boxes_shape(lv)
             outside = np.any((boxes < 0) | (boxes >= shape), axis=1)
             require_no_box(boxes, outside, lv, "is off the grid")
@@ -374,10 +386,6 @@ class LevelBlock:
     def extraction(self):
         return self.space.extraction(self.level)
 
-    def element_keys(self):
-        """The elements as tuples, in block order."""
-        return [tuple(e) for e in self.elements.tolist()]
-
     def evaluate(self, coeffs, k=0):
         """Values (nel, nq) of the function with THB ``coeffs`` for ``values[k]``."""
         local = (self.extraction @ coeffs)[self.local]
@@ -459,7 +467,6 @@ class ThbSpace:
             elems = raveled(boxes[:, None, :] * hier.q + index_grid(hier.q), shape)
             self._elem_ids.append(np.sort(elems.ravel()))
             self._elem_array.append(unraveled(self._elem_ids[-1], shape))
-        self._active_elems = [tuple(map(tuple, a.tolist())) for a in self._elem_array]
 
     def _build_representation(self):
         """Prolong the active functions level by level into the matrices ``R_lv``.
@@ -550,7 +557,7 @@ class ThbSpace:
 
     def active_elements(self, lv):
         """Sorted tuple of active level-``lv`` element multi-indices."""
-        return self._active_elems[lv]
+        return tuple(map(tuple, self._elem_array[lv].tolist()))
 
     def is_active_element(self, lv, e):
         """Whether element ``e`` of level ``lv`` is active; outside the grid it is not."""
@@ -562,15 +569,20 @@ class ThbSpace:
     def all_active_elements(self):
         """Iterate (level, element) pairs in canonical order."""
         for lv in range(self.num_levels):
-            for e in self._active_elems[lv]:
+            for e in self.active_elements(lv):
                 yield lv, e
 
     @property
     def total_active_elements(self):
-        return sum(len(a) for a in self._active_elems)
+        return sum(len(a) for a in self._elem_ids)
 
     def locate(self, x):
-        """The unique (level, element) of the active element containing ``x``."""
+        """The unique (level, element) of the active element containing ``x``;
+        ValueError unless ``x`` lies in the closed domain box (NaN does not)."""
+        kvs = self.levels.base.kvs
+        inside = [kv.breakpoints[0] <= xi <= kv.breakpoints[-1] for kv, xi in zip(kvs, x)]
+        if len(x) != self.dim or not all(inside):
+            raise ValueError("point %s lies outside the domain" % (tuple(x),))
         for lv in range(self.num_levels - 1, -1, -1):
             e = self.levels[lv].element_of(x)
             if self.is_active_element(lv, e):
@@ -593,7 +605,7 @@ class ThbSpace:
 
     def _positions(self, lv, elements):
         """Positions of level-``lv`` elements (n, dim) in :meth:`active_elements`."""
-        elements = np.asarray(elements, dtype=np.int64).reshape(-1, self.dim)
+        elements = index_array(elements, self.dim, "level-%d elements" % lv)
         shape = self.levels[lv].numelems
         inside = np.all((elements >= 0) & (elements < shape), axis=1)
         pos, found = sorted_lookup(
@@ -652,7 +664,8 @@ class ThbSpace:
         mapped through :meth:`element_table`.
         """
         rule = tuple((pts, None) for pts in ref_pts_per_dir)
-        (block,) = self.quadrature(rule, derivs, elements=((lv, e),))
+        elements = [[e] if k == lv else [] for k in range(self.num_levels)]
+        (block,) = self.quadrature(rule, derivs, elements=elements)
         fids, coeffs = self.element_table(lv, e)
         return fids, [coeffs @ v[0] for v in block.values]
 
@@ -669,10 +682,10 @@ class ThbSpace:
         ``None`` for a direction that is only sampled (weight factor 1;
         a rule without weights yields ``weights = None``).  ``derivs`` lists
         per-direction derivative-order tuples (values only by default).
-        ``elements`` lists the active (level, element) pairs to visit, all
-        of them by default.  Blocks come in level order, and a block's
-        elements in the order given (canonical by default); levels without
-        elements yield no block.
+        ``elements`` holds one array (n_lv, dim) of active elements per
+        level to visit, all of them by default.  Blocks come in level order,
+        and a block's elements in the order given (canonical by default);
+        levels without elements yield no block.
 
         A field maps a point array (npts, dim) to a finite value array
         (npts,) and is called once per block, on all of the block's points;
@@ -684,12 +697,11 @@ class ThbSpace:
         refs = tuple(pts for pts, _ in rule)
         grid = _reference_grid(refs) if fields else None
         if elements is None:
-            chosen = [np.arange(len(a)) for a in self._active_elems]
+            chosen = [np.arange(len(a)) for a in self._elem_ids]
+        elif len(elements) != self.num_levels:
+            raise ValueError("elements must hold one array per level (%d)" % self.num_levels)
         else:
-            by_level = [[] for _ in range(self.num_levels)]
-            for lv, e in elements:
-                by_level[lv].append(e)
-            chosen = [self._positions(lv, es) for lv, es in enumerate(by_level)]
+            chosen = [self._positions(lv, es) for lv, es in enumerate(elements)]
         for lv, pos in enumerate(chosen):
             if len(pos) == 0:
                 continue

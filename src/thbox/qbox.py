@@ -49,6 +49,7 @@ import numpy as np
 
 from .hierarchy import (
     ThbSpace,
+    index_array,
     index_grid,
     range_points,
     raveled,
@@ -111,7 +112,7 @@ def support_extension_rect(space, lv, boxes, k, q=None):
     own q.
     """
     q = np.array(space.hierarchy.q if q is None else q)
-    boxes = np.asarray(boxes, dtype=np.int64).reshape(-1, space.dim)
+    boxes = index_array(boxes, space.dim, "level-%d boxes" % lv)
     first, last = q * boxes, q * (boxes + 1) - 1
     if k >= lv:
         first, last = first << (k - lv), ((last + 1) << (k - lv)) - 1
@@ -168,11 +169,13 @@ def coarsening_blocked(space, lv, boxes, c):
 
 
 def _marks_by_level(marked, dim):
-    """Marked (level, box) pairs as {level: boxes (n, dim)}, in sorted order."""
-    return {
-        lv: np.array([box for _, box in group], dtype=np.int64).reshape(-1, dim)
-        for lv, group in itertools.groupby(sorted(marked), key=lambda mark: mark[0])
-    }
+    """Distinct marked (level, box) pairs as sorted {level: boxes (n, dim)}; ValueError
+    for a non-integer entry, a box not of length ``dim`` or a negative level."""
+    rows = index_array([(lv, *box) for lv, box in marked], dim + 1, "marks (level, *box)")
+    rows = np.unique(rows, axis=0)
+    if len(rows) and rows[0, 0] < 0:
+        raise ValueError("mark %s has a negative level" % (tuple(rows[0].tolist()),))
+    return {lv: rows[rows[:, 0] == lv, 1:] for lv in np.unique(rows[:, 0]).tolist()}
 
 
 def _with_boxes(hier, boxes):

@@ -10,6 +10,7 @@ import itertools
 
 import numpy as np
 import scipy.linalg
+from hypothesis import strategies as st
 
 from thbox.derham import RANK_REL_TOL, _operators
 from thbox.hierarchy import DomainHierarchy, LevelSequence, build_thb, gauss_tensor
@@ -140,6 +141,22 @@ def random_admissible_space(
     return space
 
 
+@st.composite
+def admissible_spaces(draw, dims=(1, 2), max_p=3, max_boxes=3, smooth=False):
+    """Random admissible THB spaces, ``dims`` a (lo, hi) range of dimensions,
+    p 1..``max_p``, multiplicity at most p (below p, a C^1 space, with
+    ``smooth``), 1..``max_boxes`` level-0 boxes per direction."""
+    dim = draw(st.integers(*dims))
+    p = draw(st.integers(1 + smooth, max_p))
+    m = draw(st.integers(1, p - smooth))
+    boxes0 = tuple(draw(st.integers(1, max_boxes)) for _ in range(dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return random_admissible_space(
+        rng, (p,) * dim, boxes0, multiplicity=(m,) * dim,
+        rounds=draw(st.integers(1, 2)), admissibility=draw(st.integers(2, 3)),
+    )
+
+
 def _thb_eval(space, coeffs, pts, order):
     """Values (order 0, shape (1, npts)) or gradient components (order 1,
     shape (dim, npts)) of the THB function with ``coeffs`` at ``pts``.
@@ -231,6 +248,82 @@ def member_solve_oracle(space, elements, f):
     resid = (b.astype(ld) - scaled.astype(ld) @ y.astype(ld)).astype(float)
     y = y + scipy.linalg.solve_triangular(r, q.T @ resid)
     return fids, y / col
+
+
+def _box_key(lv, e, q):
+    """Active box containing active element ``(lv, e)``."""
+    return lv, tuple(c // qd for c, qd in zip(e, q))
+
+
+def box_max_oracle(space, levels):
+    """{(level, box): largest element value}, one dict update per element.
+
+    ``levels[lv]`` holds one value per element of ``space.active_elements(lv)``.
+    """
+    out = {}
+    for lv, values in enumerate(levels):
+        for e, val in zip(space.active_elements(lv), values.tolist()):
+            key = _box_key(lv, e, space.hierarchy.q)
+            if val > out.get(key, -1.0):
+                out[key] = val
+    return out
+
+
+def box_sum_oracle(space, levels):
+    """{(level, box): sum of element values}, keys sorted, each sum taken
+    element by element in canonical order from 0.0."""
+    out = {}
+    for lv, values in enumerate(levels):
+        for e, val in zip(space.active_elements(lv), values.tolist()):
+            key = _box_key(lv, e, space.hierarchy.q)
+            out[key] = out.get(key, 0.0) + val
+    return dict(sorted(out.items()))
+
+
+def residual_oracle(space, coeffs, f):
+    """Interior residual indicators by the element-by-element dict loop.
+
+    The element terms ``diam(e)**2 * ||f + laplace(u_h)||**2`` come from the
+    same quadrature blocks as :func:`thbox.adaptive.residual_estimator`; each
+    is added to its box in canonical element order, and the square roots of
+    the sums are returned with sorted keys.
+    """
+    dim = space.dim
+    derivs = tuple(tuple(2 * int(k == d) for k in range(dim)) for d in range(dim))
+    eta_sq = [np.zeros(0)] * space.num_levels
+    for block in space.quadrature(gauss_tensor(space, extra=1), derivs, (f,)):
+        res = block.fields[0] + sum(block.evaluate(coeffs, d) for d in range(dim))
+        eta_sq[block.level] = (block.sizes**2).sum(axis=1) * (res * (block.weights * res)).sum(
+            axis=1
+        )
+    return {key: float(np.sqrt(val)) for key, val in box_sum_oracle(space, eta_sq).items()}
+
+
+def element_error_oracle(space, f, coeffs):
+    """Per-level element L2 and sampled sup errors (two lists of arrays), one
+    :meth:`ThbSpace.element_values` call per element and rule.
+
+    The L2 rule is the Gauss rule one order above the Gramian rule with
+    tensor weights from the element bounds; the sup error samples a
+    ``2*p+3`` point tensor grid per element, as :func:`thbox.bezier.error_report`
+    documents.
+    """
+    gauss = gauss_tensor(space, extra=1)
+    grid = tuple(tuple(np.linspace(0.0, 1.0, 2 * p + 3).tolist()) for p in space.degree)
+    l2, linf = [], []
+    for lv in range(space.num_levels):
+        l2.append(np.zeros(len(space.active_elements(lv))))
+        linf.append(np.zeros(len(space.active_elements(lv))))
+        for i, e in enumerate(space.active_elements(lv)):
+            lo, hi = np.array(space.levels[lv].element_bounds(e)).T
+            w = np.ones(1)
+            for d, (_, wts) in enumerate(gauss):
+                w = np.outer(w, np.asarray(wts) * (hi[d] - lo[d])).reshape(-1)
+            for refs, out in ((tuple(pts for pts, _ in gauss), l2), (grid, linf)):
+                fids, (vals,) = space.element_values(lv, e, refs)
+                err = coeffs[fids] @ vals - f(space.element_points(lv, e, refs))
+                out[lv][i] = np.sqrt(w @ err**2) if out is l2 else np.abs(err).max()
+    return l2, linf
 
 
 def univariate_support_flags(kv):

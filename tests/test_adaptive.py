@@ -4,9 +4,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
-from conftest import thb_space
+from conftest import (
+    admissible_spaces,
+    box_max_oracle,
+    box_sum_oracle,
+    element_error_oracle,
+    residual_oracle,
+    thb_space,
+)
 from thbox.adaptive import (
     AdaptiveConfig,
     AdaptiveTrace,
@@ -18,7 +26,7 @@ from thbox.adaptive import (
     poisson_solve,
     residual_estimator,
 )
-from thbox.adaptive import _boundary_values, _coarsen_mark
+from thbox.adaptive import _boundary_values, _box_reduce, _coarsen_mark
 from thbox.bezier import bezier_project, error_report
 from thbox.hierarchy import DomainHierarchy, ThbSpace, admissibility_class
 from thbox.numerics import assemble_csr
@@ -470,6 +478,53 @@ class TestResidualEstimator:
         with pytest.raises(ValueError, match="C\\^1"):
             residual_estimator(space, np.zeros(space.ndof),
                                lambda p: np.ones(len(p)))
+
+
+def wave(p):
+    return np.sin(3.0 * p.sum(axis=1)) + p[:, 0] ** 2
+
+
+class TestElementArrays:
+    """Per-level element arrays against element-by-element loops.
+
+    The box reductions and the residual indicators (on C^1 spaces) must
+    equal the dict oracles of ``conftest`` bit for bit.  ``error_report``'s level arrays go
+    through the extraction matrices, the oracle through one element table
+    per element, so they agree to rounding: relative 1e-12 with an absolute
+    floor of 1e-14 (the errors of random coefficients are of order one).
+    """
+
+    def check(self, space):
+        rng = np.random.default_rng(space.ndof)
+        coeffs = rng.standard_normal(space.ndof)
+        rep = error_report(space, wave, coeffs, norms=("l2", "linf"))
+        l2, linf = element_error_oracle(space, wave, coeffs)
+        for lv in range(space.num_levels):
+            assert_allclose(rep.l2[lv], l2[lv], rtol=1e-12, atol=1e-14)
+            assert_allclose(rep.linf[lv], linf[lv], rtol=1e-12, atol=1e-14)
+        keys, values = _box_reduce(space, rep.linf, np.maximum, -np.inf)
+        assert keys == sorted(keys)
+        assert dict(zip(keys, values.tolist())) == box_max_oracle(space, rep.linf)
+        draws = [rng.random(len(space.active_elements(lv))) for lv in range(space.num_levels)]
+        keys, values = _box_reduce(space, draws, np.add, 0.0)
+        assert list(zip(keys, values.tolist())) == list(box_sum_oracle(space, draws).items())
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(admissible_spaces(dims=(2, 2)))
+    def test_two_dimensional(self, space):
+        self.check(space)
+
+    @settings(max_examples=8, derandomize=True, database=None, deadline=None)
+    @given(admissible_spaces(dims=(3, 3), max_p=2, max_boxes=2))
+    def test_three_dimensional(self, space):
+        self.check(space)
+
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(admissible_spaces(dims=(2, 3), max_p=3, max_boxes=2, smooth=True))
+    def test_residual_estimator(self, space):
+        coeffs = np.random.default_rng(space.ndof).standard_normal(space.ndof)
+        est = residual_estimator(space, coeffs, wave)
+        assert list(est.items()) == list(residual_oracle(space, coeffs, wave).items())
 
 
 ALPHA, R0, XC = 60.0, 0.8, (-0.25, -0.25)

@@ -13,10 +13,10 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
+    admissible_spaces,
     member_solve_oracle,
     naive_bspline,
     random_admissible_space,
@@ -141,22 +141,6 @@ class TestPartition:
         space = thb_space(DomainHierarchy((2, 2), (2, 2), [{(0, 0)}]), (3, 3))
         with pytest.raises(ValueError):
             ProjectorPartition(space)
-
-
-@st.composite
-def admissible_spaces(draw, dims=(1, 2), max_p=3, max_boxes=3):
-    """Random admissible THB spaces, ``dims`` a (lo, hi) range of dimensions,
-    p 1..``max_p``, multiplicity at most p, 1..``max_boxes`` level-0 boxes
-    per direction."""
-    dim = draw(st.integers(*dims))
-    p = draw(st.integers(1, max_p))
-    m = draw(st.integers(1, p))
-    boxes0 = tuple(draw(st.integers(1, max_boxes)) for _ in range(dim))
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    return random_admissible_space(
-        rng, (p,) * dim, boxes0, multiplicity=(m,) * dim,
-        rounds=draw(st.integers(1, 2)), admissibility=draw(st.integers(2, 3)),
-    )
 
 
 class TestMemberLayoutOracle:
@@ -314,6 +298,13 @@ class TestVerifyNonOverloaded:
         space = thb_space(DomainHierarchy((2, 2), (2, 2), [{(0, 0)}]), (2, 2))
         with pytest.raises(ValueError):
             verify_non_overloaded(space, [(0, (0, 0))])
+
+    def test_level_outside_hierarchy_raises(self):
+        # a negative level must not wrap around to the finest one
+        space = thb_space(DomainHierarchy((2, 2), (2, 2), [{(0, 0)}]), (2, 2))
+        for lv in (-1, space.num_levels):
+            with pytest.raises(ValueError, match="region levels"):
+                region_gramian(space, [(lv, (0, 0))])
 
 
 class TestLocalProjection:
@@ -504,8 +495,9 @@ class TestErrorReport:
         assert report.error_h1 <= 1e-10
         assert report.max_elem_l2 <= 1e-10
         assert report.nelem == rspace.total_active_elements
-        for entry in report.per_element.values():
-            assert set(entry) == {"l2", "rms", "linf", "h1"}
+        sizes = [len(rspace.active_elements(lv)) for lv in range(rspace.num_levels)]
+        for name in ("l2", "rms", "linf", "h1"):
+            assert [len(a) for a in getattr(report, name)] == sizes
 
     def test_gradient_called_once_per_block(self, rspace):
         calls = []
@@ -527,6 +519,22 @@ class TestErrorReport:
         report = error_report(rspace, const_field(1.0), result.coefficients, norms=("linf",))
         assert report.error_linf <= 1e-12
         assert report.error_l2 is None and report.error_h1 is None
+
+    def test_norm_selection_keeps_element_count(self):
+        space = thb_space(DomainHierarchy((2, 2), (2, 2), [{(0, 0)}]), (2, 2))
+        sizes = [len(space.active_elements(lv)) for lv in range(space.num_levels)]
+        zero = np.zeros(space.ndof)
+        grad = lambda p: np.ones((len(p), 2))
+        none = error_report(space, const_field(1.0), zero, norms=())
+        h1 = error_report(space, const_field(1.0), zero, norms=("h1",), f_grad=grad)
+        for report in (none, h1):
+            assert report.nelem == space.total_active_elements == sum(sizes)
+            assert report.error_l2 is report.error_linf is report.max_elem_l2 is None
+            assert report.l2 is report.rms is report.linf is None
+        assert none.error_h1 is None and none.h1 is None
+        assert [len(a) for a in h1.h1] == sizes
+        # |grad(1 - f)|^2 = 2 and (1 - f)^2 = 1 on the unit square
+        assert_allclose(h1.error_h1, np.sqrt(3.0), rtol=1e-13)
 
     def test_h1_requires_gradient(self, rspace, rpartition):
         result = bezier_project(rspace, const_field(1.0), rpartition)

@@ -158,6 +158,22 @@ class TestDomainHierarchy:
         with pytest.raises(ValueError, match="dimension"):
             DomainHierarchy((2, 2), (2, 2), [{(0,)}])  # wrong dimension
 
+    @pytest.mark.parametrize(
+        "boxes",
+        [[(1.5, 2)], [(1.0, 2)], [(True, 1)], [(True, False)], [(1, 2, 0)], [(1,)],
+         [(1, 2), (1,)]],
+        ids=["float", "integral-float", "bool", "all-bool", "long", "short", "ragged"],
+    )
+    def test_rejects_malformed_boxes(self, boxes):
+        # the entries are not silently cast or reshaped into another box
+        with pytest.raises(ValueError, match="integer multi-indices of dimension 2"):
+            DomainHierarchy((2, 2), (4, 4), [boxes])
+
+    def test_rejects_malformed_box_arrays(self):
+        for boxes in ([[1.0, 2.0]], [[True, False]], [[1, 2, 0]], [1, 2]):
+            with pytest.raises(ValueError, match="integer multi-indices of dimension 2"):
+                DomainHierarchy((2, 2), (4, 4), [np.array(boxes)])
+
     def test_boxes_as_arrays(self):
         # one input path: any collection per level, an (n, dim) array included;
         # repeats are dropped
@@ -437,6 +453,27 @@ class TestElementMachinery:
             assert space.is_active_element(lv, e)
             for (a, b), xi in zip(space.levels[lv].element_bounds(e), x):
                 assert a <= xi <= b
+
+    @pytest.mark.parametrize(
+        "x", [(2.0, 0.5), (-1.0, 0.0), (0.5, 1.0 + 1e-12), (np.nan, 0.5), (0.5, np.inf), (0.5,)]
+    )
+    def test_points_outside_the_domain_raise(self, x):
+        # element lookup clamps to the grid; the point must not be extrapolated
+        space = build_thb(*_make_case(*HIERARCHY_CASES[2]))
+        assert space.dim == 2
+        with pytest.raises(ValueError, match="outside the domain"):
+            space.locate(x)
+        with pytest.raises(ValueError, match="outside the domain"):
+            space.eval_all_at(x)
+        with pytest.raises(ValueError, match="outside the domain"):
+            eval_thb(space, 0, x)
+
+    def test_domain_corners_are_located(self):
+        space = build_thb(*_make_case(*HIERARCHY_CASES[2]))
+        for x in itertools.product((0.0, 1.0), repeat=2):
+            lv, e = space.locate(x)
+            assert space.is_active_element(lv, e)
+            assert abs(space.eval_all_at(x)[1].sum() - 1.0) < 1e-12
 
     def test_active_elements_partition_domain(self):
         levels, hier = _make_case(*HIERARCHY_CASES[3])

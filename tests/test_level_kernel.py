@@ -54,6 +54,19 @@ def space(request):
     return _space(case, truncated)
 
 
+def _keys(block):
+    """The block's elements as tuples, in block order."""
+    return list(map(tuple, block.elements.tolist()))
+
+
+def _by_level(space, pairs):
+    """(level, element) pairs as the per-level arrays of ``elements=``, order kept."""
+    return [
+        np.array([e for lv, e in pairs if lv == k], dtype=np.int64).reshape(-1, space.dim)
+        for k in range(space.num_levels)
+    ]
+
+
 def _element_basis(block, i):
     """(fids, [V_k]) of element ``i`` of the block, through its element table."""
     fids, table = block.space.element_table(block.level, tuple(block.elements[i].tolist()))
@@ -85,7 +98,7 @@ class TestLevelBlocks:
         pos = lambda pts: np.sin(pts @ np.arange(1.0, space.dim + 1.0))
         seen = []
         for block in space.quadrature(rule, derivs, fields=(pos,)):
-            for i, e in enumerate(block.element_keys()):
+            for i, e in enumerate(_keys(block)):
                 seen.append((block.level, e))
                 fids, vals = space.element_values(block.level, e, refs, derivs)
                 got_fids, got = _element_basis(block, i)
@@ -108,13 +121,15 @@ class TestLevelBlocks:
         rng = np.random.default_rng(len(every))
         subset = [every[i] for i in rng.permutation(len(every))[: max(1, len(every) // 3)]]
         full = {b.level: b for b in space.quadrature(rule, fields=(lambda p: p[:, 0],))}
-        blocks = list(space.quadrature(rule, fields=(lambda p: p[:, 0],), elements=subset))
+        blocks = list(
+            space.quadrature(rule, fields=(lambda p: p[:, 0],), elements=_by_level(space, subset))
+        )
         assert [b.level for b in blocks] == sorted({lv for lv, _ in subset})
         for block in blocks:
             want = [e for lv, e in subset if lv == block.level]
-            assert block.element_keys() == want
+            assert _keys(block) == want
             ref = full[block.level]
-            keys = ref.element_keys()
+            keys = _keys(ref)
             pos = [keys.index(e) for e in want]
             for name in ("elements", "sizes", "local", "weights"):
                 assert np.array_equal(getattr(block, name), getattr(ref, name)[pos])
@@ -130,7 +145,7 @@ class TestLevelBlocks:
             for lv, e in space.all_active_elements()
             if e[0] == space.hierarchy.elems_shape(lv)[0] - 1
         ]
-        blocks = list(space.quadrature(rule, elements=last))
+        blocks = list(space.quadrature(rule, elements=_by_level(space, last)))
         assert sum(len(b.elements) for b in blocks) == len(last)
         for block in blocks:
             if space.dim == 1:
@@ -138,7 +153,7 @@ class TestLevelBlocks:
             else:
                 nq = len(gauss[1][0]) ** (space.dim - 1)
                 assert block.weights.shape == (len(block.elements), nq)
-            for i, e in enumerate(block.element_keys()):
+            for i, e in enumerate(_keys(block)):
                 fids, (vals,) = space.element_values(block.level, e, refs)
                 assert_allclose(_element_basis(block, i)[1][0], vals, rtol=0, atol=1e-15)
                 x = space.element_points(block.level, e, refs)
@@ -177,10 +192,10 @@ class TestLevelBlocks:
             got_load += block.integrate(block.fields[0])
             for k in range(len(derivs)):
                 values = block.evaluate(coeffs, k)
-                for i, e in enumerate(block.element_keys()):
+                for i, e in enumerate(_keys(block)):
                     fids, vals = space.element_values(block.level, e, refs, derivs)
                     assert_allclose(values[i], coeffs[fids] @ vals[k], rtol=1e-12, atol=1e-12)
-            for i, e in enumerate(block.element_keys()):
+            for i, e in enumerate(_keys(block)):
                 fids, vals = space.element_values(block.level, e, refs, derivs)
                 w = block.weights[i]
                 mass[np.ix_(fids, fids)] += (vals[0] * w) @ vals[0].T
@@ -191,7 +206,7 @@ class TestLevelBlocks:
             assert np.array_equal(
                 np.flatnonzero(block.gram().diagonal()),
                 np.unique(np.concatenate(
-                    [space.element_table(block.level, e)[0] for e in block.element_keys()]
+                    [space.element_table(block.level, e)[0] for e in _keys(block)]
                 )),
             )
         assert_allclose(got_mass.toarray(), mass, rtol=0, atol=1e-14 * np.abs(mass).max())
@@ -207,7 +222,26 @@ def test_inactive_element_raises():
         for e in itertools.product(*(range(n) for n in space.hierarchy.elems_shape(lv)))
         if not space.is_active_element(lv, e)
     )
-    with pytest.raises(ValueError):
-        list(space.quadrature(gauss_tensor(space), elements=[(lv, inactive)]))
+    with pytest.raises(ValueError, match="not active"):
+        list(space.quadrature(gauss_tensor(space), elements=_by_level(space, [(lv, inactive)])))
     with pytest.raises(ValueError):
         space.element_table(lv, inactive)
+
+
+def test_malformed_element_selection_raises():
+    space = _space(KERNEL_CASES[1], True)
+    rule = gauss_tensor(space)
+    empty = [np.zeros((0, space.dim), dtype=np.int64)] * space.num_levels
+    shape = space.hierarchy.elems_shape(0)
+    cases = {
+        "one array per level": empty[1:],
+        "not active": [np.array([shape])] + empty[1:],
+        "dimension": [np.array([[0, 0, 0]])] + empty[1:],
+        "integer": [np.array([[0.0, 0.0]])] + empty[1:],
+    }
+    for message, elements in cases.items():
+        with pytest.raises(ValueError, match=message):
+            list(space.quadrature(rule, elements=elements))
+    with pytest.raises(ValueError, match="integer"):
+        list(space.quadrature(rule, elements=[[(True, 0)]] + empty[1:]))
+    assert list(space.quadrature(rule, elements=empty)) == []

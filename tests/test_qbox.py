@@ -561,6 +561,43 @@ class TestRefine:
         assert out.hierarchy.refined == (frozenset({(1, 1)}),)
 
 
+class TestMalformedMarks:
+    """Marks are checked, never cast or reshaped into other boxes."""
+
+    @pytest.fixture
+    def space(self):
+        return _space(DomainHierarchy((2, 2), (4, 4), [{(1, 1)}]), 2)
+
+    @pytest.mark.parametrize(
+        "mark",
+        [(0, (1, 2, 3, 0)), (0, (1,)), (0, (1.0, 2)), (0, (True, 2)), (0.0, (1, 2)),
+         (False, (1, 2))],
+        ids=["long", "short", "float", "bool", "float-level", "bool-level"],
+    )
+    def test_refine_rejects(self, space, mark):
+        with pytest.raises(ValueError, match="integer multi-indices of dimension 3"):
+            refine_qboxes(space, [(0, (0, 0)), mark])
+
+    @pytest.mark.parametrize(
+        "mark", [(0, (1.2, 1)), (0, (1, 1, 0)), (0, (True, 1))], ids=["float", "long", "bool"]
+    )
+    def test_coarsen_rejects(self, space, mark):
+        with pytest.raises(ValueError, match="integer multi-indices of dimension 3"):
+            coarsen_qboxes(space, [mark])
+
+    def test_negative_level(self, space):
+        for op in (refine_qboxes, coarsen_qboxes):
+            with pytest.raises(ValueError, match="negative level"):
+                op(space, [(-1, (1, 1))])
+
+    def test_numpy_integers_and_repeats_accepted(self, space):
+        marks = [(np.int64(0), np.array([0, 0])), (0, (2, 3)), (0, (0, 0))]
+        out = refine_qboxes(space, marks, AdmissibilityPolicy(2))
+        assert {(0, 0), (2, 3)} <= out.hierarchy.refined[0]
+        _, report = coarsen_qboxes(space, [(0, (1, 1)), (0, (1, 1))], AdmissibilityPolicy(2))
+        assert set(report.reactivated) == {(0, (1, 1))}
+
+
 class TestCoarsen:
     def test_refine_then_coarsen_restores(self):
         # starting from an unrefined mesh: refining a set of boxes and
