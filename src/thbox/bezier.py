@@ -227,7 +227,7 @@ class ProjectorPartition:
 
     def member_of_element(self, lv, e):
         """Index of the unique member covering active element (lv, e)."""
-        if not (0 <= lv < self.space.num_levels and self.space.is_active_element(lv, tuple(e))):
+        if not self.space.is_active_element(lv, tuple(e)):
             raise ValueError("element %s of level %d is not active" % (e, lv))
         return int(self._owners(lv, np.array([e]))[0])
 

@@ -17,10 +17,10 @@ Two independent verification routes are provided:
   operator image as B-spline coefficients of the next slot's levels: the
   derivative of a degree-p B-spline is a two-term difference of
   degree-(p-1) B-splines on the same knots, and the reduced slots are
-  exactly those spaces.  Fitting each map's images in the next space gives
-  its coefficient-space differential, and the cohomology dimensions are
-  read off the ranks of those small dense matrices; the fit residual of
-  every map checks that the images lie in the next space.
+  exactly those spaces.  In a truncated basis each active function's own
+  row is its unit vector, so each map's coefficient-space differential is
+  those rows of its images; cohomology comes from their ranks, and each
+  map's residual checks that its images lie in the next slot.
 
 For hierarchies refined by (p+1)-sized boxes on a box domain both routes
 agree and the cohomology is that of a contractible domain: (1, 0, ..., 0).
@@ -30,11 +30,11 @@ import functools
 import itertools
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .hierarchy import LevelSequence, build_thb
-from .numerics import NonSPDError, svd_rank
+from .numerics import svd_rank
 from .splinecore import derivative_matrix, uniform_space
 
 #: Relative singular-value cutoff for rank decisions.
@@ -45,9 +45,9 @@ RANK_REL_TOL = 1e-9
 RANK_BAND_TOL = 1e-7
 
 #: Total-dof bound above which the three-dimensional rank checks refuse to
-#: run.  The route needs no quadrature; its largest arrays are the dense
-#: differentials and their SVDs.  The bound is the largest size whose run
-#: time and memory have been validated.
+#: run.  The route needs no quadrature and no solve; its largest arrays are
+#: the dense differentials ``G_k`` and their SVDs.  The bound is the largest
+#: size whose run time and memory have been validated.
 MAX_RANK_CHECK_DOFS_3D = 4000
 
 
@@ -437,43 +437,29 @@ def _operator_matrix(sources, targets, terms):
     )
 
 
-def _least_squares_fit(a, b):
-    """Least-squares solution of ``a x = b`` for sparse ``a`` (full column
-    rank) and sparse ``b``, with its worst relative column residual.
-
-    Solves the normal equations, formed sparse and factored dense by
-    Cholesky, then takes one refinement step.  The rows are B-spline
-    coefficients, at most a few thousand, so the step and the residual
-    run on whole dense arrays.  Returns the dense solution
-    ``(a.shape[1], b.shape[1])`` and the largest ``||a x_j - b_j|| /
-    ||b_j||``.  The THB basis is linearly independent, so a failed
-    factorization means a broken basis and raises :class:`NonSPDError`.
-    """
-    try:
-        cf = scipy.linalg.cho_factor((a.T @ a).toarray())
-    except scipy.linalg.LinAlgError as exc:
-        raise NonSPDError(
-            "basis normal equations are not positive definite: %s" % exc
-        ) from None
-    b = b.toarray()
-    x = scipy.linalg.cho_solve(cf, a.T @ b)
-    x += scipy.linalg.cho_solve(cf, a.T @ (b - a @ x))
-    resid = np.linalg.norm(a @ x - b, axis=0)
-    norms = np.maximum(np.linalg.norm(b, axis=0), np.finfo(float).tiny)
-    return x, float(np.max(resid / norms))
-
-
 def _differential(cs, k):
-    """The coefficient-space differential ``G_k`` of map k, fitted from
-    ``D_k = B_{k+1} G_k``, and the relative residual of the fit."""
-    n = cs.dim
+    """The coefficient-space differential ``G_k`` of map k, dense, and the
+    worst relative column residual ``||D_k - B_{k+1} G_k|| / ||D_k||``.
+
+    Truncation makes the rows of ``B_{k+1}`` at the active functions' own
+    B-splines an identity block, so ``G_k`` is those rows of ``D_k``; a
+    slot whose block is not exactly the identity raises RuntimeError.
+    """
     targets = cs.slots[k + 1]
     # the slot-(k+1) basis itself: one identity term per component
-    identity = [((c, (0,) * n, 1.0),) for c in range(len(targets))]
-    return _least_squares_fit(
-        _operator_matrix(targets, targets, identity),
-        _operator_matrix(cs.slots[k], targets, _operators(n)[k]),
-    )
+    identity = [((c, (0,) * cs.dim, 1.0),) for c in range(len(targets))]
+    basis = _operator_matrix(targets, targets, identity)
+    image = _operator_matrix(cs.slots[k], targets, _operators(cs.dim)[k])
+    ids = [(t.extraction_ids(lv), t.active_ids(lv)) for t in targets for lv in range(t.num_levels)]
+    row0 = np.cumsum([0] + [len(rows) for rows, _ in ids])
+    sel = np.concatenate([r + np.searchsorted(rows, act) for r, (rows, act) in zip(row0, ids)])
+    if (basis[sel] != scipy.sparse.identity(len(sel), format="csr")).nnz:
+        raise RuntimeError("slot %d is not a truncated basis: the own rows of its "
+                           "active functions are not unit vectors" % (k + 1))
+    g = image[sel]
+    resid = scipy.sparse.linalg.norm(image - basis @ g, axis=0)
+    norms = np.maximum(scipy.sparse.linalg.norm(image, axis=0), np.finfo(float).tiny)
+    return g.toarray(), float(np.max(resid / norms))
 
 
 class ExactnessReport:
@@ -556,15 +542,15 @@ def exactness_report(cs):
     ``R_lv`` (:func:`_operator_matrix`); the stack of slot k+1's ``R_lv``
     is its basis ``B_{k+1}``.  The level-``lv`` B-splines on the active
     level-``lv`` elements are linearly independent there, so equal
-    functions have equal rows and no quadrature is needed.  Map k is
-    fitted, ``D_k = B_{k+1} G_k``, by :func:`_least_squares_fit`; since
-    ``B_{k+1}`` has full column rank, ``rank D_k = rank G_k``, read off
-    the small dense ``G_k`` (``ndof_{k+1} x ndof_k``) by
-    :func:`~thbox.numerics.svd_rank` with relative threshold 1e-9.
-    Singular values between 1e-9 and 1e-7 of the largest one mark the
-    verdict indeterminate.  The report also carries the worst relative
-    fit residual over every map, the per-map rank gaps and the
-    combinatorial check verdicts for every pair of adjacent levels.
+    functions have equal rows and no quadrature is needed.  ``D_k =
+    B_{k+1} G_k`` gives ``G_k`` as the rows of ``D_k`` at the identity
+    rows of ``B_{k+1}`` (:func:`_differential`), and since ``B_{k+1}`` has
+    full column rank, ``rank D_k = rank G_k``, read off the small dense
+    ``G_k`` (``ndof_{k+1} x ndof_k``) by :func:`~thbox.numerics.svd_rank`
+    with relative threshold 1e-9.  Singular values between 1e-9 and 1e-7
+    of the largest one mark the verdict indeterminate.  The report also
+    carries the worst relative residual over every map, the per-map rank
+    gaps and the combinatorial check verdicts for adjacent levels.
     Raises :class:`RankCheckLimitError` above
     :data:`MAX_RANK_CHECK_DOFS_3D` dofs in 3D.
     """
@@ -573,23 +559,18 @@ def exactness_report(cs):
             "three-dimensional rank checks are limited to %d total dofs, "
             "got %d" % (MAX_RANK_CHECK_DOFS_3D, sum(cs.dims))
         )
-    n = cs.dim
-    dims = cs.dims
-    ranks = []
-    band = []
-    gaps = []
-    residual = 0.0
-    for k in range(n):
-        fit, resid = _differential(cs, k)
-        rank, gap, rel = svd_rank(fit, RANK_REL_TOL)
+    # ranks[k]: the rank of the map into slot k (none into slot 0 or out of the last)
+    ranks, band, gaps, residual = [0], [], [], 0.0
+    for k in range(cs.dim):
+        g, resid = _differential(cs, k)
+        rank, gap, rel = svd_rank(g, RANK_REL_TOL)
         ranks.append(rank)
         band.extend(float(r) for r in rel[:rank] if r <= RANK_BAND_TOL)
         gaps.append(gap)
         residual = max(residual, resid)
-    cohomology = [dims[0] - ranks[0]]
-    for k in range(1, n):
-        cohomology.append(dims[k] - ranks[k] - ranks[k - 1])
-    cohomology.append(dims[n] - ranks[n - 1])
+    ranks.append(0)
+    dims = cs.dims
+    cohomology = [d - ranks[k] - ranks[k + 1] for k, d in enumerate(dims)]
 
     pass3a, pass3b = AssumptionVerdict(True), AssumptionVerdict(True)
     for lv in range(cs.hierarchy.num_levels - 1):

@@ -559,9 +559,15 @@ class ThbSpace:
         """Sorted tuple of active level-``lv`` element multi-indices."""
         return tuple(map(tuple, self._elem_array[lv].tolist()))
 
+    def _level(self, lv):
+        """The level-``lv`` tensor space; ValueError unless ``lv`` is a level here."""
+        if not 0 <= lv < self.num_levels:
+            raise ValueError("level %r is not a level of this space (0..%d)" % (lv, self.num_levels - 1))
+        return self.levels[lv]
+
     def is_active_element(self, lv, e):
         """Whether element ``e`` of level ``lv`` is active; outside the grid it is not."""
-        shape = self.levels[lv].numelems
+        shape = self._level(lv).numelems
         if not all(0 <= c < n for c, n in zip(e, shape)):
             return False
         return bool(sorted_lookup(self._elem_ids[lv], np.ravel_multi_index(e, shape))[1])
@@ -599,6 +605,10 @@ class ThbSpace:
         """Sorted raveled level-``lv`` tensor B-spline id of each row of ``R_lv``."""
         return self._extraction_ids[lv]
 
+    def active_ids(self, lv):
+        """Sorted raveled level-``lv`` tensor id of each active level-``lv`` function."""
+        return self._active_ids[lv]
+
     def element_rows(self, lv):
         """Active level-``lv`` elements (n, dim) and their B-splines' ``R_lv`` rows (n, nloc)."""
         return self._elem_array[lv], self._local[lv]
@@ -606,7 +616,7 @@ class ThbSpace:
     def _positions(self, lv, elements):
         """Positions of level-``lv`` elements (n, dim) in :meth:`active_elements`."""
         elements = index_array(elements, self.dim, "level-%d elements" % lv)
-        shape = self.levels[lv].numelems
+        shape = self._level(lv).numelems
         inside = np.all((elements >= 0) & (elements < shape), axis=1)
         pos, found = sorted_lookup(
             self._elem_ids[lv], raveled(np.where(inside[:, None], elements, 0), shape)
@@ -626,7 +636,8 @@ class ThbSpace:
         (C-order over the per-direction function windows): a row gather
         from ``R_lv``.
         """
-        rows = self._local[lv][self._positions(lv, (e,))[0]]
+        pos = self._positions(lv, (e,))[0]
+        rows = self._local[lv][pos]
         sub = self._extraction[lv][rows]
         fids, col = np.unique(sub.indices, return_inverse=True)
         mat = np.zeros((len(fids), len(rows)))
@@ -663,15 +674,15 @@ class ThbSpace:
         shape (len(fids), npts): the one-element :meth:`quadrature` block
         mapped through :meth:`element_table`.
         """
+        fids, coeffs = self.element_table(lv, e)
         rule = tuple((pts, None) for pts in ref_pts_per_dir)
         elements = [[e] if k == lv else [] for k in range(self.num_levels)]
         (block,) = self.quadrature(rule, derivs, elements=elements)
-        fids, coeffs = self.element_table(lv, e)
         return fids, [coeffs @ v[0] for v in block.values]
 
     def element_points(self, lv, e, ref_pts_per_dir):
         """Cartesian coordinates (npts, dim) of a tensor grid on element (lv, e)."""
-        lo, hi = np.array(self.levels[lv].element_bounds(e)).T
+        lo, hi = np.array(self._level(lv).element_bounds(e)).T
         return lo + (hi - lo) * _reference_grid(ref_pts_per_dir)
 
     def quadrature(self, rule, derivs=None, fields=(), elements=None):
@@ -866,11 +877,16 @@ def hierarchy_from_json(text):
     q = _json_ints(obj["qbox_q"], "qbox_q")
     if not (len(degree) == len(multiplicity) == len(nelems) == len(q) == dim):
         raise ValueError("per-direction arrays must all have length 'dim'")
+    if any(v < 1 for v in nelems + q):
+        raise ValueError("'level1_elements_per_dir' and 'qbox_q' entries must be >= 1")
     if any(n % qi != 0 for n, qi in zip(nelems, q)):
         raise ValueError("level-1 element counts %s not divisible by q=%s" % (nelems, q))
     boxes0 = tuple(n // qi for n, qi in zip(nelems, q))
-    refined = [
-        frozenset(_json_ints(box, "refined_boxes") for box in lvl)
-        for lvl in obj["refined_boxes"]
-    ]
-    return DomainHierarchy(q, boxes0, refined), degree, multiplicity
+    refined = obj["refined_boxes"]
+    if not isinstance(refined, list) or not all(isinstance(lvl, list) for lvl in refined):
+        raise ValueError("'refined_boxes' must be a list of per-level box lists, got %r" % (refined,))
+    try:
+        hierarchy = DomainHierarchy(q, boxes0, refined)
+    except ValueError as exc:
+        raise ValueError("'refined_boxes': %s" % exc) from None
+    return hierarchy, degree, multiplicity

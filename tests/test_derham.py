@@ -14,7 +14,6 @@ from collections import deque
 
 import numpy as np
 import pytest
-import scipy.sparse
 
 from conftest import dense_rank_oracle, element_support_sets, random_hierarchy
 from thbox.derham import (
@@ -27,9 +26,9 @@ from thbox.derham import (
     exactness_report,
     interior_functions,
 )
-from thbox.derham import RANK_REL_TOL, _differential, _least_squares_fit, _monotone_chain
-from thbox.hierarchy import DomainHierarchy, LevelSequence, build_thb
-from thbox.numerics import NonSPDError, svd_rank
+from thbox.derham import RANK_REL_TOL, _differential, _monotone_chain
+from thbox.hierarchy import DomainHierarchy, LevelSequence, build_hb, build_thb
+from thbox.numerics import svd_rank
 from thbox.splinecore import uniform_space
 
 
@@ -478,8 +477,8 @@ class TestAssumption3b:
 
 def map_fits(cs):
     """Per map k: the rank of its coefficient-space differential ``G_k``,
-    the relative residual of its B-spline coefficient images fitted in
-    slot k+1, and ``G_k`` itself."""
+    the relative residual of its B-spline coefficient images in slot k+1,
+    and ``G_k`` itself."""
     out = []
     for k in range(cs.dim):
         fit, resid = _differential(cs, k)
@@ -488,11 +487,19 @@ def map_fits(cs):
 
 
 class TestExactnessReport:
-    def test_dependent_basis_raises(self):
-        # a linearly dependent basis has singular normal equations; no fallback
-        a = scipy.sparse.csr_matrix([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
-        with pytest.raises(NonSPDError):
-            _least_squares_fit(a, scipy.sparse.csr_matrix(np.ones((3, 1))))
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_non_truncated_slot_raises(self, k):
+        # G_k is read off the identity rows of a truncated slot k+1; a plain
+        # hierarchical slot has none and there is no fallback
+        h = DomainHierarchy((3, 3), (2, 2), [{(0, 1), (1, 1)}])
+        cs = build_complex(h, (2, 2))
+        slots = list(cs.slots)
+        slots[k + 1] = tuple(build_hb(s.levels, s.hierarchy) for s in slots[k + 1])
+        cs.slots = tuple(slots)
+        with pytest.raises(RuntimeError, match="slot %d is not a truncated basis" % (k + 1)):
+            _differential(cs, k)
+        with pytest.raises(RuntimeError, match="not a truncated basis"):
+            exactness_report(cs)
 
     def test_unrefined_tensor_space_exact(self):
         cs = build_complex(DomainHierarchy((3, 3), (2, 2)), (2, 2))

@@ -19,10 +19,13 @@ import json
 import numpy as np
 import numpy.testing as nt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     element_support_sets,
     naive_tensor_value,
+    random_admissible_space,
     random_hierarchy,
 )
 from thbox.hierarchy import (
@@ -442,6 +445,48 @@ class TestTruncatedEvaluation:
             nt.assert_allclose(mat @ coef, target, atol=1e-10)
 
 
+@st.composite
+def refined_spaces(draw):
+    """Random admissible THB spaces in 2D (p 2..3) and 3D (p 2), multiplicity 1 or 2."""
+    dim = draw(st.integers(2, 3))
+    p = draw(st.integers(2, 5 - dim))
+    m = draw(st.integers(1, 2))
+    boxes0 = tuple(draw(st.integers(1, 2)) for _ in range(dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return random_admissible_space(
+        rng, (p,) * dim, boxes0, multiplicity=(m,) * dim,
+        rounds=draw(st.integers(1, 2)), admissibility=draw(st.integers(2, 3)),
+    )
+
+
+def own_rows_are_unit_vectors(space):
+    """Whether the row of ``R_lv`` at each active function's own level-``lv``
+    B-spline is that function's unit vector, read through ``space.functions``."""
+    for fid, (lv, j) in enumerate(space.functions):
+        ids = space.extraction_ids(lv)
+        r = int(np.searchsorted(ids, np.ravel_multi_index(j, space.levels[lv].numbasis)))
+        row = space.extraction(lv)[r]
+        if not (list(row.indices) == [fid] and list(row.data) == [1.0]):
+            return False
+    return True
+
+
+class TestIdentityRows:
+    """Truncation keeps an identity block in the stacked ``R_lv``; the plain
+    hierarchical basis does not, as soon as two levels hold functions."""
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(refined_spaces())
+    def test_thb_own_rows_are_unit_vectors(self, space):
+        assert own_rows_are_unit_vectors(space)
+        for lv, act in enumerate(space.active_funcs):
+            want = [np.ravel_multi_index(j, space.levels[lv].numbasis) for j in act]
+            assert space.active_ids(lv).tolist() == want
+        hb = build_hb(space.levels, space.hierarchy)
+        levels_with_functions = sum(len(act) > 0 for act in space.active_funcs)
+        assert own_rows_are_unit_vectors(hb) == (levels_with_functions == 1)
+
+
 class TestElementMachinery:
     @pytest.mark.parametrize("case", HIERARCHY_CASES[:4])
     def test_locate_returns_covering_active_element(self, case):
@@ -453,6 +498,23 @@ class TestElementMachinery:
             assert space.is_active_element(lv, e)
             for (a, b), xi in zip(space.levels[lv].element_bounds(e), x):
                 assert a <= xi <= b
+
+    @pytest.mark.parametrize("lv", [-1, 2, 5])
+    def test_levels_outside_the_space_raise(self, lv):
+        # a negative level must not wrap to the last one
+        hier = DomainHierarchy((2, 2), (2, 2), [{(0, 0)}])
+        space = build_thb(LevelSequence(uniform_space(hier.elems_level0, (2, 2))), hier)
+        assert space.num_levels == 2
+        ref = ((0.5,), (0.5,))
+        match = "level %d is not a level of this space" % lv
+        with pytest.raises(ValueError, match=match):
+            space.element_values(lv, (0, 0), ref)
+        with pytest.raises(ValueError, match=match):
+            space.element_table(lv, (0, 0))
+        with pytest.raises(ValueError, match=match):
+            space.is_active_element(lv, (0, 0))
+        with pytest.raises(ValueError, match=match):
+            space.element_points(lv, (0, 0), ref)
 
     @pytest.mark.parametrize(
         "x", [(2.0, 0.5), (-1.0, 0.0), (0.5, 1.0 + 1e-12), (np.nan, 0.5), (0.5, np.inf), (0.5,)]
@@ -627,6 +689,34 @@ class TestSerialization:
         hier, degree, mult = hierarchy_from_json(json.dumps(obj))
         assert hier.refined == (frozenset({(1,)}),) and degree == (2,) and mult == (1,)
         obj[field] = value
+        with pytest.raises(ValueError, match=field):
+            hierarchy_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize(
+        "value, match",
+        [
+            (5, "must be a list"),
+            ([5], "must be a list"),
+            ([[5]], "dimension 1"),
+            ([[[1, 2]]], "dimension 1"),
+            ([[[2]]], r"box \(2,\) at level 0 is off the grid"),
+            ([[[-1]]], "off the grid"),
+            ([[[0]], [[3]]], r"box \(3,\) at level 1 is not nested"),
+        ],
+    )
+    def test_rejects_malformed_refined_boxes(self, value, match):
+        # the hierarchy's own check, reported under the field name
+        obj = {"degree": [2], "dim": 1, "level1_elements_per_dir": [4],
+               "multiplicity": [1], "qbox_q": [2], "refined_boxes": value}
+        with pytest.raises(ValueError, match="refined_boxes") as info:
+            hierarchy_from_json(json.dumps(obj))
+        assert info.match(match)
+
+    @pytest.mark.parametrize("field", ["qbox_q", "level1_elements_per_dir"])
+    def test_rejects_non_positive_sizes(self, field):
+        obj = {"degree": [2], "dim": 1, "level1_elements_per_dir": [4],
+               "multiplicity": [1], "qbox_q": [2], "refined_boxes": []}
+        obj[field] = [0]
         with pytest.raises(ValueError, match=field):
             hierarchy_from_json(json.dumps(obj))
 
