@@ -7,10 +7,11 @@ configured tolerance; otherwise refine the Dörfler set of boxes and, on a
 configurable cadence, coarsen the weakest refined regions.  Indicator
 fields are plain dicts mapping active ``(level, box)`` keys to values
 ``eta(P) >= 0``; the built-in estimators fold per-level element arrays
-into them with one array reduction.  Two concrete drivers are provided:
-adaptive local projection (:func:`adapt_project`) and an adaptive Poisson
-solver (:func:`adapt_poisson`) built on :func:`poisson_solve` and the
-interior residual estimator.
+into them with one array reduction (:func:`~thbox.qbox.box_reduce`).  Two
+concrete loops are provided: adaptive local projection
+(:func:`adapt_project`) and an adaptive Poisson solver
+(:func:`adapt_poisson`) built on :func:`poisson_solve` and the interior
+residual estimator.
 
 Everything is deterministic: marking sorts boxes canonically, assembly
 runs level by level (``R_lv^T K_lv R_lv``, with ``K_lv`` assembled from
@@ -24,9 +25,9 @@ import numpy as np
 import scipy.sparse
 
 from .bezier import bezier_project, error_report
-from .hierarchy import gauss_tensor, index_grid, raveled, unraveled
+from .hierarchy import gauss_tensor, index_grid, unraveled
 from .numerics import sparse_solve
-from .qbox import AdmissibilityPolicy, coarsen_qboxes, refine_qboxes
+from .qbox import AdmissibilityPolicy, box_reduce, coarsen_qboxes, refine_qboxes
 
 #: Boundary-mass diagonal entries below this fraction of the largest one
 #: mark a boundary candidate function as having zero trace.
@@ -334,22 +335,14 @@ def adapt_loop(space, solve, estimate, cfg):
     return AdaptiveTrace(steps, converged, solution)
 
 
-def _box_reduce(space, levels, ufunc, initial):
-    """Sorted ``(level, box)`` keys and values (n,) of ``ufunc.at`` from ``initial``
-    over per-level element values aligned with ``space.element_rows(lv)[0]``:
-    boxes are refined whole, so an active element lies in box ``element // q``."""
-    hier = space.hierarchy
-    keys, out = [], []
-    for lv, values in enumerate(levels):
-        shape = hier.boxes_shape(lv)
-        ids, box = np.unique(
-            raveled(space.element_rows(lv)[0] // hier.q, shape), return_inverse=True
-        )
-        acc = np.full(len(ids), initial)
-        ufunc.at(acc, box, values)
-        keys += [(lv, b) for b in map(tuple, unraveled(ids, shape).tolist())]
-        out.append(acc)
-    return keys, np.concatenate(out)
+def _indicators(reduced):
+    """The dict {(level, box): value} of :func:`~thbox.qbox.box_reduce`'s
+    per-level boxes and values, level-major in sorted box order."""
+    return {
+        (lv, box): value
+        for lv, (boxes, values) in enumerate(reduced)
+        for box, value in zip(map(tuple, boxes.tolist()), values.tolist())
+    }
 
 
 def adapt_project(f, space, cfg):
@@ -368,8 +361,7 @@ def adapt_project(f, space, cfg):
 
     def estimate(sp, result):
         rep = error_report(sp, f, result, norms=("l2", "linf"))
-        keys, values = _box_reduce(sp, rep.linf, np.maximum, -np.inf)
-        return dict(zip(keys, values.tolist())), {
+        return _indicators(box_reduce(sp, rep.linf, np.maximum, -np.inf)), {
             "error_l2": rep.error_l2,
             "error_linf": rep.error_linf,
         }
@@ -474,8 +466,8 @@ def residual_estimator(space, solution, f):
         res = block.fields[0] + sum(block.evaluate(coeffs, d) for d in range(dim))
         sq = (res * (block.weights * res)).sum(axis=1)
         eta_sq[block.level] = (block.sizes**2).sum(axis=1) * sq
-    keys, values = _box_reduce(space, eta_sq, np.add, 0.0)
-    return dict(zip(keys, np.sqrt(values).tolist()))
+    reduced = box_reduce(space, eta_sq, np.add, 0.0)
+    return _indicators([(boxes, np.sqrt(values)) for boxes, values in reduced])
 
 
 def adapt_poisson(space, f, cfg, g=None, exact=None):

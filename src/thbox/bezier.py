@@ -1,12 +1,13 @@
 """Macro-element L2 projection onto (truncated) hierarchical splines.
 
-The projector runs in two passes.  The domain is covered by the
-well-behaved and the regular boxes of the degree-sized classification (a
-:class:`ProjectorPartition`); on every such macro-element the target is
-fitted by a local least-squares problem over the basis functions that are
-nonzero there.  For the degree-sized classification those restricted
-functions are linearly independent (checkable per region with
-:func:`verify_non_overloaded`), so every local Gramian is symmetric
+The projector runs in two passes on p-boxes: it needs a hierarchy whose box
+size is the degree.  The domain is covered by the well-behaved and the
+regular boxes of the classification (a :class:`ProjectorPartition`); on
+every such macro-element the target is fitted by a local least-squares
+problem over the basis functions that are nonzero there.  THB-splines are
+locally linearly independent on p-boxes, so those restricted functions are
+linearly independent (checkable per region with
+:func:`verify_non_overloaded`) and every local Gramian is symmetric
 positive definite.  The local coefficients are then blended per function
 with weights proportional to the share of the function's integral carried
 by each macro-element.  The composite map is linear, local, and a
@@ -31,7 +32,7 @@ so results are bit-reproducible.
 import numpy as np
 import scipy.sparse
 
-from .hierarchy import gauss_tensor
+from .hierarchy import gauss_tensor, index_array, raveled, sorted_lookup, unraveled
 from .numerics import SPD_PIVOT_REL, NonSPDError, svd_rank
 from .qbox import classify
 
@@ -45,13 +46,13 @@ STACK_BYTES = 2**20
 class ProjectorPartition:
     """Covering of the domain by non-overloaded macro-elements.
 
-    The members are the well-behaved plus the regular boxes of the given
+    The members are the well-behaved plus the regular boxes of the space's
     classification, in canonical order (level-major, lexicographic by box
-    index).  The granularity defaults to the spline degree per direction,
-    for which the members are guaranteed to support linearly independent
-    function restrictions; a classification of another granularity may be
-    supplied, in which case that guarantee is the caller's problem and a
-    violation surfaces as a :class:`~thbox.numerics.NonSPDError` in the
+    index): the mesh's ``macro_ids``.  The hierarchy's box size must equal
+    the degree (p-boxes), on which the members support linearly independent
+    function restrictions; any other box size raises ``ValueError``.  A
+    basis that is not truncated (``build_hb``) can still be dependent on a
+    member, which surfaces as a :class:`~thbox.numerics.NonSPDError` in the
     local solves.
 
     Construction keeps flat arrays with member pointers: the active
@@ -63,22 +64,21 @@ class ProjectorPartition:
     rebuilds their tables and forms their function values.
     """
 
-    def __init__(self, space, mesh=None):
-        if mesh is None:
-            mesh = classify(space, space.degree)
-        elif mesh.space is not space:
-            raise ValueError("classified mesh belongs to a different space")
+    def __init__(self, space):
+        hier = space.hierarchy
+        if hier.q != tuple(space.degree):
+            raise ValueError(
+                "the projector needs p-boxes: box size %s differs from degree %s"
+                % (hier.q, tuple(space.degree))
+            )
         self.space = space
-        self.mesh = mesh
-        members = []
-        first = []
-        for lv in range(mesh.num_levels):
-            first.append(len(members))
-            boxes = sorted(set(mesh.well_behaved(lv)) | set(mesh.regular(lv)))
-            members.extend((lv, b) for b in boxes)
-        self.members = tuple(members)
-        self._index = {m: i for i, m in enumerate(self.members)}
-        self._first = np.array(first)
+        self.mesh = mesh = classify(space)
+        self.members = tuple(
+            (lv, box)
+            for lv, ids in enumerate(mesh.macro_ids)
+            for box in map(tuple, unraveled(ids, hier.boxes_shape(lv)).tolist())
+        )
+        self._first = np.cumsum([0] + [len(ids) for ids in mesh.macro_ids])
         self._rule = gauss_tensor(space)
 
         levels = range(space.num_levels)
@@ -88,7 +88,7 @@ class ProjectorPartition:
         # a stable sort keeps each member's elements level-major, then canonical
         self._elements = np.argsort(owner, kind="stable")
         owner = owner[self._elements]
-        self._elem_ptr = np.searchsorted(owner, np.arange(len(members) + 1))
+        self._elem_ptr = np.searchsorted(owner, np.arange(len(self.members) + 1))
         # the R_lv nonzeros of every element's B-splines, in member order
         exts = [space.extraction(lv) for lv in levels]
         first_row = np.cumsum([0] + [ext.shape[0] for ext in exts])
@@ -99,8 +99,8 @@ class ProjectorPartition:
         keys, col = np.unique(member * space.ndof + sub.indices, return_inverse=True)
         self._fids = (keys % space.ndof).astype(sub.indices.dtype)
         self._key_member = keys // space.ndof
-        self._fid_ptr = np.searchsorted(self._key_member, np.arange(len(members) + 1))
-        self._entry_ptr = np.searchsorted(member, np.arange(len(members) + 1))
+        self._fid_ptr = np.searchsorted(self._key_member, np.arange(len(self.members) + 1))
+        self._entry_ptr = np.searchsorted(member, np.arange(len(self.members) + 1))
         base = self._elem_ptr[member] * rows.shape[1]
         self._cells = (slot - base) * np.diff(self._fid_ptr)[member] + col - self._fid_ptr[member]
         self._values = sub.data
@@ -132,7 +132,7 @@ class ProjectorPartition:
 
     def _owners(self, lv, elements):
         """Member index of each active level-``lv`` element (n, dim)."""
-        level, pos = self.mesh.macro_element_of(lv, elements // self.mesh.q)
+        level, pos = self.mesh.macro_element_of(lv, elements // self.space.hierarchy.q)
         if np.any(level < 0):
             raise AssertionError("macro-elements do not cover the active mesh")
         return self._first[level] + pos
@@ -196,10 +196,14 @@ class ProjectorPartition:
             if not 0 <= idx < len(self.members):
                 raise ValueError("member index %d out of range" % idx)
             return idx
-        key = (member[0], tuple(member[1]))
-        if key not in self._index:
-            raise ValueError("box %s at level %d is not a member" % (key[1], key[0]))
-        return self._index[key]
+        lv, box = member[0], index_array([member[1]], self.space.dim, "a member box")[0]
+        if 0 <= lv < self.mesh.num_levels:
+            shape = self.space.hierarchy.boxes_shape(lv)
+            if np.all((box >= 0) & (box < shape)):
+                pos, hit = sorted_lookup(self.mesh.macro_ids[lv], raveled(box, shape))
+                if hit:
+                    return int(self._first[lv] + pos)
+        raise ValueError("box %s at level %d is not a member" % (tuple(box.tolist()), lv))
 
     def _member_arrays(self, idx):
         """The elements of member ``idx``: one array (n_lv, dim) per level, canonical."""

@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .hierarchy import LevelSequence, build_thb
+from .hierarchy import LevelSequence, build_thb, index_grid
 from .numerics import svd_rank
 from .splinecore import derivative_matrix, uniform_space
 
@@ -287,16 +287,27 @@ def check_assumption_3a(space, lv):
     return AssumptionVerdict(True)
 
 
-def _covers(flo, fhi, lo_rows, hi_rows):
-    """Whether the supports in the rows cover every cell of [flo, fhi]."""
-    covered = np.zeros(tuple(b - a + 1 for a, b in zip(flo, fhi)), dtype=bool)
-    for a, b in zip(lo_rows, hi_rows):
-        sl = tuple(
-            slice(max(ai - fi, 0), min(bi, gi) - fi + 1)
-            for ai, bi, fi, gi in zip(a, b, flo, fhi)
-        )
-        covered[sl] = True
-    return bool(covered.all())
+def _cover_counts(shape, lo, hi):
+    """How many of the inclusive boxes ``[lo, hi]`` (n, dim) hold each cell of
+    a grid of ``shape``: one difference array, summed direction by direction."""
+    diff = np.zeros(np.add(shape, 1), dtype=np.int64)
+    for corner in itertools.product((0, 1), repeat=len(shape)):
+        np.add.at(diff, tuple(np.where(corner, hi + 1, lo).T), (-1) ** sum(corner))
+    for d in range(len(shape)):
+        diff = np.cumsum(diff, axis=d)
+    return diff[tuple(map(slice, shape))]
+
+
+def _window_sums(table, lo, hi):
+    """Sums of ``table`` over the inclusive windows ``[lo, hi]`` (n, dim), by
+    inclusion-exclusion on its prefix sums."""
+    prefix = np.pad(table, [(1, 0)] * table.ndim)
+    for d in range(table.ndim):
+        prefix = np.cumsum(prefix, axis=d)
+    out = np.zeros(len(lo), dtype=prefix.dtype)
+    for corner in itertools.product((0, 1), repeat=table.ndim):
+        out += (-1) ** (table.ndim - sum(corner)) * prefix[tuple(np.where(corner, hi + 1, lo).T)]
+    return out
 
 
 def check_assumption_3b(space, lv):
@@ -307,8 +318,9 @@ def check_assumption_3b(space, lv):
     domain and covered by closures of interior coarse-function supports,
     some single interior coarse function must contain its support -- and
     one such function must fit inside the bounding box of *every* covering
-    subset.  The hardest bounding boxes are enumerated through the finite
-    set of support-endpoint combinations.
+    subset.  Whether a support is covered is read off one count of the
+    interior supports per cell; the hardest bounding boxes are enumerated
+    through the finite set of support-endpoint combinations.
     """
     hier = space.hierarchy
     p = space.degree
@@ -319,6 +331,7 @@ def check_assumption_3b(space, lv):
     clo, chi = space.levels[lv].support_boxes(interior)
     mlo = 2 * clo
     mhi = 2 * chi + 1
+    holes = _cover_counts(hier.elems_shape(lv + 1), mlo, mhi) == 0
     for phi_lv in (lv, lv + 1):
         scalexp = lv + 1 - phi_lv  # 1 for coarse functions, 0 for fine ones
         for pt in itertools.product(*[(pd, pd - 1) for pd in p]):
@@ -327,20 +340,14 @@ def check_assumption_3b(space, lv):
             )
             funcs = np.indices(tens.numbasis).reshape(tens.dim, -1).T
             lo, hi = tens.support_boxes(funcs)
-            # supports in level-(lv+1) element units, kept when inside Omega^{lv+1}
+            # supports in level-(lv+1) element units, kept when inside
+            # Omega^{lv+1} and covered by the interior supports
             lo, hi = lo << scalexp, ((hi + 1) << scalexp) - 1
-            inside = hier.cover(lv + 1, lo, hi)[0]
-            for j, flo, fhi in zip(*(map(tuple, a[inside].tolist()) for a in (funcs, lo, hi))):
+            keep = hier.cover(lv + 1, lo, hi)[0] & (_window_sums(holes, lo, hi) == 0)
+            for j, flo, fhi in zip(*(map(tuple, a[keep].tolist()) for a in (funcs, lo, hi))):
                 # interior functions whose support shares a cell with phi
                 meets = ((mlo <= fhi) & (mhi >= flo)).all(axis=1)
-                rows = np.nonzero(meets)[0]
-                if len(rows) == 0 or not _covers(flo, fhi, mlo[rows], mhi[rows]):
-                    continue  # no covering subset exists
-                contains = ((mlo <= flo) & (mhi >= fhi)).all(axis=1)
-                cand = np.nonzero(contains)[0]
-                bad = _violating_bbox(
-                    flo, fhi, mlo[rows], mhi[rows], mlo[cand], mhi[cand]
-                )
+                bad = _violating_bbox(flo, fhi, mlo[meets], mhi[meets])
                 if bad is not None:
                     return AssumptionVerdict(
                         False,
@@ -354,48 +361,35 @@ def check_assumption_3b(space, lv):
     return AssumptionVerdict(True)
 
 
-def _violating_bbox(flo, fhi, alo, ahi, klo, khi):
+def _violating_bbox(flo, fhi, alo, ahi):
     """Bounding box of a covering subset that no containing function fits in.
 
-    ``alo``/``ahi`` are the supports meeting the target function,
-    ``klo``/``khi`` the supports containing it.  Every covering subset's
-    bounding box is a combination of member-support endpoints, so those
-    combinations are enumerated; for each box the members inside it form
-    the largest covering subset with that bound, and its exact bounding
-    box must admit at least one containing support.  Returns the first
-    violating box or ``None``.
+    ``alo``/``ahi`` are the supports meeting the target function.  Every
+    covering subset's bounding box is a combination of their endpoints, so
+    those combinations are enumerated; for each box the supports inside it
+    form the largest covering subset with that bound.  A support containing
+    the target meets it too, so it fits in that subset's exact bounding box
+    exactly when it is one of the subset.  Returns the exact bounding box of
+    the first covering subset without a containing support, or ``None``.
     """
-    n = len(flo)
     nmem = len(alo)
     inside = np.ones((1, nmem), dtype=bool)
-    for d in range(n):
+    for d in range(len(flo)):
         los = np.array(sorted({int(a) for a in alo[:, d] if a <= flo[d]}))
         his = np.array(sorted({int(b) for b in ahi[:, d] if b >= fhi[d]}))
-        blos = np.repeat(los, len(his))
-        bhis = np.tile(his, len(los))
-        in_d = (alo[None, :, d] >= blos[:, None]) & (ahi[None, :, d] <= bhis[:, None])
-        inside = (inside[:, None, :] & in_d[None, :, :]).reshape(-1, nmem)
-    big = np.iinfo(np.int64).max
-    tlo = np.where(inside[:, :, None], alo[None], big).min(axis=1)
-    thi = np.where(inside[:, :, None], ahi[None], -big).max(axis=1)
-    fits = (
-        ((klo[None] >= tlo[:, None]) & (khi[None] <= thi[:, None]))
-        .all(axis=2)
-        .any(axis=1)
-    )
-    # violation needs a covering subset AND no fitting candidate; run the
-    # covering check only on the rare boxes where no candidate fits
-    suspicious = np.nonzero(inside.any(axis=1) & ~fits)[0]
-    seen = set()
-    for c in suspicious:
-        key = (tuple(tlo[c]), tuple(thi[c]))
-        if key in seen:
-            continue
-        seen.add(key)
-        rows = np.nonzero(inside[c])[0]
-        if _covers(flo, fhi, alo[rows], ahi[rows]):
-            return (tuple(int(v) for v in tlo[c]), tuple(int(v) for v in thi[c]))
-    return None
+        in_d = (alo[:, d] >= los[:, None, None]) & (ahi[:, d] <= his[None, :, None])
+        inside = (inside[:, None, :] & in_d.reshape(1, -1, nmem)).reshape(-1, nmem)
+    contains = ((alo <= flo) & (ahi >= fhi)).all(axis=1)
+    subsets = inside[~inside[:, contains].any(axis=1)]
+    # the target's cells each support holds; a subset covers when every cell
+    # is held by one of its supports
+    cells = np.array(flo) + index_grid(tuple(np.subtract(fhi, flo) + 1))
+    holds = ((alo[:, None, :] <= cells) & (cells <= ahi[:, None, :])).all(axis=2)
+    covering = np.flatnonzero((subsets @ holds).all(axis=1))
+    if not len(covering):
+        return None
+    rows = subsets[covering[0]]
+    return tuple(alo[rows].min(axis=0).tolist()), tuple(ahi[rows].max(axis=0).tolist())
 
 
 # -- rank-based route -------------------------------------------------------

@@ -83,10 +83,15 @@ def sorted_lookup(ids, values):
 
 def index_array(values, dim, what):
     """Multi-indices (n, dim) given as an array or a collection of sequences,
-    as int64; ValueError naming ``what`` for a bool, float or other
-    non-integer entry, or a length other than ``dim``, instead of a cast."""
+    as int64; ValueError naming ``what`` for a value that is not a
+    collection, a bool, float or other non-integer entry, or a length other
+    than ``dim``, instead of a cast."""
     if not isinstance(values, np.ndarray):
-        values = np.array(list(values), dtype=object)
+        try:
+            values = np.array(list(values), dtype=object)
+        except TypeError:
+            raise ValueError("%s must be integer multi-indices of dimension %d, got %r"
+                             % (what, dim, values)) from None
     kinds = set(map(type, values.flat)) if values.dtype == object else {values.dtype.type}
     if len(values) == 0:
         return np.zeros((0, dim), dtype=np.int64)
@@ -167,6 +172,11 @@ class DomainHierarchy:
             raise ValueError("q and boxes_level0 must have equal length")
         if any(v < 1 for v in self.q) or any(v < 1 for v in self.boxes_level0):
             raise ValueError("q and boxes_level0 entries must be >= 1")
+        try:
+            refined = list(refined)
+        except TypeError:
+            raise ValueError("refined must hold per level integer multi-indices of "
+                             "dimension %d, got %r" % (self.dim, refined)) from None
         self.refined_ids = []
         for lv, boxes in enumerate(refined):
             boxes = index_array(boxes, self.dim, "level-%d boxes" % lv)
@@ -226,15 +236,20 @@ class DomainHierarchy:
 
     # -- the domain rule: sorted refined-box ids --------------------------
 
+    def domain_ids(self, lv):
+        """Sorted raveled ids of the level-``lv`` boxes inside Omega^{lv}: all of
+        level 0, and the children of the refined level-(lv-1) boxes above it."""
+        shape = self.boxes_shape(lv)
+        if lv == 0:
+            return np.arange(np.prod(shape))
+        kids = 2 * self.refined_boxes(lv - 1)[:, None, :] + index_grid((2,) * self.dim)
+        return np.sort(raveled(kids, shape).ravel())
+
     def active_boxes(self, lv):
         """Sorted tuple of active level-``lv`` box multi-indices."""
         if lv not in self._active_boxes:
             shape = self.boxes_shape(lv)
-            if lv == 0:
-                ids = np.arange(np.prod(shape))
-            else:
-                kids = 2 * self.refined_boxes(lv - 1)[:, None, :] + index_grid((2,) * self.dim)
-                ids = np.sort(raveled(kids, shape).ravel())
+            ids = self.domain_ids(lv)
             if lv < len(self.refined_ids):
                 ids = ids[~sorted_lookup(self.refined_ids[lv], ids)[1]]
             self._active_boxes[lv] = tuple(map(tuple, unraveled(ids, shape).tolist()))

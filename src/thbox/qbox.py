@@ -1,10 +1,11 @@
 """Macro-element (q-box) meshes: classification, refinement, coarsening.
 
 A q-box of level ``lv`` is a block of ``q`` elements per direction of the
-level-``lv`` mesh; refinement domains of a :class:`~thbox.hierarchy.DomainHierarchy`
-are unions of such blocks, so every q-box is either entirely inside or
-entirely outside each domain, and each one bisects into ``2^n`` boxes of
-the next level.
+level-``lv`` mesh, where ``q`` is the box size of the
+:class:`~thbox.hierarchy.DomainHierarchy` and the only one used here;
+refinement domains are unions of such blocks, so every q-box is either
+entirely inside or entirely outside each domain, and each one bisects into
+``2^n`` boxes of the next level.
 
 Classification (per level ``lv >= 1``; level 0 has no border boxes):
 
@@ -24,15 +25,16 @@ that an active border box of level ``lv + d`` lies inside it.
 The labels are computed per level as sorted arrays of raveled box ids,
 read off the hierarchy's refined-box id arrays with one lookup rule
 (:func:`~thbox.hierarchy.sorted_lookup`): border boxes by testing the
-``3^n - 1`` neighbor offsets of each in-domain box, well-behaved and
-regular boxes and depths by looking up ancestors ``box >> (lv - k)``.
+``3^n - 1`` neighbor offsets of each in-domain box (the hierarchy's
+``domain_ids``), well-behaved and regular boxes and depths by looking up
+ancestors ``box >> (lv - k)``.  Per-element values become per-box values
+through one reduction, :func:`box_reduce`.
 
-Refinement and coarsening operate on whole q-boxes at the hierarchy's own
-granularity, on (n, dim) box arrays looked up in the same refined-box id
-arrays.  Both consult neighborhoods built from the multilevel support
-extension ``S(box, k)`` — the level-``k`` boxes reachable from a box
-through one level-``k`` B-spline support — to keep the mesh within a
-prescribed admissibility class ``c``:
+Refinement and coarsening operate on whole q-boxes, on (n, dim) box arrays
+looked up in the same refined-box id arrays.  Both consult neighborhoods
+built from the multilevel support extension ``S(box, k)`` — the level-``k``
+boxes reachable from a box through one level-``k`` B-spline support — to
+keep the mesh within a prescribed admissibility class ``c``:
 
 - the refinement closure is a fixpoint: every in-domain, unrefined
   level-(lv-c+1) box in the neighborhood of a level-``lv`` box being
@@ -102,16 +104,15 @@ class CoarsenReport:
         )
 
 
-def support_extension_rect(space, lv, boxes, k, q=None):
+def support_extension_rect(space, lv, boxes, k):
     """Inclusive box ranges (lo, hi), each (n, dim), of multilevel support extensions.
 
     ``S(box, k)`` of a level-``lv`` box of ``boxes`` (n, dim) is the range of
     level-``k`` boxes sharing a level-``k`` B-spline support with it: the
     boxes met by the supports of the first and the last B-spline on the
-    box's level-``k`` elements.  Granularity defaults to the hierarchy's
-    own q.
+    box's level-``k`` elements.
     """
-    q = np.array(space.hierarchy.q if q is None else q)
+    q = np.array(space.hierarchy.q)
     boxes = index_array(boxes, space.dim, "level-%d boxes" % lv)
     first, last = q * boxes, q * (boxes + 1) - 1
     if k >= lv:
@@ -124,9 +125,9 @@ def support_extension_rect(space, lv, boxes, k, q=None):
     return lo // q, tgt.support_boxes(top)[1] // q
 
 
-def support_extension_S(space, lv, box, k, q=None):
+def support_extension_S(space, lv, box, k):
     """The multilevel support extension as a sorted tuple of level-k boxes."""
-    lo, hi = support_extension_rect(space, lv, (box,), k, q)
+    lo, hi = support_extension_rect(space, lv, (box,), k)
     return tuple(map(tuple, range_points(lo, hi)[0].tolist()))
 
 
@@ -196,7 +197,7 @@ def _added(old, new, lv):
 
 
 def refine_qboxes(space, marked, policy=None):
-    """Refine the marked active boxes (hierarchy granularity), with closure.
+    """Refine the marked active q-boxes, with closure.
 
     Each marked box is deactivated and its ``2^n`` children activated.
     Under a bounded admissibility class ``c`` the closure is a fixpoint:
@@ -280,50 +281,50 @@ def _ancestors(ids, shapes, lv, boxes, levels):
     return level, pos
 
 
-class QBoxMesh:
-    """Classified q-box mesh over a hierarchical space.
+def box_reduce(space, levels, ufunc, initial):
+    """Per-element values reduced over the active boxes holding the elements.
 
-    The classification granularity ``q`` must divide the hierarchy's own
-    box size componentwise (so refinement domains are unions of
-    classification boxes); it defaults to the hierarchy's q.  Built by
-    :func:`classify`.
+    ``levels[lv]`` holds one value per active level-``lv`` element, aligned
+    with ``space.element_rows(lv)[0]``.  Boxes are refined whole, so an
+    active element lies in the active box ``element // q``.  Returns per
+    level the active boxes (n, dim) in sorted id order and, for each,
+    ``ufunc.at`` of its elements' values from ``initial``.
+    """
+    hier = space.hierarchy
+    out = []
+    for lv, values in enumerate(levels):
+        shape = hier.boxes_shape(lv)
+        ids, box = np.unique(
+            raveled(space.element_rows(lv)[0] // hier.q, shape), return_inverse=True
+        )
+        acc = np.full(len(ids), initial)
+        ufunc.at(acc, box, values)
+        out.append((unraveled(ids, shape), acc))
+    return out
+
+
+class QBoxMesh:
+    """Classified q-box mesh over a hierarchical space, at the hierarchy's own
+    box size ``q``.  Built by :func:`classify`.
+
+    ``macro_ids[lv]`` holds the sorted raveled ids of the level-``lv``
+    well-behaved and regular boxes, the macro-elements that cover every
+    active element once.
     """
 
-    def __init__(self, space, q=None):
-        hier = space.hierarchy
-        if q is None:
-            q = hier.q
-        q = tuple(int(v) for v in q)
-        if len(q) != hier.dim or any(v < 1 for v in q):
-            raise ValueError("q must be %d positive integers" % hier.dim)
-        if any(n % v != 0 for n, v in zip(hier.elems_level0, q)):
-            raise ValueError(
-                "level-1 element counts %s not divisible by q=%s"
-                % (hier.elems_level0, q)
-            )
-        if hier.num_levels > 1 and any(hq % v != 0 for hq, v in zip(hier.q, q)):
-            raise ValueError(
-                "classification q=%s must divide the hierarchy's q=%s"
-                % (q, hier.q)
-            )
+    def __init__(self, space):
         self.space = space
-        self.hierarchy = hier
-        self.q = q
-        self.num_levels = hier.num_levels
+        self.hierarchy = space.hierarchy
+        self.num_levels = self.hierarchy.num_levels
         self._classify()
 
     # -- geometry ----------------------------------------------------------
-
-    def boxes_shape(self, lv):
-        return tuple(
-            n * 2**lv // v for n, v in zip(self.hierarchy.elems_level0, self.q)
-        )
 
     def box_elements(self, lv, box):
         """Level-``lv`` element multi-indices covered by the box."""
         return tuple(
             itertools.product(
-                *(range(v * r, v * (r + 1)) for v, r in zip(self.q, box))
+                *(range(v * r, v * (r + 1)) for v, r in zip(self.hierarchy.q, box))
             )
         )
 
@@ -331,9 +332,9 @@ class QBoxMesh:
         """Per-direction (lo, hi) coordinates of the box."""
         space = self.space.levels[lv]
         out = []
-        for d in range(self.hierarchy.dim):
+        for d, q in enumerate(self.hierarchy.q):
             bp = space.kvs[d].breakpoints
-            out.append((bp[self.q[d] * box[d]], bp[self.q[d] * (box[d] + 1)]))
+            out.append((bp[q * box[d]], bp[q * (box[d] + 1)]))
         return tuple(out)
 
     # -- classification ----------------------------------------------------
@@ -341,26 +342,22 @@ class QBoxMesh:
     def _classify(self):
         """Sorted box ids per level and label, and each well-behaved box's depth."""
         hier = self.hierarchy
-        q = np.array(self.q)
         offsets = index_grid((3,) * hier.dim) - 1
-        self._shapes = [self.boxes_shape(lv) for lv in range(self.num_levels)]
+        self._shapes = [hier.boxes_shape(lv) for lv in range(self.num_levels)]
         self._ids = {label: [] for label in ("active",) + _LABELS}
         wb = self._ids["well-behaved"]
         self._depth = []
         for lv, shape in enumerate(self._shapes):
-            if lv == 0:
-                dom = np.arange(np.prod(shape))
-            else:
-                dom = np.unique(raveled(hier.refined_elements(lv - 1, lv) // q, shape))
+            dom = hier.domain_ids(lv)
             boxes = unraveled(dom, shape)
-            act = ~hier.refined_mask(lv, boxes * q // hier.q)
+            act = ~hier.refined_mask(lv, boxes)
             if lv == 0:
                 brd = np.zeros(len(dom), dtype=bool)
             else:
                 # a neighbor beyond the grid is clamped onto the box itself or
                 # onto another neighbor, so it never makes a border
                 nbs = np.clip(boxes[:, None, :] + offsets, 0, np.array(shape) - 1)
-                brd = ~hier.refined_mask(lv - 1, nbs * q // hier.q // 2).all(axis=1)
+                brd = ~hier.refined_mask(lv - 1, nbs // 2).all(axis=1)
             above, _ = _ancestors(wb, self._shapes, lv, boxes[brd], range(1, lv))
             wb.append(dom[brd][above < 0])
             self._depth.append(np.full(len(wb[lv]), self.num_levels))
@@ -377,7 +374,7 @@ class QBoxMesh:
                 raise AssertionError(
                     "a well-behaved box of level %d has no active border descendant" % lv
                 )
-        self._macro = [np.union1d(w, r) for w, r in zip(wb, self._ids["regular"])]
+        self.macro_ids = [np.union1d(w, r) for w, r in zip(wb, self._ids["regular"])]
 
     def _boxes(self, label, lv):
         ids = self._ids[label][lv]
@@ -426,27 +423,20 @@ class QBoxMesh:
     def macro_element_of(self, lv, boxes):
         """The well-behaved or regular box containing each active level-``lv`` box.
 
-        ``boxes`` (n, dim) are at the classification granularity.  Returns
-        (level, position) arrays: the containing box's level and its
-        position among that level's well-behaved and regular boxes in
-        canonical order; level -1 marks a box that none contains.
+        ``boxes`` is an (n, dim) array.  Returns (level, position) arrays:
+        the containing box's level and its position in that level's
+        ``macro_ids``; level -1 marks a box that none contains.
         """
-        return _ancestors(self._macro, self._shapes, lv, boxes, range(lv + 1))
+        return _ancestors(self.macro_ids, self._shapes, lv, boxes, range(lv + 1))
 
     def admissibility_class(self):
         """Largest level span of basis functions nonzero on an active box."""
-        worst = 0
-        for lv, (lo, hi) in enumerate(self.space.element_level_range()):
-            boxes = self.space.element_rows(lv)[0] // self.q
-            _, box_of = np.unique(boxes, axis=0, return_inverse=True)
-            box_lo = np.full(len(boxes), self.num_levels)
-            box_hi = np.full(len(boxes), -1)
-            np.minimum.at(box_lo, box_of.reshape(-1), lo)
-            np.maximum.at(box_hi, box_of.reshape(-1), hi)
-            worst = max(worst, int(np.max(box_hi - box_lo + 1, initial=0)))
-        return worst
+        lo, hi = zip(*self.space.element_level_range())
+        lo = box_reduce(self.space, lo, np.minimum, self.num_levels)
+        hi = box_reduce(self.space, hi, np.maximum, -1)
+        return max(int(np.max(h - l + 1, initial=0)) for (_, l), (_, h) in zip(lo, hi))
 
 
-def classify(space, q=None):
+def classify(space):
     """Classify the q-box mesh of a hierarchical space (see :class:`QBoxMesh`)."""
-    return QBoxMesh(space, q)
+    return QBoxMesh(space)

@@ -26,10 +26,11 @@ from thbox.adaptive import (
     poisson_solve,
     residual_estimator,
 )
-from thbox.adaptive import _boundary_values, _box_reduce, _coarsen_mark
+from thbox.adaptive import _boundary_values, _coarsen_mark, _indicators
 from thbox.bezier import bezier_project, error_report
 from thbox.hierarchy import DomainHierarchy, ThbSpace, admissibility_class
 from thbox.numerics import assemble_csr
+from thbox.qbox import box_reduce
 from thbox.splinecore import gauss_rule
 
 
@@ -502,12 +503,12 @@ class TestElementArrays:
         for lv in range(space.num_levels):
             assert_allclose(rep.l2[lv], l2[lv], rtol=1e-12, atol=1e-14)
             assert_allclose(rep.linf[lv], linf[lv], rtol=1e-12, atol=1e-14)
-        keys, values = _box_reduce(space, rep.linf, np.maximum, -np.inf)
-        assert keys == sorted(keys)
-        assert dict(zip(keys, values.tolist())) == box_max_oracle(space, rep.linf)
+        boxes = _indicators(box_reduce(space, rep.linf, np.maximum, -np.inf))
+        assert list(boxes) == sorted(boxes)
+        assert boxes == box_max_oracle(space, rep.linf)
         draws = [rng.random(len(space.active_elements(lv))) for lv in range(space.num_levels)]
-        keys, values = _box_reduce(space, draws, np.add, 0.0)
-        assert list(zip(keys, values.tolist())) == list(box_sum_oracle(space, draws).items())
+        boxes = _indicators(box_reduce(space, draws, np.add, 0.0))
+        assert list(boxes.items()) == list(box_sum_oracle(space, draws).items())
 
     @settings(max_examples=25, derandomize=True, database=None, deadline=None)
     @given(admissible_spaces(dims=(2, 2)))

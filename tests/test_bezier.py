@@ -37,7 +37,7 @@ from thbox.bezier import (
 )
 from thbox.hierarchy import DomainHierarchy, build_hb, gauss_tensor
 from thbox.numerics import NonSPDError, svd_rank
-from thbox.qbox import AdmissibilityPolicy, classify, refine_qboxes
+from thbox.qbox import AdmissibilityPolicy, refine_qboxes
 
 # (id, degree, multiplicity, boxes0, class, rounds, marks, seed)
 SPACE_CASES = [
@@ -93,7 +93,7 @@ def second_field(pts):
 
 class TestPartition:
     def test_members_cover_active_elements_once(self, rspace, rpartition):
-        q = rpartition.mesh.q
+        q = rspace.hierarchy.q
         seen = {}
         for idx, (mlv, box) in enumerate(rpartition.members):
             elems = rpartition.member_elements(idx)
@@ -130,17 +130,21 @@ class TestPartition:
             for idx in idxs:
                 assert fid in rpartition.member_functions(idx)
 
-    def test_rejects_foreign_mesh(self):
-        rng = np.random.default_rng(3)
-        s1 = random_admissible_space(rng, (2, 2), (2, 2))
-        s2 = random_admissible_space(rng, (2, 2), (2, 2))
-        with pytest.raises(ValueError):
-            ProjectorPartition(s1, classify(s2, s2.degree))
-
     def test_default_granularity_needs_degree_divisibility(self):
         space = thb_space(DomainHierarchy((2, 2), (2, 2), [{(0, 0)}]), (3, 3))
         with pytest.raises(ValueError):
             ProjectorPartition(space)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rejects_boxes_other_than_p_boxes(self, dim):
+        # q = 2p: a partition of these boxes could overload members, so both
+        # entry points refuse the hierarchy before classifying it
+        space = thb_space(DomainHierarchy((2,) * dim, (2,) * dim, [{(0,) * dim}]), (1,) * dim)
+        match = r"box size \(2,.*degree \(1,"
+        with pytest.raises(ValueError, match=match):
+            ProjectorPartition(space)
+        with pytest.raises(ValueError, match=match):
+            bezier_project(space, poly_field)
 
 
 class TestMemberLayoutOracle:
@@ -328,17 +332,21 @@ class TestLocalProjection:
                 assert abs(val - coeffs[fid]) < atol
 
     def test_linear_target_gives_greville_values(self):
-        space = thb_space(DomainHierarchy((1,), (1,)), (2,))
-        part = ProjectorPartition(space, classify(space, (1,)))
+        # one p-box of two quadratic elements: one member with four functions
+        space = thb_space(DomainHierarchy((2,), (1,)), (2,))
+        part = ProjectorPartition(space)
         assert part.members == ((0, (0,)),)
         local = local_l2_project(part, (0, (0,)), lambda pts: pts[:, 0])
         kv = space.levels[0].kvs[0]
-        got = [local[j] for j in range(3)]
-        assert_allclose(got, [kv.greville(j) for j in range(3)], rtol=0, atol=1e-13)
-        # hand-assembled normal equations from the naive recursion
+        got = [local[j] for j in range(4)]
+        assert_allclose(got, [kv.greville(j) for j in range(4)], rtol=0, atol=1e-13)
+        # hand-assembled normal equations from the naive recursion, one Gauss
+        # rule per element
         xg, wg = np.polynomial.legendre.leggauss(50)
-        x, w = 0.5 * (xg + 1.0), 0.5 * wg
-        b = np.array([[naive_bspline(kv.knots, j, 2, xi) for xi in x] for j in range(3)])
+        bp = kv.breakpoints
+        x = np.concatenate([bp[e] + 0.5 * (bp[e + 1] - bp[e]) * (xg + 1.0) for e in (0, 1)])
+        w = np.concatenate([0.5 * (bp[e + 1] - bp[e]) * wg for e in (0, 1)])
+        b = np.array([[naive_bspline(kv.knots, j, 2, xi) for xi in x] for j in range(4)])
         oracle = np.linalg.solve((b * w) @ b.T, (b * w) @ x)
         assert_allclose(got, oracle, rtol=0, atol=1e-12)
 
@@ -365,7 +373,7 @@ class TestSmoothingWeights:
             assert weights
             assert abs(sum(weights.values()) - 1.0) < 1e-12
             for member in weights:
-                assert member in rpartition._index
+                assert rpartition.members[rpartition.member_index(member)] == member
 
     def test_straddling_weights_match_composite_quadrature(self):
         space = thb_space(DomainHierarchy((2,), (2,)), (2,))

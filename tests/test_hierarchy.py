@@ -162,15 +162,17 @@ class TestDomainHierarchy:
             DomainHierarchy((2, 2), (2, 2), [{(0,)}])  # wrong dimension
 
     @pytest.mark.parametrize(
-        "boxes",
-        [[(1.5, 2)], [(1.0, 2)], [(True, 1)], [(True, False)], [(1, 2, 0)], [(1,)],
-         [(1, 2), (1,)]],
-        ids=["float", "integral-float", "bool", "all-bool", "long", "short", "ragged"],
+        "refined",
+        [[[(1.5, 2)]], [[(1.0, 2)]], [[(True, 1)]], [[(True, False)]], [[(1, 2, 0)]],
+         [[(1,)]], [[(1, 2), (1,)]], [5], 5, [None]],
+        ids=["float", "integral-float", "bool", "all-bool", "long", "short", "ragged",
+             "int-level", "int-levels", "none-level"],
     )
-    def test_rejects_malformed_boxes(self, boxes):
-        # the entries are not silently cast or reshaped into another box
+    def test_rejects_malformed_boxes(self, refined):
+        # the entries are not silently cast or reshaped into another box, and a
+        # level (or the level list) that is not a collection is no TypeError
         with pytest.raises(ValueError, match="integer multi-indices of dimension 2"):
-            DomainHierarchy((2, 2), (4, 4), [boxes])
+            DomainHierarchy((2, 2), (4, 4), refined)
 
     def test_rejects_malformed_box_arrays(self):
         for boxes in ([[1.0, 2.0]], [[True, False]], [[1, 2, 0]], [1, 2]):

@@ -279,26 +279,14 @@ def _random_case(seed, dim, p, m, q, boxes0, max_levels):
     return _space(hier, p, m)
 
 
-# classification granularities finer than the hierarchy's q
-FINER_CASES = [
-    (RANDOM_CASES[6], (2, 2)),
-    (RANDOM_CASES[6], (1, 1)),
-    (RANDOM_CASES[2], (1, 1)),
-    (RANDOM_CASES[4], (1,)),
-]
-
-
 class TestClassificationOracle:
     @pytest.mark.parametrize(
-        "case,q",
-        [(c, None) for c in RANDOM_CASES] + FINER_CASES,
-        ids=["case%d" % i for i in range(len(RANDOM_CASES))]
-        + ["case%d-q%s" % (c[0] - 1, "x".join(map(str, q))) for c, q in FINER_CASES],
+        "case", RANDOM_CASES, ids=["case%d" % i for i in range(len(RANDOM_CASES))]
     )
-    def test_matches_definitions(self, case, q):
+    def test_matches_definitions(self, case):
         space = _random_case(*case)
-        mesh = classify(space, q)
-        brute = BruteClassification(space, mesh.q)
+        mesh = classify(space)
+        brute = BruteClassification(space, space.hierarchy.q)
         for lv in range(mesh.num_levels):
             assert set(mesh.active(lv)) == brute.active[lv], lv
             assert set(mesh.border(lv)) == brute.border[lv], lv
@@ -315,7 +303,7 @@ class TestClassificationOracle:
         reg = set(mesh.all_regular())
         for k in range(space.num_levels):
             for e in space.active_elements(k):
-                r = tuple(c // v for c, v in zip(e, mesh.q))
+                r = tuple(c // v for c, v in zip(e, space.hierarchy.q))
                 containers = 0
                 for lv in range(k + 1):
                     anc = tuple(v >> (k - lv) for v in r)
@@ -343,18 +331,11 @@ class TestClassificationOracle:
         assert len(mesh.active(0)) == 4
 
     def test_unit_q_boxes_are_elements(self):
-        space = _random_case(*RANDOM_CASES[0])
-        mesh = classify(space, q=(1, 1))
+        space = _random_case(*RANDOM_CASES[5])  # a hierarchy of 1x1-element boxes
+        mesh = classify(space)
+        assert space.num_levels > 1
         for lv in range(mesh.num_levels):
             assert set(mesh.active(lv)) == set(space.active_elements(lv))
-
-    def test_divisibility_errors(self):
-        hier = DomainHierarchy((2, 2), (3, 3), [{(0, 0)}])
-        space = _space(hier, 2)
-        with pytest.raises(ValueError):
-            classify(space, q=(4, 4))  # does not divide 6 elements per dir
-        with pytest.raises(ValueError):
-            classify(space, q=(3, 3))  # divides 6 but not the hierarchy's q=2
 
 
 class TestSupportExtension:
@@ -370,8 +351,8 @@ class TestSupportExtension:
             picks = [boxes[i] for i in rng.integers(0, len(boxes), size=2)]
             for box in picks:
                 for k in range(mesh.num_levels):
-                    got = set(support_extension_S(space, lv, box, k, mesh.q))
-                    want = _brute_support_extension(space, lv, box, k, mesh.q)
+                    got = set(support_extension_S(space, lv, box, k))
+                    want = _brute_support_extension(space, lv, box, k, space.hierarchy.q)
                     assert got == want, (lv, box, k)
 
     def test_own_level_is_centered_window(self):
@@ -380,7 +361,7 @@ class TestSupportExtension:
         # touching the box
         hier = DomainHierarchy((2, 2), (4, 4))
         space = _space(hier, 2)
-        got = set(support_extension_S(space, 0, (2, 2), 0, (2, 2)))
+        got = set(support_extension_S(space, 0, (2, 2), 0))
         want = _brute_support_extension(space, 0, (2, 2), 0, (2, 2))
         assert got == want
         assert (2, 2) in got
@@ -391,7 +372,7 @@ class TestSupportExtension:
     def test_corner_box_clipped(self):
         hier = DomainHierarchy((2, 2), (4, 4))
         space = _space(hier, 2)
-        got = set(support_extension_S(space, 0, (0, 0), 0, (2, 2)))
+        got = set(support_extension_S(space, 0, (0, 0), 0))
         assert min(b[0] for b in got) == 0 and min(b[1] for b in got) == 0
         assert got == _brute_support_extension(space, 0, (0, 0), 0, (2, 2))
 
@@ -680,8 +661,8 @@ def _all_well_behaved_active(mesh):
     """Whether every well-behaved box lies inside its level's domain and is not refined."""
     hier = mesh.hierarchy
     for lv in range(mesh.num_levels):
-        first = np.array(mesh.well_behaved(lv), dtype=np.int64).reshape(-1, hier.dim) * mesh.q
-        inside = hier.cover(lv, first, first + np.array(mesh.q) - 1)[0]
+        first = np.array(mesh.well_behaved(lv), dtype=np.int64).reshape(-1, hier.dim) * hier.q
+        inside = hier.cover(lv, first, first + np.array(hier.q) - 1)[0]
         if not (inside & ~hier.refined_mask(lv, first // hier.q)).all():
             return False
     return True
@@ -720,7 +701,7 @@ class TestRegularBoxesSingleLevel:
         space = _random_case(*case)
         p = space.degree
         mesh = classify(space)
-        if any(qi < pi for qi, pi in zip(mesh.q, p)):
+        if any(qi < pi for qi, pi in zip(space.hierarchy.q, p)):
             pytest.skip("needs q >= p")
         for lv, box in mesh.all_regular():
             for e in mesh.box_elements(lv, box):
