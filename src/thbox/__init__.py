@@ -21,7 +21,6 @@ from .splinecore import (
     KnotVector,
     TensorSpace,
     gauss_rule,
-    two_scale_matrix,
     uniform_knot_vector,
     uniform_space,
 )
@@ -32,10 +31,8 @@ from .hierarchy import (
     admissibility_class,
     build_hb,
     build_thb,
-    eval_thb,
     hierarchy_from_json,
     hierarchy_to_json,
-    truncate,
 )
 from .qbox import (
     AdmissibilityPolicy,
@@ -89,7 +86,6 @@ __all__ = [
     "KnotVector",
     "TensorSpace",
     "gauss_rule",
-    "two_scale_matrix",
     "uniform_knot_vector",
     "uniform_space",
     "DomainHierarchy",
@@ -98,10 +94,8 @@ __all__ = [
     "admissibility_class",
     "build_hb",
     "build_thb",
-    "eval_thb",
     "hierarchy_from_json",
     "hierarchy_to_json",
-    "truncate",
     "AdmissibilityPolicy",
     "QBoxMesh",
     "RefinementLimitError",

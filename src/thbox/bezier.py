@@ -32,7 +32,7 @@ so results are bit-reproducible.
 import numpy as np
 import scipy.sparse
 
-from .hierarchy import gauss_tensor, index_array, raveled, sorted_lookup, unraveled
+from .hierarchy import gauss_tensor, raveled, require_no_box, sorted_lookup, unraveled
 from .numerics import SPD_PIVOT_REL, NonSPDError, svd_rank
 from .qbox import classify
 
@@ -196,14 +196,11 @@ class ProjectorPartition:
             if not 0 <= idx < len(self.members):
                 raise ValueError("member index %d out of range" % idx)
             return idx
-        lv, box = member[0], index_array([member[1]], self.space.dim, "a member box")[0]
-        if 0 <= lv < self.mesh.num_levels:
-            shape = self.space.hierarchy.boxes_shape(lv)
-            if np.all((box >= 0) & (box < shape)):
-                pos, hit = sorted_lookup(self.mesh.macro_ids[lv], raveled(box, shape))
-                if hit:
-                    return int(self._first[lv] + pos)
-        raise ValueError("box %s at level %d is not a member" % (tuple(box.tolist()), lv))
+        lv, box = member[0], self.mesh._checked(member[0], [member[1]])
+        shape = self.space.hierarchy.boxes_shape(lv)
+        pos, hit = sorted_lookup(self.mesh.macro_ids[lv], raveled(box, shape))
+        require_no_box(box, ~hit, lv, "is not a member")
+        return int(self._first[lv] + pos[0])
 
     def _member_arrays(self, idx):
         """The elements of member ``idx``: one array (n_lv, dim) per level, canonical."""

@@ -31,7 +31,6 @@ import itertools
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .hierarchy import LevelSequence, build_thb, index_grid
 from .numerics import svd_rank
@@ -431,6 +430,11 @@ def _operator_matrix(sources, targets, terms):
     )
 
 
+def _column_norms(m):
+    """Euclidean norm (n,) of each column of the sparse ``m`` (n columns)."""
+    return np.asarray(np.sqrt(abs(m).power(2).sum(axis=0))).ravel()
+
+
 def _differential(cs, k):
     """The coefficient-space differential ``G_k`` of map k, dense, and the
     worst relative column residual ``||D_k - B_{k+1} G_k|| / ||D_k||``.
@@ -451,8 +455,8 @@ def _differential(cs, k):
         raise RuntimeError("slot %d is not a truncated basis: the own rows of its "
                            "active functions are not unit vectors" % (k + 1))
     g = image[sel]
-    resid = scipy.sparse.linalg.norm(image - basis @ g, axis=0)
-    norms = np.maximum(scipy.sparse.linalg.norm(image, axis=0), np.finfo(float).tiny)
+    resid = _column_norms(image - basis @ g)
+    norms = np.maximum(_column_norms(image), np.finfo(float).tiny)
     return g.toarray(), float(np.max(resid / norms))
 
 

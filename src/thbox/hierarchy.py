@@ -467,13 +467,7 @@ class ThbSpace:
             lo, hi = space.support_boxes(unraveled(cand, space.numbasis))
             inside = hier.cover(lv, lo, hi)[0] & ~hier.cover(lv + 1, 2 * lo, 2 * hi + 1)[0]
             self._active_ids.append(cand[inside])
-        self.active_funcs = [
-            tuple(map(tuple, unraveled(ids, self.levels[lv].numbasis).tolist()))
-            for lv, ids in enumerate(self._active_ids)
-        ]
-        self.functions = [(lv, j) for lv, act in enumerate(self.active_funcs) for j in act]
-        self.fid_of = {key: fid for fid, key in enumerate(self.functions)}
-        self.ndof = len(self.functions)
+        self.ndof = sum(map(len, self._active_ids))
 
         self._elem_ids, self._elem_array = [], []
         for lv in range(self.num_levels):
@@ -490,8 +484,8 @@ class ThbSpace:
         function's level-``lv`` representation.  The rows of ``R_lv`` are
         the B-splines nonzero on an active level-``lv`` element, in raveled
         C order; ``_local[lv]`` holds, per active element, the rows of its
-        ``prod(p+1)`` B-splines in :meth:`TensorSpace.functions_on_element`
-        order.
+        ``prod(p+1)`` B-splines in :meth:`TensorSpace.element_functions`
+        order (C order over the per-direction windows).
         """
         hier = self.hierarchy
         self._extraction = []
@@ -570,6 +564,16 @@ class ThbSpace:
             self.num_levels,
         )
 
+    @property
+    def functions(self):
+        """Every active function as a (level, multi-index) pair, in function-id
+        order; built from :meth:`active_ids` on each read."""
+        return [
+            (lv, j)
+            for lv, ids in enumerate(self._active_ids)
+            for j in map(tuple, unraveled(ids, self.levels[lv].numbasis).tolist())
+        ]
+
     def active_elements(self, lv):
         """Sorted tuple of active level-``lv`` element multi-indices."""
         return tuple(map(tuple, self._elem_array[lv].tolist()))
@@ -581,11 +585,14 @@ class ThbSpace:
         return self.levels[lv]
 
     def is_active_element(self, lv, e):
-        """Whether element ``e`` of level ``lv`` is active; outside the grid it is not."""
+        """Whether element ``e`` of level ``lv`` is active; outside the grid it is
+        not.  ValueError for a level not here or an ``e`` that is not an
+        integer multi-index of the space's dimension."""
         shape = self._level(lv).numelems
-        if not all(0 <= c < n for c, n in zip(e, shape)):
+        e = index_array((e,), self.dim, "a level-%d element" % lv)
+        if not np.all((e >= 0) & (e < shape)):
             return False
-        return bool(sorted_lookup(self._elem_ids[lv], np.ravel_multi_index(e, shape))[1])
+        return bool(sorted_lookup(self._elem_ids[lv], raveled(e, shape))[1][0])
 
     def all_active_elements(self):
         """Iterate (level, element) pairs in canonical order."""
@@ -666,7 +673,7 @@ class ThbSpace:
         off the pattern of the ``R_lv`` rows; an element without functions
         gets an empty range (min > max).
         """
-        flevel = np.array([lv for lv, _ in self.functions], dtype=np.int64)
+        flevel = np.repeat(np.arange(self.num_levels), list(map(len, self._active_ids)))
         out = []
         for ext, local in zip(self._extraction, self._local):
             rmin = np.full(ext.shape[0], self.num_levels)
@@ -694,11 +701,6 @@ class ThbSpace:
         elements = [[e] if k == lv else [] for k in range(self.num_levels)]
         (block,) = self.quadrature(rule, derivs, elements=elements)
         return fids, [coeffs @ v[0] for v in block.values]
-
-    def element_points(self, lv, e, ref_pts_per_dir):
-        """Cartesian coordinates (npts, dim) of a tensor grid on element (lv, e)."""
-        lo, hi = np.array(self._level(lv).element_bounds(e)).T
-        return lo + (hi - lo) * _reference_grid(ref_pts_per_dir)
 
     def quadrature(self, rule, derivs=None, fields=(), elements=None):
         """Tensor quadrature over whole levels: one :class:`LevelBlock` per level.
@@ -796,32 +798,6 @@ def build_thb(levels, hierarchy):
 def build_hb(levels, hierarchy):
     """Plain (non-truncated) hierarchical basis; same active set as THB."""
     return ThbSpace(levels, hierarchy, truncated=False)
-
-
-def truncate(levels, hierarchy, lv, coeffs):
-    """Truncation at level ``lv``: zero coefficients of B-splines inside Omega^{lv}.
-
-    ``coeffs`` is a dense coefficient array over the level-``lv`` tensor
-    basis (any shape reshapeable to the basis grid).  Returns a copy with
-    the entries of every B-spline whose open support lies inside
-    Omega^{lv} set to zero.
-    """
-    space = levels[lv]
-    out = np.array(coeffs, dtype=float).reshape(space.numbasis).copy()
-    inside = hierarchy.cover(lv, *space.support_boxes(index_grid(space.numbasis)))[0]
-    out.reshape(-1)[inside] = 0.0
-    return out
-
-
-def eval_thb(space, fid, x, deriv=None):
-    """Point value (or mixed partial derivative) of active function ``fid``."""
-    if not 0 <= fid < space.ndof:
-        raise IndexError("function id %d out of range" % fid)
-    fids, vals = space.eval_all_at(x, deriv)
-    pos = np.searchsorted(fids, fid)
-    if pos < len(fids) and fids[pos] == fid:
-        return float(vals[pos])
-    return 0.0
 
 
 def admissibility_class(space):

@@ -12,7 +12,6 @@ import warnings
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
 #: Relative Cholesky pivot threshold: a pivot below ``SPD_PIVOT_REL * trace``
 #: is treated as a hard failure rather than silently accepted.
@@ -75,8 +74,11 @@ def sparse_solve(a, b):
 
     Columns are ordered by minimum degree on ``a^T + a``, which suits the
     symmetric pattern of Galerkin matrices.  The relative residual is
-    verified against :data:`SPARSE_RESIDUAL_TOL`.
+    verified against :data:`SPARSE_RESIDUAL_TOL`.  ``scipy.sparse.linalg``
+    is imported here, on the first solve, not with the package.
     """
+    import scipy.sparse.linalg
+
     if not scipy.sparse.issparse(a):
         raise TypeError("expected a scipy sparse matrix")
     n, m = a.shape

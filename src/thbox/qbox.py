@@ -45,8 +45,6 @@ keep the mesh within a prescribed admissibility class ``c``:
   every mark is tested at once against the input hierarchy.
 """
 
-import itertools
-
 import numpy as np
 
 from .hierarchy import (
@@ -59,8 +57,6 @@ from .hierarchy import (
     sorted_lookup,
     unraveled,
 )
-
-_LABELS = ("border", "well-behaved", "regular")
 
 
 class RefinementLimitError(RuntimeError):
@@ -320,16 +316,19 @@ class QBoxMesh:
 
     # -- geometry ----------------------------------------------------------
 
-    def box_elements(self, lv, box):
-        """Level-``lv`` element multi-indices covered by the box."""
-        return tuple(
-            itertools.product(
-                *(range(v * r, v * (r + 1)) for v, r in zip(self.hierarchy.q, box))
-            )
-        )
+    def _checked(self, lv, boxes):
+        """Level-``lv`` boxes (n, dim) as int64; ValueError unless ``lv`` is a
+        level of the mesh and every box lies on its box grid."""
+        if not 0 <= lv < self.num_levels:
+            raise ValueError("level %r is not a level of this mesh (0..%d)" % (lv, self.num_levels - 1))
+        boxes = index_array(boxes, self.hierarchy.dim, "level-%d boxes" % lv)
+        off = np.any((boxes < 0) | (boxes >= self._shapes[lv]), axis=1)
+        require_no_box(boxes, off, lv, "is off the grid")
+        return boxes
 
     def box_bounds(self, lv, box):
         """Per-direction (lo, hi) coordinates of the box."""
+        box = self._checked(lv, (box,))[0]
         space = self.space.levels[lv]
         out = []
         for d, q in enumerate(self.hierarchy.q):
@@ -344,7 +343,7 @@ class QBoxMesh:
         hier = self.hierarchy
         offsets = index_grid((3,) * hier.dim) - 1
         self._shapes = [hier.boxes_shape(lv) for lv in range(self.num_levels)]
-        self._ids = {label: [] for label in ("active",) + _LABELS}
+        self._ids = {label: [] for label in ("active", "border", "well-behaved", "regular")}
         wb = self._ids["well-behaved"]
         self._depth = []
         for lv, shape in enumerate(self._shapes):
@@ -380,10 +379,6 @@ class QBoxMesh:
         ids = self._ids[label][lv]
         return tuple(map(tuple, unraveled(ids, self._shapes[lv]).tolist()))
 
-    def _find(self, label, lv, box):
-        """Position of the box among the level's ``label`` ids, and whether it is one."""
-        return sorted_lookup(self._ids[label][lv], raveled(np.array(box), self._shapes[lv]))
-
     # -- queries -------------------------------------------------------
 
     def active(self, lv):
@@ -409,16 +404,12 @@ class QBoxMesh:
             for b in self.regular(lv):
                 yield lv, b
 
-    def labels(self, lv, box):
-        """The classification labels applying to the box (possibly empty)."""
-        return tuple(label for label in _LABELS if self._find(label, lv, box)[1])
-
     def depth(self, lv, box):
         """Smallest d with an active border box of level lv+d inside the box."""
-        pos, hit = self._find("well-behaved", lv, box)
-        if not hit:
-            raise ValueError("box %s at level %d is not well-behaved" % (box, lv))
-        return int(self._depth[lv][pos])
+        box = self._checked(lv, (box,))
+        pos, hit = sorted_lookup(self._ids["well-behaved"][lv], raveled(box, self._shapes[lv]))
+        require_no_box(box, ~hit, lv, "is not well-behaved")
+        return int(self._depth[lv][pos[0]])
 
     def macro_element_of(self, lv, boxes):
         """The well-behaved or regular box containing each active level-``lv`` box.
@@ -427,6 +418,7 @@ class QBoxMesh:
         the containing box's level and its position in that level's
         ``macro_ids``; level -1 marks a box that none contains.
         """
+        boxes = self._checked(lv, boxes)
         return _ancestors(self.macro_ids, self._shapes, lv, boxes, range(lv + 1))
 
     def admissibility_class(self):

@@ -16,8 +16,8 @@ Dyadic refinement (:meth:`KnotVector.refine`) bisects every element by
 inserting each midpoint with multiplicity ``m``; degree and multiplicity
 are shared by all levels of a hierarchy.  :func:`two_scale_arrays` returns
 the subdivision weights expressing each coarse B-spline in the refined
-basis as padded (index, weight) arrays, written by local knot insertion;
-:func:`two_scale_matrix` is their dense view.  :func:`derivative_matrix`
+basis as padded (index, weight) arrays, written by local knot insertion.
+:func:`derivative_matrix`
 maps coefficients to those of the derivative in the degree-(p-1) basis.
 
 Function and element multi-indices in tensor products are raveled in
@@ -25,7 +25,6 @@ C order (last direction fastest) throughout the package.
 """
 
 import bisect
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,12 +127,6 @@ class KnotVector:
     def _breakpoint_of_knot(self, k):
         return np.clip((k - self.degree - 1) // self.multiplicity + 1, 0, self.numelems)
 
-    def greville(self, j):
-        """Greville abscissa (knot average) of basis function ``j``."""
-        if self.degree == 0:
-            return 0.5 * (self.knots[j] + self.knots[j + 1])
-        return float(np.mean(self.knots[j + 1 : j + self.degree + 1]))
-
     def refine(self):
         """Bisect every element; degree and multiplicity are preserved."""
         mids = 0.5 * (self.breakpoints[:-1] + self.breakpoints[1:])
@@ -231,22 +224,6 @@ def basis_on_element(kv, e, x, nderiv=0):
     return _ders_basis_funs(kv.knots, kv.degree, span, np.atleast_1d(x), nderiv)
 
 
-def eval_basis(kv, j, x, deriv=0):
-    """Value (or ``deriv``-th derivative) of basis function ``j`` at scalar ``x``."""
-    if not 0 <= j < kv.numbasis:
-        raise IndexError("function index %d out of range" % j)
-    if not 0 <= deriv <= kv.degree:
-        raise ValueError("derivative order must satisfy 0 <= k <= p")
-    if not 0.0 <= x <= 1.0:
-        return 0.0
-    e = kv.element_of(x)
-    lo, hi = kv.support_range(j)
-    if not lo <= e <= hi:
-        return 0.0
-    vals = basis_on_element(kv, e, np.array([x]), deriv)
-    return float(vals[deriv, j - kv.first_func_on_element(e), 0])
-
-
 def two_scale_arrays(coarse, fine):
     """Two-scale relation of ``coarse`` into its bisection ``fine`` as padded arrays.
 
@@ -291,18 +268,6 @@ def two_scale_arrays(coarse, fine):
     for c, pairs in enumerate(kids):
         index[c, : len(pairs)], weight[c, : len(pairs)] = zip(*pairs)
     return index, weight
-
-
-def two_scale_matrix(coarse, fine):
-    """Subdivision weights M (N_coarse x N_fine): B_coarse[i] = sum_j M[i,j] B_fine[j].
-
-    The dense view of :func:`two_scale_arrays`.  Columns sum to 1 because
-    refinement preserves the partition of unity.
-    """
-    index, weight = two_scale_arrays(coarse, fine)
-    mat = np.zeros((coarse.numbasis, fine.numbasis))
-    np.add.at(mat, (np.arange(coarse.numbasis)[:, None], index), weight)
-    return mat
 
 
 def derivative_matrix(kv):
@@ -388,40 +353,11 @@ class TensorSpace:
             for kv, ei in zip(self.kvs, e)
         )
 
-    def functions_on_element(self, e):
-        """Iterate multi-indices of the prod(p+1) functions supported on ``e``."""
-        ranges = [
-            range(kv.first_func_on_element(ei), kv.first_func_on_element(ei) + kv.degree + 1)
-            for kv, ei in zip(self.kvs, e)
-        ]
-        return itertools.product(*ranges)
-
     def element_functions(self, elements):
         """Raveled ids (n, prod(p+1)) of the functions on ``elements`` (n, dim),
-        in :meth:`functions_on_element` order."""
+        in C order over the per-direction windows of p+1 functions from
+        :meth:`KnotVector.first_func_on_element`."""
         offsets = np.indices(tuple(p + 1 for p in self.degree)).reshape(self.dim, -1).T
         first = np.asarray(elements, dtype=np.int64) * self.multiplicity
         index = first[:, None, :] + offsets
         return np.ravel_multi_index(tuple(np.moveaxis(index, -1, 0)), self.numbasis)
-
-    def all_functions(self):
-        return itertools.product(*(range(n) for n in self.numbasis))
-
-    def all_elements(self):
-        return itertools.product(*(range(n) for n in self.numelems))
-
-
-def tensor_eval(space, j, x, deriv=None):
-    """Value of tensor basis function ``j`` at point ``x``.
-
-    ``deriv`` is a per-direction derivative-order tuple (default all zero),
-    so mixed partial derivatives are products of univariate derivatives.
-    """
-    if deriv is None:
-        deriv = (0,) * space.dim
-    out = 1.0
-    for kv, ji, xi, ki in zip(space.kvs, j, x, deriv):
-        out *= eval_basis(kv, ji, xi, ki)
-        if out == 0.0:
-            return 0.0
-    return out

@@ -231,7 +231,7 @@ def member_solve_oracle(space, elements, f):
         w = np.ones(1)
         for d, (_, wts) in enumerate(rule):
             w = np.outer(w, np.asarray(wts) * (hi[d] - lo[d])).reshape(-1)
-        parts.append((fids, vals, w, f(space.element_points(lv, e, refs))))
+        parts.append((fids, vals, w, f(element_grid_points(space, lv, e, refs))))
     fids = np.unique(np.concatenate([p[0] for p in parts]))
     rows, rhs = [], []
     for efids, vals, w, target in parts:
@@ -321,9 +321,17 @@ def element_error_oracle(space, f, coeffs):
                 w = np.outer(w, np.asarray(wts) * (hi[d] - lo[d])).reshape(-1)
             for refs, out in ((tuple(pts for pts, _ in gauss), l2), (grid, linf)):
                 fids, (vals,) = space.element_values(lv, e, refs)
-                err = coeffs[fids] @ vals - f(space.element_points(lv, e, refs))
+                err = coeffs[fids] @ vals - f(element_grid_points(space, lv, e, refs))
                 out[lv][i] = np.sqrt(w @ err**2) if out is l2 else np.abs(err).max()
     return l2, linf
+
+
+def element_grid_points(space, lv, e, refs):
+    """Points (npts, dim) of the tensor grid of per-direction reference
+    coordinates ``refs`` on element (lv, e), last direction fastest, placed
+    in the element's bounds."""
+    lo, hi = np.array(space.levels[lv].element_bounds(e)).T
+    return lo + (hi - lo) * np.array(list(itertools.product(*refs))).reshape(-1, len(refs))
 
 
 def univariate_support_flags(kv):
@@ -349,7 +357,7 @@ def element_support_sets(space):
     """
     per_dir = [univariate_support_flags(kv) for kv in space.kvs]
     supports = {}
-    for j in space.all_functions():
+    for j in np.ndindex(*space.numbasis):
         axes = [np.nonzero(per_dir[d][j[d]])[0] for d in range(space.dim)]
         supports[j] = set(itertools.product(*axes))
     return supports

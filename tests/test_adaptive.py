@@ -12,6 +12,7 @@ from conftest import (
     box_max_oracle,
     box_sum_oracle,
     element_error_oracle,
+    element_grid_points,
     residual_oracle,
     thb_space,
 )
@@ -356,7 +357,7 @@ def poisson_system(space, f):
         rows.append(np.repeat(fids, len(fids)))
         cols.append(np.tile(fids, len(fids)))
         vals.append(block.reshape(-1))
-        load[fids] += basis[0] @ (w * f(space.element_points(lv, e, refs)))
+        load[fids] += basis[0] @ (w * f(element_grid_points(space, lv, e, refs)))
     a = assemble_csr(np.concatenate(rows), np.concatenate(cols),
                      np.concatenate(vals), (space.ndof, space.ndof))
     return a, load

@@ -339,7 +339,8 @@ class TestLocalProjection:
         local = local_l2_project(part, (0, (0,)), lambda pts: pts[:, 0])
         kv = space.levels[0].kvs[0]
         got = [local[j] for j in range(4)]
-        assert_allclose(got, [kv.greville(j) for j in range(4)], rtol=0, atol=1e-13)
+        greville = [np.mean(kv.knots[j + 1 : j + 3]) for j in range(4)]  # knot averages
+        assert_allclose(got, greville, rtol=0, atol=1e-13)
         # hand-assembled normal equations from the naive recursion, one Gauss
         # rule per element
         xg, wg = np.polynomial.legendre.leggauss(50)
@@ -364,7 +365,8 @@ class TestSmoothingWeights:
     def test_contained_support_single_weight(self):
         space = thb_space(DomainHierarchy((2,), (2,)), (2,))
         part = ProjectorPartition(space)
-        fid = space.fid_of[(0, (0,))]  # nonzero on the first element only
+        fid = 0  # the level-0 function (0,), nonzero on the first element only
+        assert space.functions[fid] == (0, (0,))
         assert smoothing_weights(part, fid) == {(0, (0,)): 1.0}
 
     def test_weights_sum_to_one(self, rspace, rpartition):
@@ -388,8 +390,7 @@ class TestSmoothingWeights:
                 np.dot(0.5 * (b - a) * wg, [naive_bspline(kv.knots, j, 2, xi) for xi in x])
             )
 
-        for lv, j in space.functions:
-            fid = space.fid_of[(lv, j)]
+        for fid, (lv, j) in enumerate(space.functions):
             total = sum(elem_integral(e, j[0]) for e in range(4))
             weights = smoothing_weights(part, fid)
             for (_, box), val in weights.items():

@@ -114,7 +114,7 @@ def oracle_3b(space, lv, max_meeting=14):
         scale = 2 if phi_lv == lv else 1
         for pt in itertools.product(*[(pd, pd - 1) for pd in p]):
             tens = uniform_space(hier.elems_shape(phi_lv), pt, space.multiplicity)
-            for j in tens.all_functions():
+            for j in np.ndindex(*tens.numbasis):
                 rng = tens.support_range(j)
                 flo = tuple(scale * r[0] for r in rng)
                 fhi = tuple(scale * (r[1] + 1) - 1 for r in rng)

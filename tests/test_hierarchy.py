@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    element_grid_points,
     element_support_sets,
     naive_tensor_value,
     random_admissible_space,
@@ -35,18 +36,31 @@ from thbox.hierarchy import (
     admissibility_class,
     build_hb,
     build_thb,
-    eval_thb,
     hierarchy_from_json,
     hierarchy_to_json,
-    truncate,
 )
 from thbox.splinecore import (
     KnotVector,
     TensorSpace,
-    two_scale_matrix,
+    two_scale_arrays,
     uniform_knot_vector,
     uniform_space,
 )
+
+
+def _active_multi(space, lv):
+    """The active level-``lv`` functions as sorted multi-index tuples, read off
+    ``active_ids``."""
+    nb = space.levels[lv].numbasis
+    return [tuple(j) for j in np.array(np.unravel_index(space.active_ids(lv), nb)).T.tolist()]
+
+
+def _fid(space, lv, j):
+    """Function id of the active level-``lv`` function ``j``: the level's
+    offset plus its position in ``active_ids``."""
+    offset = sum(len(space.active_ids(k)) for k in range(lv))
+    pos = np.searchsorted(space.active_ids(lv), np.ravel_multi_index(j, space.levels[lv].numbasis))
+    return offset + int(pos)
 
 
 def _domain_elements(hier, lv):
@@ -103,10 +117,12 @@ def _dense_reps(levels, hier, lv, js, truncated, supports, domains):
         coeffs[np.ravel_multi_index(j, levels[lv].numbasis), col] = 1.0
     reps = [coeffs]
     for k in range(lv, hier.num_levels - 1):
-        mats = [
-            two_scale_matrix(levels[k].kvs[d], levels[k + 1].kvs[d])
-            for d in range(hier.dim)
-        ]
+        mats = []
+        for coarse, fine in zip(levels[k].kvs, levels[k + 1].kvs):
+            index, weight = two_scale_arrays(coarse, fine)
+            mat = np.zeros((coarse.numbasis, fine.numbasis))
+            np.add.at(mat, (np.arange(coarse.numbasis)[:, None], index), weight)
+            mats.append(mat)
         full = mats[0]
         for m in mats[1:]:
             full = np.kron(full, m)
@@ -283,12 +299,16 @@ class TestActiveSelection:
         levels, hier = _make_case(*case)
         space = build_thb(levels, hier)
         expected = _reference_active_sets(levels, hier)
-        assert [tuple(a) for a in space.active_funcs] == expected
+        assert [tuple(_active_multi(space, lv)) for lv in range(hier.num_levels)] == expected
+        assert space.functions == [(lv, j) for lv, act in enumerate(expected) for j in act]
+        assert space.ndof == len(space.functions)
 
     @pytest.mark.parametrize("case", HIERARCHY_CASES[:3])
     def test_hb_same_selection(self, case):
         levels, hier = _make_case(*case)
-        assert build_hb(levels, hier).active_funcs == build_thb(levels, hier).active_funcs
+        hb, thb = build_hb(levels, hier), build_thb(levels, hier)
+        for lv in range(hier.num_levels):
+            nt.assert_array_equal(hb.active_ids(lv), thb.active_ids(lv))
 
     def test_single_level(self):
         base = uniform_space((3, 3), (2, 2))
@@ -314,20 +334,21 @@ class TestTruncatedEvaluation:
         domains = {k: _domain_elements(hier, k) for k in range(hier.num_levels)}
         # a stratified sample of active functions across levels
         picks = []
-        for lv, act in enumerate(space.active_funcs):
+        for lv in range(hier.num_levels):
+            act = _active_multi(space, lv)
             for j in act[:: max(1, len(act) // 3)]:
                 picks.append((lv, j))
         for lv, j in picks:
             dense = _dense_rep(levels, hier, lv, j, truncated, supports, domains)
-            fid = space.fid_of[(lv, j)]
+            fid = _fid(space, lv, j)
             for x in pts:
                 want = sum(
                     dense[jj] * naive_tensor_value(finest, jj, tuple(x))
-                    for jj in finest.all_functions()
+                    for jj in np.ndindex(*finest.numbasis)
                     if dense[jj] != 0.0
                 )
-                got = eval_thb(space, fid, tuple(x))
-                nt.assert_allclose(got, want, atol=1e-12)
+                fids, vals = space.eval_all_at(tuple(x))
+                nt.assert_allclose(vals[fids == fid].sum(), want, atol=1e-12)
 
     @pytest.mark.parametrize("case", HIERARCHY_CASES + [CASE_3D])
     @pytest.mark.parametrize("truncated", [True, False])
@@ -346,7 +367,8 @@ class TestTruncatedEvaluation:
             rows.append(np.sort([np.ravel_multi_index(j, levels[k].numbasis) for j in nonzero]))
         expected = [np.zeros((len(r), space.ndof)) for r in rows]
         first = 0
-        for lv, act in enumerate(space.active_funcs):
+        for lv in range(num):
+            act = _active_multi(space, lv)
             reps = _dense_reps(levels, hier, lv, act, truncated, supports, domains)
             for k, coeffs in enumerate(reps, start=lv):
                 expected[k][:, first : first + len(act)] = coeffs[rows[k].astype(int)]
@@ -417,7 +439,7 @@ class TestTruncatedEvaluation:
         ref = tuple(np.linspace(0.1, 0.9, p + 1))
         pts = []
         for lv, e in thb.all_active_elements():
-            pts.extend(map(tuple, thb.element_points(lv, e, (ref,) * hier.dim)))
+            pts.extend(map(tuple, element_grid_points(thb, lv, e, (ref,) * hier.dim)))
 
         def coll(space):
             mat = np.zeros((len(pts), space.ndof))
@@ -481,11 +503,12 @@ class TestIdentityRows:
     @given(refined_spaces())
     def test_thb_own_rows_are_unit_vectors(self, space):
         assert own_rows_are_unit_vectors(space)
-        for lv, act in enumerate(space.active_funcs):
-            want = [np.ravel_multi_index(j, space.levels[lv].numbasis) for j in act]
+        for lv in range(space.num_levels):
+            nb = space.levels[lv].numbasis
+            want = [np.ravel_multi_index(j, nb) for k, j in space.functions if k == lv]
             assert space.active_ids(lv).tolist() == want
         hb = build_hb(space.levels, space.hierarchy)
-        levels_with_functions = sum(len(act) > 0 for act in space.active_funcs)
+        levels_with_functions = sum(len(space.active_ids(lv)) > 0 for lv in range(space.num_levels))
         assert own_rows_are_unit_vectors(hb) == (levels_with_functions == 1)
 
 
@@ -515,8 +538,6 @@ class TestElementMachinery:
             space.element_table(lv, (0, 0))
         with pytest.raises(ValueError, match=match):
             space.is_active_element(lv, (0, 0))
-        with pytest.raises(ValueError, match=match):
-            space.element_points(lv, (0, 0), ref)
 
     @pytest.mark.parametrize(
         "x", [(2.0, 0.5), (-1.0, 0.0), (0.5, 1.0 + 1e-12), (np.nan, 0.5), (0.5, np.inf), (0.5,)]
@@ -529,8 +550,6 @@ class TestElementMachinery:
             space.locate(x)
         with pytest.raises(ValueError, match="outside the domain"):
             space.eval_all_at(x)
-        with pytest.raises(ValueError, match="outside the domain"):
-            eval_thb(space, 0, x)
 
     def test_domain_corners_are_located(self):
         space = build_thb(*_make_case(*HIERARCHY_CASES[2]))
@@ -575,7 +594,7 @@ class TestElementMachinery:
         for lv, e in list(space.all_active_elements())[::5]:
             ref = tuple(tuple(rng.random(2)) for _ in range(hier.dim))
             fids, (vals,) = space.element_values(lv, e, ref)
-            pts = space.element_points(lv, e, ref)
+            pts = element_grid_points(space, lv, e, ref)
             for c, x in enumerate(pts):
                 gf, gv = space.eval_all_at(tuple(x))
                 nt.assert_array_equal(gf, fids)
@@ -591,40 +610,19 @@ class TestElementMachinery:
                 nt.assert_allclose(vals.sum(), 0.0, atol=1e-9)
 
     def test_eval_thb_zero_off_support(self):
+        """``eval_all_at`` omits a function at a point off its support."""
         levels, hier = _make_case(*HIERARCHY_CASES[0])
         space = build_thb(levels, hier)
         # a finest-level function evaluated far from its support
         lv = space.num_levels - 1
-        j = space.active_funcs[lv][0]
-        fid = space.fid_of[(lv, j)]
+        j = _active_multi(space, lv)[0]
+        fid = _fid(space, lv, j)
         kv = space.levels[lv].kvs[0]
         right_end = kv.breakpoints[kv.support_range(j[0])[1] + 1]
         x = right_end + 0.5 * (1.0 - right_end)
-        if x < 1.0:
-            assert eval_thb(space, fid, (x,)) == 0.0
-        with pytest.raises(IndexError):
-            eval_thb(space, space.ndof, (0.5,))
-
-
-class TestTruncateOperation:
-    def test_zeroes_exactly_inner_functions(self):
-        kv = uniform_knot_vector(4, 2)
-        levels = LevelSequence(TensorSpace((kv,)))
-        hier = DomainHierarchy((2,), (2,), [{(0,)}])
-        ones = np.ones(levels[1].numbasis)
-        out = truncate(levels, hier, 1, ones)
-        supports = element_support_sets(levels[1])
-        dom = _domain_elements(hier, 1)
-        for j, supp in supports.items():
-            expect = 0.0 if supp <= dom else 1.0
-            assert out[j] == expect, j
-
-    def test_level_zero_zeroes_everything(self):
-        kv = uniform_knot_vector(2, 1)
-        levels = LevelSequence(TensorSpace((kv,)))
-        hier = DomainHierarchy((1,), (2,))
-        out = truncate(levels, hier, 0, np.ones(levels[0].numbasis))
-        nt.assert_array_equal(out, 0.0)
+        assert x < 1.0
+        assert fid in space.eval_all_at((right_end - 1e-9,))[0]
+        assert fid not in space.eval_all_at((x,))[0]
 
 
 class TestAdmissibilityClass:
@@ -633,12 +631,13 @@ class TestAdmissibilityClass:
         levels, hier = _make_case(*case)
         space = build_thb(levels, hier)
         rng = np.random.default_rng(55)
+        flevel = [lv for lv, _ in space.functions]
         worst = 0
         for lv, e in space.all_active_elements():
             ref = tuple(tuple(rng.random(3)) for _ in range(hier.dim))
             fids, (vals,) = space.element_values(lv, e, ref)
             live = [
-                space.functions[f][0]
+                flevel[f]
                 for f, row in zip(fids, vals)
                 if np.abs(row).max() > 1e-12
             ]
@@ -772,14 +771,12 @@ class TestLevelSequence:
             assert seq.children(lv) is kids  # computed once per level
             assert len(kids) == 2
             for d, (index, weight) in enumerate(kids):
-                ref = two_scale_matrix(seq[lv].kvs[d], seq[lv + 1].kvs[d])
-                assert index.shape == weight.shape and len(index) == len(ref)
-                dense = np.zeros_like(ref)
-                np.add.at(dense, (np.arange(len(ref))[:, None], index), weight)
-                nt.assert_array_equal(dense, ref)
+                ref_index, ref_weight = two_scale_arrays(seq[lv].kvs[d], seq[lv + 1].kvs[d])
+                nt.assert_array_equal(index, ref_index)
+                nt.assert_array_equal(weight, ref_weight)
                 # each child appears once with a nonzero weight; padding has weight 0
-                for i, (idx, w) in enumerate(zip(index, weight)):
-                    nt.assert_array_equal(np.sort(idx[w != 0]), np.flatnonzero(ref[i]))
+                for idx, w in zip(index, weight):
+                    assert len(np.unique(idx[w != 0])) == np.count_nonzero(w)
 
     def test_incompatible_base_rejected(self):
         levels = LevelSequence(uniform_space((3,), (2,)))

@@ -2,8 +2,8 @@
 
 Oracles: the naive Cox-de Boor evaluator of ``conftest`` for the tensor
 B-spline values of a block, and the one-element :meth:`element_values`,
-:meth:`element_points` and :meth:`eval_all_at` for everything the block
-maps through the extraction matrices.
+the element grid points of ``conftest`` and :meth:`eval_all_at` for
+everything the block maps through the extraction matrices.
 """
 
 import itertools
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import naive_tensor_value, random_hierarchy
+from conftest import element_grid_points, naive_tensor_value, random_hierarchy
 from thbox.hierarchy import LevelSequence, ThbSpace, gauss_tensor
 from thbox.splinecore import uniform_space
 
@@ -82,8 +82,11 @@ class TestLevelBlocks:
             tensor = space.levels[block.level]
             for i in range(0, len(block.elements), 7):
                 e = tuple(block.elements[i].tolist())
-                pts = space.element_points(block.level, e, refs)
-                funcs = list(tensor.functions_on_element(e))
+                pts = element_grid_points(space, block.level, e, refs)
+                # the p+1 functions per direction from each one's first, C order
+                first = [kv.first_func_on_element(ei) for kv, ei in zip(tensor.kvs, e)]
+                window = tuple(kv.degree + 1 for kv in tensor.kvs)
+                funcs = [tuple(np.add(first, off).tolist()) for off in np.ndindex(*window)]
                 for k, dv in enumerate(derivs):
                     want = np.array(
                         [[naive_tensor_value(tensor, j, x, dv) for x in pts] for j in funcs]
@@ -105,7 +108,7 @@ class TestLevelBlocks:
                 assert np.array_equal(got_fids, fids)
                 for a, b in zip(got, vals):
                     assert_allclose(a, b, rtol=0, atol=1e-14 * max(1.0, np.abs(b).max()))
-                pts = space.element_points(block.level, e, refs)
+                pts = element_grid_points(space, block.level, e, refs)
                 assert np.array_equal(block.fields[0][i], pos(pts))
                 lo, hi = np.array(space.levels[block.level].element_bounds(e)).T
                 w = np.ones(1)
@@ -156,7 +159,7 @@ class TestLevelBlocks:
             for i, e in enumerate(_keys(block)):
                 fids, (vals,) = space.element_values(block.level, e, refs)
                 assert_allclose(_element_basis(block, i)[1][0], vals, rtol=0, atol=1e-15)
-                x = space.element_points(block.level, e, refs)
+                x = element_grid_points(space, block.level, e, refs)
                 assert np.all(x[:, 0] == 1.0)
                 for c, xc in enumerate(x):
                     gf, gv = space.eval_all_at(tuple(xc))

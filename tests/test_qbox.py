@@ -162,7 +162,7 @@ def _brute_support_extension(space, lv, box, k, q):
         return True
 
     out = set()
-    for j in space.levels[k].all_functions():
+    for j in np.ndindex(*space.levels[k].numbasis):
         if touches(j, lv, box):
             out.update(boxes_of_function(j))
     return out
@@ -177,6 +177,12 @@ FIG_HIER = DomainHierarchy(
         {(0, 0), (3, 1)},
     ],
 )
+
+
+def _labels(mesh, lv, box):
+    """The classes of a level-``lv`` box, by membership in the mesh's box lists."""
+    classes = (("border", mesh.border), ("well-behaved", mesh.well_behaved), ("regular", mesh.regular))
+    return tuple(name for name, boxes in classes if box in boxes(lv))
 
 
 @pytest.fixture(scope="module")
@@ -238,10 +244,43 @@ class TestFixtureClassification:
             mesh.depth(0, (0, 1))
 
     def test_labels(self, mesh):
-        assert mesh.labels(1, (1, 1)) == ("border", "well-behaved")
-        assert mesh.labels(0, (0, 1)) == ("regular",)
-        assert mesh.labels(2, (0, 3)) == ("border",)
-        assert mesh.labels(0, (0, 0)) == ()
+        assert _labels(mesh, 1, (1, 1)) == ("border", "well-behaved")
+        assert _labels(mesh, 0, (0, 1)) == ("regular",)
+        assert _labels(mesh, 2, (0, 3)) == ("border",)
+        assert _labels(mesh, 0, (0, 0)) == ()
+
+    @pytest.mark.parametrize(
+        "query, match",
+        [
+            (lambda m: m.depth(1, (0,)), "level-1 boxes must be integer multi-indices of dimension 2"),
+            (lambda m: m.depth(5, (0, 0)), r"level 5 is not a level of this mesh \(0\.\.3\)"),
+            (lambda m: m.depth(-1, (0, 0)), r"level -1 is not a level of this mesh"),
+            (lambda m: m.depth(1, (4, 0)), r"box \(4, 0\) at level 1 is off the grid"),
+            (lambda m: m.depth(1, (0.0, 1)), "level-1 boxes must be integer multi-indices"),
+            (lambda m: m.macro_element_of(0, [[9, 9]]), r"box \(9, 9\) at level 0 is off the grid"),
+            (lambda m: m.macro_element_of(0, [[0, 0, 0]]), "dimension 2"),
+            (lambda m: m.macro_element_of(4, [[0, 0]]), "level 4 is not a level of this mesh"),
+            (lambda m: m.box_bounds(0, (-1, 0)), r"box \(-1, 0\) at level 0 is off the grid"),
+            (lambda m: m.box_bounds(0, (2, 0)), r"box \(2, 0\) at level 0 is off the grid"),
+            (lambda m: m.box_bounds(7, (0, 0)), "level 7 is not a level of this mesh"),
+            (lambda m: m.space.is_active_element(0, (0, 0, 0)), "dimension 2"),
+            (lambda m: m.space.is_active_element(0, (0.5, 0)), "dimension 2"),
+        ],
+        ids=["depth-short-box", "depth-level-above", "depth-negative-level", "depth-off-grid",
+             "depth-float", "macro-off-grid", "macro-long-box", "macro-level-above",
+             "bounds-negative", "bounds-past-end", "bounds-level-above", "element-long",
+             "element-float"],
+    )
+    def test_queries_reject_bad_boxes(self, mesh, query, match):
+        with pytest.raises(ValueError, match=match):
+            query(mesh)
+
+    def test_queries_accept_good_boxes(self, mesh):
+        assert mesh.box_bounds(0, (1, 0)) == ((0.5, 1.0), (0.0, 0.5))
+        assert mesh.depth(1, np.array([1, 1])) == 0
+        level = mesh.macro_element_of(1, np.array([[1, 1], [0, 0]]))[0]
+        assert level.tolist() == [1, -1]  # (0, 0) is refined: no macro-element
+        assert mesh.space.is_active_element(0, (5, 5)) is False
 
 
 class TestDepthTwo:
@@ -258,7 +297,7 @@ class TestDepthTwo:
             [{(0, 0), (0, 1), (1, 0)}, all_l1, {(3, 3)}],
         )
         mesh = classify(_space(hier, 2))
-        assert "well-behaved" in mesh.labels(1, (1, 1))
+        assert (1, 1) in mesh.well_behaved(1)
         assert mesh.depth(1, (1, 1)) == 2
 
 
@@ -315,12 +354,14 @@ class TestClassificationOracle:
 
     @pytest.mark.parametrize("case", RANDOM_CASES[:3])
     def test_active_box_elements_all_active(self, case):
+        """The active elements of a level fill its active boxes exactly."""
         space = _random_case(*case)
         mesh = classify(space)
+        q = space.hierarchy.q
         for lv in range(mesh.num_levels):
-            for b in mesh.active(lv):
-                for e in mesh.box_elements(lv, b):
-                    assert space.is_active_element(lv, e)
+            boxes, count = np.unique(space.element_rows(lv)[0] // q, axis=0, return_counts=True)
+            assert set(map(tuple, boxes.tolist())) == set(mesh.active(lv))
+            assert np.all(count == np.prod(q))
 
     def test_single_level_all_regular(self):
         hier = DomainHierarchy((2, 2), (2, 2))
@@ -450,7 +491,7 @@ class TestRefine:
         space = _random_case(*RANDOM_CASES[0])
         out = refine_qboxes(space, [])
         assert out.hierarchy == space.hierarchy
-        assert out.active_funcs == space.active_funcs
+        assert out.functions == space.functions
 
     def test_single_box_closure_matches_fixed_point(self):
         # fixed point of the neighborhood recursion, computed independently
@@ -703,11 +744,13 @@ class TestRegularBoxesSingleLevel:
         mesh = classify(space)
         if any(qi < pi for qi, pi in zip(space.hierarchy.q, p)):
             pytest.skip("needs q >= p")
+        flevel = [lv for lv, _ in space.functions]
         for lv, box in mesh.all_regular():
-            for e in mesh.box_elements(lv, box):
-                fids, _ = space.element_table(lv, e)
+            elems = space.element_rows(lv)[0]
+            for e in elems[np.all(elems // space.hierarchy.q == box, axis=1)]:
+                fids, _ = space.element_table(lv, tuple(e.tolist()))
                 for f in fids:
-                    assert space.functions[f][0] == lv
+                    assert flevel[f] == lv
 
 
 def _random_grid_case(rng):

@@ -19,16 +19,14 @@ from conftest import (
     naive_tensor_value,
     univariate_support_flags,
 )
+from thbox.hierarchy import DomainHierarchy, LevelSequence, build_thb
 from thbox.splinecore import (
     KnotVector,
     TensorSpace,
     basis_on_element,
     derivative_matrix,
-    eval_basis,
     gauss_rule,
-    tensor_eval,
     two_scale_arrays,
-    two_scale_matrix,
     uniform_knot_vector,
     uniform_space,
 )
@@ -39,6 +37,22 @@ PM_CASES = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (2, 3), (3, 4)]
 def _random_kv(seed, p, m):
     rng = np.random.default_rng(seed)
     return KnotVector(grid_breakpoints(rng), p, m)
+
+
+def _values_at(kv, x, k=0):
+    """The ``k``-th derivatives (numbasis,) of every B-spline at ``x``: the
+    :func:`basis_on_element` column of the element containing ``x``, zero off
+    its p+1 functions."""
+    e = kv.element_of(x)
+    out = np.zeros(kv.numbasis)
+    first = kv.first_func_on_element(e)
+    out[first : first + kv.degree + 1] = basis_on_element(kv, e, x, k)[k, :, 0]
+    return out
+
+
+def _all_indices(shape):
+    """Every multi-index (n, dim) of a grid, C order."""
+    return np.array(list(np.ndindex(*shape))).reshape(-1, len(shape))
 
 
 class TestConstruction:
@@ -94,10 +108,11 @@ class TestEvaluation:
         kv = _random_kv(100 + p * 10 + m, p, m)
         rng = np.random.default_rng(5)
         xs = rng.random(25)
-        for j in range(kv.numbasis):
-            for x in xs:
+        for x in xs:
+            got = _values_at(kv, x)
+            for j in range(kv.numbasis):
                 nt.assert_allclose(
-                    eval_basis(kv, j, x),
+                    got[j],
                     naive_bspline(kv.knots, j, p, x),
                     atol=1e-13,
                     err_msg="j=%d x=%r" % (j, x),
@@ -110,47 +125,40 @@ class TestEvaluation:
         rng = np.random.default_rng(6)
         # keep away from breakpoints, where one-sided derivatives differ
         xs = [x for x in rng.random(25) if np.abs(kv.breakpoints - x).min() > 1e-3]
-        for j in range(kv.numbasis):
-            for x in xs:
+        for x in xs:
+            got = _values_at(kv, x, k)
+            for j in range(kv.numbasis):
                 want = naive_bspline_deriv(kv.knots, j, p, x, k)
-                got = eval_basis(kv, j, x, deriv=k)
-                nt.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+                nt.assert_allclose(got[j], want, rtol=1e-10, atol=1e-10)
 
     def test_first_derivative_matches_central_differences(self):
         kv = uniform_knot_vector(5, 3)
         h = 1e-6
-        for j in range(kv.numbasis):
-            for x in [0.11, 0.33, 0.57, 0.79]:
-                fd = (eval_basis(kv, j, x + h) - eval_basis(kv, j, x - h)) / (2 * h)
-                exact = eval_basis(kv, j, x, deriv=1)
-                nt.assert_allclose(exact, fd, rtol=1e-6, atol=1e-6)
+        for x in [0.11, 0.33, 0.57, 0.79]:
+            fd = (_values_at(kv, x + h) - _values_at(kv, x - h)) / (2 * h)
+            nt.assert_allclose(_values_at(kv, x, 1), fd, rtol=1e-6, atol=1e-6)
 
     def test_right_continuity_at_breakpoints(self):
         kv = KnotVector(np.array([0.0, 0.3, 0.7, 1.0]), 2, 3)  # discontinuous
-        for j in range(kv.numbasis):
-            for b in [0.3, 0.7]:
-                left = eval_basis(kv, j, b + 1e-12)
-                nt.assert_allclose(eval_basis(kv, j, b), left, atol=1e-9)
+        for b in [0.3, 0.7]:
+            nt.assert_allclose(_values_at(kv, b), _values_at(kv, b + 1e-12), atol=1e-9)
 
     def test_value_at_one(self):
         kv = uniform_knot_vector(4, 3)
-        assert eval_basis(kv, kv.numbasis - 1, 1.0) == pytest.approx(1.0)
-        total = sum(eval_basis(kv, j, 1.0) for j in range(kv.numbasis))
-        assert total == pytest.approx(1.0)
+        vals = _values_at(kv, 1.0)
+        assert vals[-1] == pytest.approx(1.0)
+        assert vals.sum() == pytest.approx(1.0)
 
     def test_outside_support_and_domain(self):
+        """A function off an element's p+1 window vanishes there, and points
+        beyond the ends fall into the end elements."""
         kv = uniform_knot_vector(4, 2)
-        assert eval_basis(kv, 0, 0.9) == 0.0
-        assert eval_basis(kv, kv.numbasis - 1, 0.1) == 0.0
-        assert eval_basis(kv, 2, -0.5) == 0.0
-        assert eval_basis(kv, 2, 1.5) == 0.0
-
-    def test_bad_indices(self):
-        kv = uniform_knot_vector(4, 2)
-        with pytest.raises(IndexError):
-            eval_basis(kv, kv.numbasis, 0.5)
-        with pytest.raises(ValueError):
-            eval_basis(kv, 0, 0.5, deriv=3)
+        assert kv.first_func_on_element(kv.element_of(0.9)) > 0
+        assert naive_bspline(kv.knots, 0, 2, 0.9) == 0.0
+        assert kv.first_func_on_element(kv.element_of(0.1)) + 2 < kv.numbasis - 1
+        assert naive_bspline(kv.knots, kv.numbasis - 1, 2, 0.1) == 0.0
+        assert kv.element_of(-0.5) == 0
+        assert kv.element_of(1.5) == kv.numelems - 1
 
     @pytest.mark.parametrize("p,m", PM_CASES)
     def test_partition_of_unity(self, p, m):
@@ -184,7 +192,7 @@ class TestSupports:
             elems = np.arange(kv.numelems)
             nt.assert_array_equal((lo[:, None] <= elems) & (elems <= hi[:, None]), flags)
         space = TensorSpace(kvs)
-        funcs = np.array(list(space.all_functions())).reshape(-1, 2)
+        funcs = _all_indices(space.numbasis)
         lo, hi = space.support_boxes(funcs)
         assert lo.shape == hi.shape == funcs.shape
         for j, a, b in zip(funcs, lo, hi):
@@ -194,11 +202,15 @@ class TestSupports:
 
     @pytest.mark.parametrize("p,m", PM_CASES)
     def test_element_functions_match_functions_on_element(self, p, m):
+        """Each row lists the functions nonzero on the element (by sampling),
+        in C order."""
         space = TensorSpace([_random_kv(470 + p * 10 + m + d, p, m) for d in range(2)])
-        elems = np.array(list(space.all_elements())).reshape(-1, 2)
+        flags = [univariate_support_flags(kv) for kv in space.kvs]
+        elems = _all_indices(space.numelems)
         ids = space.element_functions(elems)
         for e, row in zip(elems, ids):
-            want = [np.ravel_multi_index(j, space.numbasis) for j in space.functions_on_element(e)]
+            on = [np.flatnonzero(f[:, ei]) for f, ei in zip(flags, e)]
+            want = [np.ravel_multi_index(j, space.numbasis) for j in itertools.product(*on)]
             nt.assert_array_equal(row, want)
 
     @pytest.mark.parametrize("p,m", PM_CASES)
@@ -220,18 +232,14 @@ class TestSupports:
 
 
 class TestGreville:
-    def test_uniform_p2(self):
-        kv = uniform_knot_vector(4, 2)
-        expected = [0.0, 0.125, 0.375, 0.625, 0.875, 1.0]
-        nt.assert_allclose([kv.greville(j) for j in range(kv.numbasis)], expected)
-
     @pytest.mark.parametrize("p,m", PM_CASES)
     def test_reproduces_identity(self, p, m):
-        # sum_j greville(j) * B_j(x) = x for p >= 1
+        # sum_j g_j * B_j(x) = x for p >= 1, with the Greville abscissae
+        # g_j = mean(knots[j+1 .. j+p])
         kv = _random_kv(700 + p * 10 + m, p, m)
+        greville = [np.mean(kv.knots[j + 1 : j + p + 1]) for j in range(kv.numbasis)]
         for x in np.linspace(0, 1, 17):
-            val = sum(kv.greville(j) * eval_basis(kv, j, x) for j in range(kv.numbasis))
-            nt.assert_allclose(val, x, atol=1e-12)
+            nt.assert_allclose(greville @ _values_at(kv, x), x, atol=1e-12)
 
 
 class TestPolynomialReproduction:
@@ -239,7 +247,7 @@ class TestPolynomialReproduction:
     def test_monomials_in_span(self, p, m):
         kv = _random_kv(800 + p * 10 + m, p, m)
         xs = np.linspace(0, 1, 3 * kv.numbasis)
-        coll = np.array([[eval_basis(kv, j, x) for j in range(kv.numbasis)] for x in xs])
+        coll = np.array([_values_at(kv, x) for x in xs])
         for k in range(p + 1):
             target = xs**k
             _, res, _, _ = np.linalg.lstsq(coll, target, rcond=None)
@@ -250,46 +258,42 @@ class TestPolynomialReproduction:
 class TestTwoScale:
     def test_hat_function_weights(self):
         coarse = uniform_knot_vector(2, 1)
-        fine = coarse.refine()
-        m = two_scale_matrix(coarse, fine)
-        assert m.shape == (3, 5)
-        nt.assert_allclose(m[1], [0.0, 0.5, 1.0, 0.5, 0.0])
+        index, weight = two_scale_arrays(coarse, coarse.refine())
+        assert len(index) == 3
+        nz = weight[1] != 0.0
+        nt.assert_array_equal(index[1][nz], [1, 2, 3])
+        nt.assert_allclose(weight[1][nz], [0.5, 1.0, 0.5])
 
     @pytest.mark.parametrize("p,m", PM_CASES)
     def test_columns_sum_to_one(self, p, m):
+        """Each fine B-spline's weights over the coarse ones sum to 1."""
         coarse = _random_kv(900 + p * 10 + m, p, m)
-        mat = two_scale_matrix(coarse, coarse.refine())
-        nt.assert_allclose(mat.sum(axis=0), 1.0, atol=1e-13)
+        fine = coarse.refine()
+        index, weight = two_scale_arrays(coarse, fine)
+        nt.assert_allclose(np.bincount(index.ravel(), weight.ravel(), fine.numbasis), 1.0, atol=1e-13)
 
     @pytest.mark.parametrize("p,m", PM_CASES)
     def test_pointwise_reconstruction(self, p, m):
         coarse = _random_kv(1000 + p * 10 + m, p, m)
         fine = coarse.refine()
-        mat = two_scale_matrix(coarse, fine)
+        index, weight = two_scale_arrays(coarse, fine)
         rng = np.random.default_rng(42)
         xs = rng.random(50)
-        for j in range(coarse.numbasis):
-            for x in xs:
-                direct = eval_basis(coarse, j, x)
-                via_fine = sum(
-                    mat[j, k] * eval_basis(fine, k, x)
-                    for k in range(fine.numbasis)
-                    if mat[j, k] != 0.0
-                )
-                nt.assert_allclose(via_fine, direct, atol=1e-13)
+        for x in xs:
+            via_fine = np.einsum("ik,ik->i", weight, _values_at(fine, x)[index])
+            nt.assert_allclose(via_fine, _values_at(coarse, x), atol=1e-13)
 
     def test_nonnegative_weights(self):
         for p, m in PM_CASES:
             coarse = _random_kv(1100 + p * 10 + m, p, m)
-            mat = two_scale_matrix(coarse, coarse.refine())
-            assert (mat >= 0.0).all()
+            assert (two_scale_arrays(coarse, coarse.refine())[1] >= 0.0).all()
 
     def test_two_scale_matrix_rejects_mismatch(self):
         coarse = uniform_knot_vector(2, 2)
         with pytest.raises(ValueError):
-            two_scale_matrix(coarse, uniform_knot_vector(4, 3))
+            two_scale_arrays(coarse, uniform_knot_vector(4, 3))
         with pytest.raises(ValueError):
-            two_scale_matrix(coarse, uniform_knot_vector(3, 2))
+            two_scale_arrays(coarse, uniform_knot_vector(3, 2))
 
     @pytest.mark.parametrize("p,m", [(p, m) for p in range(5) for m in range(1, p + 2)])
     def test_arrays_match_naive_recursion(self, p, m):
@@ -408,25 +412,31 @@ class TestTensorSpace:
                 KnotVector(np.array([0.0, 0.5, 0.8, 1.0]), 1, 1),
             )
         )
-        for e in sp.all_elements():
-            listed = set(sp.functions_on_element(e))
+        for e in np.ndindex(*sp.numelems):
+            listed = set(sp.element_functions([e])[0].tolist())
             xs = [np.linspace(a, b, 5)[1:-1] for a, b in sp.element_bounds(e)]
-            for j in sp.all_functions():
+            for j in np.ndindex(*sp.numbasis):
                 nonzero = any(
                     abs(naive_tensor_value(sp, j, x)) > 1e-14
                     for x in itertools.product(*xs)
                 )
-                assert nonzero == (j in listed), (e, j)
+                assert nonzero == (np.ravel_multi_index(j, sp.numbasis) in listed), (e, j)
 
     def test_tensor_eval_matches_recursion(self):
+        """Point values of a one-level space (``ThbSpace.eval_all_at``), whose
+        function ids are the raveled tensor ids."""
         sp = uniform_space((3, 2), (2, 2))
+        space = build_thb(LevelSequence(sp), DomainHierarchy((3, 2), (1, 1)))
         rng = np.random.default_rng(12)
         pts = rng.random((10, 2))
         for j in [(0, 0), (2, 1), (4, 3), (1, 2)]:
+            fid = np.ravel_multi_index(j, sp.numbasis)
             for x in pts:
                 for dv in [(0, 0), (1, 0), (1, 1), (2, 0)]:
+                    fids, vals = space.eval_all_at(tuple(x), dv)
+                    got = vals[fids == fid].sum()
                     nt.assert_allclose(
-                        tensor_eval(sp, j, tuple(x), dv),
+                        got,
                         naive_tensor_value(sp, j, tuple(x), dv),
                         rtol=1e-10,
                         atol=1e-10,
