@@ -14,9 +14,10 @@ concrete loops are provided: adaptive local projection
 residual estimator.
 
 Everything is deterministic: marking sorts boxes canonically, assembly
-runs level by level (``R_lv^T K_lv R_lv``, with ``K_lv`` assembled from
-the level's element blocks in canonical order), and trace rows carry a
-fixed ``seconds = 0.0`` so serialized runs are byte-identical.
+runs level by level (``R^T K R``, with ``K`` assembled from the level's
+element blocks in canonical order and ``R`` the rows of ``R_lv`` they
+touch), and trace rows carry a fixed ``seconds = 0.0`` so serialized runs
+are byte-identical.
 """
 
 import itertools
@@ -25,7 +26,7 @@ import numpy as np
 import scipy.sparse
 
 from .bezier import bezier_project, error_report
-from .hierarchy import gauss_tensor, index_grid, unraveled
+from .hierarchy import gauss_tensor, index_grid, level_gram, unraveled
 from .numerics import sparse_solve
 from .qbox import AdmissibilityPolicy, box_reduce, coarsen_qboxes, refine_qboxes
 
@@ -373,9 +374,10 @@ def _boundary_values(space, g):
     """Constrained boundary functions and their trace-projection values.
 
     Assembles the boundary mass matrix over all facets of the unit box,
-    drops boundary candidates whose trace vanishes (diagonal below
-    :data:`ZERO_TRACE_REL_TOL` relative to the largest), and projects
-    ``g`` onto the span of the remaining traces.  Returns ``(ids,
+    one :func:`~thbox.hierarchy.level_gram` per level over the facet
+    blocks of that level, drops boundary candidates whose trace vanishes
+    (diagonal below :data:`ZERO_TRACE_REL_TOL` relative to the largest),
+    and projects ``g`` onto the span of the remaining traces.  Returns ``(ids,
     values)``; homogeneous data (``g is None``) yields zero values.
     """
     bids = space.boundary_function_ids()
@@ -383,7 +385,7 @@ def _boundary_values(space, g):
         return bids, np.zeros(0)
     gauss = gauss_tensor(space)
     fields = () if g is None else (g,)
-    mass = scipy.sparse.csr_matrix((space.ndof, space.ndof))
+    by_level = [[] for _ in range(space.num_levels)]
     rhs = np.zeros(space.ndof)
     elems = [space.element_rows(lv)[0] for lv in range(space.num_levels)]
     for d, side in itertools.product(range(space.dim), (0, 1)):
@@ -396,9 +398,10 @@ def _boundary_values(space, g):
             for lv, arr in enumerate(elems)
         ]
         for block in space.quadrature(rule, fields=fields, elements=facet):
-            mass = mass + block.gram()
+            by_level[block.level].append(block)
             if g is not None:
                 rhs += block.integrate(block.fields[0])
+    mass = sum(level_gram(blocks) for blocks in by_level if blocks)
     diag = mass.diagonal()[bids]
     scale = diag.max()
     if scale <= 0.0:

@@ -413,22 +413,38 @@ class LevelBlock:
         return ext.T @ np.bincount(self.local.ravel(), local.ravel(), ext.shape[0])
 
     def gram(self, ks=(0,)):
-        """Sparse (ndof, ndof) sum over ``k in ks`` of the integrals of
-        ``values[k]`` products: ``R_lv^T K R_lv`` with ``K`` assembled from
-        the element blocks."""
-        blocks = sum(
-            (self.values[k] * self.weights[:, None, :]) @ self.values[k].transpose(0, 2, 1)
-            for k in ks
-        )
-        nloc = self.local.shape[1]
-        ext = self.extraction
-        mat = assemble_csr(
-            np.repeat(self.local, nloc, axis=1).ravel(),
-            np.tile(self.local, (1, nloc)).ravel(),
-            blocks.ravel(),
-            (ext.shape[0], ext.shape[0]),
-        )
-        return (ext.T @ mat @ ext).tocsr()
+        """:func:`level_gram` of this block alone."""
+        return level_gram((self,), ks)
+
+
+def level_gram(blocks, ks=(0,)):
+    """Sparse (ndof, ndof) Gramian of some :class:`LevelBlock` of one level.
+
+    Sums over ``k in ks`` the integrals of ``values[k]`` products: ``R^T K
+    R``, with ``K`` assembled from the element blocks of all ``blocks`` in
+    one triplet set and ``R`` the rows of ``R_lv`` those elements touch
+    (``np.unique`` of their ``local``), so a few elements cost a few rows,
+    not the whole level.  The blocks may come from different rules.
+    """
+    blocks = tuple(blocks)
+    if len({(id(b.space), b.level) for b in blocks}) != 1:
+        raise ValueError("level_gram needs blocks of one level of one space")
+    mats = np.concatenate([
+        sum((b.values[k] * b.weights[:, None, :]) @ b.values[k].transpose(0, 2, 1) for k in ks)
+        for b in blocks
+    ])
+    local = np.concatenate([b.local for b in blocks])
+    rows, pos = np.unique(local, return_inverse=True)
+    pos = pos.reshape(local.shape)
+    nloc = local.shape[1]
+    mat = assemble_csr(
+        np.repeat(pos, nloc, axis=1).ravel(),
+        np.tile(pos, (1, nloc)).ravel(),
+        mats.ravel(),
+        (len(rows), len(rows)),
+    )
+    ext = blocks[0].extraction[rows]
+    return (ext.T @ mat @ ext).tocsr()
 
 
 class ThbSpace:

@@ -3,12 +3,12 @@
 numpy/scipy supply the factorizations; this module pins down the behaviour
 the rest of the package relies on: the symmetric-positive-definite pivot
 threshold and the error raised below it, rank decisions that report the
-singular-value gap they were based on, deterministic triplet assembly, and
-a residual-checked sparse solve.  Everything here is deterministic: the
-same inputs produce bit-identical outputs.
+singular-value gap they were based on, triplet assembly whose result does
+not depend on the order of the triplets (two sorts: by value, then stably
+by position), and a residual-checked symmetric-mode sparse LU solve.
+Everything here is deterministic: the same inputs produce bit-identical
+outputs.
 """
-
-import warnings
 
 import numpy as np
 import scipy.sparse
@@ -55,14 +55,17 @@ def assemble_csr(rows, cols, vals, shape):
 
     Triplets are sorted by (row, col, value) before summation, so the
     result is bit-identical no matter in which order contributions were
-    generated.
+    generated.  The sort is two passes: an unstable sort by value, then a
+    stable one by the position ``row * ncols + col``; only equal values can
+    come out swapped, which does not change their sum.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     vals = np.asarray(vals, dtype=float)
     if not (rows.shape == cols.shape == vals.shape):
         raise ValueError("triplet arrays must have identical shapes")
-    order = np.lexsort((vals, cols, rows))
+    order = np.argsort(vals)
+    order = order[np.argsort((rows * shape[1] + cols)[order], kind="stable")]
     rows, cols, vals = rows[order], cols[order], vals[order]
     mat = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=shape)
     mat.sum_duplicates()
@@ -72,10 +75,15 @@ def assemble_csr(rows, cols, vals, shape):
 def sparse_solve(a, b):
     """Solve the square sparse system ``a @ x = b`` by sparse LU.
 
-    Columns are ordered by minimum degree on ``a^T + a``, which suits the
-    symmetric pattern of Galerkin matrices.  The relative residual is
-    verified against :data:`SPARSE_RESIDUAL_TOL`.  ``scipy.sparse.linalg``
-    is imported here, on the first solve, not with the package.
+    The domain is symmetric matrices; the package passes only symmetric
+    positive definite ones (stiffness and boundary mass).  SuperLU runs in
+    symmetric mode: minimum degree on ``a^T + a`` and the diagonal as
+    pivot wherever it is nonzero, which keeps the fill low.  An exactly
+    singular factor or a relative residual above
+    :data:`SPARSE_RESIDUAL_TOL` raises :class:`SolveError`, so an
+    indefinite system or one with zero diagonal entries is solved to that
+    residual or rejected.  ``scipy.sparse.linalg`` is imported here, on
+    the first solve, not with the package.
     """
     import scipy.sparse.linalg
 
@@ -87,12 +95,17 @@ def sparse_solve(a, b):
     b = np.asarray(b, dtype=float)
     if n == 0:
         return np.zeros_like(b)
-    with warnings.catch_warnings(), np.errstate(invalid="ignore", divide="ignore"):
-        warnings.simplefilter("error", scipy.sparse.linalg.MatrixRankWarning)
+    with np.errstate(invalid="ignore", divide="ignore"):
         try:
-            x = scipy.sparse.linalg.spsolve(a.tocsc(), b, permc_spec="MMD_AT_PLUS_A")
-        except scipy.sparse.linalg.MatrixRankWarning as exc:
+            lu = scipy.sparse.linalg.splu(
+                a.tocsc(),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+        except RuntimeError as exc:
             raise SolveError("linear solve failed: %s" % exc) from None
+        x = lu.solve(b)
     residual = np.linalg.norm(a @ x - b)
     scale = np.linalg.norm(b)
     if scale == 0.0:

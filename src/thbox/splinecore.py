@@ -325,19 +325,11 @@ class TensorSpace:
     def total_basis(self):
         return int(np.prod(self.numbasis))
 
-    @property
-    def total_elems(self):
-        return int(np.prod(self.numelems))
-
     def refine(self):
         return TensorSpace(tuple(kv.refine() for kv in self.kvs))
 
     def element_of(self, x):
         return tuple(kv.element_of(xi) for kv, xi in zip(self.kvs, x))
-
-    def support_range(self, j):
-        """Per-direction inclusive element ranges of tensor function ``j``."""
-        return tuple(kv.support_range(ji) for kv, ji in zip(self.kvs, j))
 
     def support_boxes(self, indices):
         """Inclusive element boxes (lo, hi), each (n, dim), of the functions

@@ -38,12 +38,17 @@ def elemspace(elems, degree, refined):
     return build_thb(LevelSequence(uniform_space(elems, degree)), h)
 
 
+def support_range(tens, j):
+    """Per-direction inclusive element ranges of tensor function ``j``."""
+    return tuple(kv.support_range(ji) for kv, ji in zip(tens.kvs, j))
+
+
 def fine_supports(space, lv, indices):
     """Inclusive level-(lv+1) element ranges of level-``lv`` functions."""
     tens = space.levels[lv]
     out = {}
     for j in indices:
-        rng = tens.support_range(j)
+        rng = support_range(tens, j)
         out[j] = (
             tuple(2 * r[0] for r in rng),
             tuple(2 * r[1] + 1 for r in rng),
@@ -87,7 +92,7 @@ def oracle_3a(space, lv):
     interior = interior_functions(space, lv)
     inset = set(interior)
     tens = space.levels[lv]
-    rngs = {j: tens.support_range(j) for j in interior}
+    rngs = {j: support_range(tens, j) for j in interior}
     for s1, s2 in itertools.combinations(interior, 2):
         ov = [
             min(a1[1], a2[1]) + 1 - max(a1[0], a2[0])
@@ -115,7 +120,7 @@ def oracle_3b(space, lv, max_meeting=14):
         for pt in itertools.product(*[(pd, pd - 1) for pd in p]):
             tens = uniform_space(hier.elems_shape(phi_lv), pt, space.multiplicity)
             for j in np.ndindex(*tens.numbasis):
-                rng = tens.support_range(j)
+                rng = support_range(tens, j)
                 flo = tuple(scale * r[0] for r in rng)
                 fhi = tuple(scale * (r[1] + 1) - 1 for r in rng)
                 if not next_domain[tuple(slice(a, b + 1) for a, b in zip(flo, fhi))].all():
@@ -431,7 +436,7 @@ class TestAssumption3b:
         tens = uniform_space(
             space.hierarchy.elems_shape(ce["level"]), ce["degree"]
         )
-        rng = tens.support_range(ce["index"])
+        rng = support_range(tens, ce["index"])
         flo = tuple(scale * r[0] for r in rng)
         fhi = tuple(scale * (r[1] + 1) - 1 for r in rng)
         blo, bhi = ce["bbox"]

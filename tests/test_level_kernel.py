@@ -13,7 +13,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import element_grid_points, naive_tensor_value, random_hierarchy
-from thbox.hierarchy import LevelSequence, ThbSpace, gauss_tensor
+from thbox.hierarchy import (
+    DomainHierarchy,
+    LevelSequence,
+    ThbSpace,
+    gauss_tensor,
+    level_gram,
+)
 from thbox.splinecore import uniform_space
 
 KERNEL_CASES = [
@@ -248,3 +254,85 @@ def test_malformed_element_selection_raises():
     with pytest.raises(ValueError, match="integer"):
         list(space.quadrature(rule, elements=[[(True, 0)]] + empty[1:]))
     assert list(space.quadrature(rule, elements=empty)) == []
+
+
+def _two_level_space():
+    hier = DomainHierarchy((2, 2), (3, 3), [[(0, 0), (1, 1), (2, 1)]])
+    return ThbSpace(LevelSequence(uniform_space(hier.elems_level0, (2, 2))), hier)
+
+
+GRAM_SPACES = {
+    "2d-p2-2lv": _two_level_space,
+    **{CASE_IDS[i]: (lambda c=KERNEL_CASES[i]: _space(c, True)) for i in (1, 2, 3)},
+}
+
+
+def _facet_blocks(space, lv):
+    """Per facet of the unit box the blocks (level ``lv``) of its active elements."""
+    gauss = gauss_tensor(space)
+    elems = space.element_rows(lv)[0]
+    out = []
+    for d, side in itertools.product(range(space.dim), (0, 1)):
+        rule = tuple(((float(side),), None) if k == d else r for k, r in enumerate(gauss))
+        facet = elems[elems[:, d] == side * (space.hierarchy.elems_shape(lv)[d] - 1)]
+        chosen = [facet if k == lv else facet[:0] for k in range(space.num_levels)]
+        out += list(space.quadrature(rule, elements=chosen))
+    return out
+
+
+def _whole_level_gram(block, ks=(0,)):
+    """``R_lv^T K R_lv`` with the full extraction matrix, ``K`` dense over its rows."""
+    ext = block.extraction.toarray()
+    k_mat = np.zeros((ext.shape[0], ext.shape[0]))
+    for i, rows in enumerate(block.local):
+        for k in ks:
+            v = block.values[k][i]
+            k_mat[np.ix_(rows, rows)] += (v * block.weights[i]) @ v.T
+    return ext.T @ k_mat @ ext
+
+
+class TestGramOnSubsets:
+    """``gram`` assembles on the rows of ``R_lv`` its elements touch; the
+    oracle is the whole-level product with the full ``R_lv``."""
+
+    @pytest.fixture(params=list(GRAM_SPACES), scope="class")
+    def gram_space(self, request):
+        return GRAM_SPACES[request.param]()
+
+    def test_few_elements_match_whole_level_formula(self, gram_space):
+        space = gram_space
+        derivs = _derivs(space)[: space.dim + 1]
+        for lv in range(space.num_levels):
+            elems = space.element_rows(lv)[0]
+            few = elems[np.unique([0, len(elems) // 2, len(elems) - 1])]
+            chosen = [few if k == lv else few[:0] for k in range(space.num_levels)]
+            (block,) = space.quadrature(gauss_tensor(space), derivs, elements=chosen)
+            for ks in ((0,), range(1, space.dim + 1)):
+                want = _whole_level_gram(block, ks)
+                got = block.gram(ks)
+                assert got.shape == want.shape
+                assert_allclose(got.toarray(), want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+    def test_facets_match_whole_level_formula(self, gram_space):
+        space = gram_space
+        for lv in range(space.num_levels):
+            for block in _facet_blocks(space, lv):
+                want = _whole_level_gram(block)
+                assert_allclose(
+                    block.gram().toarray(), want, rtol=0, atol=1e-14 * np.abs(want).max()
+                )
+
+    def test_merged_facets_equal_sum_of_facet_grams(self, gram_space):
+        space = gram_space
+        for lv in range(space.num_levels):
+            blocks = _facet_blocks(space, lv)
+            want = sum(b.gram() for b in blocks).toarray()
+            got = level_gram(blocks).toarray()
+            assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+    def test_blocks_of_two_levels_raise(self, gram_space):
+        blocks = list(gram_space.quadrature(gauss_tensor(gram_space)))
+        with pytest.raises(ValueError, match="one level"):
+            level_gram(blocks)
+        with pytest.raises(ValueError, match="one level"):
+            level_gram(())

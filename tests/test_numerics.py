@@ -76,6 +76,40 @@ class TestAssembleCsr:
             nt.assert_array_equal(ref.indices, other.indices)
             nt.assert_array_equal(ref.indptr, other.indptr)
 
+    def test_matches_three_key_lexsort(self):
+        """The two-pass sort gives the CSR of the (row, col, value) lexsort."""
+
+        def lexsort_reference(rows, cols, vals, shape):
+            order = np.lexsort((vals, cols, rows))
+            mat = scipy.sparse.csr_matrix(
+                (vals[order], (rows[order], cols[order])), shape=shape
+            )
+            mat.sum_duplicates()
+            return mat
+
+        rng = np.random.default_rng(23)
+        n, shape = 5000, (13, 17)
+        for trial in range(6):
+            rows = rng.integers(0, shape[0], n)
+            cols = rng.integers(0, shape[1], n)
+            # few distinct values: many tied values inside each duplicate group
+            vals = rng.choice([0.1, -0.3, 1e-17, 2.5, 0.7, -1e20, 1e20, 0.0, -0.0], n)
+            vals[::7] = rng.standard_normal(len(vals[::7]))
+            for perm in (np.arange(n), rng.permutation(n)):
+                r, c, v = rows[perm], cols[perm], vals[perm]
+                got = assemble_csr(r, c, v, shape)
+                ref = lexsort_reference(r, c, v, shape)
+                assert got.data.tobytes() == ref.data.tobytes()
+                nt.assert_array_equal(got.indices, ref.indices)
+                nt.assert_array_equal(got.indptr, ref.indptr)
+
+    def test_signed_zero_groups(self):
+        rows = np.zeros(6, dtype=np.int64)
+        cols = np.array([0, 0, 0, 1, 1, 1])
+        vals = np.array([-0.0, -0.0, -0.0, -0.0, 0.0, -0.0])
+        a = assemble_csr(rows, cols, vals, (1, 2))
+        assert np.signbit(a.data).tolist() == [True, False]
+
 
 class TestSparseSolve:
     @staticmethod
@@ -98,6 +132,33 @@ class TestSparseSolve:
 
     def test_singular_raises(self):
         a = scipy.sparse.csr_matrix(np.zeros((3, 3)))
+        with pytest.raises(SolveError):
+            sparse_solve(a, np.ones(3))
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[0.0, 1.0], [1.0, 0.0]],
+            [[1.0, 2.0], [2.0, 1.0]],
+            [[0.0, 2.0, 0.0], [2.0, 0.0, 3.0], [0.0, 3.0, 1.0]],
+            [[1e-12, 1.0], [1.0, 0.0]],
+            [[-4.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, -3.0]],
+        ],
+        ids=["swap", "indefinite", "zero-diagonal-3", "tiny-pivot", "mixed-signs"],
+    )
+    def test_symmetric_nonsingular_outside_spd(self, matrix):
+        """Outside the SPD domain the answer is right or a SolveError."""
+        dense = np.array(matrix)
+        b = np.arange(1.0, len(dense) + 1.0)
+        want = np.linalg.solve(dense, b)
+        try:
+            x = sparse_solve(scipy.sparse.csr_matrix(dense), b)
+        except SolveError:
+            return
+        nt.assert_allclose(x, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_singular_symmetric_raises(self):
+        a = scipy.sparse.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
         with pytest.raises(SolveError):
             sparse_solve(a, np.ones(3))
 

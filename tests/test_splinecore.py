@@ -196,7 +196,7 @@ class TestSupports:
         lo, hi = space.support_boxes(funcs)
         assert lo.shape == hi.shape == funcs.shape
         for j, a, b in zip(funcs, lo, hi):
-            assert tuple(zip(a, b)) == space.support_range(tuple(j))
+            assert tuple(zip(a, b)) == tuple(kv.support_range(ji) for kv, ji in zip(kvs, j))
         with pytest.raises(IndexError):
             kvs[0].support_range(np.array([0, kvs[0].numbasis]))
 
@@ -395,7 +395,6 @@ class TestTensorSpace:
         assert sp.numelems == (3, 4)
         assert sp.numbasis == (5, 7)
         assert sp.total_basis == 35
-        assert sp.total_elems == 12
 
     def test_element_of_and_bounds(self):
         sp = uniform_space((4, 2), (1, 1))
