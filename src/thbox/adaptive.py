@@ -14,19 +14,17 @@ concrete loops are provided: adaptive local projection
 residual estimator.
 
 Everything is deterministic: marking sorts boxes canonically, assembly
-runs level by level (``R^T K R``, with ``K`` assembled from the level's
-element blocks in canonical order and ``R`` the rows of ``R_lv`` they
-touch), and trace rows carry a fixed ``seconds = 0.0`` so serialized runs
-are byte-identical.
+is one congruence ``E^T blockdiag(M_e) E`` over the element blocks of all
+levels in canonical order (:func:`~thbox.hierarchy.galerkin`), and trace
+rows carry a fixed ``seconds = 0.0`` so serialized runs are byte-identical.
 """
 
 import itertools
 
 import numpy as np
-import scipy.sparse
 
 from .bezier import bezier_project, error_report
-from .hierarchy import gauss_tensor, index_grid, level_gram, unraveled
+from .hierarchy import galerkin, gauss_tensor, index_grid, unraveled
 from .numerics import sparse_solve
 from .qbox import AdmissibilityPolicy, box_reduce, coarsen_qboxes, refine_qboxes
 
@@ -373,9 +371,9 @@ def adapt_project(f, space, cfg):
 def _boundary_values(space, g):
     """Constrained boundary functions and their trace-projection values.
 
-    Assembles the boundary mass matrix over all facets of the unit box,
-    one :func:`~thbox.hierarchy.level_gram` per level over the facet
-    blocks of that level, drops boundary candidates whose trace vanishes
+    Assembles the boundary mass matrix over all facets of the unit box in
+    one :func:`~thbox.hierarchy.galerkin` call over the facet blocks of
+    every level, drops boundary candidates whose trace vanishes
     (diagonal below :data:`ZERO_TRACE_REL_TOL` relative to the largest),
     and projects ``g`` onto the span of the remaining traces.  Returns ``(ids,
     values)``; homogeneous data (``g is None``) yields zero values.
@@ -385,23 +383,21 @@ def _boundary_values(space, g):
         return bids, np.zeros(0)
     gauss = gauss_tensor(space)
     fields = () if g is None else (g,)
-    by_level = [[] for _ in range(space.num_levels)]
-    rhs = np.zeros(space.ndof)
     elems = [space.element_rows(lv)[0] for lv in range(space.num_levels)]
-    for d, side in itertools.product(range(space.dim), (0, 1)):
-        # the facet x_d = side: one sampled point across it, Gauss along it
-        rule = tuple(
-            ((float(side),), None) if dd == d else r for dd, r in enumerate(gauss)
-        )
-        facet = [
-            arr[arr[:, d] == side * (space.hierarchy.elems_shape(lv)[d] - 1)]
-            for lv, arr in enumerate(elems)
-        ]
-        for block in space.quadrature(rule, fields=fields, elements=facet):
-            by_level[block.level].append(block)
-            if g is not None:
-                rhs += block.integrate(block.fields[0])
-    mass = sum(level_gram(blocks) for blocks in by_level if blocks)
+
+    def facet_blocks():
+        for d, side in itertools.product(range(space.dim), (0, 1)):
+            # the facet x_d = side: one sampled point across it, Gauss along it
+            rule = tuple(
+                ((float(side),), None) if dd == d else r for dd, r in enumerate(gauss)
+            )
+            facet = [
+                arr[arr[:, d] == side * (space.hierarchy.elems_shape(lv)[d] - 1)]
+                for lv, arr in enumerate(elems)
+            ]
+            yield from space.quadrature(rule, fields=fields, elements=facet)
+
+    mass, rhs = galerkin(facet_blocks())
     diag = mass.diagonal()[bids]
     scale = diag.max()
     if scale <= 0.0:
@@ -416,9 +412,9 @@ def _boundary_values(space, g):
 def poisson_solve(space, f, g=None):
     """Galerkin solution of ``-laplace(u) = f`` on the unit box.
 
-    Stiffness and load are assembled level by level in the tensor
-    B-spline basis with a Gauss rule of order ``max(p) + 1`` and mapped to
-    the active functions by the extraction matrices.  Dirichlet data ``g`` (``None`` for
+    Stiffness and load are one :func:`~thbox.hierarchy.galerkin` call over
+    the blocks of every level, with a Gauss rule of order ``max(p) + 1``.
+    Dirichlet data ``g`` (``None`` for
     homogeneous) is imposed by constraining every function with a nonzero
     boundary trace to the L2 projection of ``g`` onto the boundary;
     candidates with vanishing trace stay free.  Returns the coefficient
@@ -429,19 +425,18 @@ def poisson_solve(space, f, g=None):
     derivs = ((0,) * dim,) + tuple(
         tuple(int(k == d) for k in range(dim)) for d in range(dim)
     )
-    stiffness = scipy.sparse.csr_matrix((space.ndof, space.ndof))
-    load = np.zeros(space.ndof)
-    for block in space.quadrature(gauss_tensor(space), derivs, (f,)):
-        stiffness = stiffness + block.gram(range(1, dim + 1))
-        load += block.integrate(block.fields[0])
+    stiffness, load = galerkin(
+        space.quadrature(gauss_tensor(space), derivs, (f,)), range(1, dim + 1)
+    )
     constrained, bvals = _boundary_values(space, g)
     coeffs = np.zeros(space.ndof)
     coeffs[constrained] = bvals
     free = np.setdiff1d(np.arange(space.ndof), constrained)
+    rows = stiffness[free]
     rhs = load[free]
     if len(constrained):
-        rhs = rhs - stiffness[free][:, constrained] @ bvals
-    coeffs[free] = sparse_solve(stiffness[free][:, free].tocsr(), rhs)
+        rhs = rhs - rows[:, constrained] @ bvals
+    coeffs[free] = sparse_solve(rows[:, free].tocsr(), rhs)
     return coeffs
 
 

@@ -30,9 +30,8 @@ so results are bit-reproducible.
 """
 
 import numpy as np
-import scipy.sparse
 
-from .hierarchy import gauss_tensor, raveled, require_no_box, sorted_lookup, unraveled
+from .hierarchy import galerkin, gauss_tensor, raveled, require_no_box, sorted_lookup, unraveled
 from .numerics import SPD_PIVOT_REL, NonSPDError, svd_rank
 from .qbox import classify
 
@@ -90,10 +89,9 @@ class ProjectorPartition:
         owner = owner[self._elements]
         self._elem_ptr = np.searchsorted(owner, np.arange(len(self.members) + 1))
         # the R_lv nonzeros of every element's B-splines, in member order
-        exts = [space.extraction(lv) for lv in levels]
-        first_row = np.cumsum([0] + [ext.shape[0] for ext in exts])
+        stack, first_row = space.stacked_extraction()
         rows = np.concatenate([local[lv] + first_row[lv] for lv in levels])[self._elements]
-        sub = scipy.sparse.vstack(exts, format="csr")[rows.ravel()]
+        sub = stack[rows.ravel()]
         slot = np.repeat(np.arange(rows.size), np.diff(sub.indptr))  # element * nloc + row
         member = owner[slot // rows.shape[1]]
         keys, col = np.unique(member * space.ndof + sub.indices, return_inverse=True)
@@ -105,7 +103,7 @@ class ProjectorPartition:
         self._cells = (slot - base) * np.diff(self._fid_ptr)[member] + col - self._fid_ptr[member]
         self._values = sub.data
         # free the entry-sized temporaries before the quadrature blocks exist
-        del rows, sub, slot, member, keys, col, base
+        del stack, rows, sub, slot, member, keys, col, base
 
         # members grouped by shape (elements, functions), canonical within a group
         nel, nf = np.diff(self._elem_ptr), np.diff(self._fid_ptr)
@@ -257,7 +255,7 @@ def region_gramian(space, region):
     if not 0 <= region[0][0] <= region[-1][0] < space.num_levels:
         raise ValueError("region levels must lie in [0, %d)" % space.num_levels)
     elements = [[e for lv, e in region if lv == k] for k in range(space.num_levels)]
-    gram = sum(block.gram() for block in space.quadrature(gauss_tensor(space), elements=elements))
+    gram = galerkin(space.quadrature(gauss_tensor(space), elements=elements))[0]
     # B-splines and the functions' coefficients on them are nonnegative, so
     # the diagonal is positive exactly for the functions nonzero on the region
     fids = np.flatnonzero(gram.diagonal())

@@ -32,7 +32,6 @@ import json
 import numpy as np
 import scipy.sparse
 
-from .numerics import assemble_csr
 from .splinecore import (
     KnotVector,
     TensorSpace,
@@ -406,45 +405,53 @@ class LevelBlock:
         local = (self.extraction @ coeffs)[self.local]
         return np.einsum("ea,eaq->eq", local, self.values[k])
 
-    def integrate(self, g):
-        """Vector (ndof,) of the integrals of ``g`` (nel, nq) times each function."""
-        local = np.einsum("eaq,eq->ea", self.values[0], self.weights * g)
-        ext = self.extraction
-        return ext.T @ np.bincount(self.local.ravel(), local.ravel(), ext.shape[0])
-
     def gram(self, ks=(0,)):
-        """:func:`level_gram` of this block alone."""
-        return level_gram((self,), ks)
+        """The Gramian of :func:`galerkin` of this block alone."""
+        return galerkin((self,), ks)[0]
 
 
-def level_gram(blocks, ks=(0,)):
-    """Sparse (ndof, ndof) Gramian of some :class:`LevelBlock` of one level.
+def galerkin(blocks, ks=(0,)):
+    """Sparse (ndof, ndof) Gramian and load vector of :class:`LevelBlock` of one space.
 
-    Sums over ``k in ks`` the integrals of ``values[k]`` products: ``R^T K
-    R``, with ``K`` assembled from the element blocks of all ``blocks`` in
-    one triplet set and ``R`` the rows of ``R_lv`` those elements touch
-    (``np.unique`` of their ``local``), so a few elements cost a few rows,
-    not the whole level.  The blocks may come from different rules.
+    The Gramian sums over ``k in ks`` the integrals of ``values[k]``
+    products.  It is one congruence ``E^T blockdiag(M_e) E``: ``M_e``
+    (nloc, nloc) is each element's matrix and ``E`` gathers the rows of
+    :meth:`ThbSpace.stacked_extraction` at the elements' ``local`` rows, so
+    the extraction maps the element matrices into the THB basis with no
+    triplets and no sort.  The load is ``E^T l``, with ``l`` the integrals
+    of each block's ``fields[0]`` against its B-splines, or ``None`` when
+    the blocks carry no field.  Blocks may come from different levels and
+    rules; they are read one at a time, keeping only their element
+    matrices, element loads and rows.
     """
-    blocks = tuple(blocks)
-    if len({(id(b.space), b.level) for b in blocks}) != 1:
-        raise ValueError("level_gram needs blocks of one level of one space")
-    mats = np.concatenate([
-        sum((b.values[k] * b.weights[:, None, :]) @ b.values[k].transpose(0, 2, 1) for k in ks)
-        for b in blocks
-    ])
-    local = np.concatenate([b.local for b in blocks])
-    rows, pos = np.unique(local, return_inverse=True)
-    pos = pos.reshape(local.shape)
-    nloc = local.shape[1]
-    mat = assemble_csr(
-        np.repeat(pos, nloc, axis=1).ravel(),
-        np.tile(pos, (1, nloc)).ravel(),
-        mats.ravel(),
-        (len(rows), len(rows)),
+    space, rows, mats, loads = None, [], [], []
+    for b in blocks:
+        space = b.space if space is None else space
+        if b.space is not space:
+            raise ValueError("galerkin needs blocks of one space")
+        mats.append(sum(
+            (b.values[k] * b.weights[:, None, :]) @ b.values[k].transpose(0, 2, 1) for k in ks
+        ))
+        rows.append((b.level, b.local))
+        if b.fields:
+            loads.append(np.einsum("eaq,eq->ea", b.values[0], b.weights * b.fields[0]))
+    if space is None:
+        raise ValueError("galerkin needs at least one block")
+    stack, first = space.stacked_extraction()
+    ext = stack[np.concatenate([local + first[lv] for lv, local in rows]).ravel()]
+    mats = np.concatenate(mats)
+    nel, nloc = mats.shape[:2]
+    idx = np.int32 if mats.size < 2**31 else np.int64
+    cols = np.repeat(np.arange(nel * nloc, dtype=idx).reshape(nel, nloc), nloc, axis=0)
+    blockdiag = scipy.sparse.csr_matrix(
+        (mats.ravel(), cols.ravel(), np.arange(0, mats.size + 1, nloc, dtype=idx)),
+        shape=(nel * nloc, nel * nloc),
     )
-    ext = blocks[0].extraction[rows]
-    return (ext.T @ mat @ ext).tocsr()
+    product = blockdiag @ ext
+    del mats, cols, blockdiag  # freed before the second product
+    # E^T (M E) as the transpose of the CSC (M E)^T E: no transpose of M E is formed
+    gram = (product.T @ ext).T
+    return gram, (ext.T @ np.concatenate(loads).ravel() if loads else None)
 
 
 class ThbSpace:
@@ -638,6 +645,13 @@ class ThbSpace:
     def extraction(self, lv):
         """The CSR matrix ``R_lv``: level-``lv`` B-splines (rows) by functions."""
         return self._extraction[lv]
+
+    def stacked_extraction(self):
+        """Every ``R_lv`` stacked in level order as one CSR matrix, and the
+        first row of each level in it (num_levels + 1,).  Built on each
+        call and not kept: a trace holds on to every pass's space."""
+        first = np.cumsum([0] + [ext.shape[0] for ext in self._extraction])
+        return scipy.sparse.vstack(self._extraction, format="csr"), first
 
     def extraction_ids(self, lv):
         """Sorted raveled level-``lv`` tensor B-spline id of each row of ``R_lv``."""

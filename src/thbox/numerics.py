@@ -5,7 +5,9 @@ the rest of the package relies on: the symmetric-positive-definite pivot
 threshold and the error raised below it, rank decisions that report the
 singular-value gap they were based on, triplet assembly whose result does
 not depend on the order of the triplets (two sorts: by value, then stably
-by position), and a residual-checked symmetric-mode sparse LU solve.
+by position; the Gramians do not use it, see
+:func:`thbox.hierarchy.galerkin`), and a residual-checked symmetric-mode
+sparse LU solve.
 Everything here is deterministic: the same inputs produce bit-identical
 outputs.
 """

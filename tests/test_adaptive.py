@@ -417,6 +417,28 @@ class TestPoissonSolve:
         r = a[free][:, free] @ u[free] - b[free]
         assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(b[free])
 
+    @pytest.mark.parametrize("dim", (2, 3), ids=("2d", "3d"))
+    def test_linear_system_residual_on_three_levels(self, dim):
+        hier = {
+            2: DomainHierarchy((3, 3), (2, 2), [[(0, 0), (0, 1), (1, 0)],
+                                                [(0, 0), (0, 1), (1, 0), (1, 1), (2, 1)]]),
+            3: DomainHierarchy((2, 2, 2), (2, 2, 2), [[(0, 0, 0)], [(0, 0, 0), (1, 0, 0)]]),
+        }[dim]
+        space = thb_space(hier, (2,) * dim)
+        assert space.num_levels == 3
+        # some function is truncated: its rows differ from the plain hierarchical basis
+        plain = ThbSpace(space.levels, hier, truncated=False)
+        assert any((space.extraction(lv) != plain.extraction(lv)).nnz for lv in range(3))
+        f = lambda p: 1.0 + np.cos(p.sum(axis=1))
+        g = lambda p: np.exp(p[:, 0]) * (1.0 + p[:, -1])
+        u = poisson_solve(space, f, g=g)
+        a, b = poisson_system(space, f)
+        constrained, values = _boundary_values(space, g)
+        assert np.array_equal(u[constrained], values)
+        free = np.setdiff1d(np.arange(space.ndof), constrained)
+        r = (a @ u - b)[free]
+        assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(b[free])
+
     def test_refined_mesh_beats_uniform_start(self):
         hier = DomainHierarchy((3, 3), (2, 2), [{(0, 0), (0, 1), (1, 0), (1, 1)}])
         space = thb_space(hier, (2, 2))

@@ -17,8 +17,8 @@ from thbox.hierarchy import (
     DomainHierarchy,
     LevelSequence,
     ThbSpace,
+    galerkin,
     gauss_tensor,
-    level_gram,
 )
 from thbox.splinecore import uniform_space
 
@@ -198,7 +198,7 @@ class TestLevelBlocks:
         for block in space.quadrature(rule, derivs, fields=(g,)):
             got_mass = got_mass + block.gram()
             got_stiff = got_stiff + block.gram(range(1, space.dim + 1))
-            got_load += block.integrate(block.fields[0])
+            got_load += galerkin((block,))[1]
             for k in range(len(derivs)):
                 values = block.evaluate(coeffs, k)
                 for i, e in enumerate(_keys(block)):
@@ -291,9 +291,20 @@ def _whole_level_gram(block, ks=(0,)):
     return ext.T @ k_mat @ ext
 
 
+def _whole_level_load(block):
+    """``R_lv^T l`` with the full extraction matrix, ``l`` the integrals of
+    ``fields[0]`` against every B-spline of the level."""
+    ext = block.extraction.toarray()
+    local = np.zeros(ext.shape[0])
+    for i, rows in enumerate(block.local):
+        local[rows] += block.values[0][i] @ (block.weights[i] * block.fields[0][i])
+    return ext.T @ local
+
+
 class TestGramOnSubsets:
-    """``gram`` assembles on the rows of ``R_lv`` its elements touch; the
-    oracle is the whole-level product with the full ``R_lv``."""
+    """``galerkin`` maps element matrices through the rows of the stacked
+    ``R_lv`` its elements touch; the oracle is the whole-level product with
+    the full ``R_lv``, summed over levels."""
 
     @pytest.fixture(params=list(GRAM_SPACES), scope="class")
     def gram_space(self, request):
@@ -327,12 +338,35 @@ class TestGramOnSubsets:
         for lv in range(space.num_levels):
             blocks = _facet_blocks(space, lv)
             want = sum(b.gram() for b in blocks).toarray()
-            got = level_gram(blocks).toarray()
+            got = galerkin(blocks)[0].toarray()
             assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
 
-    def test_blocks_of_two_levels_raise(self, gram_space):
-        blocks = list(gram_space.quadrature(gauss_tensor(gram_space)))
-        with pytest.raises(ValueError, match="one level"):
-            level_gram(blocks)
-        with pytest.raises(ValueError, match="one level"):
-            level_gram(())
+    def test_blocks_of_several_levels_equal_sum_of_level_grams(self, gram_space):
+        space = gram_space
+        field = lambda pts: np.cos(pts.sum(axis=1))
+        derivs = _derivs(space)[: space.dim + 1]
+        blocks = list(space.quadrature(gauss_tensor(space), derivs, fields=(field,)))
+        assert [b.level for b in blocks] == list(range(space.num_levels))
+        assert space.num_levels > 1
+        for ks in ((0,), range(1, space.dim + 1)):
+            want = sum(_whole_level_gram(b, ks) for b in blocks)
+            got, load = galerkin(iter(blocks), ks)
+            assert got.shape == want.shape
+            assert_allclose(got.toarray(), want, rtol=0, atol=1e-14 * np.abs(want).max())
+        want = sum(_whole_level_load(b) for b in blocks)
+        assert_allclose(load, want, rtol=0, atol=1e-14 * np.abs(want).max())
+        # every facet block of every level, in one call
+        facets = [b for lv in range(space.num_levels) for b in _facet_blocks(space, lv)]
+        want = sum(_whole_level_gram(b) for b in facets)
+        got, load = galerkin(facets)
+        assert load is None
+        assert_allclose(got.toarray(), want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+    def test_blocks_of_two_spaces_or_none_raise(self, gram_space):
+        rule = gauss_tensor(gram_space)
+        blocks = list(gram_space.quadrature(rule))
+        other = ThbSpace(gram_space.levels, gram_space.hierarchy)
+        with pytest.raises(ValueError, match="one space"):
+            galerkin(blocks + list(other.quadrature(rule)))
+        with pytest.raises(ValueError, match="at least one block"):
+            galerkin(())
