@@ -38,10 +38,8 @@ from .qbox import (
     AdmissibilityPolicy,
     QBoxMesh,
     RefinementLimitError,
-    classify,
     coarsen_qboxes,
     refine_qboxes,
-    support_extension_S,
 )
 from .bezier import (
     ErrorReport,
@@ -99,10 +97,8 @@ __all__ = [
     "AdmissibilityPolicy",
     "QBoxMesh",
     "RefinementLimitError",
-    "classify",
     "coarsen_qboxes",
     "refine_qboxes",
-    "support_extension_S",
     "ErrorReport",
     "ProjectionResult",
     "ProjectorPartition",

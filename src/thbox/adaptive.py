@@ -13,10 +13,10 @@ concrete loops are provided: adaptive local projection
 (:func:`adapt_poisson`) built on :func:`poisson_solve` and the interior
 residual estimator.
 
-Everything is deterministic: marking sorts boxes canonically, assembly
+Everything is deterministic: marking sorts boxes canonically, and assembly
 is one congruence ``E^T blockdiag(M_e) E`` over the element blocks of all
-levels in canonical order (:func:`~thbox.hierarchy.galerkin`), and trace
-rows carry a fixed ``seconds = 0.0`` so serialized runs are byte-identical.
+levels in canonical order (:func:`~thbox.hierarchy.galerkin`), so
+serialized runs are byte-identical.  Trace rows carry no timings.
 """
 
 import itertools
@@ -208,7 +208,6 @@ class TraceStep:
         self.error_l2 = float(error_l2)
         self.error_linf = float(error_linf)
         self.eta_total = float(eta_total)
-        self.seconds = 0.0
 
     def __repr__(self):
         return "TraceStep(step=%d, ndof=%d, eta_total=%.3e)" % (
@@ -234,7 +233,6 @@ class AdaptiveTrace:
         "error_l2",
         "error_linf",
         "eta_total",
-        "seconds",
     )
 
     def __init__(self, steps, converged, solution):
@@ -260,17 +258,8 @@ class AdaptiveTrace:
         lines = [",".join(self.CSV_COLUMNS)]
         for s in self.steps:
             lines.append(
-                "%d,%d,%d,%d,%.17g,%.17g,%.17g,%.17g"
-                % (
-                    s.step,
-                    s.ndof,
-                    s.nelem,
-                    s.nboxes,
-                    s.error_l2,
-                    s.error_linf,
-                    s.eta_total,
-                    s.seconds,
-                )
+                "%d,%d,%d,%d,%.17g,%.17g,%.17g"
+                % (s.step, s.ndof, s.nelem, s.nboxes, s.error_l2, s.error_linf, s.eta_total)
             )
         return "\n".join(lines) + "\n"
 
@@ -464,6 +453,7 @@ def residual_estimator(space, solution, f):
         res = block.fields[0] + sum(block.evaluate(coeffs, d) for d in range(dim))
         sq = (res * (block.weights * res)).sum(axis=1)
         eta_sq[block.level] = (block.sizes**2).sum(axis=1) * sq
+        del block  # freed before the next block is built
     reduced = box_reduce(space, eta_sq, np.add, 0.0)
     return _indicators([(boxes, np.sqrt(values)) for boxes, values in reduced])
 

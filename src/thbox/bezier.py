@@ -33,7 +33,7 @@ import numpy as np
 
 from .hierarchy import galerkin, gauss_tensor, raveled, require_no_box, sorted_lookup, unraveled
 from .numerics import SPD_PIVOT_REL, NonSPDError, svd_rank
-from .qbox import classify
+from .qbox import QBoxMesh
 
 _NORMS = ("l2", "linf", "h1")
 
@@ -71,7 +71,7 @@ class ProjectorPartition:
                 % (hier.q, tuple(space.degree))
             )
         self.space = space
-        self.mesh = mesh = classify(space)
+        self.mesh = mesh = QBoxMesh(space)
         self.members = tuple(
             (lv, box)
             for lv, ids in enumerate(mesh.macro_ids)
@@ -188,31 +188,32 @@ class ProjectorPartition:
         )
 
     def member_index(self, member):
-        """Index of a member given as an int or a (level, box) pair."""
-        if isinstance(member, (int, np.integer)):
-            idx = int(member)
+        """Index of a member given as an int or a (level, box) pair; ValueError
+        for any other identifier or one that names no member."""
+        if not isinstance(member, (tuple, list)):
+            idx = _identifier(member, "a member index")
             if not 0 <= idx < len(self.members):
                 raise ValueError("member index %d out of range" % idx)
             return idx
-        lv, box = member[0], self.mesh._checked(member[0], [member[1]])
+        if len(member) != 2:
+            raise ValueError("a member must be an index or a (level, box) pair, got %r" % (member,))
+        lv = _identifier(member[0], "a member level")
+        box = self.mesh._checked(lv, [member[1]])
         shape = self.space.hierarchy.boxes_shape(lv)
         pos, hit = sorted_lookup(self.mesh.macro_ids[lv], raveled(box, shape))
         require_no_box(box, ~hit, lv, "is not a member")
         return int(self._first[lv] + pos[0])
 
-    def _member_arrays(self, idx):
-        """The elements of member ``idx``: one array (n_lv, dim) per level, canonical."""
+    def member_elements(self, member):
+        """The active elements of the member: one array (n_lv, dim) per level,
+        canonical, as :meth:`~thbox.hierarchy.ThbSpace.quadrature` takes them."""
+        idx = self.member_index(member)
         g = self._elements[self._elem_ptr[idx]:self._elem_ptr[idx + 1]]
         level = np.searchsorted(self._offsets, g, side="right") - 1
         return [
             self.space.element_rows(lv)[0][g[level == lv] - self._offsets[lv]]
             for lv in range(self.space.num_levels)
         ]
-
-    def member_elements(self, member):
-        """Active (level, element) pairs covered by the member."""
-        arrays = self._member_arrays(self.member_index(member))
-        return tuple((lv, e) for lv, arr in enumerate(arrays) for e in map(tuple, arr.tolist()))
 
     def member_functions(self, member):
         """Sorted ids of the functions nonzero on the member."""
@@ -231,31 +232,36 @@ class ProjectorPartition:
         return int(self._owners(lv, np.array([e]))[0])
 
     def _pairs_of(self, fid):
-        """Positions of function ``fid``'s (member, function) pairs."""
+        """Positions of function ``fid``'s (member, function) pairs; ValueError
+        for an id that is not an integer, IndexError for one out of range."""
+        fid = _identifier(fid, "a function id")
         if not 0 <= fid < self.space.ndof:
             raise IndexError("function id %d out of range" % fid)
         return self._by_fid[self._by_fid_ptr[fid]:self._by_fid_ptr[fid + 1]]
 
-    def members_for_function(self, fid):
-        """Indices of the members on which function ``fid`` is nonzero."""
-        return tuple(self._key_member[self._pairs_of(fid)].tolist())
+
+def _identifier(value, what):
+    """``value`` as an int; ValueError naming ``what`` for a bool or any other
+    non-integer (member and function identifiers come from outside)."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError("%s must be an integer, got %r" % (what, value))
+    return int(value)
 
 
 def region_gramian(space, region):
     """Exact Gramian of the active functions restricted to a union of elements.
 
-    ``region`` is an iterable of active (level, element) pairs (duplicates
-    are ignored).  Returns (fids, gram) with the sorted ids of the
-    functions nonzero on the region; Gauss quadrature of order ``max(p)+1``
-    on every element of the region makes the Gramian exact up to rounding.
+    ``region`` holds one array (n_lv, dim) of active elements per level, as
+    the ``elements`` of :meth:`~thbox.hierarchy.ThbSpace.quadrature`; repeats
+    are dropped and each level is visited in canonical order.  Returns
+    (fids, gram) with the sorted ids of the functions nonzero on the region;
+    Gauss quadrature of order ``max(p)+1`` on every element of the region
+    makes the Gramian exact up to rounding.
     """
-    region = sorted(set((lv, tuple(e)) for lv, e in region))
-    if not region:
+    region = [np.unique(np.asarray(r), axis=0) for r in region]
+    if not sum(map(len, region)):
         raise ValueError("empty region")
-    if not 0 <= region[0][0] <= region[-1][0] < space.num_levels:
-        raise ValueError("region levels must lie in [0, %d)" % space.num_levels)
-    elements = [[e for lv, e in region if lv == k] for k in range(space.num_levels)]
-    gram = galerkin(space.quadrature(gauss_tensor(space), elements=elements))[0]
+    gram = galerkin(space.quadrature(gauss_tensor(space), elements=region))[0]
     # B-splines and the functions' coefficients on them are nonnegative, so
     # the diagonal is positive exactly for the functions nonzero on the region
     fids = np.flatnonzero(gram.diagonal())
@@ -350,7 +356,7 @@ def local_l2_project(partition, member, f):
     supports linearly dependent restrictions and is a hard fault.
     """
     idx = partition.member_index(member)
-    elements = partition._member_arrays(idx)
+    elements = partition.member_elements(idx)
     blocks = partition.space.quadrature(partition._rule, fields=(f,), elements=elements)
     arrays = zip(*((block.values[0], block.weights, block.fields[0]) for block in blocks))
     stack = [np.concatenate(a)[None] for a in arrays]
@@ -508,11 +514,12 @@ def error_report(space, f, result, norms=_NORMS, f_grad=None):
                 arrays["rms"][block.level] = np.sqrt(sq[0] / np.prod(block.sizes, axis=1))
             if "h1" in norms:
                 arrays["h1"][block.level] = np.sqrt(sum(sq))
+            del block  # freed before the next block is built
     if "linf" in norms:
         grid = tuple((tuple(np.linspace(0, 1, 2 * p + 3).tolist()), None) for p in space.degree)
         for block in space.quadrature(grid, fields=(f,)):
-            err = np.abs(block.evaluate(coeffs) - block.fields[0]).max(axis=1)
-            arrays["linf"][block.level] = err
+            arrays["linf"][block.level] = np.abs(block.evaluate(coeffs) - block.fields[0]).max(axis=1)
+            del block
     return ErrorReport(space.total_active_elements, norms, **arrays)
 
 

@@ -439,14 +439,15 @@ def _differential(cs, k):
     """The coefficient-space differential ``G_k`` of map k, dense, and the
     worst relative column residual ``||D_k - B_{k+1} G_k|| / ||D_k||``.
 
-    Truncation makes the rows of ``B_{k+1}`` at the active functions' own
-    B-splines an identity block, so ``G_k`` is those rows of ``D_k``; a
-    slot whose block is not exactly the identity raises RuntimeError.
+    ``B_{k+1}`` is the block diagonal of the slot's stacked ``R_lv``
+    (:meth:`~thbox.hierarchy.ThbSpace.stacked_extraction`), in the row order
+    of :func:`_operator_matrix`.  Truncation makes its rows at the active
+    functions' own B-splines an identity block, so ``G_k`` is those rows of
+    ``D_k``; a slot whose block is not exactly the identity raises
+    RuntimeError.
     """
     targets = cs.slots[k + 1]
-    # the slot-(k+1) basis itself: one identity term per component
-    identity = [((c, (0,) * cs.dim, 1.0),) for c in range(len(targets))]
-    basis = _operator_matrix(targets, targets, identity)
+    basis = scipy.sparse.block_diag([t.stacked_extraction()[0] for t in targets], format="csr")
     image = _operator_matrix(cs.slots[k], targets, _operators(cs.dim)[k])
     ids = [(t.extraction_ids(lv), t.active_ids(lv)) for t in targets for lv in range(t.num_levels)]
     row0 = np.cumsum([0] + [len(rows) for rows, _ in ids])

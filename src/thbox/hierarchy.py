@@ -188,7 +188,7 @@ class DomainHierarchy:
         while self.refined_ids and not len(self.refined_ids[-1]):
             self.refined_ids.pop()
         self.refined_ids = tuple(self.refined_ids)
-        self._active_boxes = {}
+        self._active_ids = {}
 
     @property
     def dim(self):
@@ -244,15 +244,19 @@ class DomainHierarchy:
         kids = 2 * self.refined_boxes(lv - 1)[:, None, :] + index_grid((2,) * self.dim)
         return np.sort(raveled(kids, shape).ravel())
 
-    def active_boxes(self, lv):
-        """Sorted tuple of active level-``lv`` box multi-indices."""
-        if lv not in self._active_boxes:
-            shape = self.boxes_shape(lv)
+    def _active_box_ids(self, lv):
+        """Sorted raveled ids of the active level-``lv`` boxes: those of
+        Omega^{lv} that are not refined.  Computed once per level and kept."""
+        if lv not in self._active_ids:
             ids = self.domain_ids(lv)
             if lv < len(self.refined_ids):
                 ids = ids[~sorted_lookup(self.refined_ids[lv], ids)[1]]
-            self._active_boxes[lv] = tuple(map(tuple, unraveled(ids, shape).tolist()))
-        return self._active_boxes[lv]
+            self._active_ids[lv] = ids
+        return self._active_ids[lv]
+
+    def active_boxes(self, lv):
+        """Sorted tuple of active level-``lv`` box multi-indices, built on each call."""
+        return tuple(map(tuple, unraveled(self._active_box_ids(lv), self.boxes_shape(lv)).tolist()))
 
     def cover(self, lv, lo, hi):
         """Whether all, and whether any, level-``lv`` elements of each range lie in Omega^{lv}.
@@ -396,18 +400,10 @@ class LevelBlock:
         self.weights = weights
         self.fields = fields
 
-    @property
-    def extraction(self):
-        return self.space.extraction(self.level)
-
     def evaluate(self, coeffs, k=0):
         """Values (nel, nq) of the function with THB ``coeffs`` for ``values[k]``."""
-        local = (self.extraction @ coeffs)[self.local]
+        local = (self.space.extraction(self.level) @ coeffs)[self.local]
         return np.einsum("ea,eaq->eq", local, self.values[k])
-
-    def gram(self, ks=(0,)):
-        """The Gramian of :func:`galerkin` of this block alone."""
-        return galerkin((self,), ks)[0]
 
 
 def galerkin(blocks, ks=(0,)):
@@ -435,6 +431,7 @@ def galerkin(blocks, ks=(0,)):
         rows.append((b.level, b.local))
         if b.fields:
             loads.append(np.einsum("eaq,eq->ea", b.values[0], b.weights * b.fields[0]))
+        del b  # freed before the next block is built
     if space is None:
         raise ValueError("galerkin needs at least one block")
     stack, first = space.stacked_extraction()
@@ -494,7 +491,7 @@ class ThbSpace:
 
         self._elem_ids, self._elem_array = [], []
         for lv in range(self.num_levels):
-            boxes = np.array(hier.active_boxes(lv), dtype=np.int64).reshape(-1, self.dim)
+            boxes = unraveled(hier._active_box_ids(lv), hier.boxes_shape(lv))
             shape = self.levels[lv].numelems
             elems = raveled(boxes[:, None, :] * hier.q + index_grid(hier.q), shape)
             self._elem_ids.append(np.sort(elems.ravel()))
@@ -616,12 +613,6 @@ class ThbSpace:
         if not np.all((e >= 0) & (e < shape)):
             return False
         return bool(sorted_lookup(self._elem_ids[lv], raveled(e, shape))[1][0])
-
-    def all_active_elements(self):
-        """Iterate (level, element) pairs in canonical order."""
-        for lv in range(self.num_levels):
-            for e in self.active_elements(lv):
-                yield lv, e
 
     @property
     def total_active_elements(self):
@@ -748,12 +739,13 @@ class ThbSpace:
         A field maps a point array (npts, dim) to a finite value array
         (npts,) and is called once per block, on all of the block's points;
         any other result, a NaN or an infinity included, raises ValueError.
-        Points are computed only when ``fields`` is nonempty.
+        Points are computed only when ``fields`` is nonempty.  Nothing here
+        holds a block once it is yielded, so a consumer that drops each block
+        before asking for the next holds one level's arrays at a time.
         """
         if derivs is None:
             derivs = ((0,) * self.dim,)
-        refs = tuple(pts for pts, _ in rule)
-        grid = _reference_grid(refs) if fields else None
+        grid = _reference_grid([pts for pts, _ in rule]) if fields else None
         if elements is None:
             chosen = [np.arange(len(a)) for a in self._elem_ids]
         elif len(elements) != self.num_levels:
@@ -761,39 +753,35 @@ class ThbSpace:
         else:
             chosen = [self._positions(lv, es) for lv, es in enumerate(elements)]
         for lv, pos in enumerate(chosen):
-            if len(pos) == 0:
-                continue
-            elems = self._elem_array[lv][pos]
-            kvs = self.levels[lv].kvs
-            lo = np.stack([kv.breakpoints[elems[:, d]] for d, kv in enumerate(kvs)], axis=1)
-            size = np.stack(
-                [kv.breakpoints[elems[:, d] + 1] for d, kv in enumerate(kvs)], axis=1
-            ) - lo
-            tables = [
-                self.levels.basis_tables(lv, d, refs[d], max(dv[d] for dv in derivs))[
-                    elems[:, d]
-                ]
-                for d in range(self.dim)
-            ]
-            values = [
-                _tensor_values([tab[:, k] for tab, k in zip(tables, dv)]) for dv in derivs
-            ]
-            weights = None
-            for d, (_, wts) in enumerate(rule):
-                if wts is not None:
-                    wd = wts * size[:, d, None]
-                    weights = wd if weights is None else (
-                        weights[:, :, None] * wd[:, None, :]
-                    ).reshape(len(pos), -1)
-            field_values = []
-            if fields:
-                pts = (lo[:, None, :] + size[:, None, :] * grid).reshape(-1, self.dim)
-                field_values = [
-                    _field_values(f, pts).reshape(len(pos), -1) for f in fields
-                ]
-            yield LevelBlock(
-                self, lv, elems, size, self._local[lv][pos], values, weights, field_values
-            )
+            if len(pos):
+                # built by a call, so that no array of this block stays referenced
+                # here while the next level's values are built
+                yield self._level_block(lv, pos, rule, derivs, fields, grid)
+
+    def _level_block(self, lv, pos, rule, derivs, fields, grid):
+        """The :class:`LevelBlock` of :meth:`quadrature` on the level-``lv``
+        active elements at positions ``pos``."""
+        elems = self._elem_array[lv][pos]
+        kvs = self.levels[lv].kvs
+        lo = np.stack([kv.breakpoints[elems[:, d]] for d, kv in enumerate(kvs)], axis=1)
+        size = np.stack([kv.breakpoints[elems[:, d] + 1] for d, kv in enumerate(kvs)], axis=1) - lo
+        tables = [
+            self.levels.basis_tables(lv, d, pts, max(dv[d] for dv in derivs))[elems[:, d]]
+            for d, (pts, _) in enumerate(rule)
+        ]
+        values = [_tensor_values([tab[:, k] for tab, k in zip(tables, dv)]) for dv in derivs]
+        weights = None
+        for d, (_, wts) in enumerate(rule):
+            if wts is not None:
+                wd = wts * size[:, d, None]
+                weights = wd if weights is None else (
+                    weights[:, :, None] * wd[:, None, :]
+                ).reshape(len(pos), -1)
+        field_values = []
+        if fields:
+            pts = (lo[:, None, :] + size[:, None, :] * grid).reshape(-1, self.dim)
+            field_values = [_field_values(f, pts).reshape(len(pos), -1) for f in fields]
+        return LevelBlock(self, lv, elems, size, self._local[lv][pos], values, weights, field_values)
 
     def eval_all_at(self, x, deriv=None):
         """Values of all active functions nonzero at ``x``: (fids, values)."""

@@ -121,12 +121,6 @@ def support_extension_rect(space, lv, boxes, k):
     return lo // q, tgt.support_boxes(top)[1] // q
 
 
-def support_extension_S(space, lv, box, k):
-    """The multilevel support extension as a sorted tuple of level-k boxes."""
-    lo, hi = support_extension_rect(space, lv, (box,), k)
-    return tuple(map(tuple, range_points(lo, hi)[0].tolist()))
-
-
 def _in_domain(hier, lv, boxes):
     """Whether each level-``lv`` box (n, dim) of the hierarchy lies inside Omega^{lv}."""
     first = boxes * hier.q
@@ -282,17 +276,17 @@ def box_reduce(space, levels, ufunc, initial):
 
     ``levels[lv]`` holds one value per active level-``lv`` element, aligned
     with ``space.element_rows(lv)[0]``.  Boxes are refined whole, so an
-    active element lies in the active box ``element // q``.  Returns per
-    level the active boxes (n, dim) in sorted id order and, for each,
-    ``ufunc.at`` of its elements' values from ``initial``.
+    active element lies in the active box ``element // q``, looked up in the
+    hierarchy's sorted active box ids.  Returns per level the active boxes
+    (n, dim) in sorted id order and, for each, ``ufunc.at`` of its elements'
+    values from ``initial``.
     """
     hier = space.hierarchy
     out = []
     for lv, values in enumerate(levels):
         shape = hier.boxes_shape(lv)
-        ids, box = np.unique(
-            raveled(space.element_rows(lv)[0] // hier.q, shape), return_inverse=True
-        )
+        ids = hier._active_box_ids(lv)
+        box = sorted_lookup(ids, raveled(space.element_rows(lv)[0] // hier.q, shape))[0]
         acc = np.full(len(ids), initial)
         ufunc.at(acc, box, values)
         out.append((unraveled(ids, shape), acc))
@@ -301,7 +295,7 @@ def box_reduce(space, levels, ufunc, initial):
 
 class QBoxMesh:
     """Classified q-box mesh over a hierarchical space, at the hierarchy's own
-    box size ``q``.  Built by :func:`classify`.
+    box size ``q``.
 
     ``macro_ids[lv]`` holds the sorted raveled ids of the level-``lv``
     well-behaved and regular boxes, the macro-elements that cover every
@@ -343,13 +337,13 @@ class QBoxMesh:
         hier = self.hierarchy
         offsets = index_grid((3,) * hier.dim) - 1
         self._shapes = [hier.boxes_shape(lv) for lv in range(self.num_levels)]
-        self._ids = {label: [] for label in ("active", "border", "well-behaved", "regular")}
+        self._ids = {label: [] for label in ("border", "well-behaved", "regular")}
         wb = self._ids["well-behaved"]
         self._depth = []
         for lv, shape in enumerate(self._shapes):
             dom = hier.domain_ids(lv)
             boxes = unraveled(dom, shape)
-            act = ~hier.refined_mask(lv, boxes)
+            act = sorted_lookup(hier._active_box_ids(lv), dom)[1]
             if lv == 0:
                 brd = np.zeros(len(dom), dtype=bool)
             else:
@@ -361,7 +355,6 @@ class QBoxMesh:
             wb.append(dom[brd][above < 0])
             self._depth.append(np.full(len(wb[lv]), self.num_levels))
             above, pos = _ancestors(wb, self._shapes, lv, boxes[act], range(1, lv + 1))
-            self._ids["active"].append(dom[act])
             self._ids["border"].append(dom[brd])
             self._ids["regular"].append(dom[act][above < 0])
             # the active border boxes of this level bound the depth of the
@@ -382,7 +375,7 @@ class QBoxMesh:
     # -- queries -------------------------------------------------------
 
     def active(self, lv):
-        return self._boxes("active", lv)
+        return self.hierarchy.active_boxes(lv)
 
     def border(self, lv):
         return self._boxes("border", lv)
@@ -392,17 +385,6 @@ class QBoxMesh:
 
     def regular(self, lv):
         return self._boxes("regular", lv)
-
-    def all_well_behaved(self):
-        """Iterate (level, box) pairs of well-behaved boxes, canonical order."""
-        for lv in range(self.num_levels):
-            for b in self.well_behaved(lv):
-                yield lv, b
-
-    def all_regular(self):
-        for lv in range(self.num_levels):
-            for b in self.regular(lv):
-                yield lv, b
 
     def depth(self, lv, box):
         """Smallest d with an active border box of level lv+d inside the box."""
@@ -428,7 +410,3 @@ class QBoxMesh:
         hi = box_reduce(self.space, hi, np.maximum, -1)
         return max(int(np.max(h - l + 1, initial=0)) for (_, l), (_, h) in zip(lo, hi))
 
-
-def classify(space):
-    """Classify the q-box mesh of a hierarchical space (see :class:`QBoxMesh`)."""
-    return QBoxMesh(space)

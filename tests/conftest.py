@@ -211,8 +211,9 @@ def thb_field_grad(space, coeffs):
 
 
 def member_solve_oracle(space, elements, f):
-    """Least-squares fit of ``f`` on a union of active (level, element)
-    pairs by the functions nonzero there: (sorted fids, coefficients).
+    """Least-squares fit of ``f`` on a union of active elements, one array
+    (n_lv, dim) per level, by the functions nonzero there: (sorted fids,
+    coefficients).
 
     One element at a time: its function values from
     :meth:`ThbSpace.element_values` at the Gauss points of
@@ -225,13 +226,14 @@ def member_solve_oracle(space, elements, f):
     rule = gauss_tensor(space)
     refs = tuple(pts for pts, _ in rule)
     parts = []
-    for lv, e in elements:
-        fids, (vals,) = space.element_values(lv, e, refs)
-        lo, hi = np.array(space.levels[lv].element_bounds(e)).T
-        w = np.ones(1)
-        for d, (_, wts) in enumerate(rule):
-            w = np.outer(w, np.asarray(wts) * (hi[d] - lo[d])).reshape(-1)
-        parts.append((fids, vals, w, f(element_grid_points(space, lv, e, refs))))
+    for lv, arr in enumerate(elements):
+        for e in map(tuple, arr.tolist()):
+            fids, (vals,) = space.element_values(lv, e, refs)
+            lo, hi = np.array(space.levels[lv].element_bounds(e)).T
+            w = np.ones(1)
+            for d, (_, wts) in enumerate(rule):
+                w = np.outer(w, np.asarray(wts) * (hi[d] - lo[d])).reshape(-1)
+            parts.append((fids, vals, w, f(element_grid_points(space, lv, e, refs))))
     fids = np.unique(np.concatenate([p[0] for p in parts]))
     rows, rhs = [], []
     for efids, vals, w, target in parts:
@@ -474,7 +476,7 @@ def dense_operator_matrix(cs, sources, targets):
         for src, deriv, sign in terms:
             row0 = t * block
             for lvb in sources[src].quadrature(rule, derivs=(deriv,)):
-                ext = lvb.extraction.toarray()[lvb.local]
+                ext = lvb.space.extraction(lvb.level).toarray()[lvb.local]
                 samp = np.einsum("eaq,eaf->eqf", lvb.values[0], ext)
                 samp *= np.sqrt(lvb.weights)[:, :, None]
                 rows = slice(row0, row0 + samp.shape[0] * samp.shape[1])

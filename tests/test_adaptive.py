@@ -269,7 +269,7 @@ class TestAdaptLoop:
         trace = adapt_loop(space, lambda sp: None, self.corner_estimate, cfg)
         text = trace.csv()
         lines = text.strip().split("\n")
-        assert lines[0] == "step,ndof,nelem,nboxes,error_l2,error_linf,eta_total,seconds"
+        assert lines[0] == "step,ndof,nelem,nboxes,error_l2,error_linf,eta_total"
         assert len(lines) == len(trace) + 1
         for line, step in zip(lines[1:], trace):
             fields = line.split(",")
@@ -278,7 +278,7 @@ class TestAdaptLoop:
             assert int(fields[2]) == step.nelem
             assert int(fields[3]) == step.nboxes
             assert float(fields[6]) == step.eta_total
-            assert float(fields[7]) == 0.0
+            assert len(fields) == 7
 
     def test_trace_is_reproducible(self):
         def run():
@@ -346,18 +346,19 @@ def poisson_system(space, f):
     )
     rows, cols, vals = [], [], []
     load = np.zeros(space.ndof)
-    for lv, e in space.all_active_elements():
-        fids, basis = space.element_values(lv, e, refs, derivs=derivs)
-        w = np.ones(1)
-        for a, b in space.levels[lv].element_bounds(e):
-            w = np.outer(w, (b - a) * rule.weights).reshape(-1)
-        block = np.zeros((len(fids), len(fids)))
-        for d in range(dim):
-            block += (basis[1 + d] * w) @ basis[1 + d].T
-        rows.append(np.repeat(fids, len(fids)))
-        cols.append(np.tile(fids, len(fids)))
-        vals.append(block.reshape(-1))
-        load[fids] += basis[0] @ (w * f(element_grid_points(space, lv, e, refs)))
+    for lv in range(space.num_levels):
+        for e in space.active_elements(lv):
+            fids, basis = space.element_values(lv, e, refs, derivs=derivs)
+            w = np.ones(1)
+            for a, b in space.levels[lv].element_bounds(e):
+                w = np.outer(w, (b - a) * rule.weights).reshape(-1)
+            block = np.zeros((len(fids), len(fids)))
+            for d in range(dim):
+                block += (basis[1 + d] * w) @ basis[1 + d].T
+            rows.append(np.repeat(fids, len(fids)))
+            cols.append(np.tile(fids, len(fids)))
+            vals.append(block.reshape(-1))
+            load[fids] += basis[0] @ (w * f(element_grid_points(space, lv, e, refs)))
     a = assemble_csr(np.concatenate(rows), np.concatenate(cols),
                      np.concatenate(vals), (space.ndof, space.ndof))
     return a, load

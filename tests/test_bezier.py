@@ -13,6 +13,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
@@ -96,19 +97,27 @@ class TestPartition:
         q = rspace.hierarchy.q
         seen = {}
         for idx, (mlv, box) in enumerate(rpartition.members):
-            elems = rpartition.member_elements(idx)
-            assert list(elems) == sorted(elems)
-            for key in elems:
-                assert key not in seen
-                seen[key] = idx
-                assert rpartition.member_of_element(*key) == idx
-                lv, e = key
-                assert tuple((c // v) >> (lv - mlv) for c, v in zip(e, q)) == box
-        assert sorted(seen) == sorted(rspace.all_active_elements())
+            arrays = rpartition.member_elements(idx)
+            assert len(arrays) == rspace.num_levels
+            for lv, arr in enumerate(arrays):
+                assert arr.shape == (len(arr), rspace.dim)
+                elems = list(map(tuple, arr.tolist()))
+                assert elems == sorted(elems)
+                for e in elems:
+                    assert (lv, e) not in seen
+                    seen[lv, e] = idx
+                    assert rpartition.member_of_element(lv, e) == idx
+                    assert tuple((c // v) >> (lv - mlv) for c, v in zip(e, q)) == box
+        every = [(lv, e) for lv in range(rspace.num_levels) for e in rspace.active_elements(lv)]
+        assert sorted(seen) == every
 
     def test_members_are_well_behaved_plus_regular(self, rpartition):
         mesh = rpartition.mesh
-        expected = set(mesh.all_well_behaved()) | set(mesh.all_regular())
+        expected = {
+            (lv, box)
+            for lv in range(mesh.num_levels)
+            for box in mesh.well_behaved(lv) + mesh.regular(lv)
+        }
         assert set(rpartition.members) == expected
         assert list(rpartition.members) == sorted(rpartition.members)
 
@@ -124,11 +133,15 @@ class TestPartition:
         assert abs(rpartition.total_integrals.sum() - 1.0) < 1e-12
 
     def test_members_for_function_consistent(self, rpartition):
+        """The members of a function's smoothing weights are those whose
+        functions include it, in canonical order."""
+        holders = {}
+        for idx in range(len(rpartition)):
+            for fid in rpartition.member_functions(idx).tolist():
+                holders.setdefault(fid, []).append(idx)
         for fid in range(rpartition.space.ndof):
-            idxs = rpartition.members_for_function(fid)
-            assert list(idxs) == sorted(idxs) and idxs
-            for idx in idxs:
-                assert fid in rpartition.member_functions(idx)
+            idxs = [rpartition.member_index(m) for m in smoothing_weights(rpartition, fid)]
+            assert idxs == holders[fid]
 
     def test_default_granularity_needs_degree_divisibility(self):
         space = thb_space(DomainHierarchy((2, 2), (2, 2), [{(0, 0)}]), (3, 3))
@@ -161,15 +174,16 @@ class TestMemberLayoutOracle:
             fids = part.member_functions(idx)
             ints = dict.fromkeys(fids.tolist(), 0.0)
             tables = []
-            for lv, e in part.member_elements(idx):
-                efids, (vals,) = space.element_values(lv, e, refs)
-                lo, hi = np.array(space.levels[lv].element_bounds(e)).T
-                w = np.ones(1)
-                for d, (_, wts) in enumerate(rule):
-                    w = np.outer(w, np.asarray(wts) * (hi[d] - lo[d])).reshape(-1)
-                for fid, val in zip(efids.tolist(), vals @ w):
-                    ints[fid] += val
-                tables.append(efids)
+            for lv, arr in enumerate(part.member_elements(idx)):
+                for e in map(tuple, arr.tolist()):
+                    efids, (vals,) = space.element_values(lv, e, refs)
+                    lo, hi = np.array(space.levels[lv].element_bounds(e)).T
+                    w = np.ones(1)
+                    for d, (_, wts) in enumerate(rule):
+                        w = np.outer(w, np.asarray(wts) * (hi[d] - lo[d])).reshape(-1)
+                    for fid, val in zip(efids.tolist(), vals @ w):
+                        ints[fid] += val
+                    tables.append(efids)
             assert np.array_equal(fids, np.unique(np.concatenate(tables)))
             want = np.array(list(ints.values()))
             assert_allclose(part.member_integrals(idx), want, rtol=1e-14, atol=0)
@@ -177,7 +191,7 @@ class TestMemberLayoutOracle:
                 owners.setdefault(fid, []).append(idx)
         assert sorted(owners) == list(range(space.ndof))
         for fid, idxs in owners.items():
-            assert part.members_for_function(fid) == tuple(idxs)
+            assert [part.member_index(m) for m in smoothing_weights(part, fid)] == idxs
 
         coeffs = bezier_project(space, poly_field, part).coefficients
         blended = np.zeros(space.ndof)
@@ -276,15 +290,24 @@ class TestOverloadedMembers:
 class TestVerifyNonOverloaded:
     def test_single_level_element(self):
         space = thb_space(DomainHierarchy((2, 2), (2, 2)), (2, 2))
-        assert verify_non_overloaded(space, [(0, (1, 1))])
+        assert verify_non_overloaded(space, [[(1, 1)]])
 
     def test_every_member_is_non_overloaded(self, rspace, rpartition):
         for idx in range(len(rpartition)):
             assert verify_non_overloaded(rspace, rpartition.member_elements(idx))
 
+    def test_repeated_elements_count_once(self, rspace, rpartition):
+        """A region's repeats are dropped and its levels visited in canonical
+        order: the Gramian's bits do not depend on how the region is listed."""
+        for idx in range(0, len(rpartition), max(1, len(rpartition) // 4)):
+            region = rpartition.member_elements(idx)
+            fids, gram = region_gramian(rspace, region)
+            again = region_gramian(rspace, [np.concatenate([r[::-1], r]) for r in region])
+            assert np.array_equal(again[0], fids) and np.array_equal(again[1], gram)
+
     def test_duplicate_function_rank_deficient(self):
         space = thb_space(DomainHierarchy((2,), (2,)), (2,))
-        fids, gram = region_gramian(space, [(0, (1,))])
+        fids, gram = region_gramian(space, [[(1,)]])
         n = len(fids)
         assert svd_rank(gram, 1e-10)[0] == n
         dup = np.zeros((n + 1, n + 1))
@@ -295,20 +318,23 @@ class TestVerifyNonOverloaded:
         assert svd_rank(dup, 1e-10)[0] == n
 
     def test_empty_region_raises(self, rspace):
-        with pytest.raises(ValueError):
-            verify_non_overloaded(rspace, [])
+        none = [np.zeros((0, rspace.dim), dtype=np.int64)] * rspace.num_levels
+        for region in ([], none):
+            with pytest.raises(ValueError, match="empty region"):
+                verify_non_overloaded(rspace, region)
 
     def test_inactive_element_raises(self):
         space = thb_space(DomainHierarchy((2, 2), (2, 2), [{(0, 0)}]), (2, 2))
-        with pytest.raises(ValueError):
-            verify_non_overloaded(space, [(0, (0, 0))])
+        with pytest.raises(ValueError, match="not active"):
+            verify_non_overloaded(space, [[(0, 0)], []])
 
     def test_level_outside_hierarchy_raises(self):
-        # a negative level must not wrap around to the finest one
+        # a region holds one array per level: one for a level outside the
+        # hierarchy (or one too few) raises instead of being dropped
         space = thb_space(DomainHierarchy((2, 2), (2, 2), [{(0, 0)}]), (2, 2))
-        for lv in (-1, space.num_levels):
-            with pytest.raises(ValueError, match="region levels"):
-                region_gramian(space, [(lv, (0, 0))])
+        for count in (space.num_levels - 1, space.num_levels + 1):
+            with pytest.raises(ValueError, match="one array per level"):
+                region_gramian(space, [[(3, 3)]] * count)
 
 
 class TestLocalProjection:
@@ -359,6 +385,52 @@ class TestLocalProjection:
             rpartition.member_index(len(rpartition))
         with pytest.raises(ValueError):
             rpartition.member_index((99, rpartition.members[0][1]))
+
+
+# (id, call, identifier, message): identifiers that are not an index, a
+# (level, box) pair or a function id
+BAD_IDENTIFIERS = [
+    ("index-bool", "member_index", True, "a member index must be an integer"),
+    ("index-numpy-bool", "member_index", np.True_, "a member index must be an integer"),
+    ("index-float", "member_index", 2.0, "a member index must be an integer"),
+    ("index-string", "member_index", "1", "a member index must be an integer"),
+    ("index-none", "member_index", None, "a member index must be an integer"),
+    ("level-bool", "member_index", (True, (1, 1)), "a member level must be an integer"),
+    ("level-float", "member_index", (1.0, (1, 1)), "a member level must be an integer"),
+    ("pair-short", "member_index", (1,), r"an index or a \(level, box\) pair"),
+    ("pair-long", "member_index", (1, (1, 1), 0), r"an index or a \(level, box\) pair"),
+    ("box-scalar", "member_index", (1, 1), "multi-indices of dimension 2"),
+    ("box-length", "member_index", (1, (1,)), "multi-indices of dimension 2"),
+    ("box-float", "member_index", (1, (1.0, 1)), "multi-indices of dimension 2"),
+    ("functions-bool", "member_functions", False, "a member index must be an integer"),
+    ("weights-bool", "smoothing_weights", True, "a function id must be an integer"),
+    ("weights-float", "smoothing_weights", 2.0, "a function id must be an integer"),
+    ("weights-numpy-float", "smoothing_weights", np.float64(1), "a function id must be an integer"),
+    ("weights-string", "smoothing_weights", "0", "a function id must be an integer"),
+]
+
+
+class TestIdentifiers:
+    @pytest.fixture(scope="class")
+    def part(self):
+        return ProjectorPartition(thb_space(DomainHierarchy((2, 2), (2, 2), [{(0, 0)}]), (2, 2)))
+
+    @pytest.mark.parametrize("call, value, message", [c[1:] for c in BAD_IDENTIFIERS],
+                             ids=[c[0] for c in BAD_IDENTIFIERS])
+    def test_bad_identifiers_raise(self, part, call, value, message):
+        with pytest.raises(ValueError, match=message):
+            if call == "smoothing_weights":
+                smoothing_weights(part, value)
+            else:
+                getattr(part, call)(value)
+
+    def test_integer_identifiers(self, part):
+        assert part.member_index(np.int64(1)) == 1
+        assert part.member_index([1, np.array([0, 1])]) == part.member_index((1, (0, 1)))
+        assert smoothing_weights(part, np.int32(0)) == smoothing_weights(part, 0)
+        for fid in (-1, part.space.ndof):
+            with pytest.raises(IndexError, match="out of range"):
+                smoothing_weights(part, fid)
 
 
 class TestSmoothingWeights:
@@ -440,6 +512,48 @@ class TestProjector:
             bezier_project(other, poly_field, rpartition)
 
 
+class TestProjectorProperties:
+    """Reproduction, linearity and locality on drawn admissible spaces."""
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(admissible_spaces(), st.integers(0, 2**16))
+    def test_reproduces_space_functions(self, space, seed):
+        coeffs = np.random.default_rng(seed).standard_normal(space.ndof)
+        got = bezier_project(space, thb_field(space, coeffs)).coefficients
+        assert np.abs(got - coeffs).max() <= 1e-11 * np.abs(coeffs).max()
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(admissible_spaces(), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+    def test_linear(self, space, a, b):
+        part = ProjectorPartition(space)
+        pf = bezier_project(space, poly_field, part).coefficients
+        pg = bezier_project(space, second_field, part).coefficients
+        combo = bezier_project(space, lambda x: a * poly_field(x) + b * second_field(x), part)
+        want = a * pf + b * pg
+        assert np.abs(combo.coefficients - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(admissible_spaces(), st.integers(0, 2**16))
+    def test_local(self, space, pick):
+        """The coefficients of the functions on an element keep their bits when
+        the target changes outside the element's support extension."""
+        part = ProjectorPartition(space)
+        pairs = [(lv, e) for lv in range(space.num_levels) for e in space.active_elements(lv)]
+        lv, e = pairs[pick % len(pairs)]
+        cube = support_extension(part, lv, e).cube
+
+        def perturbed(pts):
+            outside = np.zeros(len(pts), dtype=bool)
+            for d, (lo, hi) in enumerate(cube):
+                outside |= (pts[:, d] < lo) | (pts[:, d] > hi)
+            return poly_field(pts) + 11.0 * outside
+
+        fids = space.element_table(lv, e)[0]
+        want = bezier_project(space, poly_field, part).coefficients[fids]
+        got = bezier_project(space, perturbed, part).coefficients[fids]
+        assert np.array_equal(got, want)
+
+
 def _brute_extension_members(part, lv, e):
     idx = part.member_of_element(lv, e)
     fids = set(part.member_functions(idx).tolist())
@@ -471,7 +585,7 @@ class TestSupportExtension:
         assert ext.cube == ((0.0, 1.0),)
 
     def test_matches_brute_enumeration(self, rspace, rpartition):
-        elems = list(rspace.all_active_elements())
+        elems = [(lv, e) for lv in range(rspace.num_levels) for e in rspace.active_elements(lv)]
         for lv, e in elems[:: max(1, len(elems) // 8)]:
             ext = support_extension(rpartition, lv, e)
             assert set(ext.members) == _brute_extension_members(rpartition, lv, e)

@@ -69,14 +69,15 @@ class TestMeshSvg:
             (2, 2),
         )
         rects = []
-        for lv, e in space.all_active_elements():
-            (x0, x1), (y0, y1) = space.levels[lv].element_bounds(e)
-            rects.append(
-                '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="%s" '
-                'stroke="#333333" stroke-width="1"/>'
-                % (1000.0 * x0, 1000.0 * (1.0 - y1), 1000.0 * (x1 - x0),
-                   1000.0 * (y1 - y0), LEVEL_PALETTE[lv % len(LEVEL_PALETTE)])
-            )
+        for lv in range(space.num_levels):
+            for e in space.active_elements(lv):
+                (x0, x1), (y0, y1) = space.levels[lv].element_bounds(e)
+                rects.append(
+                    '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="%s" '
+                    'stroke="#333333" stroke-width="1"/>'
+                    % (1000.0 * x0, 1000.0 * (1.0 - y1), 1000.0 * (x1 - x0),
+                       1000.0 * (y1 - y0), LEVEL_PALETTE[lv % len(LEVEL_PALETTE)])
+                )
         assert mesh_svg(space).split("\n")[1:-2] == rects
 
     def test_three_dimensional_mesh_rejected(self):

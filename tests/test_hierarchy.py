@@ -438,8 +438,9 @@ class TestTruncatedEvaluation:
         p = max(thb.degree)
         ref = tuple(np.linspace(0.1, 0.9, p + 1))
         pts = []
-        for lv, e in thb.all_active_elements():
-            pts.extend(map(tuple, element_grid_points(thb, lv, e, (ref,) * hier.dim)))
+        for lv in range(thb.num_levels):
+            for e in thb.active_elements(lv):
+                pts.extend(map(tuple, element_grid_points(thb, lv, e, (ref,) * hier.dim)))
 
         def coll(space):
             mat = np.zeros((len(pts), space.ndof))
@@ -562,11 +563,12 @@ class TestElementMachinery:
         levels, hier = _make_case(*HIERARCHY_CASES[3])
         space = build_thb(levels, hier)
         total = 0.0
-        for lv, e in space.all_active_elements():
-            vol = 1.0
-            for a, b in space.levels[lv].element_bounds(e):
-                vol *= b - a
-            total += vol
+        for lv in range(space.num_levels):
+            for e in space.active_elements(lv):
+                vol = 1.0
+                for a, b in space.levels[lv].element_bounds(e):
+                    vol *= b - a
+                total += vol
         nt.assert_allclose(total, 1.0, rtol=1e-12)
 
     @pytest.mark.parametrize("case", HIERARCHY_CASES[:4])
@@ -591,7 +593,8 @@ class TestElementMachinery:
         levels, hier = _make_case(*case)
         space = build_thb(levels, hier)
         rng = np.random.default_rng(31)
-        for lv, e in list(space.all_active_elements())[::5]:
+        pairs = [(lv, e) for lv in range(space.num_levels) for e in space.active_elements(lv)]
+        for lv, e in pairs[::5]:
             ref = tuple(tuple(rng.random(2)) for _ in range(hier.dim))
             fids, (vals,) = space.element_values(lv, e, ref)
             pts = element_grid_points(space, lv, e, ref)
@@ -633,16 +636,17 @@ class TestAdmissibilityClass:
         rng = np.random.default_rng(55)
         flevel = [lv for lv, _ in space.functions]
         worst = 0
-        for lv, e in space.all_active_elements():
-            ref = tuple(tuple(rng.random(3)) for _ in range(hier.dim))
-            fids, (vals,) = space.element_values(lv, e, ref)
-            live = [
-                flevel[f]
-                for f, row in zip(fids, vals)
-                if np.abs(row).max() > 1e-12
-            ]
-            if live:
-                worst = max(worst, max(live) - min(live) + 1)
+        for lv in range(space.num_levels):
+            for e in space.active_elements(lv):
+                ref = tuple(tuple(rng.random(3)) for _ in range(hier.dim))
+                fids, (vals,) = space.element_values(lv, e, ref)
+                live = [
+                    flevel[f]
+                    for f, row in zip(fids, vals)
+                    if np.abs(row).max() > 1e-12
+                ]
+                if live:
+                    worst = max(worst, max(live) - min(live) + 1)
         assert admissibility_class(space) == worst
 
     def test_two_level_overlap(self):

@@ -7,6 +7,7 @@ everything the block maps through the extraction matrices.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,11 +123,11 @@ class TestLevelBlocks:
                     w = np.outer(w, rule[d][1] * (hi[d] - lo[d])).reshape(-1)
                 assert_allclose(block.weights[i], w, rtol=1e-15)
                 assert_allclose(block.sizes[i], hi - lo, rtol=1e-15)
-        assert seen == list(space.all_active_elements())
+        assert seen == [(lv, e) for lv in range(space.num_levels) for e in space.active_elements(lv)]
 
     def test_element_subsets_keep_their_order(self, space):
         rule = _rule(2, space.dim)
-        every = list(space.all_active_elements())
+        every = [(lv, e) for lv in range(space.num_levels) for e in space.active_elements(lv)]
         rng = np.random.default_rng(len(every))
         subset = [every[i] for i in rng.permutation(len(every))[: max(1, len(every) // 3)]]
         full = {b.level: b for b in space.quadrature(rule, fields=(lambda p: p[:, 0],))}
@@ -151,7 +152,8 @@ class TestLevelBlocks:
         refs = tuple(pts for pts, _ in rule)
         last = [
             (lv, e)
-            for lv, e in space.all_active_elements()
+            for lv in range(space.num_levels)
+            for e in space.active_elements(lv)
             if e[0] == space.hierarchy.elems_shape(lv)[0] - 1
         ]
         blocks = list(space.quadrature(rule, elements=_by_level(space, last)))
@@ -196,8 +198,8 @@ class TestLevelBlocks:
         got_load = np.zeros(space.ndof)
         refs = tuple(pts for pts, _ in rule)
         for block in space.quadrature(rule, derivs, fields=(g,)):
-            got_mass = got_mass + block.gram()
-            got_stiff = got_stiff + block.gram(range(1, space.dim + 1))
+            got_mass = got_mass + galerkin((block,))[0]
+            got_stiff = got_stiff + galerkin((block,), range(1, space.dim + 1))[0]
             got_load += galerkin((block,))[1]
             for k in range(len(derivs)):
                 values = block.evaluate(coeffs, k)
@@ -213,7 +215,7 @@ class TestLevelBlocks:
                 load[fids] += vals[0] @ (w * block.fields[0][i])
             # the Gramian diagonal is positive exactly for the functions on the block
             assert np.array_equal(
-                np.flatnonzero(block.gram().diagonal()),
+                np.flatnonzero(galerkin((block,))[0].diagonal()),
                 np.unique(np.concatenate(
                     [space.element_table(block.level, e)[0] for e in _keys(block)]
                 )),
@@ -282,7 +284,7 @@ def _facet_blocks(space, lv):
 
 def _whole_level_gram(block, ks=(0,)):
     """``R_lv^T K R_lv`` with the full extraction matrix, ``K`` dense over its rows."""
-    ext = block.extraction.toarray()
+    ext = block.space.extraction(block.level).toarray()
     k_mat = np.zeros((ext.shape[0], ext.shape[0]))
     for i, rows in enumerate(block.local):
         for k in ks:
@@ -294,7 +296,7 @@ def _whole_level_gram(block, ks=(0,)):
 def _whole_level_load(block):
     """``R_lv^T l`` with the full extraction matrix, ``l`` the integrals of
     ``fields[0]`` against every B-spline of the level."""
-    ext = block.extraction.toarray()
+    ext = block.space.extraction(block.level).toarray()
     local = np.zeros(ext.shape[0])
     for i, rows in enumerate(block.local):
         local[rows] += block.values[0][i] @ (block.weights[i] * block.fields[0][i])
@@ -320,7 +322,7 @@ class TestGramOnSubsets:
             (block,) = space.quadrature(gauss_tensor(space), derivs, elements=chosen)
             for ks in ((0,), range(1, space.dim + 1)):
                 want = _whole_level_gram(block, ks)
-                got = block.gram(ks)
+                got = galerkin((block,), ks)[0]
                 assert got.shape == want.shape
                 assert_allclose(got.toarray(), want, rtol=0, atol=1e-14 * np.abs(want).max())
 
@@ -330,14 +332,14 @@ class TestGramOnSubsets:
             for block in _facet_blocks(space, lv):
                 want = _whole_level_gram(block)
                 assert_allclose(
-                    block.gram().toarray(), want, rtol=0, atol=1e-14 * np.abs(want).max()
+                    galerkin((block,))[0].toarray(), want, rtol=0, atol=1e-14 * np.abs(want).max()
                 )
 
     def test_merged_facets_equal_sum_of_facet_grams(self, gram_space):
         space = gram_space
         for lv in range(space.num_levels):
             blocks = _facet_blocks(space, lv)
-            want = sum(b.gram() for b in blocks).toarray()
+            want = sum(galerkin((b,))[0] for b in blocks).toarray()
             got = galerkin(blocks)[0].toarray()
             assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
 
@@ -370,3 +372,42 @@ class TestGramOnSubsets:
             galerkin(blocks + list(other.quadrature(rule)))
         with pytest.raises(ValueError, match="at least one block"):
             galerkin(())
+
+
+def test_galerkin_stream_holds_one_level():
+    """A stiffness stream over two levels of about equal size holds one
+    level's block at a time.
+
+    The bound is one level's tensor values (the largest level's values of
+    every derivative, the weighted product ``galerkin`` forms from one of
+    them, and its weights) plus the element matrices (those of all levels,
+    and the per-derivative ones and their running sum on the largest
+    level).  The peak is read when the stream ends, before the assembly.  A
+    block still referenced while the next one is built adds the previous
+    level's values: about 1.17 times the bound here.
+    """
+    refined = [b for b in itertools.product(range(8), range(8)) if b < (1, 6)]
+    hier = DomainHierarchy((2, 2), (8, 8), [refined])
+    space = ThbSpace(LevelSequence(uniform_space(hier.elems_level0, (2, 2))), hier)
+    derivs, rule, ks = ((0, 0), (1, 0), (0, 1)), gauss_tensor(space, extra=2), (1, 2)
+    blocks = list(space.quadrature(rule, derivs))  # also fills the level tables
+    assert [len(b.elements) for b in blocks] == [200, 224]
+    big = blocks[-1]
+    values = sum(v.nbytes for v in big.values) + big.values[0].nbytes + big.weights.nbytes
+    nloc = big.local.shape[1]
+    matrices = (sum(len(b.elements) for b in blocks) + 3 * len(big.elements)) * nloc**2 * 8
+    del blocks, big
+
+    peaks = []
+
+    def recorded(stream):
+        yield from stream
+        peaks.append(tracemalloc.get_traced_memory()[1])
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        galerkin(recorded(space.quadrature(rule, derivs)), ks)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] - base < values + matrices

@@ -18,17 +18,16 @@ from conftest import (
     random_hierarchy,
     univariate_support_flags,
 )
-from thbox.hierarchy import DomainHierarchy, LevelSequence, build_thb
+from thbox.hierarchy import DomainHierarchy, LevelSequence, build_thb, range_points
 from thbox.qbox import (
     AdmissibilityPolicy,
     QBoxMesh,
     RefinementLimitError,
-    classify,
     coarsen_qboxes,
     coarsening_blocked,
     refine_qboxes,
     refinement_neighborhood,
-    support_extension_S,
+    support_extension_rect,
 )
 from thbox.splinecore import uniform_space
 
@@ -187,7 +186,7 @@ def _labels(mesh, lv, box):
 
 @pytest.fixture(scope="module")
 def mesh():
-    return classify(_space(FIG_HIER, 2))
+    return QBoxMesh(_space(FIG_HIER, 2))
 
 
 class TestFixtureClassification:
@@ -296,7 +295,7 @@ class TestDepthTwo:
             (2, 2),
             [{(0, 0), (0, 1), (1, 0)}, all_l1, {(3, 3)}],
         )
-        mesh = classify(_space(hier, 2))
+        mesh = QBoxMesh(_space(hier, 2))
         assert (1, 1) in mesh.well_behaved(1)
         assert mesh.depth(1, (1, 1)) == 2
 
@@ -324,7 +323,7 @@ class TestClassificationOracle:
     )
     def test_matches_definitions(self, case):
         space = _random_case(*case)
-        mesh = classify(space)
+        mesh = QBoxMesh(space)
         brute = BruteClassification(space, space.hierarchy.q)
         for lv in range(mesh.num_levels):
             assert set(mesh.active(lv)) == brute.active[lv], lv
@@ -337,9 +336,9 @@ class TestClassificationOracle:
     @pytest.mark.parametrize("case", RANDOM_CASES[:4])
     def test_partition_of_active_elements(self, case):
         space = _random_case(*case)
-        mesh = classify(space)
-        wb = set(mesh.all_well_behaved())
-        reg = set(mesh.all_regular())
+        mesh = QBoxMesh(space)
+        wb = {(lv, b) for lv in range(mesh.num_levels) for b in mesh.well_behaved(lv)}
+        reg = {(lv, b) for lv in range(mesh.num_levels) for b in mesh.regular(lv)}
         for k in range(space.num_levels):
             for e in space.active_elements(k):
                 r = tuple(c // v for c, v in zip(e, space.hierarchy.q))
@@ -356,7 +355,7 @@ class TestClassificationOracle:
     def test_active_box_elements_all_active(self, case):
         """The active elements of a level fill its active boxes exactly."""
         space = _random_case(*case)
-        mesh = classify(space)
+        mesh = QBoxMesh(space)
         q = space.hierarchy.q
         for lv in range(mesh.num_levels):
             boxes, count = np.unique(space.element_rows(lv)[0] // q, axis=0, return_counts=True)
@@ -365,7 +364,7 @@ class TestClassificationOracle:
 
     def test_single_level_all_regular(self):
         hier = DomainHierarchy((2, 2), (2, 2))
-        mesh = classify(_space(hier, 2))
+        mesh = QBoxMesh(_space(hier, 2))
         assert mesh.border(0) == ()
         assert mesh.well_behaved(0) == ()
         assert set(mesh.regular(0)) == set(mesh.active(0))
@@ -373,7 +372,7 @@ class TestClassificationOracle:
 
     def test_unit_q_boxes_are_elements(self):
         space = _random_case(*RANDOM_CASES[5])  # a hierarchy of 1x1-element boxes
-        mesh = classify(space)
+        mesh = QBoxMesh(space)
         assert space.num_levels > 1
         for lv in range(mesh.num_levels):
             assert set(mesh.active(lv)) == set(space.active_elements(lv))
@@ -383,7 +382,7 @@ class TestSupportExtension:
     @pytest.mark.parametrize("case", RANDOM_CASES[:4])
     def test_matches_brute_force(self, case):
         space = _random_case(*case)
-        mesh = classify(space)
+        mesh = QBoxMesh(space)
         rng = np.random.default_rng(123)
         for lv in range(mesh.num_levels):
             boxes = mesh.active(lv)
@@ -392,7 +391,8 @@ class TestSupportExtension:
             picks = [boxes[i] for i in rng.integers(0, len(boxes), size=2)]
             for box in picks:
                 for k in range(mesh.num_levels):
-                    got = set(support_extension_S(space, lv, box, k))
+                    lo, hi = support_extension_rect(space, lv, (box,), k)
+                    got = set(map(tuple, range_points(lo, hi)[0].tolist()))
                     want = _brute_support_extension(space, lv, box, k, space.hierarchy.q)
                     assert got == want, (lv, box, k)
 
@@ -402,7 +402,8 @@ class TestSupportExtension:
         # touching the box
         hier = DomainHierarchy((2, 2), (4, 4))
         space = _space(hier, 2)
-        got = set(support_extension_S(space, 0, (2, 2), 0))
+        lo, hi = support_extension_rect(space, 0, ((2, 2),), 0)
+        got = set(map(tuple, range_points(lo, hi)[0].tolist()))
         want = _brute_support_extension(space, 0, (2, 2), 0, (2, 2))
         assert got == want
         assert (2, 2) in got
@@ -413,7 +414,8 @@ class TestSupportExtension:
     def test_corner_box_clipped(self):
         hier = DomainHierarchy((2, 2), (4, 4))
         space = _space(hier, 2)
-        got = set(support_extension_S(space, 0, (0, 0), 0))
+        lo, hi = support_extension_rect(space, 0, ((0, 0),), 0)
+        got = set(map(tuple, range_points(lo, hi)[0].tolist()))
         assert min(b[0] for b in got) == 0 and min(b[1] for b in got) == 0
         assert got == _brute_support_extension(space, 0, (0, 0), 0, (2, 2))
 
@@ -533,7 +535,7 @@ class TestRefine:
             hier = DomainHierarchy((2, 2), (2, 2))
             space = _space(hier, 2)
             for _ in range(3):
-                mesh = classify(space)
+                mesh = QBoxMesh(space)
                 boxes = [
                     (lv, b)
                     for lv in range(mesh.num_levels)
@@ -547,13 +549,13 @@ class TestRefine:
                 space = refine_qboxes(space, marked, policy)
                 rounds += 1
                 assert admissibility_class(space) <= c
-                assert classify(space).admissibility_class() <= c
+                assert QBoxMesh(space).admissibility_class() <= c
                 if rounds >= 100:
                     break
 
     def test_determinism(self):
         space = _random_case(*RANDOM_CASES[1])
-        mesh = classify(space)
+        mesh = QBoxMesh(space)
         marked = [(0, mesh.active(0)[0]), (1, mesh.active(1)[0])]
         a = refine_qboxes(space, marked)
         b = refine_qboxes(space, list(reversed(marked)))
@@ -686,7 +688,7 @@ class TestCoarsen:
                     pick = coarsenable[rng.integers(0, len(coarsenable))]
                     space, _ = coarsen_qboxes(space, [pick], policy)
                 else:
-                    mesh = classify(space)
+                    mesh = QBoxMesh(space)
                     boxes = [
                         (lv, b)
                         for lv in range(mesh.num_levels)
@@ -695,7 +697,7 @@ class TestCoarsen:
                     pick = boxes[rng.integers(0, len(boxes))]
                     space = refine_qboxes(space, [pick], policy)
                 assert admissibility_class(space) <= c
-                assert classify(space).admissibility_class() <= c
+                assert QBoxMesh(space).admissibility_class() <= c
 
 
 def _all_well_behaved_active(mesh):
@@ -714,13 +716,13 @@ class TestPropositionClassTwo:
 
     def test_class_two_example(self):
         hier = DomainHierarchy((2, 2), (2, 2), [{(0, 0)}])
-        mesh = classify(_space(hier, 2))
+        mesh = QBoxMesh(_space(hier, 2))
         assert any(mesh.well_behaved(lv) for lv in range(mesh.num_levels))
         assert _all_well_behaved_active(mesh)
         assert mesh.admissibility_class() == 2
 
     def test_class_three_example(self):
-        mesh = classify(_space(FIG_HIER, 2))
+        mesh = QBoxMesh(_space(FIG_HIER, 2))
         assert not _all_well_behaved_active(mesh)
         assert mesh.admissibility_class() > 2
 
@@ -729,7 +731,7 @@ class TestPropositionClassTwo:
         rng = np.random.default_rng(3000 + seed)
         hier = random_hierarchy(rng, 2, (2, 2), (2, 2), 4, p_refine=0.4, interface=True)
         space = _space(hier, 2)  # q = (2,2) >= p = (2,2)
-        mesh = classify(space)
+        mesh = QBoxMesh(space)
         assert any(mesh.well_behaved(lv) for lv in range(mesh.num_levels))
         all_wb_active = _all_well_behaved_active(mesh)
         assert all_wb_active == (mesh.admissibility_class() == 2)
@@ -741,16 +743,17 @@ class TestRegularBoxesSingleLevel:
         # with q >= p, a regular box of level lv carries level-lv functions only
         space = _random_case(*case)
         p = space.degree
-        mesh = classify(space)
+        mesh = QBoxMesh(space)
         if any(qi < pi for qi, pi in zip(space.hierarchy.q, p)):
             pytest.skip("needs q >= p")
         flevel = [lv for lv, _ in space.functions]
-        for lv, box in mesh.all_regular():
+        for lv in range(mesh.num_levels):
             elems = space.element_rows(lv)[0]
-            for e in elems[np.all(elems // space.hierarchy.q == box, axis=1)]:
-                fids, _ = space.element_table(lv, tuple(e.tolist()))
-                for f in fids:
-                    assert flevel[f] == lv
+            for box in mesh.regular(lv):
+                for e in elems[np.all(elems // space.hierarchy.q == box, axis=1)]:
+                    fids, _ = space.element_table(lv, tuple(e.tolist()))
+                    for f in fids:
+                        assert flevel[f] == lv
 
 
 def _random_grid_case(rng):
