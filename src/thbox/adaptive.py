@@ -24,7 +24,7 @@ import itertools
 import numpy as np
 
 from .bezier import bezier_project, error_report
-from .hierarchy import galerkin, gauss_tensor, index_grid, unraveled
+from .hierarchy import as_integer, galerkin, gauss_tensor, index_grid, unraveled
 from .numerics import sparse_solve
 from .qbox import AdmissibilityPolicy, box_reduce, coarsen_qboxes, refine_qboxes
 
@@ -42,7 +42,9 @@ class AdaptiveConfig:
     for every mesh change, ``tolerance`` is the stopping threshold on the
     largest indicator, ``max_iterations`` caps the number of solves, and
     ``coarsen_cadence`` is the number of passes between coarsening sweeps
-    (0 disables coarsening).
+    (0 disables coarsening).  The four count fields are integers
+    (:func:`~thbox.hierarchy.as_integer`): a bool or a float raises
+    ``ValueError``, and ``admissibility_class`` may also be ``None``.
     """
 
     def __init__(
@@ -63,15 +65,15 @@ class AdaptiveConfig:
             raise ValueError("theta_coarsen must be smaller than theta_refine")
         if not tolerance > 0.0:
             raise ValueError("tolerance must be positive")
-        if int(max_iterations) < 1:
+        self.max_iterations = as_integer(max_iterations, "max_iterations")
+        if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if int(coarsen_cadence) < 0:
+        self.coarsen_cadence = as_integer(coarsen_cadence, "coarsen_cadence")
+        if self.coarsen_cadence < 0:
             raise ValueError("coarsen_cadence must be nonnegative")
         self.theta_refine = float(theta_refine)
         self.theta_coarsen = float(theta_coarsen)
         self.tolerance = float(tolerance)
-        self.max_iterations = int(max_iterations)
-        self.coarsen_cadence = int(coarsen_cadence)
         self.policy = AdmissibilityPolicy(admissibility_class, max_levels)
 
     @property
@@ -274,8 +276,9 @@ def adapt_loop(space, solve, estimate, cfg):
     """Generic estimate-mark-adapt driver.
 
     ``solve(space)`` produces a solution object and ``estimate(space,
-    solution)`` returns an indicator field, optionally paired with a
-    metrics dict carrying ``"error_l2"``/``"error_linf"`` for the trace.
+    solution)`` returns a pair ``(indicators, metrics)``: the indicator
+    field and a dict that may carry ``"error_l2"``/``"error_linf"`` for the
+    trace.
     Each pass records a :class:`TraceStep`; the loop stops once every
     indicator is below ``cfg.tolerance``, and otherwise refines the
     Dörfler set of boxes.  Every ``cfg.coarsen_cadence`` passes (when
@@ -289,8 +292,7 @@ def adapt_loop(space, solve, estimate, cfg):
     converged = False
     for it in range(cfg.max_iterations):
         solution = solve(space)
-        est = estimate(space, solution)
-        indicators, metrics = est if isinstance(est, tuple) else (est, {})
+        indicators, metrics = estimate(space, solution)
         eta_sq_total = 0.0
         for key in sorted(indicators):
             eta_sq_total += indicators[key] ** 2

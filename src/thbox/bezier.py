@@ -31,7 +31,15 @@ so results are bit-reproducible.
 
 import numpy as np
 
-from .hierarchy import galerkin, gauss_tensor, raveled, require_no_box, sorted_lookup, unraveled
+from .hierarchy import (
+    as_integer,
+    galerkin,
+    gauss_tensor,
+    raveled,
+    require_no_box,
+    sorted_lookup,
+    unraveled,
+)
 from .numerics import SPD_PIVOT_REL, NonSPDError, svd_rank
 from .qbox import QBoxMesh
 
@@ -191,13 +199,13 @@ class ProjectorPartition:
         """Index of a member given as an int or a (level, box) pair; ValueError
         for any other identifier or one that names no member."""
         if not isinstance(member, (tuple, list)):
-            idx = _identifier(member, "a member index")
+            idx = as_integer(member, "a member index")
             if not 0 <= idx < len(self.members):
                 raise ValueError("member index %d out of range" % idx)
             return idx
         if len(member) != 2:
             raise ValueError("a member must be an index or a (level, box) pair, got %r" % (member,))
-        lv = _identifier(member[0], "a member level")
+        lv = as_integer(member[0], "a member level")
         box = self.mesh._checked(lv, [member[1]])
         shape = self.space.hierarchy.boxes_shape(lv)
         pos, hit = sorted_lookup(self.mesh.macro_ids[lv], raveled(box, shape))
@@ -234,18 +242,10 @@ class ProjectorPartition:
     def _pairs_of(self, fid):
         """Positions of function ``fid``'s (member, function) pairs; ValueError
         for an id that is not an integer, IndexError for one out of range."""
-        fid = _identifier(fid, "a function id")
+        fid = as_integer(fid, "a function id")
         if not 0 <= fid < self.space.ndof:
             raise IndexError("function id %d out of range" % fid)
         return self._by_fid[self._by_fid_ptr[fid]:self._by_fid_ptr[fid + 1]]
-
-
-def _identifier(value, what):
-    """``value`` as an int; ValueError naming ``what`` for a bool or any other
-    non-integer (member and function identifiers come from outside)."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ValueError("%s must be an integer, got %r" % (what, value))
-    return int(value)
 
 
 def region_gramian(space, region):

@@ -108,8 +108,8 @@ class ComplexSpaces:
 
     All component spaces share the hierarchy (breakpoints and refinement
     domains are identical); only the degrees differ.  ``slots[k]`` holds
-    the tuple of component spaces of the k-th slot; ``v0``/``v1``/``v2``
-    (and ``v3`` in three dimensions) name them conventionally.
+    the tuple of component spaces of the k-th slot, and ``v0`` is the
+    scalar head space ``slots[0][0]``.
     """
 
     def __init__(self, hierarchy, degree, multiplicity=None):
@@ -161,28 +161,9 @@ class ComplexSpaces:
         return self.slots[0][0]
 
     @property
-    def v1(self):
-        return self.slots[1]
-
-    @property
-    def v2(self):
-        return self.slots[2] if self.dim == 3 else self.slots[2][0]
-
-    @property
-    def v3(self):
-        if self.dim != 3:
-            raise AttributeError("v3 exists only for three-dimensional complexes")
-        return self.slots[3][0]
-
-    @property
     def dims(self):
         """Total dof count per slot."""
         return tuple(sum(s.ndof for s in slot) for slot in self.slots)
-
-    @property
-    def euler(self):
-        """Alternating sum of the slot dimensions."""
-        return sum((-1) ** k * d for k, d in enumerate(self.dims))
 
     def __repr__(self):
         return "ComplexSpaces(degree=%r, dims=%r)" % (self.degree, self.dims)

@@ -32,13 +32,7 @@ import json
 import numpy as np
 import scipy.sparse
 
-from .splinecore import (
-    KnotVector,
-    TensorSpace,
-    basis_on_element,
-    gauss_rule,
-    two_scale_arrays,
-)
+from .splinecore import basis_on_element, gauss_rule, two_scale_arrays
 
 
 def index_grid(shape):
@@ -100,6 +94,24 @@ def index_array(values, dim, what):
     return values.astype(np.int64, copy=False)
 
 
+def as_integer(value, what):
+    """``value`` as an int; ValueError naming ``what`` for a bool, a float or
+    any other non-integer (numpy integers pass).  The one rule for integer
+    identifiers, levels and counts that come from outside."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError("%s must be an integer, got %r" % (what, value))
+    return int(value)
+
+
+def as_level(lv, num_levels, owner):
+    """``lv`` as an int; ValueError naming it unless it is an integer
+    (:func:`as_integer`) in ``0 .. num_levels - 1``, the levels of ``owner``."""
+    lv = as_integer(lv, "a level")
+    if not 0 <= lv < num_levels:
+        raise ValueError("level %d is not a level of this %s (0..%d)" % (lv, owner, num_levels - 1))
+    return lv
+
+
 def require_no_box(boxes, bad, lv, what):
     """ValueError naming the first level-``lv`` box of ``boxes`` (n, dim) flagged in ``bad``."""
     if bad.any():
@@ -147,8 +159,8 @@ def gauss_tensor(space, extra=0):
     The result is a ``rule`` for :meth:`ThbSpace.quadrature`; with
     ``extra=0`` it integrates products of two basis functions exactly.
     """
-    rule = gauss_rule(max(space.degree) + 1 + extra)
-    return ((tuple(rule.points.tolist()), rule.weights),) * space.dim
+    points, weights = gauss_rule(max(space.degree) + 1 + extra)
+    return ((tuple(points.tolist()), weights),) * space.dim
 
 
 class DomainHierarchy:
@@ -255,7 +267,9 @@ class DomainHierarchy:
         return self._active_ids[lv]
 
     def active_boxes(self, lv):
-        """Sorted tuple of active level-``lv`` box multi-indices, built on each call."""
+        """Sorted tuple of active level-``lv`` box multi-indices, built on each
+        call; ValueError unless ``lv`` is a level here (:func:`as_level`)."""
+        lv = as_level(lv, self.num_levels, "hierarchy")
         return tuple(map(tuple, unraveled(self._active_box_ids(lv), self.boxes_shape(lv)).tolist()))
 
     def cover(self, lv, lo, hi):
@@ -301,13 +315,10 @@ class DomainHierarchy:
 class LevelSequence:
     """Dyadically refined tensor spaces, extended lazily on demand."""
 
-    def __init__(self, base, num_levels=1):
-        if isinstance(base, KnotVector):
-            base = TensorSpace((base,))
+    def __init__(self, base):
         self._spaces = [base]
         self._children = []
         self._tables = {}
-        self.ensure(num_levels)
 
     @property
     def base(self):
@@ -594,21 +605,21 @@ class ThbSpace:
             for j in map(tuple, unraveled(ids, self.levels[lv].numbasis).tolist())
         ]
 
+    def _level(self, lv):
+        """``lv`` as an int; ValueError unless it is a level here (:func:`as_level`).
+        Every per-level query checks its level with it."""
+        return as_level(lv, self.num_levels, "space")
+
     def active_elements(self, lv):
         """Sorted tuple of active level-``lv`` element multi-indices."""
-        return tuple(map(tuple, self._elem_array[lv].tolist()))
-
-    def _level(self, lv):
-        """The level-``lv`` tensor space; ValueError unless ``lv`` is a level here."""
-        if not 0 <= lv < self.num_levels:
-            raise ValueError("level %r is not a level of this space (0..%d)" % (lv, self.num_levels - 1))
-        return self.levels[lv]
+        return tuple(map(tuple, self._elem_array[self._level(lv)].tolist()))
 
     def is_active_element(self, lv, e):
         """Whether element ``e`` of level ``lv`` is active; outside the grid it is
         not.  ValueError for a level not here or an ``e`` that is not an
         integer multi-index of the space's dimension."""
-        shape = self._level(lv).numelems
+        lv = self._level(lv)
+        shape = self.levels[lv].numelems
         e = index_array((e,), self.dim, "a level-%d element" % lv)
         if not np.all((e >= 0) & (e < shape)):
             return False
@@ -635,7 +646,7 @@ class ThbSpace:
 
     def extraction(self, lv):
         """The CSR matrix ``R_lv``: level-``lv`` B-splines (rows) by functions."""
-        return self._extraction[lv]
+        return self._extraction[self._level(lv)]
 
     def stacked_extraction(self):
         """Every ``R_lv`` stacked in level order as one CSR matrix, and the
@@ -646,20 +657,22 @@ class ThbSpace:
 
     def extraction_ids(self, lv):
         """Sorted raveled level-``lv`` tensor B-spline id of each row of ``R_lv``."""
-        return self._extraction_ids[lv]
+        return self._extraction_ids[self._level(lv)]
 
     def active_ids(self, lv):
         """Sorted raveled level-``lv`` tensor id of each active level-``lv`` function."""
-        return self._active_ids[lv]
+        return self._active_ids[self._level(lv)]
 
     def element_rows(self, lv):
         """Active level-``lv`` elements (n, dim) and their B-splines' ``R_lv`` rows (n, nloc)."""
+        lv = self._level(lv)
         return self._elem_array[lv], self._local[lv]
 
     def _positions(self, lv, elements):
         """Positions of level-``lv`` elements (n, dim) in :meth:`active_elements`."""
+        lv = self._level(lv)
         elements = index_array(elements, self.dim, "level-%d elements" % lv)
-        shape = self._level(lv).numelems
+        shape = self.levels[lv].numelems
         inside = np.all((elements >= 0) & (elements < shape), axis=1)
         pos, found = sorted_lookup(
             self._elem_ids[lv], raveled(np.where(inside[:, None], elements, 0), shape)

@@ -49,6 +49,8 @@ import numpy as np
 
 from .hierarchy import (
     ThbSpace,
+    as_integer,
+    as_level,
     index_array,
     index_grid,
     range_points,
@@ -68,16 +70,19 @@ class AdmissibilityPolicy:
 
     ``admissibility_class`` is the class ``c >= 2`` to maintain, or ``None``
     for unbounded (no neighborhood closure).  ``max_levels`` caps the total
-    number of hierarchy levels.
+    number of hierarchy levels.  Both are integers (:func:`as_integer`):
+    a bool or a float raises ``ValueError``.
     """
 
     def __init__(self, admissibility_class=2, max_levels=10):
-        if admissibility_class is not None and admissibility_class < 2:
-            raise ValueError("admissibility class must be >= 2 or None")
-        if max_levels < 1:
+        if admissibility_class is not None:
+            admissibility_class = as_integer(admissibility_class, "admissibility_class")
+            if admissibility_class < 2:
+                raise ValueError("admissibility class must be >= 2 or None")
+        self.max_levels = as_integer(max_levels, "max_levels")
+        if self.max_levels < 1:
             raise ValueError("max_levels must be >= 1")
         self.admissibility_class = admissibility_class
-        self.max_levels = int(max_levels)
 
     def __repr__(self):
         return "AdmissibilityPolicy(admissibility_class=%r, max_levels=%d)" % (
@@ -106,8 +111,11 @@ def support_extension_rect(space, lv, boxes, k):
     ``S(box, k)`` of a level-``lv`` box of ``boxes`` (n, dim) is the range of
     level-``k`` boxes sharing a level-``k`` B-spline support with it: the
     boxes met by the supports of the first and the last B-spline on the
-    box's level-``k`` elements.
+    box's level-``k`` elements.  ``lv`` and ``k`` must be levels of the
+    space (:func:`~thbox.hierarchy.as_level`).
     """
+    lv = as_level(lv, space.num_levels, "space")
+    k = as_level(k, space.num_levels, "space")
     q = np.array(space.hierarchy.q)
     boxes = index_array(boxes, space.dim, "level-%d boxes" % lv)
     first, last = q * boxes, q * (boxes + 1) - 1
@@ -313,8 +321,7 @@ class QBoxMesh:
     def _checked(self, lv, boxes):
         """Level-``lv`` boxes (n, dim) as int64; ValueError unless ``lv`` is a
         level of the mesh and every box lies on its box grid."""
-        if not 0 <= lv < self.num_levels:
-            raise ValueError("level %r is not a level of this mesh (0..%d)" % (lv, self.num_levels - 1))
+        lv = as_level(lv, self.num_levels, "mesh")
         boxes = index_array(boxes, self.hierarchy.dim, "level-%d boxes" % lv)
         off = np.any((boxes < 0) | (boxes >= self._shapes[lv]), axis=1)
         require_no_box(boxes, off, lv, "is off the grid")
@@ -369,10 +376,10 @@ class QBoxMesh:
         self.macro_ids = [np.union1d(w, r) for w, r in zip(wb, self._ids["regular"])]
 
     def _boxes(self, label, lv):
-        ids = self._ids[label][lv]
-        return tuple(map(tuple, unraveled(ids, self._shapes[lv]).tolist()))
+        lv = as_level(lv, self.num_levels, "mesh")
+        return tuple(map(tuple, unraveled(self._ids[label][lv], self._shapes[lv]).tolist()))
 
-    # -- queries -------------------------------------------------------
+    # -- queries: each checks its level (hierarchy.as_level) -----------------
 
     def active(self, lv):
         return self.hierarchy.active_boxes(lv)

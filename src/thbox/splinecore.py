@@ -25,7 +25,6 @@ C order (last direction fastest) throughout the package.
 """
 
 import bisect
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -105,24 +104,13 @@ class KnotVector:
         """Knot span index such that [knots[s], knots[s+1]) is element ``e``."""
         return self.degree + e * self.multiplicity
 
-    def first_func_on_element(self, e):
-        """Smallest basis index supported on element ``e`` (there are p+1)."""
-        return e * self.multiplicity
-
     def support_range(self, j):
-        """Inclusive element index range (lo, hi) where function ``j`` is nonzero.
-
-        ``j`` may also be an index array; ``lo`` and ``hi`` are then arrays
-        of its shape.
-        """
+        """Inclusive element index ranges (lo, hi), two arrays shaped like the
+        function index array ``j``, where each function is nonzero."""
         j = np.asarray(j)
         if np.any((j < 0) | (j >= self.numbasis)):
             raise IndexError("function index out of range 0..%d" % (self.numbasis - 1))
-        lo = self._breakpoint_of_knot(j)
-        hi = self._breakpoint_of_knot(j + self.degree + 1) - 1
-        if j.ndim == 0:
-            return int(lo), int(hi)
-        return lo, hi
+        return self._breakpoint_of_knot(j), self._breakpoint_of_knot(j + self.degree + 1) - 1
 
     def _breakpoint_of_knot(self, k):
         return np.clip((k - self.degree - 1) // self.multiplicity + 1, 0, self.numelems)
@@ -218,7 +206,7 @@ def basis_on_element(kv, e, x, nderiv=0):
     ``x`` must lie in the closed element; ``e`` may also be an array of
     elements, one per point.  Returns shape
     (nderiv+1, p+1, len(x)); function axis is ordered by ascending index
-    starting from :meth:`KnotVector.first_func_on_element`.
+    starting from ``e * multiplicity``, the first function on the element.
     """
     span = kv.span_of_element(e)
     return _ders_basis_funs(kv.knots, kv.degree, span, np.atleast_1d(x), nderiv)
@@ -284,25 +272,13 @@ def derivative_matrix(kv):
     return scipy.sparse.diags([-w, w], [0, 1], shape=(n - 1, n), format="csr")
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Legendre points and weights on an interval."""
-
-    points: np.ndarray
-    weights: np.ndarray
-    order: int
-
-
-def gauss_rule(order, interval=(0.0, 1.0)):
-    """Gauss-Legendre rule with ``order`` points, exact for degree 2*order-1."""
+def gauss_rule(order):
+    """Gauss-Legendre ``(points, weights)`` of ``order`` points on [0, 1],
+    exact for degree 2*order-1."""
     if order < 1:
         raise ValueError("quadrature order must be positive")
-    a, b = interval
-    if not b > a:
-        raise ValueError("empty interval")
     x, w = np.polynomial.legendre.leggauss(order)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return QuadratureRule(points=mid + half * x, weights=half * w, order=order)
+    return 0.5 + 0.5 * x, 0.5 * w
 
 
 class TensorSpace:
@@ -347,8 +323,8 @@ class TensorSpace:
 
     def element_functions(self, elements):
         """Raveled ids (n, prod(p+1)) of the functions on ``elements`` (n, dim),
-        in C order over the per-direction windows of p+1 functions from
-        :meth:`KnotVector.first_func_on_element`."""
+        in C order over the per-direction windows of p+1 functions from the
+        first one on each element, ``element * multiplicity``."""
         offsets = np.indices(tuple(p + 1 for p in self.degree)).reshape(self.dim, -1).T
         first = np.asarray(elements, dtype=np.int64) * self.multiplicity
         index = first[:, None, :] + offsets

@@ -380,7 +380,8 @@ def _box_support_rect(space, lv, box, k):
         else:
             a, b = a >> (lv - k), b >> (lv - k)
         last = min(kv.numbasis - 1, b * kv.multiplicity + kv.degree)
-        rect.append((kv.support_range(a * kv.multiplicity)[0] // q, kv.support_range(last)[1] // q))
+        lo, hi = kv.support_range(np.array([a * kv.multiplicity, last]))
+        rect.append((int(lo[0]) // q, int(hi[1]) // q))
     return rect
 
 

@@ -389,7 +389,7 @@ def test_poisson_convergence_and_adaptive_decrease():
     trace = adapt_loop(
         space,
         lambda sp: poisson_solve(sp, front_rhs, g=front_exact),
-        lambda sp, u: residual_estimator(sp, u, front_rhs),
+        lambda sp, u: (residual_estimator(sp, u, front_rhs), {}),
         cfg,
     )
     etas = [s.eta_total for s in trace]

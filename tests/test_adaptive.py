@@ -77,6 +77,18 @@ class TestAdaptiveConfig:
         with pytest.raises(ValueError):
             AdaptiveConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, np.float64(3)])
+    def test_max_iterations_is_an_integer(self, value):
+        with pytest.raises(ValueError, match="max_iterations must be an integer"):
+            AdaptiveConfig(max_iterations=value)
+        assert AdaptiveConfig(max_iterations=np.int64(3)).max_iterations == 3
+
+    @pytest.mark.parametrize("value", [1.5, 1.0, True, np.float64(2)])
+    def test_coarsen_cadence_is_an_integer(self, value):
+        with pytest.raises(ValueError, match="coarsen_cadence must be an integer"):
+            AdaptiveConfig(theta_coarsen=0.1, coarsen_cadence=value)
+        assert AdaptiveConfig(coarsen_cadence=np.int64(2)).coarsen_cadence == 2
+
 
 class TestDorflerMark:
     def test_four_box_example(self):
@@ -178,7 +190,7 @@ class TestAdaptLoop:
                 x = (b[0] + 0.5) / nb[0]
                 y = (b[1] + 0.5) / nb[1]
                 ind[(lv, b)] = float(np.exp(-(x * x + y * y) / 0.05))
-        return ind
+        return ind, {}
 
     def test_below_tolerance_single_solve(self):
         space = unit_space((2, 2), (4, 4), (2, 2))
@@ -187,7 +199,7 @@ class TestAdaptLoop:
         trace = adapt_loop(
             space,
             lambda sp: calls.append(1),
-            lambda sp, _: {(0, b): 0.1 for b in sp.hierarchy.active_boxes(0)},
+            lambda sp, _: ({(0, b): 0.1 for b in sp.hierarchy.active_boxes(0)}, {}),
             cfg,
         )
         assert trace.converged
@@ -231,16 +243,16 @@ class TestAdaptLoop:
                         y = (b[1] + 0.5) / nb[1]
                         d2 = (x - cx) ** 2 + (y - cy) ** 2
                         ind[(lv, b)] = float(np.exp(-d2 / 0.02))
-                return ind
+                return ind, {}
 
             return estimate
 
         state = {"step": 0}
 
         def estimate(sp, sol):
-            ind = moving_estimate(state["step"])(sp, sol)
+            out = moving_estimate(state["step"])(sp, sol)
             state["step"] += 1
-            return ind
+            return out
 
         base = dict(theta_refine=0.4, tolerance=1e-9, max_iterations=24)
         coarse_cfg = AdaptiveConfig(theta_coarsen=0.2, coarsen_cadence=2, **base)
@@ -339,8 +351,8 @@ class TestAdaptProject:
 def poisson_system(space, f):
     """Independent stiffness/load assembly used as a residual oracle."""
     dim = space.dim
-    rule = gauss_rule(max(space.degree) + 1)
-    refs = (tuple(rule.points.tolist()),) * dim
+    pts, wts = gauss_rule(max(space.degree) + 1)
+    refs = (tuple(pts.tolist()),) * dim
     derivs = ((0,) * dim,) + tuple(
         tuple(int(k == d) for k in range(dim)) for d in range(dim)
     )
@@ -351,7 +363,7 @@ def poisson_system(space, f):
             fids, basis = space.element_values(lv, e, refs, derivs=derivs)
             w = np.ones(1)
             for a, b in space.levels[lv].element_bounds(e):
-                w = np.outer(w, (b - a) * rule.weights).reshape(-1)
+                w = np.outer(w, (b - a) * wts).reshape(-1)
             block = np.zeros((len(fids), len(fids)))
             for d in range(dim):
                 block += (basis[1 + d] * w) @ basis[1 + d].T

@@ -621,7 +621,7 @@ class TestElementMachinery:
         j = _active_multi(space, lv)[0]
         fid = _fid(space, lv, j)
         kv = space.levels[lv].kvs[0]
-        right_end = kv.breakpoints[kv.support_range(j[0])[1] + 1]
+        right_end = kv.breakpoints[kv.support_range(j[:1])[1][0] + 1]
         x = right_end + 0.5 * (1.0 - right_end)
         assert x < 1.0
         assert fid in space.eval_all_at((right_end - 1e-9,))[0]

@@ -91,7 +91,7 @@ class TestLevelBlocks:
                 e = tuple(block.elements[i].tolist())
                 pts = element_grid_points(space, block.level, e, refs)
                 # the p+1 functions per direction from each one's first, C order
-                first = [kv.first_func_on_element(ei) for kv, ei in zip(tensor.kvs, e)]
+                first = np.multiply(e, tensor.multiplicity)
                 window = tuple(kv.degree + 1 for kv in tensor.kvs)
                 funcs = [tuple(np.add(first, off).tolist()) for off in np.ndindex(*window)]
                 for k, dv in enumerate(derivs):

@@ -18,6 +18,7 @@ from conftest import (
     random_hierarchy,
     univariate_support_flags,
 )
+from thbox.bezier import ProjectorPartition
 from thbox.hierarchy import DomainHierarchy, LevelSequence, build_thb, range_points
 from thbox.qbox import (
     AdmissibilityPolicy,
@@ -858,3 +859,89 @@ class TestClosureOracle:
             skipped += len(want_skipped)
             reactivated += len(want_reactivated)
         assert skipped >= 20 and reactivated >= 20, (skipped, reactivated)
+
+
+def _level_case():
+    """A two-level 2D p-box space (level-0 box (0, 0) refined), its mesh and
+    its projector partition."""
+    space = _space(DomainHierarchy((2, 2), (2, 2), [[(0, 0)]]), 2)
+    return space, QBoxMesh(space), ProjectorPartition(space)
+
+
+#: Every public per-level query, called at level ``lv`` of :func:`_level_case`.
+LEVEL_QUERIES = {
+    "active_boxes": lambda s, m, part, lv: s.hierarchy.active_boxes(lv),
+    "active_elements": lambda s, m, part, lv: s.active_elements(lv),
+    "element_rows": lambda s, m, part, lv: s.element_rows(lv),
+    "extraction": lambda s, m, part, lv: s.extraction(lv),
+    "extraction_ids": lambda s, m, part, lv: s.extraction_ids(lv),
+    "active_ids": lambda s, m, part, lv: s.active_ids(lv),
+    "is_active_element": lambda s, m, part, lv: s.is_active_element(lv, (0, 0)),
+    "element_table": lambda s, m, part, lv: s.element_table(lv, (0, 0)),
+    "mesh-active": lambda s, m, part, lv: m.active(lv),
+    "border": lambda s, m, part, lv: m.border(lv),
+    "well_behaved": lambda s, m, part, lv: m.well_behaved(lv),
+    "regular": lambda s, m, part, lv: m.regular(lv),
+    "depth": lambda s, m, part, lv: m.depth(lv, (1, 1)),
+    "box_bounds": lambda s, m, part, lv: m.box_bounds(lv, (1, 1)),
+    "macro_element_of": lambda s, m, part, lv: m.macro_element_of(lv, [(0, 0)]),
+    "member_of_element": lambda s, m, part, lv: part.member_of_element(lv, (0, 0)),
+    "extension-lv": lambda s, m, part, lv: support_extension_rect(s, lv, [(0, 0)], 0),
+    "extension-k": lambda s, m, part, lv: support_extension_rect(s, 0, [(0, 0)], lv),
+}
+
+BAD_LEVELS = {
+    "bool": (True, "a level must be an integer, got True"),
+    "numpy-bool": (np.True_, "a level must be an integer, got np.True_"),
+    "float": (1.0, "a level must be an integer, got 1.0"),
+    "negative": (-1, r"level -1 is not a level of this \w+ \(0\.\.1\)"),
+    "num_levels": (2, r"level 2 is not a level of this \w+ \(0\.\.1\)"),
+}
+
+
+#: Queries whose out-of-range levels have their own tests
+#: (``TestFixtureClassification::test_queries_reject_bad_boxes`` and
+#: ``test_hierarchy.py::TestElementMachinery::test_levels_outside_the_space_raise``).
+RANGE_CHECKED = {"is_active_element", "element_table", "depth", "box_bounds",
+                 "macro_element_of", "member_of_element"}
+
+
+class TestLevelRule:
+    """Every per-level query checks its level with ``hierarchy.as_level``."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        return _level_case()
+
+    @pytest.mark.parametrize("query, level", [
+        (query, level)
+        for query in LEVEL_QUERIES
+        for level in BAD_LEVELS
+        if not (query in RANGE_CHECKED and level in ("negative", "num_levels"))
+    ])
+    def test_bad_levels_raise(self, case, query, level):
+        lv, match = BAD_LEVELS[level]
+        with pytest.raises(ValueError, match=match):
+            LEVEL_QUERIES[query](*case, lv)
+
+    @pytest.mark.parametrize("query", list(LEVEL_QUERIES))
+    def test_numpy_integer_levels(self, case, query):
+        want, got = (LEVEL_QUERIES[query](*case, lv) for lv in (1, np.int64(1)))
+        assert repr(got) == repr(want)
+
+
+class TestIntegerFields:
+    """The policy's counts go through the one integer rule, ``hierarchy.as_integer``."""
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, np.float64(2)])
+    def test_admissibility_class(self, value):
+        with pytest.raises(ValueError, match="admissibility_class must be an integer"):
+            AdmissibilityPolicy(value)
+        assert AdmissibilityPolicy(np.int64(3)).admissibility_class == 3
+        assert AdmissibilityPolicy(None).admissibility_class is None
+
+    @pytest.mark.parametrize("value", [2.9, 2.0, True, np.float64(2)])
+    def test_max_levels(self, value):
+        with pytest.raises(ValueError, match="max_levels must be an integer"):
+            AdmissibilityPolicy(2, value)
+        assert AdmissibilityPolicy(2, np.int64(4)).max_levels == 4

@@ -45,7 +45,7 @@ def _values_at(kv, x, k=0):
     its p+1 functions."""
     e = kv.element_of(x)
     out = np.zeros(kv.numbasis)
-    first = kv.first_func_on_element(e)
+    first = e * kv.multiplicity
     out[first : first + kv.degree + 1] = basis_on_element(kv, e, x, k)[k, :, 0]
     return out
 
@@ -153,9 +153,9 @@ class TestEvaluation:
         """A function off an element's p+1 window vanishes there, and points
         beyond the ends fall into the end elements."""
         kv = uniform_knot_vector(4, 2)
-        assert kv.first_func_on_element(kv.element_of(0.9)) > 0
+        assert kv.element_of(0.9) * kv.multiplicity > 0
         assert naive_bspline(kv.knots, 0, 2, 0.9) == 0.0
-        assert kv.first_func_on_element(kv.element_of(0.1)) + 2 < kv.numbasis - 1
+        assert kv.element_of(0.1) * kv.multiplicity + 2 < kv.numbasis - 1
         assert naive_bspline(kv.knots, kv.numbasis - 1, 2, 0.1) == 0.0
         assert kv.element_of(-0.5) == 0
         assert kv.element_of(1.5) == kv.numelems - 1
@@ -176,8 +176,7 @@ class TestSupports:
     @pytest.mark.parametrize("p,m", PM_CASES)
     def test_support_range_matches_sampling(self, p, m):
         kv = _random_kv(400 + p * 10 + m, p, m)
-        for j in range(kv.numbasis):
-            lo, hi = kv.support_range(j)
+        for j, lo, hi in zip(range(kv.numbasis), *kv.support_range(np.arange(kv.numbasis))):
             for e in range(kv.numelems):
                 xs = np.linspace(kv.breakpoints[e], kv.breakpoints[e + 1], 9)[1:-1]
                 nonzero = any(abs(naive_bspline(kv.knots, j, p, x)) > 1e-14 for x in xs)
@@ -195,8 +194,8 @@ class TestSupports:
         funcs = _all_indices(space.numbasis)
         lo, hi = space.support_boxes(funcs)
         assert lo.shape == hi.shape == funcs.shape
-        for j, a, b in zip(funcs, lo, hi):
-            assert tuple(zip(a, b)) == tuple(kv.support_range(ji) for kv, ji in zip(kvs, j))
+        for d, kv in enumerate(kvs):
+            nt.assert_array_equal(np.stack(kv.support_range(funcs[:, d])), [lo[:, d], hi[:, d]])
         with pytest.raises(IndexError):
             kvs[0].support_range(np.array([0, kvs[0].numbasis]))
 
@@ -216,11 +215,10 @@ class TestSupports:
     @pytest.mark.parametrize("p,m", PM_CASES)
     def test_functions_on_element(self, p, m):
         kv = _random_kv(500 + p * 10 + m, p, m)
+        lo, hi = kv.support_range(np.arange(kv.numbasis))
         for e in range(kv.numelems):
-            funcs = list(range(kv.first_func_on_element(e), kv.first_func_on_element(e) + p + 1))
-            for j in range(kv.numbasis):
-                lo, hi = kv.support_range(j)
-                assert (lo <= e <= hi) == (j in funcs)
+            funcs = np.arange(e * m, e * m + p + 1)
+            nt.assert_array_equal((lo <= e) & (e <= hi), np.isin(np.arange(kv.numbasis), funcs))
 
     @pytest.mark.parametrize("p,m", [(2, 1), (3, 2), (2, 3)])
     def test_local_linear_independence_on_element(self, p, m):
@@ -359,7 +357,7 @@ class TestDerivativeMatrix:
         diff = derivative_matrix(kv).toarray()
         assert diff.shape == (reduced.numbasis, kv.numbasis)
         # Gauss points of every element
-        pts = (kv.breakpoints[:-1, None] + np.diff(kv.breakpoints)[:, None] * gauss_rule(p).points).ravel()
+        pts = (kv.breakpoints[:-1, None] + np.diff(kv.breakpoints)[:, None] * gauss_rule(p)[0]).ravel()
         deriv = np.array(
             [[naive_bspline_deriv(kv.knots, j, p, x) for x in pts] for j in range(kv.numbasis)]
         )
@@ -376,16 +374,10 @@ class TestDerivativeMatrix:
 class TestQuadrature:
     @pytest.mark.parametrize("order", [1, 2, 3, 5])
     def test_polynomial_exactness(self, order):
-        rule = gauss_rule(order)
+        pts, wts = gauss_rule(order)
         for k in range(2 * order):
-            integral = float(rule.weights @ rule.points**k)
+            integral = float(wts @ pts**k)
             nt.assert_allclose(integral, 1.0 / (k + 1), rtol=1e-13)
-
-    def test_interval_mapping(self):
-        rule = gauss_rule(3, interval=(0.25, 0.75))
-        nt.assert_allclose(rule.weights.sum(), 0.5, rtol=1e-14)
-        nt.assert_allclose(float(rule.weights @ rule.points), 0.25, rtol=1e-13)
-        assert (rule.points > 0.25).all() and (rule.points < 0.75).all()
 
 
 class TestTensorSpace:
