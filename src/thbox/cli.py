@@ -18,7 +18,8 @@ rejected) and writes deterministic artifacts into the output directory:
 Exit codes: 0 on success; 2 when the experiment ran but its verification
 target failed (slope off, tolerance not reached, complex not exact) or
 could not be checked (a valid 3D ``derham-check`` complex above
-``MAX_RANK_CHECK_DOFS_3D`` dofs: one line on stderr, no report); 1 for
+``MAX_RANK_CHECK_DOFS_3D`` dofs, the largest size whose sparse factorization
+has been validated: one line on stderr, no report); 1 for
 configuration errors only.  Repeating a run with the same config and
 seed reproduces every artifact byte for byte.
 """

@@ -18,9 +18,13 @@ Two independent verification routes are provided:
   derivative of a degree-p B-spline is a two-term difference of
   degree-(p-1) B-splines on the same knots, and the reduced slots are
   exactly those spaces.  In a truncated basis each active function's own
-  row is its unit vector, so each map's coefficient-space differential is
-  those rows of its images; cohomology comes from their ranks, and each
-  map's residual checks that its images lie in the next slot.
+  row is its unit vector, so each map's sparse coefficient-space
+  differential ``G_k`` is those rows of its images, and each map's
+  residual checks that its images lie in the next slot.  The cohomology
+  is the kernel of the sparse symmetric Hodge-Dirac operator
+  ``sum_k (G_k + G_k^T)`` (discrete Hodge theory: Friedman 1998; Arnold,
+  Falk & Winther 2006), found by a shift-invert eigensolve on one sparse
+  LU factorization.
 
 For hierarchies refined by (p+1)-sized boxes on a box domain both routes
 agree and the cohomology is that of a contractible domain: (1, 0, ..., 0).
@@ -32,26 +36,34 @@ import itertools
 import numpy as np
 import scipy.sparse
 
-from .hierarchy import LevelSequence, build_thb, index_grid
-from .numerics import svd_rank
+from .hierarchy import LevelSequence, as_integer, build_thb, index_grid
 from .splinecore import derivative_matrix, uniform_space
 
-#: Relative singular-value cutoff for rank decisions.
+#: Eigenvalues of the Hodge-Dirac operator, scaled to largest entry 1, at
+#: most this far from zero span its kernel, the cohomology.
 RANK_REL_TOL = 1e-9
 
-#: Singular values between ``RANK_REL_TOL`` and this bound (relative to the
-#: largest one) make a rank decision unreliable; reports flag them.
+#: Eigenvalues between ``RANK_REL_TOL`` and this bound make the kernel
+#: dimension unreliable; reports flag them.
 RANK_BAND_TOL = 1e-7
 
-#: Total-dof bound above which the three-dimensional rank checks refuse to
-#: run.  The route needs no quadrature and no solve; its largest arrays are
-#: the dense differentials ``G_k`` and their SVDs.  The bound is the largest
-#: size whose run time and memory have been validated.
-MAX_RANK_CHECK_DOFS_3D = 4000
+#: Shift of the factorized Hodge-Dirac operator: below its smallest nonzero
+#: |eigenvalue| on the complexes measured (above 1e-2), so the eigenpairs
+#: nearest the shift are the kernel and the gap, and nonzero, so a singular
+#: operator still factors.
+HODGE_SHIFT = 1e-3
+
+#: Total-dof bound above which the three-dimensional exactness check
+#: refuses to run.  The route needs no quadrature; its largest array is the
+#: sparse LU factor of the Hodge-Dirac operator's Schur complement.  The
+#: bound is the largest size whose run time and memory have been
+#: validated: 79,677 dofs (p=2, 6x7x7 boxes, one central refinement) took
+#: about 6 s and 370 MB.
+MAX_RANK_CHECK_DOFS_3D = 79677
 
 
 class RankCheckLimitError(RuntimeError):
-    """A valid complex too large for the dense rank checks."""
+    """A valid complex too large for the exactness check."""
 
 
 def _component_degrees(degree):
@@ -113,13 +125,13 @@ class ComplexSpaces:
     """
 
     def __init__(self, hierarchy, degree, multiplicity=None):
-        degree = tuple(int(p) for p in degree)
+        degree = tuple(as_integer(p, "an entry of degree") for p in degree)
         n = len(degree)
         if hierarchy.dim != n:
             raise ValueError("degree/hierarchy dimension mismatch")
         if multiplicity is None:
             multiplicity = (1,) * n
-        multiplicity = tuple(int(m) for m in multiplicity)
+        multiplicity = tuple(as_integer(m, "an entry of multiplicity") for m in multiplicity)
         if len(multiplicity) != n:
             raise ValueError("degree/multiplicity dimension mismatch")
         if any(p < 2 for p in degree):
@@ -372,7 +384,7 @@ def _violating_bbox(flo, fhi, alo, ahi):
     return tuple(alo[rows].min(axis=0).tolist()), tuple(ahi[rows].max(axis=0).tolist())
 
 
-# -- rank-based route -------------------------------------------------------
+# -- linear-algebraic route -------------------------------------------------
 
 
 def _operator_matrix(sources, targets, terms):
@@ -417,7 +429,7 @@ def _column_norms(m):
 
 
 def _differential(cs, k):
-    """The coefficient-space differential ``G_k`` of map k, dense, and the
+    """The sparse coefficient-space differential ``G_k`` of map k and the
     worst relative column residual ``||D_k - B_{k+1} G_k|| / ||D_k||``.
 
     ``B_{k+1}`` is the block diagonal of the slot's stacked ``R_lv``
@@ -439,7 +451,7 @@ def _differential(cs, k):
     g = image[sel]
     resid = _column_norms(image - basis @ g)
     norms = np.maximum(_column_norms(image), np.finfo(float).tiny)
-    return g.toarray(), float(np.max(resid / norms))
+    return g, float(np.max(resid / norms))
 
 
 class ExactnessReport:
@@ -453,7 +465,7 @@ class ExactnessReport:
         assumption3a,
         assumption3b,
         band,
-        gaps=(),
+        gaps=(0.0, 0.0),
     ):
         self.cohomology = tuple(int(h) for h in cohomology)
         self.dims = tuple(int(d) for d in dims)
@@ -461,9 +473,10 @@ class ExactnessReport:
         self.assumption3a = assumption3a
         self.assumption3b = assumption3b
         self.band = tuple(float(b) for b in band)
-        #: per map, (smallest kept, largest dropped) singular value of its
-        #: coefficient-space differential relative to the largest one
-        self.gaps = tuple((float(k), float(d)) for k, d in gaps)
+        #: (smallest kept, largest dropped) |eigenvalue| of the scaled
+        #: Hodge-Dirac operator: the nearest to zero outside its kernel and
+        #: the farthest inside it (0.0 for an empty kernel)
+        self.gaps = tuple(float(g) for g in gaps)
         #: conditions taken as given rather than verified: the component
         #: spaces are built over one shared hierarchy with box size
         #: degree+1, which makes the inter-space differentiation and
@@ -493,7 +506,7 @@ class ExactnessReport:
 
     @property
     def indeterminate(self):
-        """True when singular values fall in the unreliable rank band."""
+        """True when eigenvalues fall in the unreliable band."""
         return bool(self.band)
 
     @property
@@ -514,8 +527,78 @@ class ExactnessReport:
         )
 
 
+def _hodge_dirac_kernel(gs):
+    """Cohomology of the complex with sparse differentials ``gs`` (``G_k``:
+    slot k to slot k+1) from the kernel of its Hodge-Dirac operator.
+
+    ``D = sum_k (G_k + G_k^T)``, scaled here to largest |entry| 1, is
+    symmetric, and since ``G_{k+1} G_k = 0`` its kernel is the direct sum
+    of the slots' harmonic spaces.  With the even slots first ``D`` is
+    ``[[0, B^T], [B, 0]]``, so eliminating the even block ``-HODGE_SHIFT *
+    I`` of ``D - HODGE_SHIFT * I`` leaves ``(B B^T - HODGE_SHIFT^2 I) /
+    HODGE_SHIFT`` on the odd slots, the block diagonal of their Hodge
+    Laplacians shifted, which SuperLU factors (COLAMD, partial pivoting).
+    ARPACK's shift-invert mode returns the eigenpairs of ``D`` nearest the
+    shift from a seeded start vector.  The eigenvectors with |eigenvalue|
+    at most ``RANK_REL_TOL`` are an orthonormal kernel basis; its rows in
+    slot k have singular values 1 or 0, so ``h_k`` is their squared
+    Frobenius norm.  Returns ``(cohomology, band, (kept, dropped))``: the
+    cohomology per slot, the |eigenvalues| in ``(RANK_REL_TOL,
+    RANK_BAND_TOL]``, and the smallest |eigenvalue| outside the kernel and
+    the largest inside it (0.0 for an empty kernel).
+    ``scipy.sparse.linalg`` is imported here, not with the package.
+    """
+    import scipy.sparse.linalg
+
+    dims = [gs[0].shape[1]] + [g.shape[0] for g in gs]
+    even, odd = range(0, len(dims), 2), range(1, len(dims), 2)
+    scale = max(abs(g).max() for g in gs)
+    b = scipy.sparse.bmat(
+        [[gs[j] if j == k - 1 else gs[k].T if j == k + 1 else None for j in even] for k in odd],
+        format="csr",
+    ) / scale
+    lu = scipy.sparse.linalg.splu(
+        (b @ b.T - HODGE_SHIFT**2 * scipy.sparse.identity(b.shape[0])).tocsc(),
+        permc_spec="COLAMD",
+        diag_pivot_thresh=1.0,
+    )
+    ne = b.shape[1]
+
+    def solve(x):
+        """``(D - HODGE_SHIFT * I)^{-1} x``, even slots first."""
+        y = lu.solve(HODGE_SHIFT * x[ne:] + b @ x[:ne])
+        return np.concatenate([(b.T @ y - x[:ne]) / HODGE_SHIFT, y])
+
+    n = sum(dims)
+    # shift-invert mode reads only the shape of its first argument
+    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=solve, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    nev = 2  # an exact complex: its one kernel vector and the gap
+    while True:
+        # Ritz residuals below 1e-12 |nu| put each eigenvalue within 1e-12
+        # times its distance to the shift of the exact one
+        lam, vec = scipy.sparse.linalg.eigsh(
+            op, nev, sigma=HODGE_SHIFT, OPinv=op, v0=v0, tol=1e-12
+        )
+        # every eigenvalue nearer the shift than the farthest one returned
+        # is among them: once that radius passes the band, so is every
+        # eigenvalue the verdict reads
+        if np.abs(lam - HODGE_SHIFT).max() > HODGE_SHIFT + RANK_BAND_TOL:
+            break
+        nev *= 2
+    lam = np.abs(lam)
+    kernel = lam <= RANK_REL_TOL
+    order = [*even, *odd]
+    bounds = np.cumsum([0] + [dims[k] for k in order])
+    weights = {k: round(np.sum(vec[a:c, kernel] ** 2)) for k, a, c in zip(order, bounds, bounds[1:])}
+    band = sorted(float(v) for v in lam[~kernel] if v <= RANK_BAND_TOL)
+    gaps = (lam[~kernel].min(), lam[kernel].max(initial=0.0))
+    return [weights[k] for k in range(len(dims))], band, gaps
+
+
 def exactness_report(cs):
-    """Cohomology dimensions of the complex via the ranks of its maps.
+    """Cohomology dimensions of the complex from the kernel of its
+    Hodge-Dirac operator.
 
     Map k's images ``D_k`` are the B-spline coefficients, on the rows of
     slot k+1's ``R_lv``, of its difference matrices applied to slot k's
@@ -523,34 +606,24 @@ def exactness_report(cs):
     is its basis ``B_{k+1}``.  The level-``lv`` B-splines on the active
     level-``lv`` elements are linearly independent there, so equal
     functions have equal rows and no quadrature is needed.  ``D_k =
-    B_{k+1} G_k`` gives ``G_k`` as the rows of ``D_k`` at the identity
-    rows of ``B_{k+1}`` (:func:`_differential`), and since ``B_{k+1}`` has
-    full column rank, ``rank D_k = rank G_k``, read off the small dense
-    ``G_k`` (``ndof_{k+1} x ndof_k``) by :func:`~thbox.numerics.svd_rank`
-    with relative threshold 1e-9.  Singular values between 1e-9 and 1e-7
-    of the largest one mark the verdict indeterminate.  The report also
-    carries the worst relative residual over every map, the per-map rank
-    gaps and the combinatorial check verdicts for adjacent levels.
-    Raises :class:`RankCheckLimitError` above
+    B_{k+1} G_k`` gives the sparse ``G_k`` as the rows of ``D_k`` at the
+    identity rows of ``B_{k+1}`` (:func:`_differential`).  The cohomology
+    is the kernel of ``sum_k (G_k + G_k^T)``, read off the eigenpairs
+    nearest zero of one sparse shifted factorization
+    (:func:`_hodge_dirac_kernel`) with threshold ``RANK_REL_TOL`` = 1e-9;
+    eigenvalues between 1e-9 and ``RANK_BAND_TOL`` = 1e-7 mark the verdict
+    indeterminate.  The report also carries the worst relative residual
+    over every map, the spectral gap and the combinatorial check verdicts
+    for adjacent levels.  Raises :class:`RankCheckLimitError` above
     :data:`MAX_RANK_CHECK_DOFS_3D` dofs in 3D.
     """
     if cs.dim == 3 and sum(cs.dims) > MAX_RANK_CHECK_DOFS_3D:
         raise RankCheckLimitError(
-            "three-dimensional rank checks are limited to %d total dofs, "
+            "three-dimensional exactness checks are limited to %d total dofs, "
             "got %d" % (MAX_RANK_CHECK_DOFS_3D, sum(cs.dims))
         )
-    # ranks[k]: the rank of the map into slot k (none into slot 0 or out of the last)
-    ranks, band, gaps, residual = [0], [], [], 0.0
-    for k in range(cs.dim):
-        g, resid = _differential(cs, k)
-        rank, gap, rel = svd_rank(g, RANK_REL_TOL)
-        ranks.append(rank)
-        band.extend(float(r) for r in rel[:rank] if r <= RANK_BAND_TOL)
-        gaps.append(gap)
-        residual = max(residual, resid)
-    ranks.append(0)
-    dims = cs.dims
-    cohomology = [d - ranks[k] - ranks[k + 1] for k, d in enumerate(dims)]
+    fits = [_differential(cs, k) for k in range(cs.dim)]
+    cohomology, band, gaps = _hodge_dirac_kernel([g for g, _ in fits])
 
     pass3a, pass3b = AssumptionVerdict(True), AssumptionVerdict(True)
     for lv in range(cs.hierarchy.num_levels - 1):
@@ -558,4 +631,5 @@ def exactness_report(cs):
             pass3a = check_assumption_3a(cs.v0, lv)
         if pass3b:
             pass3b = check_assumption_3b(cs.v0, lv)
-    return ExactnessReport(cohomology, dims, residual, pass3a, pass3b, band, gaps)
+    residual = max(resid for _, resid in fits)
+    return ExactnessReport(cohomology, cs.dims, residual, pass3a, pass3b, band, gaps)

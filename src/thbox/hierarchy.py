@@ -118,6 +118,12 @@ def require_no_box(boxes, bad, lv, what):
         raise ValueError("box %s at level %d %s" % (tuple(boxes[bad][0].tolist()), lv, what))
 
 
+def require_on_grid(boxes, shape, lv):
+    """ValueError naming the first level-``lv`` box of ``boxes`` (n, dim) off
+    the box grid ``shape``."""
+    require_no_box(boxes, np.any((boxes < 0) | (boxes >= shape), axis=1), lv, "is off the grid")
+
+
 def _field_values(f, pts):
     """Values of the field ``f`` at points (npts, dim): a finite (npts,) array."""
     vals = np.asarray(f(pts), dtype=float)
@@ -177,8 +183,8 @@ class DomainHierarchy:
     """
 
     def __init__(self, q, boxes_level0, refined=()):
-        self.q = tuple(int(v) for v in q)
-        self.boxes_level0 = tuple(int(v) for v in boxes_level0)
+        self.q = tuple(as_integer(v, "an entry of q") for v in q)
+        self.boxes_level0 = tuple(as_integer(v, "an entry of boxes_level0") for v in boxes_level0)
         if len(self.q) != len(self.boxes_level0):
             raise ValueError("q and boxes_level0 must have equal length")
         if any(v < 1 for v in self.q) or any(v < 1 for v in self.boxes_level0):
@@ -192,8 +198,7 @@ class DomainHierarchy:
         for lv, boxes in enumerate(refined):
             boxes = index_array(boxes, self.dim, "level-%d boxes" % lv)
             shape = self.boxes_shape(lv)
-            outside = np.any((boxes < 0) | (boxes >= shape), axis=1)
-            require_no_box(boxes, outside, lv, "is off the grid")
+            require_on_grid(boxes, shape, lv)
             if lv:
                 require_no_box(boxes, ~self.refined_mask(lv - 1, boxes // 2), lv, "is not nested")
             self.refined_ids.append(np.unique(raveled(boxes, shape)))

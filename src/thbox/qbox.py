@@ -56,6 +56,7 @@ from .hierarchy import (
     range_points,
     raveled,
     require_no_box,
+    require_on_grid,
     sorted_lookup,
     unraveled,
 )
@@ -112,12 +113,14 @@ def support_extension_rect(space, lv, boxes, k):
     level-``k`` boxes sharing a level-``k`` B-spline support with it: the
     boxes met by the supports of the first and the last B-spline on the
     box's level-``k`` elements.  ``lv`` and ``k`` must be levels of the
-    space (:func:`~thbox.hierarchy.as_level`).
+    space (:func:`~thbox.hierarchy.as_level`) and ``boxes`` on the
+    level-``lv`` box grid; ValueError otherwise.
     """
     lv = as_level(lv, space.num_levels, "space")
     k = as_level(k, space.num_levels, "space")
     q = np.array(space.hierarchy.q)
     boxes = index_array(boxes, space.dim, "level-%d boxes" % lv)
+    require_on_grid(boxes, space.hierarchy.boxes_shape(lv), lv)
     first, last = q * boxes, q * (boxes + 1) - 1
     if k >= lv:
         first, last = first << (k - lv), ((last + 1) << (k - lv)) - 1
@@ -323,8 +326,7 @@ class QBoxMesh:
         level of the mesh and every box lies on its box grid."""
         lv = as_level(lv, self.num_levels, "mesh")
         boxes = index_array(boxes, self.hierarchy.dim, "level-%d boxes" % lv)
-        off = np.any((boxes < 0) | (boxes >= self._shapes[lv]), axis=1)
-        require_no_box(boxes, off, lv, "is off the grid")
+        require_on_grid(boxes, self._shapes[lv], lv)
         return boxes
 
     def box_bounds(self, lv, box):

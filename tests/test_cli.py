@@ -180,16 +180,25 @@ class TestDerhamCheck:
         assert report["dims"] == [91, 166, 76]
         capsys.readouterr()
 
-    def test_complex_over_rank_check_limit_exits_two(self, tmp_path, capsys):
-        # a valid 3D config of 4,887 dofs that the dense rank check refuses:
-        # not a config error, and no report
+    def test_refined_three_dimensional_complex_exact(self, tmp_path, capsys):
+        # one central refinement, 4,887 dofs
         code, out = run_cli(
             tmp_path, {"kind": "derham-check", "dim": 3, "central_refinements": 1}
         )
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert sum(report["dims"]) == 4887
+        assert report["cohomology"] == [1, 0, 0, 0] and report["verdict"] == "exact"
+        capsys.readouterr()
+
+    def test_complex_over_rank_check_limit_exits_two(self, tmp_path, capsys):
+        # a valid 3D config of 91,125 dofs that the exactness check refuses:
+        # not a config error, and no report
+        code, out = run_cli(tmp_path, {"kind": "derham-check", "dim": 3, "boxes": 7})
         assert code == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
-        assert "4000" in err and "config error" not in err
+        assert "79677" in err and "91125" in err and "config error" not in err
         assert not (out / "report.json").exists()
 
 

@@ -26,7 +26,7 @@ from thbox.derham import (
     exactness_report,
     interior_functions,
 )
-from thbox.derham import RANK_REL_TOL, _differential, _monotone_chain
+from thbox.derham import RANK_REL_TOL, _differential, _hodge_dirac_kernel, _monotone_chain
 from thbox.hierarchy import DomainHierarchy, LevelSequence, build_hb, build_thb
 from thbox.numerics import svd_rank
 from thbox.splinecore import uniform_space
@@ -266,6 +266,19 @@ class TestComplexConstruction:
         with pytest.raises(ValueError, match="dimension"):
             build_complex(h, (2, 2, 2))
 
+    @pytest.mark.parametrize(
+        "degree, multiplicity, field",
+        [((2.7, 2.2), None, "degree"), ((2, True), None, "degree"),
+         ((2, 2), (1.0, 1), "multiplicity"), ((2, 2), (1, np.True_), "multiplicity")],
+        ids=["float-degree", "bool-degree", "float-multiplicity", "bool-multiplicity"],
+    )
+    def test_rejects_non_integer_entries(self, degree, multiplicity, field):
+        # one integer rule (as_integer), not a cast that truncates 2.7 to 2
+        h = DomainHierarchy((3, 3), (2, 2))
+        with pytest.raises(ValueError, match="an entry of %s must be an integer" % field):
+            build_complex(h, degree, multiplicity)
+        assert build_complex(h, np.array([2, 2]), (np.int64(1), 1)).degree == (2, 2)
+
     def test_multiplicity_two_builds(self):
         h = DomainHierarchy((4, 4), (2, 2))
         cs = build_complex(h, (3, 3), multiplicity=(2, 2))
@@ -487,6 +500,7 @@ def map_fits(cs):
     out = []
     for k in range(cs.dim):
         fit, resid = _differential(cs, k)
+        fit = fit.toarray()
         out.append((svd_rank(fit, RANK_REL_TOL)[0], resid, fit))
     return out
 
@@ -578,6 +592,7 @@ class TestExactnessReport:
         assert r1.cohomology == r2.cohomology
         assert r1.containment_residual == r2.containment_residual
         assert r1.band == r2.band
+        assert r1.gaps == r2.gaps
         assert r1.dims == r2.dims
 
     def test_three_dimensional_exactness(self):
@@ -598,9 +613,9 @@ class TestExactnessReport:
         assert rep.containment_residual == max(resid for _, resid, _ in fits)
 
     def test_three_dimensional_size_gate(self):
-        h = DomainHierarchy((3, 3, 3), (2, 2, 2), [{(1, 1, 1)}])
-        cs = build_complex(h, (2, 2, 2))
-        with pytest.raises(RankCheckLimitError, match="4000"):
+        # 91,125 dofs, past the largest validated complex
+        cs = build_complex(DomainHierarchy((3, 3, 3), (7, 7, 7)), (2, 2, 2))
+        with pytest.raises(RankCheckLimitError, match="79677 total dofs, got 91125"):
             exactness_report(cs)
         # a valid complex over the limit is not a configuration error
         assert not issubclass(RankCheckLimitError, ValueError)
@@ -653,3 +668,25 @@ class TestDenseRankOracle:
     def test_three_dimensional_complex(self):
         cs = build_complex(DomainHierarchy((3, 3, 3), (1, 2, 2)), (2, 2, 2))
         assert assert_matches_dense_oracle(cs) == (1, 0, 0, 0)
+
+
+class TestHodgeDiracKernel:
+    """The cohomology of complexes that are not exact, against the dense
+    ranks of the same sparse differentials."""
+
+    @pytest.mark.parametrize("r", [2, 3, 5])
+    def test_dropped_head_functions(self, r):
+        # V_0 without r of its functions is still a complex: G_0 loses the
+        # constants from its kernel and r - 1 from its rank, so the
+        # cohomology is (0, r - 1, 0)
+        h = DomainHierarchy((3, 3), (2, 2), [{(0, 1), (1, 1)}])
+        cs = build_complex(h, (2, 2))
+        g0, g1 = (_differential(cs, k)[0] for k in range(2))
+        drop = np.random.default_rng(r).choice(g0.shape[1], r, replace=False)
+        gs = [g0[:, np.setdiff1d(np.arange(g0.shape[1]), drop)], g1]
+        cohomology, band, (kept, dropped) = _hodge_dirac_kernel(gs)
+        ranks = [0] + [svd_rank(g.toarray(), RANK_REL_TOL)[0] for g in gs] + [0]
+        dims = [gs[0].shape[1], g1.shape[1], g1.shape[0]]
+        dense = [d - ranks[k] - ranks[k + 1] for k, d in enumerate(dims)]
+        assert cohomology == dense == [0, r - 1, 0]
+        assert band == [] and kept >= 1e-6 and dropped <= 1e-12

@@ -178,6 +178,18 @@ class TestDomainHierarchy:
             DomainHierarchy((2, 2), (2, 2), [{(0,)}])  # wrong dimension
 
     @pytest.mark.parametrize(
+        "q, boxes_level0, field",
+        [((2.5, 2), (2, 2), "q"), ((True, 2), (2, 2), "q"), ((2, 2), (2.9, 2), "boxes_level0"),
+         ((2, 2), (2, np.True_), "boxes_level0")],
+        ids=["float-q", "bool-q", "float-boxes", "bool-boxes"],
+    )
+    def test_rejects_non_integer_sizes(self, q, boxes_level0, field):
+        # one integer rule (as_integer), not a cast that truncates 2.5 to 2
+        with pytest.raises(ValueError, match="an entry of %s must be an integer" % field):
+            DomainHierarchy(q, boxes_level0)
+        assert DomainHierarchy(np.array([2, 3]), (np.int64(2), 1)).q == (2, 3)
+
+    @pytest.mark.parametrize(
         "refined",
         [[[(1.5, 2)]], [[(1.0, 2)]], [[(True, 1)]], [[(True, False)]], [[(1, 2, 0)]],
          [[(1,)]], [[(1, 2), (1,)]], [5], 5, [None]],

@@ -412,6 +412,12 @@ class TestSupportExtension:
         hi = max(b[0] for b in got), max(b[1] for b in got)
         assert lo == (1, 1) and hi == (3, 3)
 
+    @pytest.mark.parametrize("box", [(99, 99), (-5, 0), (2, 0)])
+    def test_off_grid_box_named(self, box):
+        space = _space(DomainHierarchy((3, 3), (2, 2)), 2)
+        with pytest.raises(ValueError, match=r"box \(%d, %d\) at level 0 is off the grid" % box):
+            support_extension_rect(space, 0, [(0, 0), box], 0)
+
     def test_corner_box_clipped(self):
         hier = DomainHierarchy((2, 2), (4, 4))
         space = _space(hier, 2)
