@@ -4,16 +4,18 @@ The drivers in this module share one skeleton (:func:`adapt_loop`): solve
 on the current space, attach a nonnegative indicator to every active box,
 record a trace step, and stop once the largest indicator falls below the
 configured tolerance; otherwise refine the Dörfler set of boxes and, on a
-configurable cadence, coarsen the weakest refined regions.  Indicator
-fields are plain dicts mapping active ``(level, box)`` keys to values
-``eta(P) >= 0``; the built-in estimators fold per-level element arrays
-into them with one array reduction (:func:`~thbox.qbox.box_reduce`).  Two
+configurable cadence, coarsen the weakest refined regions.  An indicator
+field is one array per level, one value ``eta(P) >= 0`` per active box in
+sorted box-id order (:func:`~thbox.qbox.box_reduce`).  Marking works on it
+flattened level-major, the order in which ``(level, box)`` pairs sort; the
+pairs are built only for the marked boxes handed to the mesh change.  Two
 concrete loops are provided: adaptive local projection
 (:func:`adapt_project`) and an adaptive Poisson solver
 (:func:`adapt_poisson`) built on :func:`poisson_solve` and the interior
 residual estimator.
 
-Everything is deterministic: marking sorts boxes canonically, and assembly
+Everything is deterministic: marking ranks boxes by a stable sort and sums
+in order (``np.cumsum``, never the pairwise ``np.sum``), and assembly
 is one congruence ``E^T blockdiag(M_e) E`` over the element blocks of all
 levels in canonical order (:func:`~thbox.hierarchy.galerkin`), so
 serialized runs are byte-identical.  Trace rows carry no timings.
@@ -24,7 +26,8 @@ import itertools
 import numpy as np
 
 from .bezier import bezier_project, error_report
-from .hierarchy import as_integer, galerkin, gauss_tensor, index_grid, unraveled
+from .hierarchy import (as_integer, galerkin, gauss_tensor, index_grid, raveled, sorted_lookup,
+                        unraveled)
 from .numerics import sparse_solve
 from .qbox import AdmissibilityPolicy, box_reduce, coarsen_qboxes, refine_qboxes
 
@@ -101,95 +104,93 @@ class AdaptiveConfig:
         )
 
 
-def _rounded(s):
-    """``s`` rounded to 10 significant digits: the marking order's sort key.
+def _rounded(values):
+    """``values`` rounded to 10 significant digits: the marking order's sort key.
 
     Indicators that agree up to rounding (mirror-image boxes of a symmetric
-    field, say) then tie, and the box key decides between them.
+    field, say) then tie, and the position decides between them.
     """
-    return float("%.9e" % s)
+    return np.array([float("%.9e" % v) for v in values.tolist()])
 
 
-def _checked_items(indicators):
-    """Indicator items sorted by decreasing rounded square, ties by box key."""
-    items = sorted(indicators.items(), key=lambda kv: (-_rounded(kv[1] * kv[1]), kv[0]))
-    for key, val in items:
-        if not np.isfinite(val) or val < 0.0:
-            raise ValueError("indicator of box %r must be finite and >= 0" % (key,))
-    return items
+def _flat(indicators):
+    """A per-level indicator field as one level-major array; ValueError
+    naming the level of an entry that is NaN, infinite or negative."""
+    levels = [np.asarray(eta, dtype=float) for eta in indicators]
+    for lv, eta in enumerate(levels):
+        if not (np.isfinite(eta) & (eta >= 0.0)).all():
+            raise ValueError("indicators of level %d must be finite and >= 0" % lv)
+    return np.concatenate([np.zeros(0)] + levels)
 
 
 def dorfler_mark(indicators, theta):
     """Minimal Dörfler set: greedy marking by decreasing squared indicator.
 
-    Returns the smallest set ``M`` of keys whose squared indicators sum to
-    at least ``theta`` times the total, accumulating boxes by decreasing
-    ``eta(P)**2`` rounded to 10 significant digits, with ties broken
-    lexicographically by box key; the sums use the unrounded squares.  An
-    all-zero field yields the empty set; ``theta = 1`` marks every box
-    with a positive indicator.
+    ``indicators`` holds one array per level.  Returns per level the boolean
+    mask of the smallest set whose squared indicators sum to at least
+    ``theta`` times the total, accumulating boxes by decreasing
+    ``eta(P)**2`` rounded to 10 significant digits, with ties broken by
+    level-major position; the sums use the unrounded squares.  An all-zero
+    field marks nothing; ``theta = 1`` marks every box with a positive
+    indicator.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError("marking parameter must lie in (0, 1]")
-    items = _checked_items(indicators)
-    squares = [val * val for _, val in items]
-    total = 0.0
-    for s in squares:
-        total += s
-    if total == 0.0:
-        return set()
+    eta = _flat(indicators)
+    squares = eta * eta
+    order = np.argsort(-_rounded(squares), kind="stable")
+    before = np.cumsum(np.concatenate([[0.0], squares[order]]))
     if theta == 1.0:
-        return {key for key, val in items if val > 0.0}
-    goal = min(theta * total, total)
-    marked = set()
-    cum = 0.0
-    for (key, _), s in zip(items, squares):
-        if cum >= goal:
-            break
-        marked.add(key)
-        cum += s
-    return marked
+        marked = (eta > 0.0) & (before[-1] > 0.0)
+    else:
+        marked = np.zeros(len(eta), dtype=bool)
+        marked[order[: np.searchsorted(before[:-1], theta * before[-1])]] = True
+    return np.split(marked, np.cumsum([len(e) for e in indicators])[:-1])
 
 
-def _coarsen_candidates(space, indicators, protected):
+def _coarsen_candidates(space, squares, protected):
     """Refined boxes whose children are all active and none protected.
 
-    Returns a dict mapping each candidate parent ``(level, box)`` to the
-    sum of its children's squared indicators.
+    ``squares`` and ``protected`` run level-major over the active boxes.
+    Returns per level the candidates' raveled ids, and one level-major
+    array of the sums of their children's squares, added one child at a
+    time in ``index_grid`` order.
     """
     hier = space.hierarchy
-    out = {}
+    start = np.cumsum([0] + [len(hier._active_box_ids(lv)) for lv in range(hier.num_levels)])
+    parents, sums = [], [np.zeros(0)]
     for lv, ids in enumerate(hier.refined_ids):
-        boxes = unraveled(ids, hier.boxes_shape(lv))
-        kids = 2 * boxes[:, None, :] + index_grid((2,) * hier.dim)
-        free = ~hier.refined_mask(lv + 1, kids).any(axis=1)
-        for box, children in zip(boxes[free].tolist(), kids[free].tolist()):
-            children = [(lv + 1, tuple(c)) for c in children]
-            if any(c in protected for c in children):
-                continue
-            out[(lv, tuple(box))] = sum(indicators.get(c, 0.0) ** 2 for c in children)
-    return out
+        kids = 2 * unraveled(ids, hier.boxes_shape(lv))[:, None, :] + index_grid((2,) * hier.dim)
+        shape = hier.boxes_shape(lv + 1)
+        pos, active = sorted_lookup(hier._active_box_ids(lv + 1), raveled(kids, shape))
+        full = active.all(axis=1)
+        rows = start[lv + 1] + pos[full]
+        free = ~protected[rows].any(axis=1)
+        parents.append(ids[full][free])
+        sums.append(sum(squares[rows[free]].T, np.zeros(free.sum())))  # child by child
+    return parents, np.concatenate(sums)
 
 
-def _coarsen_mark(candidates, total_sq, theta):
+def _coarsen_mark(sums, total_sq, theta):
     """Maximal low-indicator prefix with squared sum <= theta * total_sq.
 
     Candidates are ordered by increasing squared sum rounded to 10
-    significant digits, ties by key; the prefix sum uses the unrounded
-    values.
+    significant digits, ties by position; the prefix sum uses the
+    unrounded values.  Returns the boolean mask of the prefix.
     """
-    if theta <= 0.0:
-        return set()
-    items = sorted(candidates.items(), key=lambda kv: (_rounded(kv[1]), kv[0]))
-    allowance = theta * total_sq
-    marked = set()
-    cum = 0.0
-    for key, s in items:
-        if cum + s > allowance:
-            break
-        marked.add(key)
-        cum += s
+    order = np.argsort(_rounded(sums), kind="stable")
+    marked = np.zeros(len(sums), dtype=bool)
+    marked[order[: np.searchsorted(np.cumsum(sums[order]), theta * total_sq, "right")]] = True
     return marked
+
+
+def _pairs(hier, ids, mask):
+    """The ``(level, box)`` pairs of the per-level raveled box ids ``ids``
+    flagged in the level-major ``mask``: marked boxes as
+    :func:`refine_qboxes` and :func:`coarsen_qboxes` take them."""
+    masks = np.split(mask, np.cumsum([len(level_ids) for level_ids in ids])[:-1])
+    return [(lv, tuple(box)) for lv, (level_ids, m) in enumerate(zip(ids, masks))
+            for box in unraveled(level_ids[m], hier.boxes_shape(lv)).tolist()]
 
 
 class TraceStep:
@@ -277,8 +278,11 @@ def adapt_loop(space, solve, estimate, cfg):
 
     ``solve(space)`` produces a solution object and ``estimate(space,
     solution)`` returns a pair ``(indicators, metrics)``: the indicator
-    field and a dict that may carry ``"error_l2"``/``"error_linf"`` for the
-    trace.
+    field, one array per level aligned with that level's sorted active box
+    ids, and a dict that may carry ``"error_l2"``/``"error_linf"`` for the
+    trace.  A field with the wrong number of levels or entries, or with an
+    entry that is NaN, infinite or negative, raises ValueError naming the
+    level.
     Each pass records a :class:`TraceStep`; the loop stops once every
     indicator is below ``cfg.tolerance``, and otherwise refines the
     Dörfler set of boxes.  Every ``cfg.coarsen_cadence`` passes (when
@@ -293,9 +297,14 @@ def adapt_loop(space, solve, estimate, cfg):
     for it in range(cfg.max_iterations):
         solution = solve(space)
         indicators, metrics = estimate(space, solution)
-        eta_sq_total = 0.0
-        for key in sorted(indicators):
-            eta_sq_total += indicators[key] ** 2
+        hier = space.hierarchy
+        active = [hier._active_box_ids(lv) for lv in range(hier.num_levels)]
+        for lv, (eta, ids) in enumerate(itertools.zip_longest(indicators, active)):
+            if eta is None or ids is None or np.shape(eta) != ids.shape:
+                raise ValueError("indicators of level %d must be one per active box" % lv)
+        eta = _flat(indicators)
+        squares = eta * eta
+        eta_sq_total = np.cumsum(squares)[-1]  # in order: np.sum pairs
         steps.append(
             TraceStep(
                 it,
@@ -305,34 +314,20 @@ def adapt_loop(space, solve, estimate, cfg):
                 np.sqrt(eta_sq_total),
             )
         )
-        if max(indicators.values(), default=0.0) < cfg.tolerance:
+        if eta.max() < cfg.tolerance:
             converged = True
             break
         if it == cfg.max_iterations - 1:
             break
-        marked = dorfler_mark(indicators, cfg.theta_refine)
-        fires = (
-            cfg.coarsen_cadence > 0
-            and cfg.theta_coarsen > 0.0
-            and (it + 1) % cfg.coarsen_cadence == 0
-        )
-        if fires:
-            candidates = _coarsen_candidates(space, indicators, marked)
-            weakest = _coarsen_mark(candidates, eta_sq_total, cfg.theta_coarsen)
-            if weakest:
-                space, _ = coarsen_qboxes(space, sorted(weakest), cfg.policy)
-        space = refine_qboxes(space, sorted(marked), cfg.policy)
+        marked = np.concatenate(dorfler_mark(indicators, cfg.theta_refine))
+        cadence = cfg.coarsen_cadence
+        if cfg.theta_coarsen > 0.0 and cadence > 0 and (it + 1) % cadence == 0:
+            parents, sums = _coarsen_candidates(space, squares, marked)
+            weakest = _coarsen_mark(sums, eta_sq_total, cfg.theta_coarsen)
+            if weakest.any():
+                space, _ = coarsen_qboxes(space, _pairs(hier, parents, weakest), cfg.policy)
+        space = refine_qboxes(space, _pairs(hier, active, marked), cfg.policy)
     return AdaptiveTrace(steps, converged, solution)
-
-
-def _indicators(reduced):
-    """The dict {(level, box): value} of :func:`~thbox.qbox.box_reduce`'s
-    per-level boxes and values, level-major in sorted box order."""
-    return {
-        (lv, box): value
-        for lv, (boxes, values) in enumerate(reduced)
-        for box, value in zip(map(tuple, boxes.tolist()), values.tolist())
-    }
 
 
 def adapt_project(f, space, cfg):
@@ -351,7 +346,7 @@ def adapt_project(f, space, cfg):
 
     def estimate(sp, result):
         rep = error_report(sp, f, result, norms=("l2", "linf"))
-        return _indicators(box_reduce(sp, rep.linf, np.maximum, -np.inf)), {
+        return box_reduce(sp, rep.linf, np.maximum, -np.inf), {
             "error_l2": rep.error_l2,
             "error_linf": rep.error_linf,
         }
@@ -437,7 +432,8 @@ def residual_estimator(space, solution, f):
     Every active element contributes ``diam(e)**2 * ||f +
     laplace(u_h)||**2`` (Gauss rule one order above the assembly rule);
     element contributions are summed per active box and the square roots
-    of the sums returned, keyed by ``(level, box)``.  Without facet-jump
+    of the sums returned, one array per level in sorted box-id order
+    (:func:`~thbox.qbox.box_reduce`).  Without facet-jump
     terms the estimator needs a C^1 space: a multiplicity at or above the
     degree raises ValueError.
     """
@@ -456,8 +452,7 @@ def residual_estimator(space, solution, f):
         sq = (res * (block.weights * res)).sum(axis=1)
         eta_sq[block.level] = (block.sizes**2).sum(axis=1) * sq
         del block  # freed before the next block is built
-    reduced = box_reduce(space, eta_sq, np.add, 0.0)
-    return _indicators([(boxes, np.sqrt(values)) for boxes, values in reduced])
+    return [np.sqrt(values) for values in box_reduce(space, eta_sq, np.add, 0.0)]
 
 
 def adapt_poisson(space, f, cfg, g=None, exact=None):

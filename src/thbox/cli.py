@@ -171,16 +171,16 @@ def _int_field(name, lo=None, hi=None):
     return coerce
 
 
-def _float_field(name, lo=None, hi=None, lo_open=False, hi_open=False):
+def _float_field(name, lo=None, hi=None):
     def coerce(value):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError("field %r must be a number" % name)
         value = float(value)
         if not np.isfinite(value):
             raise ConfigError("field %r must be finite" % name)
-        if lo is not None and (value < lo or (lo_open and value == lo)):
+        if lo is not None and value < lo:
             raise ConfigError("field %r is below its lower bound" % name)
-        if hi is not None and (value > hi or (hi_open and value == hi)):
+        if hi is not None and value > hi:
             raise ConfigError("field %r is above its upper bound" % name)
         return value
 
@@ -216,14 +216,16 @@ _COMMON_FIELDS = {
     "out_dir": (".", _str_field("out_dir")),
 }
 
+#: JSON type and finiteness only: the ranges are AdaptiveConfig's and
+#: AdmissibilityPolicy's, raised as a ConfigError by _adaptive_config.
 _ADAPT_FIELDS = {
-    "theta_refine": (0.5, _float_field("theta_refine", 0.0, 1.0, lo_open=True)),
-    "theta_coarsen": (0.0, _float_field("theta_coarsen", 0.0, 1.0, hi_open=True)),
-    "admissibility_class": (2, _int_field("admissibility_class", 2)),
-    "tolerance": (1e-4, _float_field("tolerance", 0.0, lo_open=True)),
-    "max_iterations": (25, _int_field("max_iterations", 1)),
-    "coarsen_cadence": (0, _int_field("coarsen_cadence", 0)),
-    "max_levels": (10, _int_field("max_levels", 1)),
+    "theta_refine": (0.5, _float_field("theta_refine")),
+    "theta_coarsen": (0.0, _float_field("theta_coarsen")),
+    "admissibility_class": (2, _int_field("admissibility_class")),
+    "tolerance": (1e-4, _float_field("tolerance")),
+    "max_iterations": (25, _int_field("max_iterations")),
+    "coarsen_cadence": (0, _int_field("coarsen_cadence")),
+    "max_levels": (10, _int_field("max_levels")),
 }
 
 _SCHEMAS = {

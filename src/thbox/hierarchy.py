@@ -32,7 +32,7 @@ import json
 import numpy as np
 import scipy.sparse
 
-from .splinecore import basis_on_element, gauss_rule, two_scale_arrays
+from .splinecore import as_integer, basis_on_element, gauss_rule, two_scale_arrays
 
 
 def index_grid(shape):
@@ -92,15 +92,6 @@ def index_array(values, dim, what):
     if not ints or values.ndim != 2 or values.shape[1] != dim:
         raise ValueError("%s must be integer multi-indices of dimension %d" % (what, dim))
     return values.astype(np.int64, copy=False)
-
-
-def as_integer(value, what):
-    """``value`` as an int; ValueError naming ``what`` for a bool, a float or
-    any other non-integer (numpy integers pass).  The one rule for integer
-    identifiers, levels and counts that come from outside."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ValueError("%s must be an integer, got %r" % (what, value))
-    return int(value)
 
 
 def as_level(lv, num_levels, owner):

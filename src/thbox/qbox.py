@@ -288,9 +288,9 @@ def box_reduce(space, levels, ufunc, initial):
     ``levels[lv]`` holds one value per active level-``lv`` element, aligned
     with ``space.element_rows(lv)[0]``.  Boxes are refined whole, so an
     active element lies in the active box ``element // q``, looked up in the
-    hierarchy's sorted active box ids.  Returns per level the active boxes
-    (n, dim) in sorted id order and, for each, ``ufunc.at`` of its elements'
-    values from ``initial``.
+    hierarchy's sorted active box ids.  Returns per level one value per
+    active box, in sorted id order: ``ufunc.at`` of its elements' values
+    from ``initial``.
     """
     hier = space.hierarchy
     out = []
@@ -300,7 +300,7 @@ def box_reduce(space, levels, ufunc, initial):
         box = sorted_lookup(ids, raveled(space.element_rows(lv)[0] // hier.q, shape))[0]
         acc = np.full(len(ids), initial)
         ufunc.at(acc, box, values)
-        out.append((unraveled(ids, shape), acc))
+        out.append(acc)
     return out
 
 
@@ -417,5 +417,5 @@ class QBoxMesh:
         lo, hi = zip(*self.space.element_level_range())
         lo = box_reduce(self.space, lo, np.minimum, self.num_levels)
         hi = box_reduce(self.space, hi, np.maximum, -1)
-        return max(int(np.max(h - l + 1, initial=0)) for (_, l), (_, h) in zip(lo, hi))
+        return max(int(np.max(h - l + 1, initial=0)) for l, h in zip(lo, hi))
 

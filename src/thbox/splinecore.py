@@ -30,6 +30,15 @@ import numpy as np
 import scipy.sparse
 
 
+def as_integer(value, what):
+    """``value`` as an int; ValueError naming ``what`` for a bool, a float or
+    any other non-integer (numpy integers pass).  The one rule for integer
+    identifiers, levels and counts that come from outside."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError("%s must be an integer, got %r" % (what, value))
+    return int(value)
+
+
 def _as_breakpoints(breakpoints):
     pts = np.asarray(breakpoints, dtype=float)
     if pts.ndim != 1 or pts.size < 2:
@@ -46,15 +55,15 @@ class KnotVector:
 
     def __init__(self, breakpoints, degree, multiplicity=1):
         self.breakpoints = _as_breakpoints(breakpoints)
-        if degree < 0:
+        self.degree = as_integer(degree, "degree")
+        self.multiplicity = as_integer(multiplicity, "multiplicity")
+        if self.degree < 0:
             raise ValueError("degree must be non-negative")
-        if not 1 <= multiplicity <= degree + 1:
+        if not 1 <= self.multiplicity <= self.degree + 1:
             raise ValueError(
                 "multiplicity must satisfy 1 <= m <= p+1, got m=%d for p=%d"
-                % (multiplicity, degree)
+                % (self.multiplicity, self.degree)
             )
-        self.degree = int(degree)
-        self.multiplicity = int(multiplicity)
         interior = np.repeat(self.breakpoints[1:-1], self.multiplicity)
         self.knots = np.concatenate(
             [
@@ -274,7 +283,9 @@ def derivative_matrix(kv):
 
 def gauss_rule(order):
     """Gauss-Legendre ``(points, weights)`` of ``order`` points on [0, 1],
-    exact for degree 2*order-1."""
+    exact for degree 2*order-1; ValueError unless ``order`` is a positive
+    integer (:func:`as_integer`)."""
+    order = as_integer(order, "quadrature order")
     if order < 1:
         raise ValueError("quadrature order must be positive")
     x, w = np.polynomial.legendre.leggauss(order)

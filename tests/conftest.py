@@ -13,7 +13,14 @@ import scipy.linalg
 from hypothesis import strategies as st
 
 from thbox.derham import RANK_REL_TOL, _operators
-from thbox.hierarchy import DomainHierarchy, LevelSequence, build_thb, gauss_tensor
+from thbox.hierarchy import (
+    DomainHierarchy,
+    LevelSequence,
+    build_thb,
+    gauss_tensor,
+    index_grid,
+    unraveled,
+)
 from thbox.qbox import AdmissibilityPolicy, RefinementLimitError, refine_qboxes
 from thbox.splinecore import basis_on_element, uniform_space
 
@@ -299,6 +306,112 @@ def residual_oracle(space, coeffs, f):
             axis=1
         )
     return {key: float(np.sqrt(val)) for key, val in box_sum_oracle(space, eta_sq).items()}
+
+
+def indicator_dict(space, levels):
+    """{(level, box): value} of a per-level indicator field, read against the
+    sorted tuples of ``active_boxes``: the dict form the oracles below take."""
+    hier = space.hierarchy
+    out = {}
+    for lv, values in enumerate(levels):
+        boxes = hier.active_boxes(lv)
+        assert np.shape(values) == (len(boxes),)
+        out.update(zip(((lv, box) for box in boxes), np.asarray(values).tolist()))
+    return out
+
+
+# -- marking oracles: the dict marking the per-level arrays replaced ---------
+
+
+def _rounded(s):
+    """``s`` rounded to 10 significant digits: the marking order's sort key.
+
+    Indicators that agree up to rounding (mirror-image boxes of a symmetric
+    field, say) then tie, and the box key decides between them.
+    """
+    return float("%.9e" % s)
+
+
+def _checked_items(indicators):
+    """Indicator items sorted by decreasing rounded square, ties by box key."""
+    items = sorted(indicators.items(), key=lambda kv: (-_rounded(kv[1] * kv[1]), kv[0]))
+    for key, val in items:
+        if not np.isfinite(val) or val < 0.0:
+            raise ValueError("indicator of box %r must be finite and >= 0" % (key,))
+    return items
+
+
+def dorfler_oracle(indicators, theta):
+    """Minimal Dörfler set: greedy marking by decreasing squared indicator.
+
+    Returns the smallest set ``M`` of keys whose squared indicators sum to
+    at least ``theta`` times the total, accumulating boxes by decreasing
+    ``eta(P)**2`` rounded to 10 significant digits, with ties broken
+    lexicographically by box key; the sums use the unrounded squares.  An
+    all-zero field yields the empty set; ``theta = 1`` marks every box
+    with a positive indicator.
+    """
+    if not 0.0 < theta <= 1.0:
+        raise ValueError("marking parameter must lie in (0, 1]")
+    items = _checked_items(indicators)
+    squares = [val * val for _, val in items]
+    total = 0.0
+    for s in squares:
+        total += s
+    if total == 0.0:
+        return set()
+    if theta == 1.0:
+        return {key for key, val in items if val > 0.0}
+    goal = min(theta * total, total)
+    marked = set()
+    cum = 0.0
+    for (key, _), s in zip(items, squares):
+        if cum >= goal:
+            break
+        marked.add(key)
+        cum += s
+    return marked
+
+
+def coarsen_candidates_oracle(space, indicators, protected):
+    """Refined boxes whose children are all active and none protected.
+
+    Returns a dict mapping each candidate parent ``(level, box)`` to the
+    sum of its children's squared indicators.
+    """
+    hier = space.hierarchy
+    out = {}
+    for lv, ids in enumerate(hier.refined_ids):
+        boxes = unraveled(ids, hier.boxes_shape(lv))
+        kids = 2 * boxes[:, None, :] + index_grid((2,) * hier.dim)
+        free = ~hier.refined_mask(lv + 1, kids).any(axis=1)
+        for box, children in zip(boxes[free].tolist(), kids[free].tolist()):
+            children = [(lv + 1, tuple(c)) for c in children]
+            if any(c in protected for c in children):
+                continue
+            out[(lv, tuple(box))] = sum(indicators.get(c, 0.0) ** 2 for c in children)
+    return out
+
+
+def coarsen_mark_oracle(candidates, total_sq, theta):
+    """Maximal low-indicator prefix with squared sum <= theta * total_sq.
+
+    Candidates are ordered by increasing squared sum rounded to 10
+    significant digits, ties by key; the prefix sum uses the unrounded
+    values.
+    """
+    if theta <= 0.0:
+        return set()
+    items = sorted(candidates.items(), key=lambda kv: (_rounded(kv[1]), kv[0]))
+    allowance = theta * total_sq
+    marked = set()
+    cum = 0.0
+    for key, s in items:
+        if cum + s > allowance:
+            break
+        marked.add(key)
+        cum += s
+    return marked
 
 
 def element_error_oracle(space, f, coeffs):

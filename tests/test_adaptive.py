@@ -11,8 +11,13 @@ from conftest import (
     admissible_spaces,
     box_max_oracle,
     box_sum_oracle,
+    coarsen_candidates_oracle,
+    coarsen_mark_oracle,
+    dorfler_oracle,
     element_error_oracle,
     element_grid_points,
+    indicator_dict,
+    random_admissible_space,
     residual_oracle,
     thb_space,
 )
@@ -27,11 +32,16 @@ from thbox.adaptive import (
     poisson_solve,
     residual_estimator,
 )
-from thbox.adaptive import _boundary_values, _coarsen_mark, _indicators
+from thbox.adaptive import (
+    _boundary_values,
+    _coarsen_candidates,
+    _coarsen_mark,
+    _pairs,
+)
 from thbox.bezier import bezier_project, error_report
 from thbox.hierarchy import DomainHierarchy, ThbSpace, admissibility_class
 from thbox.numerics import assemble_csr
-from thbox.qbox import box_reduce
+from thbox.qbox import AdmissibilityPolicy, box_reduce, refine_qboxes
 from thbox.splinecore import gauss_rule
 
 
@@ -90,64 +100,66 @@ class TestAdaptiveConfig:
         assert AdaptiveConfig(coarsen_cadence=np.int64(2)).coarsen_cadence == 2
 
 
+def mark(values, theta):
+    """Dörfler masks of a per-level field given as nested lists, as lists."""
+    return [m.tolist() for m in dorfler_mark([np.array(v, dtype=float) for v in values], theta)]
+
+
 class TestDorflerMark:
     def test_four_box_example(self):
-        ind = {(0, (k,)): float(v) for k, v in enumerate([4, 3, 2, 1])}
-        assert dorfler_mark(ind, 0.5) == {(0, (0,))}
+        assert mark([[4, 3, 2, 1]], 0.5) == [[True, False, False, False]]
 
     def test_theta_one_marks_all_positive(self):
-        ind = {(0, (0,)): 2.0, (0, (1,)): 0.0, (0, (2,)): 1.0}
-        assert dorfler_mark(ind, 1.0) == {(0, (0,)), (0, (2,))}
+        assert mark([[2.0, 0.0, 1.0]], 1.0) == [[True, False, True]]
 
     def test_all_zero_gives_empty_set(self):
-        assert dorfler_mark({(0, (k,)): 0.0 for k in range(5)}, 0.7) == set()
-        assert dorfler_mark({}, 0.7) == set()
+        assert mark([[0.0] * 5], 0.7) == [[False] * 5]
+        assert mark([[]], 0.7) == [[]]
+        # squares that underflow to zero count as zero, at theta = 1 too
+        assert mark([[1e-200, 0.0]], 1.0) == [[False, False]]
 
     def test_lexicographic_ties(self):
-        ind = {(0, (3,)): 1.0, (0, (0,)): 1.0, (0, (2,)): 1.0, (0, (1,)): 1.0}
-        assert dorfler_mark(ind, 0.5) == {(0, (0,)), (0, (1,))}
+        # equal squares go by level-major position, as (level, box) pairs sort
+        assert mark([[1.0, 1.0, 1.0, 1.0]], 0.5) == [[True, True, False, False]]
+        assert mark([[1.0], [1.0, 1.0]], 0.5) == [[True], [True, False]]
 
     def test_rounding_ties_go_to_earlier_key(self):
-        # squares one ulp apart tie after rounding; the earlier key wins
-        ind = {(0, (0,)): 1.0, (0, (1,)): float(np.nextafter(1.0, 2.0))}
-        assert dorfler_mark(ind, 0.3) == {(0, (0,))}
-        ind = {(0, (0,)): 1.0, (0, (1,)): 1.0 + 1e-7}
-        assert dorfler_mark(ind, 0.3) == {(0, (1,))}
+        # squares one ulp apart tie after rounding; the earlier position wins
+        assert mark([[1.0, float(np.nextafter(1.0, 2.0))]], 0.3) == [[True, False]]
+        assert mark([[1.0, 1.0 + 1e-7]], 0.3) == [[False, True]]
 
     def test_sums_use_unrounded_squares(self):
         # rounded, the first square alone would reach the goal 1.0
         big = float(np.nextafter(1.0, 0.0))
-        ind = {(0, (0,)): big, (0, (1,)): 1.0}
-        assert dorfler_mark(ind, 1.0 / (big * big + 1.0)) == {(0, (0,)), (0, (1,))}
+        assert mark([[big, 1.0]], 1.0 / (big * big + 1.0)) == [[True, True]]
 
     @pytest.mark.parametrize("theta", [-0.1, 0.0, 1.2])
     def test_theta_out_of_range(self, theta):
         with pytest.raises(ValueError):
-            dorfler_mark({(0, (0,)): 1.0}, theta)
+            dorfler_mark([np.array([1.0])], theta)
 
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
     def test_bad_indicator_values(self, bad):
-        with pytest.raises(ValueError):
-            dorfler_mark({(0, (0,)): bad, (0, (1,)): 1.0}, 0.5)
+        with pytest.raises(ValueError, match="level 1 "):
+            dorfler_mark([np.array([1.0]), np.array([bad, 1.0])], 0.5)
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("theta", [0.3, 0.5, 0.8])
     def test_minimal_cardinality_against_exhaustive(self, seed, theta):
         rng = np.random.default_rng(seed)
         size = int(rng.integers(1, 13))
-        ind = {
-            (0, (k,)): float(rng.integers(0, 10)) for k in range(size)
-        }
-        marked = dorfler_mark(ind, theta)
-        squares = {k: v * v for k, v in ind.items()}
-        total = sum(squares.values())
+        ind = rng.integers(0, 10, size).astype(float)
+        (mask,) = dorfler_mark([ind], theta)
+        marked = set(np.flatnonzero(mask).tolist())
+        squares = ind * ind
+        total = squares.sum()
         goal = theta * total
         if total == 0.0:
             assert marked == set()
             return
         assert sum(squares[k] for k in marked) >= goal
         best = None
-        keys = sorted(ind)
+        keys = range(size)
         for r in range(len(keys) + 1):
             for combo in itertools.combinations(keys, r):
                 if sum(squares[k] for k in combo) >= goal:
@@ -163,33 +175,103 @@ class TestDorflerMark:
 
 class TestCoarsenMark:
     def test_lowest_first_ties_by_key(self):
-        cand = {(0, (k,)): float(v) for k, v in enumerate([3, 1, 2, 1])}
-        assert _coarsen_mark(cand, 10.0, 0.2) == {(0, (1,)), (0, (3,))}
-        assert _coarsen_mark(cand, 10.0, 0.0) == set()
+        sums = np.array([3.0, 1.0, 2.0, 1.0])
+        assert _coarsen_mark(sums, 10.0, 0.2).tolist() == [False, True, False, True]
+        assert not _coarsen_mark(sums, 10.0, 0.0).any()
 
     def test_rounding_ties_go_to_earlier_key(self):
-        # sums one ulp apart tie after rounding; the earlier key wins
-        cand = {(0, (0, 0)): float(np.nextafter(1.0, 2.0)), (0, (1, 0)): 1.0}
-        assert _coarsen_mark(cand, 3.0, 0.5) == {(0, (0, 0))}
+        # sums one ulp apart tie after rounding; the earlier position wins
+        sums = np.array([float(np.nextafter(1.0, 2.0)), 1.0])
+        assert _coarsen_mark(sums, 3.0, 0.5).tolist() == [True, False]
 
     def test_prefix_sum_uses_unrounded_values(self):
         # 0.25 + (0.25 + 2**-53) exceeds the allowance 0.5 by one ulp; the
         # rounded values would fit it
-        cand = {(0, (0,)): 0.25, (0, (1,)): 0.25 + 2.0**-53}
-        assert _coarsen_mark(cand, 1.0, 0.5) == {(0, (0,))}
+        sums = np.array([0.25, 0.25 + 2.0**-53])
+        assert _coarsen_mark(sums, 1.0, 0.5).tolist() == [True, False]
+
+
+def random_field(rng, space, kind):
+    """A seeded per-level indicator field: ``"random"`` values, ``"integers"``
+    (exact ties), ``"ulps"`` (values a few ulps apart, which tie once
+    rounded), ``"sparse"`` (mostly zero) or ``"zero"``."""
+    field = []
+    for lv in range(space.num_levels):
+        n = len(space.hierarchy.active_boxes(lv))
+        if kind == "random":
+            values = rng.random(n) * 10.0 ** rng.integers(-3, 2, n)
+        elif kind == "integers":
+            values = rng.integers(0, 4, n).astype(float)
+        elif kind == "ulps":
+            values = rng.choice([0.5, 1.0, 1.5], n)
+            for _ in range(3):
+                step = rng.integers(-1, 2, n)
+                values = np.where(step > 0, np.nextafter(values, 2.0), values)
+                values = np.where(step < 0, np.nextafter(values, 0.0), values)
+        elif kind == "sparse":
+            values = np.where(rng.random(n) < 0.2, rng.random(n), 0.0)
+        else:
+            values = np.zeros(n)
+        field.append(values)
+    return field
+
+
+class TestMarkingOracle:
+    """The per-level array marking against the dict marking it replaced
+    (``conftest.dorfler_oracle``, ``coarsen_candidates_oracle`` and
+    ``coarsen_mark_oracle``): the same sets in both directions, on seeded
+    multi-level fields with exact ties, rounding ties and zeros."""
+
+    @pytest.mark.parametrize("kind", ["random", "integers", "ulps", "sparse", "zero"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_marks_match_oracle(self, seed, kind):
+        rng = np.random.default_rng([seed, 17])
+        dim = 2 + seed % 2
+        space = random_admissible_space(
+            rng, (2,) * dim, (3,) * dim if dim == 2 else (2,) * dim,
+            rounds=3, max_levels=4, marks_per_round=3,
+        )
+        hier = space.hierarchy
+        active = [hier._active_box_ids(lv) for lv in range(hier.num_levels)]
+        field = random_field(rng, space, kind)
+        ind = indicator_dict(space, field)
+        eta = np.concatenate(field)
+        squares = eta * eta
+        total = np.cumsum(squares)[-1]
+        for theta in (0.2, 0.5, 0.9, 1.0):
+            marked = np.concatenate(dorfler_mark(field, theta))
+            protected = dorfler_oracle(ind, theta)
+            assert set(_pairs(hier, active, marked)) == protected
+            parents, sums = _coarsen_candidates(space, squares, marked)
+            candidates = coarsen_candidates_oracle(space, ind, protected)
+            assert _pairs(hier, parents, np.ones(len(sums), dtype=bool)) == list(candidates)
+            for theta_c in (0.05, 0.2, 0.6):
+                weakest = _coarsen_mark(sums, total, theta_c)
+                assert set(_pairs(hier, parents, weakest)) == coarsen_mark_oracle(
+                    candidates, total, theta_c
+                )
+
+
+def last_set(values, value):
+    """A copy of ``values`` with its last entry set to ``value``."""
+    out = np.array(values, dtype=float)
+    out[-1] = value
+    return out
 
 
 class TestAdaptLoop:
     @staticmethod
     def corner_estimate(sp, _):
         hier = sp.hierarchy
-        ind = {}
+        ind = []
         for lv in range(hier.num_levels):
             nb = hier.boxes_shape(lv)
+            values = []
             for b in hier.active_boxes(lv):
                 x = (b[0] + 0.5) / nb[0]
                 y = (b[1] + 0.5) / nb[1]
-                ind[(lv, b)] = float(np.exp(-(x * x + y * y) / 0.05))
+                values.append(float(np.exp(-(x * x + y * y) / 0.05)))
+            ind.append(np.array(values))
         return ind, {}
 
     def test_below_tolerance_single_solve(self):
@@ -199,7 +281,7 @@ class TestAdaptLoop:
         trace = adapt_loop(
             space,
             lambda sp: calls.append(1),
-            lambda sp, _: ({(0, b): 0.1 for b in sp.hierarchy.active_boxes(0)}, {}),
+            lambda sp, _: ([np.full(len(sp.hierarchy.active_boxes(0)), 0.1)], {}),
             cfg,
         )
         assert trace.converged
@@ -235,14 +317,16 @@ class TestAdaptLoop:
 
             def estimate(sp, _):
                 hier = sp.hierarchy
-                ind = {}
+                ind = []
                 for lv in range(hier.num_levels):
                     nb = hier.boxes_shape(lv)
+                    values = []
                     for b in hier.active_boxes(lv):
                         x = (b[0] + 0.5) / nb[0]
                         y = (b[1] + 0.5) / nb[1]
                         d2 = (x - cx) ** 2 + (y - cy) ** 2
-                        ind[(lv, b)] = float(np.exp(-d2 / 0.02))
+                        values.append(float(np.exp(-d2 / 0.02)))
+                    ind.append(np.array(values))
                 return ind, {}
 
             return estimate
@@ -301,6 +385,30 @@ class TestAdaptLoop:
                               lambda sp: None, self.corner_estimate, cfg)
 
         assert run().csv() == run().csv()
+
+    @pytest.mark.parametrize(
+        "spoil, level",
+        [
+            (lambda f: f[:-1], 1),
+            (lambda f: f + [np.zeros(1)], 2),
+            (lambda f: [f[0], f[1][:-1]], 1),
+            (lambda f: [f[0], np.append(f[1], 0.0)], 1),
+            (lambda f: [f[0], f[1].reshape(-1, 1)], 1),
+            (lambda f: [f[0], last_set(f[1], np.nan)], 1),
+            (lambda f: [last_set(f[0], np.inf), f[1]], 0),
+            (lambda f: [f[0], last_set(f[1], -1e-300)], 1),
+        ],
+        ids=["missing-level", "extra-level", "short", "long", "2d", "nan", "inf", "negative"],
+    )
+    def test_bad_estimate_raises_naming_the_level(self, spoil, level):
+        # an estimate that leaves out a box, or gives one a value no
+        # indicator can have, is refused before any mark is taken
+        space = refine_qboxes(unit_space((2, 2), (4, 4), (2, 2)), [(0, (0, 0))],
+                              AdmissibilityPolicy())
+        field, _ = self.corner_estimate(space, None)
+        cfg = AdaptiveConfig(tolerance=1e-9, max_iterations=3)
+        with pytest.raises(ValueError, match=r"\blevel %d\b" % level):
+            adapt_loop(space, lambda sp: None, lambda sp, _: (spoil(field), {}), cfg)
 
 
 class TestAdaptProject:
@@ -480,7 +588,7 @@ class TestResidualEstimator:
         f = lambda p: 2.0 * (p[:, 1] * (1 - p[:, 1]) + p[:, 0] * (1 - p[:, 0]))
         u = poisson_solve(space, f)
         est = residual_estimator(space, u, f)
-        assert max(est.values()) <= 1e-12
+        assert max(e.max() for e in est) <= 1e-12
 
     def test_unit_source_box_aggregate(self):
         space = unit_space((2, 2), (2, 2), (2, 2))
@@ -489,18 +597,17 @@ class TestResidualEstimator:
         # each 0.25-wide element: diam^2 * vol = 2 * 0.25^2 * 0.25^2
         per_elem = 2.0 * 0.25 ** 4
         expected = np.sqrt(4.0 * per_elem)
-        assert set(est) == {(0, b) for b in space.hierarchy.active_boxes(0)}
-        for val in est.values():
-            assert_allclose(val, expected, rtol=1e-12)
+        assert [e.shape for e in est] == [(len(space.hierarchy.active_boxes(0)),)]
+        assert_allclose(est[0], expected, rtol=1e-12)
 
     def test_uniform_refinement_quarters_total(self):
         one = lambda p: np.ones(len(p))
         coarse = unit_space((2, 2), (2, 2), (2, 2))
         fine = unit_space((2, 2), (4, 4), (2, 2))
-        tot_c = sum(v ** 2 for v in residual_estimator(
-            coarse, np.zeros(coarse.ndof), one).values())
-        tot_f = sum(v ** 2 for v in residual_estimator(
-            fine, np.zeros(fine.ndof), one).values())
+        tot_c = sum(v ** 2 for v in np.concatenate(residual_estimator(
+            coarse, np.zeros(coarse.ndof), one)))
+        tot_f = sum(v ** 2 for v in np.concatenate(residual_estimator(
+            fine, np.zeros(fine.ndof), one)))
         assert_allclose(tot_c / tot_f, 4.0, rtol=1e-12)
 
     def test_wrong_coefficient_length(self):
@@ -539,11 +646,10 @@ class TestElementArrays:
         for lv in range(space.num_levels):
             assert_allclose(rep.l2[lv], l2[lv], rtol=1e-12, atol=1e-14)
             assert_allclose(rep.linf[lv], linf[lv], rtol=1e-12, atol=1e-14)
-        boxes = _indicators(box_reduce(space, rep.linf, np.maximum, -np.inf))
-        assert list(boxes) == sorted(boxes)
+        boxes = indicator_dict(space, box_reduce(space, rep.linf, np.maximum, -np.inf))
         assert boxes == box_max_oracle(space, rep.linf)
         draws = [rng.random(len(space.active_elements(lv))) for lv in range(space.num_levels)]
-        boxes = _indicators(box_reduce(space, draws, np.add, 0.0))
+        boxes = indicator_dict(space, box_reduce(space, draws, np.add, 0.0))
         assert list(boxes.items()) == list(box_sum_oracle(space, draws).items())
 
     @settings(max_examples=25, derandomize=True, database=None, deadline=None)
@@ -560,7 +666,7 @@ class TestElementArrays:
     @given(admissible_spaces(dims=(2, 3), max_p=3, max_boxes=2, smooth=True))
     def test_residual_estimator(self, space):
         coeffs = np.random.default_rng(space.ndof).standard_normal(space.ndof)
-        est = residual_estimator(space, coeffs, wave)
+        est = indicator_dict(space, residual_estimator(space, coeffs, wave))
         assert list(est.items()) == list(residual_oracle(space, coeffs, wave).items())
 
 

@@ -113,8 +113,11 @@ class TestConfigValidation:
         ],
     )
     def test_bad_values_rejected(self, payload):
+        # the adapt ranges are the library's: checked as the run builds its config
         with pytest.raises(ConfigError):
-            normalize_config(payload)
+            kind, params = normalize_config(payload)
+            if kind.startswith("adapt-"):
+                cli._adaptive_config(params)
 
     def test_defaults_filled_in(self):
         kind, params = normalize_config({"kind": "adapt-project"})
@@ -156,6 +159,32 @@ class TestMainExitCodes:
         code, _ = run_cli(tmp_path, {"kind": "mesh-info", "bogus": 1})
         assert code == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("theta_refine", 0.0),
+            ("theta_refine", 1.5),
+            ("theta_coarsen", -0.1),
+            ("theta_coarsen", 1.0),
+            ("theta_coarsen", 0.95),
+            ("admissibility_class", 1),
+            ("tolerance", 0.0),
+            ("max_iterations", 0),
+            ("coarsen_cadence", -1),
+            ("max_levels", 0),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["adapt-project", "adapt-poisson"])
+    def test_out_of_range_adapt_field_exits_one(self, tmp_path, capsys, kind, field, value):
+        # one range rule per field: the library's, reported as one config error
+        code, out_dir = run_cli(tmp_path, {"kind": kind, field: value})
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("thbox: config error: ")
+        assert os.listdir(out_dir) == []
 
 
 class TestDerhamCheck:

@@ -86,6 +86,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             KnotVector([0.0, 0.5, 1.0], 2, m)
 
+    @pytest.mark.parametrize(
+        "degree, multiplicity, field",
+        [(2.7, 1, "degree"), (2.0, 1, "degree"), (True, 1, "degree"),
+         (2, 1.0, "multiplicity"), (2, np.True_, "multiplicity")],
+    )
+    def test_non_integer_degree_or_multiplicity_named(self, degree, multiplicity, field):
+        # one integer rule (as_integer), not a cast that truncates 2.7 to 2
+        with pytest.raises(ValueError, match="^%s must be an integer" % field):
+            KnotVector([0.0, 0.5, 1.0], degree, multiplicity)
+
+    def test_numpy_integer_degree_and_multiplicity(self):
+        kv = KnotVector([0.0, 0.5, 1.0], np.int64(2), np.int32(2))
+        assert (kv.degree, kv.multiplicity) == (2, 2)
+        assert type(kv.degree) is int and type(kv.multiplicity) is int
+
     def test_element_of(self):
         kv = uniform_knot_vector(4, 2)
         assert kv.element_of(0.0) == 0
@@ -378,6 +393,15 @@ class TestQuadrature:
         for k in range(2 * order):
             integral = float(wts @ pts**k)
             nt.assert_allclose(integral, 1.0 / (k + 1), rtol=1e-13)
+
+    @pytest.mark.parametrize("order", [2.5, 2.0, True, "3"])
+    def test_non_integer_order_named(self, order):
+        with pytest.raises(ValueError, match="^quadrature order must be an integer"):
+            gauss_rule(order)
+
+    def test_numpy_integer_order(self):
+        pts, wts = gauss_rule(np.int64(3))
+        assert [x.tolist() for x in gauss_rule(3)] == [pts.tolist(), wts.tolist()]
 
 
 class TestTensorSpace:
