@@ -14,7 +14,8 @@ The package provides, bottom up:
   cohomology-dimension verification;
 - :mod:`thbox.adaptive` -- marking strategies and adaptive projection /
   Poisson loops;
-- :mod:`thbox.cli` -- the ``thbox`` command-line driver.
+- :mod:`thbox.cli` -- the ``thbox`` command-line driver, which the package
+  does not import (``python -m thbox.cli`` runs it once).
 """
 
 from .splinecore import (
@@ -76,7 +77,6 @@ from .adaptive import (
     poisson_solve,
     residual_estimator,
 )
-from .cli import ConfigError, mesh_svg
 
 __version__ = "0.1.0"
 
@@ -128,7 +128,5 @@ __all__ = [
     "dorfler_mark",
     "poisson_solve",
     "residual_estimator",
-    "ConfigError",
-    "mesh_svg",
     "__version__",
 ]

@@ -26,8 +26,8 @@ import itertools
 import numpy as np
 
 from .bezier import bezier_project, error_report
-from .hierarchy import (as_integer, galerkin, gauss_tensor, index_grid, raveled, sorted_lookup,
-                        unraveled)
+from .hierarchy import (as_coefficients, as_integer, galerkin, gauss_tensor, index_grid, raveled,
+                        sorted_lookup, unraveled)
 from .numerics import sparse_solve
 from .qbox import AdmissibilityPolicy, box_reduce, coarsen_qboxes, refine_qboxes
 
@@ -345,7 +345,7 @@ def adapt_project(f, space, cfg):
         return bezier_project(sp, f)
 
     def estimate(sp, result):
-        rep = error_report(sp, f, result, norms=("l2", "linf"))
+        rep = error_report(sp, f, result.coefficients, norms=("l2", "linf"))
         return box_reduce(sp, rep.linf, np.maximum, -np.inf), {
             "error_l2": rep.error_l2,
             "error_linf": rep.error_linf,
@@ -426,22 +426,21 @@ def poisson_solve(space, f, g=None):
     return coeffs
 
 
-def residual_estimator(space, solution, f):
+def residual_estimator(space, coeffs, f):
     """Interior residual indicators of a Poisson solution, per active box.
 
-    Every active element contributes ``diam(e)**2 * ||f +
-    laplace(u_h)||**2`` (Gauss rule one order above the assembly rule);
-    element contributions are summed per active box and the square roots
-    of the sums returned, one array per level in sorted box-id order
-    (:func:`~thbox.qbox.box_reduce`).  Without facet-jump
-    terms the estimator needs a C^1 space: a multiplicity at or above the
-    degree raises ValueError.
+    ``coeffs`` is the solution's coefficient vector
+    (:func:`~thbox.hierarchy.as_coefficients`).  Every active element
+    contributes ``diam(e)**2 * ||f + laplace(u_h)||**2`` (Gauss rule one
+    order above the assembly rule); element contributions are summed per
+    active box and the square roots of the sums returned, one array per
+    level in sorted box-id order (:func:`~thbox.qbox.box_reduce`).  Without
+    facet-jump terms the estimator needs a C^1 space: a multiplicity at or
+    above the degree raises ValueError.
     """
     if any(m >= p for m, p in zip(space.multiplicity, space.degree)):
         raise ValueError("residual_estimator needs a C^1 space: multiplicity < degree")
-    coeffs = np.asarray(getattr(solution, "coefficients", solution), dtype=float)
-    if coeffs.shape != (space.ndof,):
-        raise ValueError("coefficient vector must have length %d" % space.ndof)
+    coeffs = as_coefficients(coeffs, space.ndof)
     dim = space.dim
     derivs = tuple(
         tuple(2 * int(k == d) for k in range(dim)) for d in range(dim)

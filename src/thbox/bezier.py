@@ -12,6 +12,8 @@ positive definite.  The local coefficients are then blended per function
 with weights proportional to the share of the function's integral carried
 by each macro-element.  The composite map is linear, local, and a
 projection: any function already in the space is returned unchanged.
+Members are named by their index in ``ProjectorPartition.members``, and
+every answer is an array: member ids, function ids, shares, coefficients.
 
 Quadrature runs over whole levels (:meth:`ThbSpace.quadrature` blocks):
 the target is sampled once per level.  The member systems are solved in
@@ -31,15 +33,7 @@ so results are bit-reproducible.
 
 import numpy as np
 
-from .hierarchy import (
-    as_integer,
-    galerkin,
-    gauss_tensor,
-    raveled,
-    require_no_box,
-    sorted_lookup,
-    unraveled,
-)
+from .hierarchy import as_coefficients, as_integer, galerkin, gauss_tensor, unraveled
 from .numerics import SPD_PIVOT_REL, NonSPDError, svd_rank
 from .qbox import QBoxMesh
 
@@ -55,12 +49,14 @@ class ProjectorPartition:
 
     The members are the well-behaved plus the regular boxes of the space's
     classification, in canonical order (level-major, lexicographic by box
-    index): the mesh's ``macro_ids``.  The hierarchy's box size must equal
-    the degree (p-boxes), on which the members support linearly independent
-    function restrictions; any other box size raises ``ValueError``.  A
-    basis that is not truncated (``build_hb``) can still be dependent on a
-    member, which surfaces as a :class:`~thbox.numerics.NonSPDError` in the
-    local solves.
+    index): the mesh's ``macro_ids``.  ``members`` is an (n, 1 + dim) int
+    array whose row ``i`` is ``(level, *box)`` of member ``i``; every
+    member-taking call takes the int index ``i``.  The hierarchy's box size
+    must equal the degree (p-boxes), on which the members support linearly
+    independent function restrictions; any other box size raises
+    ``ValueError``.  A basis that is not truncated (``build_hb``) can still
+    be dependent on a member, which surfaces as a
+    :class:`~thbox.numerics.NonSPDError` in the local solves.
 
     Construction keeps flat arrays with member pointers: the active
     elements in member order, the ids of the functions nonzero on each
@@ -80,11 +76,10 @@ class ProjectorPartition:
             )
         self.space = space
         self.mesh = mesh = QBoxMesh(space)
-        self.members = tuple(
-            (lv, box)
+        self.members = np.concatenate([
+            np.column_stack([np.full(len(ids), lv), unraveled(ids, hier.boxes_shape(lv))])
             for lv, ids in enumerate(mesh.macro_ids)
-            for box in map(tuple, unraveled(ids, hier.boxes_shape(lv)).tolist())
-        )
+        ])
         self._first = np.cumsum([0] + [len(ids) for ids in mesh.macro_ids])
         self._rule = gauss_tensor(space)
 
@@ -195,27 +190,19 @@ class ProjectorPartition:
             self.space.ndof,
         )
 
-    def member_index(self, member):
-        """Index of a member given as an int or a (level, box) pair; ValueError
-        for any other identifier or one that names no member."""
-        if not isinstance(member, (tuple, list)):
-            idx = as_integer(member, "a member index")
-            if not 0 <= idx < len(self.members):
-                raise ValueError("member index %d out of range" % idx)
-            return idx
-        if len(member) != 2:
-            raise ValueError("a member must be an index or a (level, box) pair, got %r" % (member,))
-        lv = as_integer(member[0], "a member level")
-        box = self.mesh._checked(lv, [member[1]])
-        shape = self.space.hierarchy.boxes_shape(lv)
-        pos, hit = sorted_lookup(self.mesh.macro_ids[lv], raveled(box, shape))
-        require_no_box(box, ~hit, lv, "is not a member")
-        return int(self._first[lv] + pos[0])
+    def _index(self, idx):
+        """``idx`` as an index into ``members``; ValueError for a non-integer
+        (:func:`as_integer`) or one out of range."""
+        idx = as_integer(idx, "a member index")
+        if not 0 <= idx < len(self.members):
+            raise ValueError("member index %d out of range" % idx)
+        return idx
 
-    def member_elements(self, member):
-        """The active elements of the member: one array (n_lv, dim) per level,
-        canonical, as :meth:`~thbox.hierarchy.ThbSpace.quadrature` takes them."""
-        idx = self.member_index(member)
+    def member_elements(self, idx):
+        """The active elements of member ``idx``: one array (n_lv, dim) per
+        level, canonical, as :meth:`~thbox.hierarchy.ThbSpace.quadrature`
+        takes them."""
+        idx = self._index(idx)
         g = self._elements[self._elem_ptr[idx]:self._elem_ptr[idx + 1]]
         level = np.searchsorted(self._offsets, g, side="right") - 1
         return [
@@ -223,14 +210,14 @@ class ProjectorPartition:
             for lv in range(self.space.num_levels)
         ]
 
-    def member_functions(self, member):
-        """Sorted ids of the functions nonzero on the member."""
-        idx = self.member_index(member)
+    def member_functions(self, idx):
+        """Sorted ids of the functions nonzero on member ``idx``."""
+        idx = self._index(idx)
         return self._fids[self._fid_ptr[idx]:self._fid_ptr[idx + 1]]
 
-    def member_integrals(self, member):
-        """Member integrals of the member's functions (aligned with ids)."""
-        idx = self.member_index(member)
+    def member_integrals(self, idx):
+        """Member integrals of member ``idx``'s functions (aligned with ids)."""
+        idx = self._index(idx)
         return self._ints[self._fid_ptr[idx]:self._fid_ptr[idx + 1]]
 
     def member_of_element(self, lv, e):
@@ -339,15 +326,17 @@ def _member_solves(partition, stacks):
         local[partition._slots(mids)] = y[..., 0] / col
     if failed:
         idx, pivot, nf = min(failed)
+        lv, *box = partition.members[idx].tolist()
         raise NonSPDError(
             "member %r Gramian pivot %.3e below %.1e * trace = %.3e"
-            % (partition.members[idx], pivot, SPD_PIVOT_REL, SPD_PIVOT_REL * nf)
+            % ((lv, tuple(box)), pivot, SPD_PIVOT_REL, SPD_PIVOT_REL * nf)
         )
     return local
 
 
-def local_l2_project(partition, member, f):
-    """Best L2 fit of ``f`` on one macro-element: map function id -> coefficient.
+def local_l2_project(partition, idx, f):
+    """Best L2 fit of ``f`` on member ``idx``: the coefficients of
+    ``partition.member_functions(idx)``, in that order.
 
     The coefficients minimize the L2 distance between ``f`` and the span
     of the member's function restrictions; ``f`` is sampled on the
@@ -355,37 +344,36 @@ def local_l2_project(partition, member, f):
     :class:`~thbox.numerics.NonSPDError`: it signals that the member
     supports linearly dependent restrictions and is a hard fault.
     """
-    idx = partition.member_index(member)
+    idx = partition._index(idx)
     elements = partition.member_elements(idx)
     blocks = partition.space.quadrature(partition._rule, fields=(f,), elements=elements)
     arrays = zip(*((block.values[0], block.weights, block.fields[0]) for block in blocks))
     stack = [np.concatenate(a)[None] for a in arrays]
     local = _member_solves(partition, [(np.array([idx]), stack)])
-    coeffs = local[partition._fid_ptr[idx]:partition._fid_ptr[idx + 1]]
-    return dict(zip(partition.member_functions(idx).tolist(), coeffs.tolist()))
+    return local[partition._fid_ptr[idx]:partition._fid_ptr[idx + 1]]
 
 
 def smoothing_weights(partition, fid):
-    """Averaging weights of function ``fid``: map member -> integral share.
+    """Averaging weights of function ``fid``: (members, shares) arrays.
 
-    The weight of member E is the integral of the function over E divided
-    by its integral over the whole domain; the weights of the members
-    meeting the function's support sum to one.
+    ``members`` are the indices of the members meeting the function's
+    support, in canonical order.  The share of member E is the integral of
+    the function over E divided by its integral over the whole domain; the
+    shares sum to one.
     """
     pairs = partition._pairs_of(fid)
-    members = partition._key_member[pairs].tolist()
-    return {partition.members[m]: s for m, s in zip(members, partition._shares[pairs].tolist())}
+    return partition._key_member[pairs], partition._shares[pairs]
 
 
 class ProjectionResult:
-    """Coefficient vector of a projection onto a hierarchical space."""
+    """Coefficient vector of a projection onto a hierarchical space; the
+    estimators take ``coefficients``, not the result."""
 
-    def __init__(self, coefficients, ndof):
+    def __init__(self, coefficients):
         self.coefficients = np.asarray(coefficients, dtype=float)
-        self.ndof = int(ndof)
 
     def __repr__(self):
-        return "ProjectionResult(ndof=%d)" % self.ndof
+        return "ProjectionResult(ndof=%d)" % len(self.coefficients)
 
 
 def bezier_project(space, f, partition=None):
@@ -406,19 +394,20 @@ def bezier_project(space, f, partition=None):
     levels = {b.level: (b.values[0], b.weights, b.fields[0]) for b in blocks}
     local = _member_solves(partition, partition._stacks(levels))
     coeffs = np.bincount(partition._fids, partition._shares * local, space.ndof)
-    return ProjectionResult(coeffs, space.ndof)
+    return ProjectionResult(coeffs)
 
 
 class SupportExtension:
     """Domain of dependence of the projection on one element.
 
-    ``members`` are the (level, box) macro-elements feeding the element's
-    coefficients; ``cube`` is the smallest axis-aligned bounding box of
-    their union, as per-direction (lo, hi) coordinates.
+    ``members`` is the sorted array of the indices of the partition
+    members feeding the element's coefficients; ``cube`` is the smallest
+    axis-aligned bounding box of their union, as per-direction (lo, hi)
+    coordinates.
     """
 
     def __init__(self, members, cube):
-        self.members = tuple(members)
+        self.members = members
         self.cube = tuple(cube)
 
     def __repr__(self):
@@ -434,8 +423,9 @@ def support_extension(partition, lv, e):
     """
     idx = partition.member_of_element(lv, e)
     meets = np.isin(partition._fids, partition.member_functions(idx))
-    members = [partition.members[i] for i in np.unique(partition._key_member[meets]).tolist()]
-    bounds = np.array([partition.mesh.box_bounds(mlv, box) for mlv, box in members])
+    members = np.unique(partition._key_member[meets])
+    rows = partition.members[members].tolist()
+    bounds = np.array([partition.mesh.box_bounds(mlv, box) for mlv, *box in rows])
     lo, hi = bounds[:, :, 0].min(axis=0).tolist(), bounds[:, :, 1].max(axis=0).tolist()
     return SupportExtension(members, tuple(zip(lo, hi)))
 
@@ -475,19 +465,17 @@ def _root_square_sum(levels):
     return float(np.sqrt(sum(v**2 for values in levels for v in values.tolist())))
 
 
-def error_report(space, f, result, norms=_NORMS, f_grad=None):
-    """Quadrature errors of a projection, per active element and global.
+def error_report(space, f, coeffs, norms=_NORMS, f_grad=None):
+    """Quadrature errors of a coefficient vector, per active element and global.
 
-    ``result`` is a :class:`ProjectionResult` or a raw coefficient vector.
-    ``norms`` selects among "l2", "linf", and "h1"; the "h1" norm needs
-    ``f_grad``, mapping points (npts, dim) to gradients (npts, dim).  L2
-    and H1 use per-element Gauss quadrature one order above the Gramian
-    rule; the Linf estimate samples a dense per-element tensor grid of
-    ``2*p+3`` points per direction.
+    ``coeffs`` is a numeric vector of length ``space.ndof``
+    (:func:`~thbox.hierarchy.as_coefficients`).  ``norms`` selects among
+    "l2", "linf", and "h1"; the "h1" norm needs ``f_grad``, mapping points
+    (npts, dim) to gradients (npts, dim).  L2 and H1 use per-element Gauss
+    quadrature one order above the Gramian rule; the Linf estimate samples
+    a dense per-element tensor grid of ``2*p+3`` points per direction.
     """
-    coeffs = np.asarray(getattr(result, "coefficients", result), dtype=float)
-    if coeffs.shape != (space.ndof,):
-        raise ValueError("coefficient vector must have length %d" % space.ndof)
+    coeffs = as_coefficients(coeffs, space.ndof)
     norms = tuple(norms)
     unknown = set(norms) - set(_NORMS)
     if unknown:

@@ -360,9 +360,9 @@ def run_converge_projection(params, quiet=False):
         b0 = 2 * 2**i
         corner = set(itertools.product(range(b0 // 2), repeat=dim))
         space = _uniform_thb(q, (b0,) * dim, (p,) * dim, params["multiplicity"], [corner])
-        result = bezier_project(space, sine_product)
+        coeffs = bezier_project(space, sine_product).coefficients
         rep = error_report(
-            space, sine_product, result, norms=("l2", "h1"),
+            space, sine_product, coeffs, norms=("l2", "h1"),
             f_grad=sine_product_grad,
         )
         rows.append(

@@ -103,6 +103,15 @@ def as_level(lv, num_levels, owner):
     return lv
 
 
+def as_coefficients(coeffs, ndof):
+    """``coeffs`` as a float vector; ValueError unless it is a numeric
+    (integer or float) array of shape ``(ndof,)``."""
+    arr = np.asarray(coeffs)
+    if arr.shape != (ndof,) or arr.dtype.kind not in "iuf":
+        raise ValueError("coefficient vector must have length %d" % ndof)
+    return arr.astype(float, copy=False)
+
+
 def require_no_box(boxes, bad, lv, what):
     """ValueError naming the first level-``lv`` box of ``boxes`` (n, dim) flagged in ``bad``."""
     if bad.any():

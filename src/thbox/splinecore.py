@@ -134,7 +134,9 @@ class KnotVector:
 
 
 def uniform_knot_vector(numelems, degree, multiplicity=1):
-    """Open knot vector with ``numelems`` equal elements on [0, 1]."""
+    """Open knot vector with ``numelems`` equal elements on [0, 1];
+    ``numelems`` is an integer (:func:`as_integer`)."""
+    numelems = as_integer(numelems, "numelems")
     if numelems < 1:
         raise ValueError("numelems must be >= 1")
     return KnotVector(np.linspace(0.0, 1.0, numelems + 1), degree, multiplicity)

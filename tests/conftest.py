@@ -12,6 +12,7 @@ import numpy as np
 import scipy.linalg
 from hypothesis import strategies as st
 
+from thbox.bezier import ProjectionResult
 from thbox.derham import RANK_REL_TOL, _operators
 from thbox.hierarchy import (
     DomainHierarchy,
@@ -23,6 +24,23 @@ from thbox.hierarchy import (
 )
 from thbox.qbox import AdmissibilityPolicy, RefinementLimitError, refine_qboxes
 from thbox.splinecore import basis_on_element, uniform_space
+
+
+#: Values that are not a numeric vector of length ``n``, by name; both
+#: estimators refuse each with one ValueError.
+NOT_VECTORS = {
+    "projection-result": lambda n: ProjectionResult(np.zeros(n)),
+    "short": lambda n: np.zeros(n - 1),
+    "long": lambda n: np.zeros(n + 1),
+    "column": lambda n: np.zeros((n, 1)),
+    "matrix": lambda n: np.zeros((2, n)),
+    "scalar": lambda n: 0.0,
+    "none": lambda n: None,
+    "strings": lambda n: ["0"] * n,
+    "objects": lambda n: [None] * n,
+    "bools": lambda n: np.zeros(n, dtype=bool),
+    "complex": lambda n: np.zeros(n, dtype=complex),
+}
 
 
 def naive_bspline(knots, j, p, x):

@@ -113,7 +113,7 @@ def test_projection_convergence_rates():
                 DomainHierarchy((p,) * 3, (b0,) * 3, [corner]), (p,) * 3
             )
             rep = error_report(
-                space, sine_product, bezier_project(space, sine_product),
+                space, sine_product, bezier_project(space, sine_product).coefficients,
                 norms=("l2",),
             )
             hs.append(1.0 / (b0 * p))

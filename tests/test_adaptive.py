@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
 from conftest import (
+    NOT_VECTORS,
     admissible_spaces,
     box_max_oracle,
     box_sum_oracle,
@@ -615,6 +616,12 @@ class TestResidualEstimator:
         with pytest.raises(ValueError):
             residual_estimator(space, np.zeros(space.ndof + 1),
                                lambda p: np.ones(len(p)))
+
+    @pytest.mark.parametrize("kind", sorted(NOT_VECTORS))
+    def test_rejects_anything_but_a_coefficient_vector(self, kind):
+        space = unit_space((2, 2), (2, 2), (2, 2))
+        with pytest.raises(ValueError, match="coefficient vector must have length %d$" % space.ndof):
+            residual_estimator(space, NOT_VECTORS[kind](space.ndof), lambda p: np.ones(len(p)))
 
     def test_rejects_c0_space(self):
         # no facet-jump terms: a C^0 space (multiplicity == degree) is refused

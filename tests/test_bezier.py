@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
+    NOT_VECTORS,
     admissible_spaces,
     member_solve_oracle,
     naive_bspline,
@@ -80,6 +81,16 @@ def rpartition(rspace):
     return ProjectorPartition(rspace)
 
 
+def member_pairs(part):
+    """The members as ``(level, box)`` tuples, in index order."""
+    return [(lv, tuple(box)) for lv, *box in part.members.tolist()]
+
+
+def member_at(part, lv, box):
+    """Index of member ``(lv, box)``, by a scan of the pairs."""
+    return member_pairs(part).index((lv, tuple(box)))
+
+
 def const_field(c):
     return lambda pts: np.full(len(pts), float(c))
 
@@ -96,7 +107,7 @@ class TestPartition:
     def test_members_cover_active_elements_once(self, rspace, rpartition):
         q = rspace.hierarchy.q
         seen = {}
-        for idx, (mlv, box) in enumerate(rpartition.members):
+        for idx, (mlv, box) in enumerate(member_pairs(rpartition)):
             arrays = rpartition.member_elements(idx)
             assert len(arrays) == rspace.num_levels
             for lv, arr in enumerate(arrays):
@@ -118,8 +129,12 @@ class TestPartition:
             for lv in range(mesh.num_levels)
             for box in mesh.well_behaved(lv) + mesh.regular(lv)
         }
-        assert set(rpartition.members) == expected
-        assert list(rpartition.members) == sorted(rpartition.members)
+        members = rpartition.members
+        assert members.shape == (len(rpartition), 1 + mesh.hierarchy.dim)
+        assert members.dtype.kind == "i"
+        pairs = member_pairs(rpartition)
+        assert set(pairs) == expected
+        assert pairs == sorted(pairs)
 
     def test_integrals_positive_and_consistent(self, rspace, rpartition):
         total = np.zeros(rspace.ndof)
@@ -140,8 +155,7 @@ class TestPartition:
             for fid in rpartition.member_functions(idx).tolist():
                 holders.setdefault(fid, []).append(idx)
         for fid in range(rpartition.space.ndof):
-            idxs = [rpartition.member_index(m) for m in smoothing_weights(rpartition, fid)]
-            assert idxs == holders[fid]
+            assert smoothing_weights(rpartition, fid)[0].tolist() == holders[fid]
 
     def test_default_granularity_needs_degree_divisibility(self):
         space = thb_space(DomainHierarchy((2, 2), (2, 2), [{(0, 0)}]), (3, 3))
@@ -191,14 +205,17 @@ class TestMemberLayoutOracle:
                 owners.setdefault(fid, []).append(idx)
         assert sorted(owners) == list(range(space.ndof))
         for fid, idxs in owners.items():
-            assert [part.member_index(m) for m in smoothing_weights(part, fid)] == idxs
+            assert smoothing_weights(part, fid)[0].tolist() == idxs
 
         coeffs = bezier_project(space, poly_field, part).coefficients
         blended = np.zeros(space.ndof)
-        local = [local_l2_project(part, idx, poly_field) for idx in range(len(part))]
+        local = [
+            dict(zip(part.member_functions(idx).tolist(), local_l2_project(part, idx, poly_field)))
+            for idx in range(len(part))
+        ]
         for fid in range(space.ndof):
-            for member, share in smoothing_weights(part, fid).items():
-                blended[fid] += share * local[part.member_index(member)][fid]
+            for member, share in zip(*smoothing_weights(part, fid)):
+                blended[fid] += share * local[member][fid]
         assert_allclose(coeffs, blended, rtol=0, atol=1e-14 * max(1.0, np.abs(coeffs).max()))
 
 
@@ -216,7 +233,7 @@ class TestMemberSolveOracle:
             fids, want = member_solve_oracle(space, part.member_elements(idx), poly_field)
             assert np.array_equal(fids, part.member_functions(idx))
             got = local[part._fid_ptr[idx]:part._fid_ptr[idx + 1]]
-            one = np.array(list(local_l2_project(part, idx, poly_field).values()))
+            one = local_l2_project(part, idx, poly_field)
             scale = np.abs(want).max()
             assert np.abs(got - want).max() <= 1e-13 * scale
             assert np.abs(one - want).max() <= 1e-13 * scale
@@ -258,7 +275,7 @@ class TestOverloadedMembers:
         part = ProjectorPartition(space)
         name = re.escape("member (1, (2,))")
         with pytest.raises(NonSPDError, match=name):
-            local_l2_project(part, (1, (2,)), poly_field)
+            local_l2_project(part, member_at(part, 1, (2,)), poly_field)
         with pytest.raises(NonSPDError, match=name):
             bezier_project(space, poly_field, part)
 
@@ -279,10 +296,11 @@ class TestOverloadedMembers:
                                                      {(0,), (6,)}]), (1,))
         space = build_hb(thb.levels, thb.hierarchy)
         part = ProjectorPartition(space)
-        assert len(part.member_functions((3, (0,)))) == 3
+        idx = member_at(part, 3, (0,))
+        assert len(part.member_functions(idx)) == 3
         name = re.escape("member (3, (0,)) Gramian pivot 0.000e+00")
         with pytest.raises(NonSPDError, match=name):
-            local_l2_project(part, (3, (0,)), poly_field)
+            local_l2_project(part, idx, poly_field)
         with pytest.raises(NonSPDError, match=name):
             bezier_project(space, poly_field, part)
 
@@ -341,7 +359,8 @@ class TestLocalProjection:
     def test_constant_one_gives_unit_coefficients(self, rpartition):
         for idx in range(len(rpartition)):
             local = local_l2_project(rpartition, idx, const_field(1.0))
-            assert_allclose(list(local.values()), 1.0, rtol=0, atol=1e-12)
+            assert local.shape == rpartition.member_functions(idx).shape
+            assert_allclose(local, 1.0, rtol=0, atol=1e-12)
 
     def test_space_member_recovers_coefficients(self, rcase, rspace, rpartition):
         rng = np.random.default_rng(101)
@@ -354,17 +373,18 @@ class TestLocalProjection:
         stride = max(1, len(rpartition) // 4)
         for idx in range(0, len(rpartition), stride):
             local = local_l2_project(rpartition, idx, f)
-            for fid, val in local.items():
+            fids = rpartition.member_functions(idx)
+            for fid, val in zip(fids.tolist(), local.tolist()):
                 assert abs(val - coeffs[fid]) < atol
 
     def test_linear_target_gives_greville_values(self):
         # one p-box of two quadratic elements: one member with four functions
         space = thb_space(DomainHierarchy((2,), (1,)), (2,))
         part = ProjectorPartition(space)
-        assert part.members == ((0, (0,)),)
-        local = local_l2_project(part, (0, (0,)), lambda pts: pts[:, 0])
+        assert part.members.tolist() == [[0, 0]]
+        assert part.member_functions(0).tolist() == [0, 1, 2, 3]
+        got = local_l2_project(part, 0, lambda pts: pts[:, 0])
         kv = space.levels[0].kvs[0]
-        got = [local[j] for j in range(4)]
         greville = [np.mean(kv.knots[j + 1 : j + 3]) for j in range(4)]  # knot averages
         assert_allclose(got, greville, rtol=0, atol=1e-13)
         # hand-assembled normal equations from the naive recursion, one Gauss
@@ -378,31 +398,41 @@ class TestLocalProjection:
         assert_allclose(got, oracle, rtol=0, atol=1e-12)
 
     def test_member_lookup_forms(self, rpartition):
+        """A member is named by its int index only: a numpy integer is the
+        same index, and an index out of range or a (level, box) pair raises."""
         last = len(rpartition) - 1
-        assert rpartition.member_index(rpartition.members[last]) == last
-        assert rpartition.member_index(last) == last
-        with pytest.raises(ValueError):
-            rpartition.member_index(len(rpartition))
-        with pytest.raises(ValueError):
-            rpartition.member_index((99, rpartition.members[0][1]))
+        assert np.array_equal(rpartition.member_functions(np.int64(last)),
+                              rpartition.member_functions(last))
+        for idx in (len(rpartition), -1):
+            with pytest.raises(ValueError, match="out of range"):
+                rpartition.member_functions(idx)
+        with pytest.raises(ValueError, match="a member index must be an integer"):
+            rpartition.member_functions(member_pairs(rpartition)[last])
 
 
-# (id, call, identifier, message): identifiers that are not an index, a
-# (level, box) pair or a function id
+# (id, call, identifier, message): identifiers that are not a member index
+# or a function id.  Members are named by index only, so a (level, box)
+# pair, well formed or not, is refused by every member-taking call.
+MEMBER = "a member index must be an integer"
 BAD_IDENTIFIERS = [
-    ("index-bool", "member_index", True, "a member index must be an integer"),
-    ("index-numpy-bool", "member_index", np.True_, "a member index must be an integer"),
-    ("index-float", "member_index", 2.0, "a member index must be an integer"),
-    ("index-string", "member_index", "1", "a member index must be an integer"),
-    ("index-none", "member_index", None, "a member index must be an integer"),
-    ("level-bool", "member_index", (True, (1, 1)), "a member level must be an integer"),
-    ("level-float", "member_index", (1.0, (1, 1)), "a member level must be an integer"),
-    ("pair-short", "member_index", (1,), r"an index or a \(level, box\) pair"),
-    ("pair-long", "member_index", (1, (1, 1), 0), r"an index or a \(level, box\) pair"),
-    ("box-scalar", "member_index", (1, 1), "multi-indices of dimension 2"),
-    ("box-length", "member_index", (1, (1,)), "multi-indices of dimension 2"),
-    ("box-float", "member_index", (1, (1.0, 1)), "multi-indices of dimension 2"),
-    ("functions-bool", "member_functions", False, "a member index must be an integer"),
+    ("index-bool", "member_elements", True, MEMBER),
+    ("index-numpy-bool", "member_integrals", np.True_, MEMBER),
+    ("index-float", "member_functions", 2.0, MEMBER),
+    ("index-string", "local_l2_project", "1", MEMBER),
+    ("index-none", "member_elements", None, MEMBER),
+    ("pair-elements", "member_elements", (1, (0, 1)), MEMBER),
+    ("pair-functions", "member_functions", (1, (0, 1)), MEMBER),
+    ("pair-integrals", "member_integrals", (1, (0, 1)), MEMBER),
+    ("pair-local", "local_l2_project", (1, (0, 1)), MEMBER),
+    ("pair-list", "member_functions", [1, np.array([0, 1])], MEMBER),
+    ("level-bool", "member_elements", (True, (1, 1)), MEMBER),
+    ("level-float", "member_functions", (1.0, (1, 1)), MEMBER),
+    ("pair-short", "member_integrals", (1,), MEMBER),
+    ("pair-long", "local_l2_project", (1, (1, 1), 0), MEMBER),
+    ("box-scalar", "member_elements", (1, 1), MEMBER),
+    ("box-length", "member_functions", (1, (1,)), MEMBER),
+    ("box-float", "member_integrals", (1, (1.0, 1)), MEMBER),
+    ("functions-bool", "member_functions", False, MEMBER),
     ("weights-bool", "smoothing_weights", True, "a function id must be an integer"),
     ("weights-float", "smoothing_weights", 2.0, "a function id must be an integer"),
     ("weights-numpy-float", "smoothing_weights", np.float64(1), "a function id must be an integer"),
@@ -421,13 +451,18 @@ class TestIdentifiers:
         with pytest.raises(ValueError, match=message):
             if call == "smoothing_weights":
                 smoothing_weights(part, value)
+            elif call == "local_l2_project":
+                local_l2_project(part, value, const_field(1.0))
             else:
                 getattr(part, call)(value)
 
     def test_integer_identifiers(self, part):
-        assert part.member_index(np.int64(1)) == 1
-        assert part.member_index([1, np.array([0, 1])]) == part.member_index((1, (0, 1)))
-        assert smoothing_weights(part, np.int32(0)) == smoothing_weights(part, 0)
+        assert (1, (0, 1)) in member_pairs(part)  # the pair-* cases name a real member
+        for call in ("member_elements", "member_functions", "member_integrals"):
+            got, want = getattr(part, call)(np.int64(1)), getattr(part, call)(1)
+            assert all(map(np.array_equal, got, want)) and len(got) == len(want)
+        for got, want in zip(smoothing_weights(part, np.int32(0)), smoothing_weights(part, 0)):
+            assert np.array_equal(got, want)
         for fid in (-1, part.space.ndof):
             with pytest.raises(IndexError, match="out of range"):
                 smoothing_weights(part, fid)
@@ -439,15 +474,18 @@ class TestSmoothingWeights:
         part = ProjectorPartition(space)
         fid = 0  # the level-0 function (0,), nonzero on the first element only
         assert space.functions[fid] == (0, (0,))
-        assert smoothing_weights(part, fid) == {(0, (0,)): 1.0}
+        members, shares = smoothing_weights(part, fid)
+        assert members.tolist() == [0] and shares.tolist() == [1.0]
+        assert member_pairs(part)[0] == (0, (0,))
 
     def test_weights_sum_to_one(self, rspace, rpartition):
         for fid in range(rspace.ndof):
-            weights = smoothing_weights(rpartition, fid)
-            assert weights
-            assert abs(sum(weights.values()) - 1.0) < 1e-12
-            for member in weights:
-                assert rpartition.members[rpartition.member_index(member)] == member
+            members, shares = smoothing_weights(rpartition, fid)
+            assert len(members) and members.shape == shares.shape
+            assert abs(sum(shares.tolist()) - 1.0) < 1e-12
+            # member indices, in canonical order without repeats
+            assert members.dtype.kind == "i" and np.all(np.diff(members) > 0)
+            assert 0 <= members[0] and members[-1] < len(rpartition)
 
     def test_straddling_weights_match_composite_quadrature(self):
         space = thb_space(DomainHierarchy((2,), (2,)), (2,))
@@ -464,8 +502,8 @@ class TestSmoothingWeights:
 
         for fid, (lv, j) in enumerate(space.functions):
             total = sum(elem_integral(e, j[0]) for e in range(4))
-            weights = smoothing_weights(part, fid)
-            for (_, box), val in weights.items():
+            for member, val in zip(*smoothing_weights(part, fid)):
+                box = part.members[member, 1:]
                 oracle = sum(elem_integral(e, j[0]) for e in (2 * box[0], 2 * box[0] + 1))
                 assert abs(val - oracle / total) < 1e-12
 
@@ -560,8 +598,14 @@ def _brute_extension_members(part, lv, e):
     members = set()
     for midx in range(len(part)):
         if fids & set(part.member_functions(midx).tolist()):
-            members.add(part.members[midx])
+            members.add(midx)
     return members
+
+
+def extension_pairs(part, ext):
+    """The members of a support extension as ``(level, box)`` tuples."""
+    pairs = member_pairs(part)
+    return [pairs[i] for i in ext.members.tolist()]
 
 
 class TestSupportExtension:
@@ -569,33 +613,37 @@ class TestSupportExtension:
         space = thb_space(DomainHierarchy((2, 2), (4, 4)), (2, 2))
         part = ProjectorPartition(space)
         ext = support_extension(part, 0, (4, 5))  # inside box (2, 2)
-        assert set(ext.members) == {
+        assert set(extension_pairs(part, ext)) == {
             (0, (bx, by)) for bx in (1, 2, 3) for by in (1, 2, 3)
         }
         assert ext.cube == ((0.25, 1.0), (0.25, 1.0))
         corner = support_extension(part, 0, (0, 0))
-        assert set(corner.members) == {(0, (bx, by)) for bx in (0, 1) for by in (0, 1)}
+        assert set(extension_pairs(part, corner)) == {(0, (bx, by)) for bx in (0, 1) for by in (0, 1)}
         assert corner.cube == ((0.0, 0.5), (0.0, 0.5))
 
     def test_one_box_domain(self):
         space = thb_space(DomainHierarchy((2,), (1,)), (2,))
         part = ProjectorPartition(space)
         ext = support_extension(part, 0, (1,))
-        assert ext.members == ((0, (0,)),)
+        assert ext.members.tolist() == [0]
+        assert extension_pairs(part, ext) == [(0, (0,))]
         assert ext.cube == ((0.0, 1.0),)
 
     def test_matches_brute_enumeration(self, rspace, rpartition):
         elems = [(lv, e) for lv in range(rspace.num_levels) for e in rspace.active_elements(lv)]
         for lv, e in elems[:: max(1, len(elems) // 8)]:
             ext = support_extension(rpartition, lv, e)
-            assert set(ext.members) == _brute_extension_members(rpartition, lv, e)
+            assert np.array_equal(ext.members, np.unique(ext.members))
+            assert set(ext.members.tolist()) == _brute_extension_members(rpartition, lv, e)
 
     def test_far_refinement_leaves_extension_unchanged(self):
         space = thb_space(DomainHierarchy((2, 2), (4, 4), [{(0, 0)}]), (2, 2))
-        ext1 = support_extension(ProjectorPartition(space), 1, (0, 0))
+        part1 = ProjectorPartition(space)
+        ext1 = support_extension(part1, 1, (0, 0))
         refined = refine_qboxes(space, [(0, (3, 3))], AdmissibilityPolicy(2))
-        ext2 = support_extension(ProjectorPartition(refined), 1, (0, 0))
-        assert ext1.members == ext2.members
+        part2 = ProjectorPartition(refined)
+        ext2 = support_extension(part2, 1, (0, 0))
+        assert extension_pairs(part1, ext1) == extension_pairs(part2, ext2)
         assert ext1.cube == ext2.cube
 
     def test_inactive_element_raises(self, rpartition):
@@ -611,7 +659,7 @@ class TestErrorReport:
         f = thb_field(rspace, coeffs)
         result = bezier_project(rspace, f, rpartition)
         report = error_report(
-            rspace, f, result, f_grad=thb_field_grad(rspace, coeffs)
+            rspace, f, result.coefficients, f_grad=thb_field_grad(rspace, coeffs)
         )
         assert report.error_l2 <= 1e-10
         assert report.error_linf <= 1e-10
@@ -661,17 +709,23 @@ class TestErrorReport:
 
     def test_h1_requires_gradient(self, rspace, rpartition):
         result = bezier_project(rspace, const_field(1.0), rpartition)
-        with pytest.raises(ValueError):
-            error_report(rspace, const_field(1.0), result, norms=("h1",))
+        with pytest.raises(ValueError, match="the h1 norm requires f_grad"):
+            error_report(rspace, const_field(1.0), result.coefficients, norms=("h1",))
 
     def test_unknown_norm_rejected(self, rspace, rpartition):
         result = bezier_project(rspace, const_field(1.0), rpartition)
-        with pytest.raises(ValueError):
-            error_report(rspace, const_field(1.0), result, norms=("l3",))
+        with pytest.raises(ValueError, match="unknown norms"):
+            error_report(rspace, const_field(1.0), result.coefficients, norms=("l3",))
 
     def test_bad_coefficient_length(self, rspace):
         with pytest.raises(ValueError):
             error_report(rspace, const_field(1.0), np.zeros(rspace.ndof + 1))
+
+    @pytest.mark.parametrize("kind", sorted(NOT_VECTORS))
+    def test_rejects_anything_but_a_coefficient_vector(self, kind):
+        space = thb_space(DomainHierarchy((2, 2), (2, 2), [{(0, 0)}]), (2, 2))
+        with pytest.raises(ValueError, match="coefficient vector must have length %d$" % space.ndof):
+            error_report(space, const_field(1.0), NOT_VECTORS[kind](space.ndof))
 
     @pytest.mark.parametrize(
         "p,sizes,dim",
@@ -696,7 +750,7 @@ class TestErrorReport:
             space = thb_space(
                 DomainHierarchy((p,) * dim, (n // p,) * dim), (p,) * dim
             )
-            report = error_report(space, f, bezier_project(space, f), f_grad=g)
+            report = error_report(space, f, bezier_project(space, f).coefficients, f_grad=g)
             hs.append(1.0 / n)
             max_elem.append(report.max_elem_l2)
             glob_l2.append(report.error_l2)

@@ -2,6 +2,9 @@
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +18,8 @@ from thbox.cli import (
     normalize_config,
 )
 from thbox.hierarchy import DomainHierarchy
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def make_space(q, boxes0, degree, refined=()):
@@ -154,6 +159,18 @@ class TestMainExitCodes:
         bad.write_text("{not json")
         assert cli.main(["--config", str(bad)]) == 1
         assert "JSON" in capsys.readouterr().err
+
+    def test_module_entry_under_warning_filter(self):
+        # `python -m thbox.cli` must not find thbox.cli already imported by
+        # the package, which runpy reports as a RuntimeWarning
+        out = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "thbox.cli", "--help"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        assert out.returncode == 0
+        assert out.stderr == ""
+        assert out.stdout.startswith("usage: thbox")
 
     def test_unknown_field_exits_one(self, tmp_path, capsys):
         code, _ = run_cli(tmp_path, {"kind": "mesh-info", "bogus": 1})

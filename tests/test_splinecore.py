@@ -101,6 +101,19 @@ class TestConstruction:
         assert (kv.degree, kv.multiplicity) == (2, 2)
         assert type(kv.degree) is int and type(kv.multiplicity) is int
 
+    @pytest.mark.parametrize("numelems", [True, 2.5, np.float64(2)], ids=["bool", "float", "numpy-float"])
+    def test_non_integer_numelems_named(self, numelems):
+        # the one integer rule (as_integer), not a cast: True is not one element
+        with pytest.raises(ValueError, match="^numelems must be an integer"):
+            uniform_knot_vector(numelems, 2)
+        with pytest.raises(ValueError, match="^numelems must be an integer"):
+            uniform_space((2, numelems), (2, 2))
+
+    def test_numpy_integer_numelems(self):
+        kv = uniform_knot_vector(np.int64(4), 2)
+        assert kv == uniform_knot_vector(4, 2) and kv.numelems == 4
+        assert uniform_space((np.int32(3), 2), (2, 2)).numelems == (3, 2)
+
     def test_element_of(self):
         kv = uniform_knot_vector(4, 2)
         assert kv.element_of(0.0) == 0
