@@ -16,12 +16,18 @@ Members are named by their index in ``ProjectorPartition.members``, and
 every answer is an array: member ids, function ids, shares, coefficients.
 
 Quadrature runs over whole levels (:meth:`ThbSpace.quadrature` blocks):
-the target is sampled once per level.  The member systems are solved in
-stacks: members are grouped by shape (element count, function count), and
-each chunk of a group, at most :data:`STACK_BYTES` of weighted systems,
-gathers its elements' rows straight from the level blocks, rebuilds its
-members' dense extraction tables from the partition's flat member arrays
-and forms their function values ``V_e^T C_e`` at once.  The same gather
+the target is sampled once per level.  A block keeps its B-spline values
+as per-direction tables; the projector forms each level's tensor values
+``(nel, nloc, nq)`` from them itself (``hierarchy._tensor_values``), so
+its local-solve arithmetic, and with it the rounding floor of the member
+systems, is that of the dense element values.  The member systems are
+solved in stacks: members are grouped by shape (element count, function
+count), and each chunk of a group, at most :data:`STACK_BYTES` of
+weighted systems, gathers its elements' rows from those level arrays,
+rebuilds its members' dense extraction tables from the partition's flat
+member arrays and forms their function values ``V_e^T C_e`` at once.
+The error reports read the blocks sum-factorized
+(:meth:`~thbox.hierarchy.LevelBlock.evaluate`).  The same gather
 feeds the member integrals, and one stacked solve serves
 :func:`bezier_project` and :func:`local_l2_project` (a stack of one).
 Rules are tensor Gauss rules on active elements, where every basis
@@ -33,7 +39,9 @@ so results are bit-reproducible.
 
 import numpy as np
 
-from .hierarchy import as_coefficients, as_integer, galerkin, gauss_tensor, unraveled
+from .hierarchy import (
+    _tensor_values, as_coefficients, as_integer, galerkin, gauss_tensor, unraveled,
+)
 from .numerics import SPD_PIVOT_REL, NonSPDError, svd_rank
 from .qbox import QBoxMesh
 
@@ -115,7 +123,9 @@ class ProjectorPartition:
         self._groups = np.split(order, cut)
         self._nq = int(np.prod([len(pts) for pts, _ in self._rule]))
 
-        blocks = {b.level: (b.values[0], b.weights) for b in space.quadrature(self._rule)}
+        blocks = {
+            b.level: (_tensor_values(b.tables[0]), b.weights) for b in space.quadrature(self._rule)
+        }
         ints = np.empty(len(self._fids))
         for mids, (values, weights) in self._stacks(blocks):
             # the weights applied first: (V_e w_e)^T C_e per element
@@ -347,7 +357,7 @@ def local_l2_project(partition, idx, f):
     idx = partition._index(idx)
     elements = partition.member_elements(idx)
     blocks = partition.space.quadrature(partition._rule, fields=(f,), elements=elements)
-    arrays = zip(*((block.values[0], block.weights, block.fields[0]) for block in blocks))
+    arrays = zip(*((_tensor_values(b.tables[0]), b.weights, b.fields[0]) for b in blocks))
     stack = [np.concatenate(a)[None] for a in arrays]
     local = _member_solves(partition, [(np.array([idx]), stack)])
     return local[partition._fid_ptr[idx]:partition._fid_ptr[idx + 1]]
@@ -391,7 +401,7 @@ def bezier_project(space, f, partition=None):
     elif partition.space is not space:
         raise ValueError("partition belongs to a different space")
     blocks = space.quadrature(partition._rule, fields=(f,))
-    levels = {b.level: (b.values[0], b.weights, b.fields[0]) for b in blocks}
+    levels = {b.level: (_tensor_values(b.tables[0]), b.weights, b.fields[0]) for b in blocks}
     local = _member_solves(partition, partition._stacks(levels))
     coeffs = np.bincount(partition._fids, partition._shares * local, space.ndof)
     return ProjectionResult(coeffs)
@@ -474,6 +484,9 @@ def error_report(space, f, coeffs, norms=_NORMS, f_grad=None):
     (npts, dim) to gradients (npts, dim).  L2 and H1 use per-element Gauss
     quadrature one order above the Gramian rule; the Linf estimate samples
     a dense per-element tensor grid of ``2*p+3`` points per direction.
+    Both read one level block at a time through
+    :meth:`~thbox.hierarchy.LevelBlock.evaluate`, so they hold per-direction
+    tables and ``(nel, nq)`` samples, no tensor values.
     """
     coeffs = as_coefficients(coeffs, space.ndof)
     norms = tuple(norms)

@@ -25,6 +25,13 @@ active when it lies inside ``Omega^{lv}`` and its interior misses
 ``Omega^{lv+1}``.  Active elements of all levels partition the domain, and
 every evaluation routes through the unique active element containing the
 query point.
+
+Quadrature runs over whole levels (:meth:`ThbSpace.quadrature`, one
+:class:`LevelBlock` per level) and is sum-factorized: a block keeps the
+per-direction B-spline tables of its elements, and since tensor Gauss
+weights are products, evaluations, element matrices and loads contract
+one direction at a time (:meth:`LevelBlock.evaluate`, :func:`galerkin`)
+without forming the ``(nel, nloc, nq)`` tensor values.
 """
 
 import json
@@ -141,6 +148,18 @@ def _field_values(f, pts):
     return vals
 
 
+def _numbers(values):
+    """``values`` as a 1-D float array, or ``None`` unless it is a sequence
+    of real numbers (bools, strings and nested sequences are not)."""
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError):
+        return None
+    if arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        return None
+    return arr.astype(float, copy=False)
+
+
 def _reference_grid(ref_pts_per_dir):
     """Tensor grid (npts, dim) of per-direction reference points, C order."""
     grids = np.meshgrid(*(np.asarray(r) for r in ref_pts_per_dir), indexing="ij")
@@ -148,8 +167,9 @@ def _reference_grid(ref_pts_per_dir):
 
 
 def _tensor_values(tables):
-    """Tensor products (nel, prod nloc_d, prod nq_d), C order, of per-direction
-    tables (nel, nloc_d, nq_d)."""
+    """Per element, the Kronecker product (nel, prod a_d, prod b_d), C order,
+    of per-direction matrices (nel, a_d, b_d): from the tables of a
+    :class:`LevelBlock`, its tensor B-spline values (nel, nloc, nq)."""
     out = tables[0]
     for tab in tables[1:]:
         nel, a, m = out.shape
@@ -157,6 +177,19 @@ def _tensor_values(tables):
             nel, a * tab.shape[1], m * tab.shape[2]
         )
     return out
+
+
+def _contract(x, mats):
+    """Per element, ``x`` (nel, prod a_d) times the Kronecker product of
+    ``mats`` (nel, a_d, b_d): (nel, prod b_d), C order.
+
+    One batched matmul per direction: each contracts the leading axis and
+    appends the new one, so after all directions the axes are back in order.
+    """
+    nel = len(x)
+    for m in mats:
+        x = x.reshape(nel, m.shape[1], -1).transpose(0, 2, 1) @ m
+    return x.reshape(nel, -1)
 
 
 def gauss_tensor(space, extra=0):
@@ -369,7 +402,8 @@ class LevelSequence:
             elems = np.repeat(np.arange(kv.numelems), len(points))
             tab = basis_on_element(kv, elems, x.ravel(), nderiv)
             tab = tab.reshape(nderiv + 1, kv.degree + 1, kv.numelems, len(points))
-            tab = self._tables[key] = tab.transpose(2, 0, 1, 3)
+            # contiguous, so that gathering elements copies whole rows
+            tab = self._tables[key] = np.ascontiguousarray(tab.transpose(2, 0, 1, 3))
         return tab
 
     def __getitem__(self, lv):
@@ -398,55 +432,81 @@ class LevelBlock:
     Yielded by :meth:`ThbSpace.quadrature`.  ``elements`` (nel, dim) are
     element multi-indices and ``sizes`` (nel, dim) their edge lengths;
     ``local`` (nel, nloc) gives the rows of ``R_lv`` of each element's
-    tensor B-splines; ``values`` holds per derivative tuple the tensor
-    B-spline values (nel, nloc, nq); ``weights`` (nel, nq) are physical
-    tensor weights (``None`` for a sampling rule); ``fields`` holds per
-    field its values (nel, nq).  The THB basis on the block is the tensor
-    basis mapped by ``R_lv``, so the methods below are linear algebra on
-    these arrays.
+    tensor B-splines.  The tensor B-spline values are kept factored:
+    ``tables`` holds per derivative tuple the per-direction tables (nel,
+    n_d, nq_d) of the element's ``n_d = p_d + 1`` B-splines, whose C-order
+    Kronecker product is the (nel, nloc, nq) value array.
+    ``direction_weights`` holds per direction the physical weights (nel,
+    nq_d), ones for a direction that is only sampled; ``weights`` (nel, nq)
+    is their tensor product (``None`` for a sampling rule); ``fields``
+    holds per field its values (nel, nq).  The THB basis on the block is
+    the tensor basis mapped by ``R_lv``, and the Gauss weights are tensor
+    products, so :meth:`evaluate` and :func:`galerkin` contract one
+    direction at a time (sum factorization) and form no (nel, nloc, nq)
+    array.
     """
 
-    def __init__(self, space, level, elements, sizes, local, values, weights, fields):
+    def __init__(self, space, level, elements, sizes, local, tables, direction_weights,
+                 weights, fields):
         self.space = space
         self.level = level
         self.elements = elements
         self.sizes = sizes
         self.local = local
-        self.values = values
+        self.tables = tables
+        self.direction_weights = direction_weights
         self.weights = weights
         self.fields = fields
 
     def evaluate(self, coeffs, k=0):
-        """Values (nel, nq) of the function with THB ``coeffs`` for ``values[k]``."""
+        """Values (nel, nq) of the function with THB ``coeffs`` for the
+        derivative tuple ``tables[k]``.  ``coeffs`` is a numeric vector of
+        length ``space.ndof`` (:func:`as_coefficients`); ValueError for it,
+        or for a ``k`` that is not the index of one of the block's tuples."""
+        coeffs = as_coefficients(coeffs, self.space.ndof)
+        k = as_integer(k, "a derivative index")
+        if not 0 <= k < len(self.tables):
+            raise ValueError("derivative index %d out of range (0..%d)" % (k, len(self.tables) - 1))
         local = (self.space.extraction(self.level) @ coeffs)[self.local]
-        return np.einsum("ea,eaq->eq", local, self.values[k])
+        return _contract(local, self.tables[k])
 
 
 def galerkin(blocks, ks=(0,)):
     """Sparse (ndof, ndof) Gramian and load vector of :class:`LevelBlock` of one space.
 
-    The Gramian sums over ``k in ks`` the integrals of ``values[k]``
-    products.  It is one congruence ``E^T blockdiag(M_e) E``: ``M_e``
-    (nloc, nloc) is each element's matrix and ``E`` gathers the rows of
+    The Gramian sums over ``k in ks`` the integrals of the products of the
+    basis functions' ``tables[k]`` derivatives.  The weights are tensor
+    products, so each element matrix is ``sum_k kron_d(T_dk W_d T_dk^T)``
+    of per-direction factors (nel, n_d, n_d).  The Gramian is one
+    congruence ``E^T blockdiag(M_e) E``: ``M_e`` (nloc, nloc) is each
+    element's matrix and ``E`` gathers the rows of
     :meth:`ThbSpace.stacked_extraction` at the elements' ``local`` rows, so
     the extraction maps the element matrices into the THB basis with no
     triplets and no sort.  The load is ``E^T l``, with ``l`` the integrals
-    of each block's ``fields[0]`` against its B-splines, or ``None`` when
-    the blocks carry no field.  Blocks may come from different levels and
-    rules; they are read one at a time, keeping only their element
-    matrices, element loads and rows.
+    of each block's ``fields[0]`` against its B-splines (``w f`` contracted
+    with the value tables direction by direction), or ``None`` when the
+    blocks carry no field.  Blocks may come from different levels and
+    rules, but a rule without weights raises ValueError; they are read one
+    at a time, keeping only their element matrices, element loads and rows.
     """
     space, rows, mats, loads = None, [], [], []
     for b in blocks:
         space = b.space if space is None else space
         if b.space is not space:
             raise ValueError("galerkin needs blocks of one space")
+        if b.weights is None:
+            raise ValueError("galerkin needs a rule with weights")
         mats.append(sum(
-            (b.values[k] * b.weights[:, None, :]) @ b.values[k].transpose(0, 2, 1) for k in ks
+            _tensor_values([
+                (t * w[:, None, :]) @ t.transpose(0, 2, 1)
+                for t, w in zip(b.tables[k], b.direction_weights)
+            ])
+            for k in ks
         ))
         rows.append((b.level, b.local))
         if b.fields:
-            loads.append(np.einsum("eaq,eq->ea", b.values[0], b.weights * b.fields[0]))
+            transposed = [t.transpose(0, 2, 1) for t in b.tables[0]]
+            loads.append(_contract(b.weights * b.fields[0], transposed))
         del b  # freed before the next block is built
     if space is None:
         raise ValueError("galerkin needs at least one block")
@@ -730,29 +790,32 @@ class ThbSpace:
         """Active-function values on element (lv, e) at a tensor point grid.
 
         ``ref_pts_per_dir`` holds per-direction reference coordinates in
-        [0, 1] (hashable tuples); ``derivs`` is a sequence of per-direction
-        derivative-order tuples.  Returns (fids, [V_k]) with each V_k of
-        shape (len(fids), npts): the one-element :meth:`quadrature` block
-        mapped through :meth:`element_table`.
+        [0, 1]; ``derivs`` is a sequence of per-direction derivative-order
+        tuples.  Returns (fids, [V_k]) with each V_k of shape (len(fids),
+        npts): the tensor values of the one-element :meth:`quadrature`
+        block mapped through :meth:`element_table`.
         """
         fids, coeffs = self.element_table(lv, e)
         rule = tuple((pts, None) for pts in ref_pts_per_dir)
         elements = [[e] if k == lv else [] for k in range(self.num_levels)]
         (block,) = self.quadrature(rule, derivs, elements=elements)
-        return fids, [coeffs @ v[0] for v in block.values]
+        return fids, [coeffs @ _tensor_values(tabs)[0] for tabs in block.tables]
 
     def quadrature(self, rule, derivs=None, fields=(), elements=None):
         """Tensor quadrature over whole levels: one :class:`LevelBlock` per level.
 
         ``rule`` holds per direction a pair ``(points, weights)``: reference
-        points in [0, 1] as a hashable tuple, and their weights on [0, 1] or
-        ``None`` for a direction that is only sampled (weight factor 1;
-        a rule without weights yields ``weights = None``).  ``derivs`` lists
-        per-direction derivative-order tuples (values only by default).
-        ``elements`` holds one array (n_lv, dim) of active elements per
-        level to visit, all of them by default.  Blocks come in level order,
-        and a block's elements in the order given (canonical by default);
-        levels without elements yield no block.
+        points in [0, 1], and their weights on [0, 1] (one finite number
+        per point) or ``None`` for a direction that is only sampled (weight
+        factor 1; a rule without weights yields ``weights = None``).
+        ``derivs`` lists per-direction tuples of non-negative derivative
+        orders (values only by default).  ``elements`` holds one array
+        (n_lv, dim) of active elements per level to visit, all of them by
+        default.  Blocks come in level order, and a block's elements in the
+        order given (canonical by default); levels without elements yield
+        no block.  ``rule``, ``derivs`` and ``elements`` are checked when
+        this is called, before any block is built: a bad one raises
+        ValueError naming it.
 
         A field maps a point array (npts, dim) to a finite value array
         (npts,) and is called once per block, on all of the block's points;
@@ -761,45 +824,84 @@ class ThbSpace:
         holds a block once it is yielded, so a consumer that drops each block
         before asking for the next holds one level's arrays at a time.
         """
-        if derivs is None:
-            derivs = ((0,) * self.dim,)
-        grid = _reference_grid([pts for pts, _ in rule]) if fields else None
+        rule, derivs = self._checked(rule, derivs)
         if elements is None:
             chosen = [np.arange(len(a)) for a in self._elem_ids]
         elif len(elements) != self.num_levels:
             raise ValueError("elements must hold one array per level (%d)" % self.num_levels)
         else:
             chosen = [self._positions(lv, es) for lv, es in enumerate(elements)]
-        for lv, pos in enumerate(chosen):
-            if len(pos):
-                # built by a call, so that no array of this block stays referenced
-                # here while the next level's values are built
-                yield self._level_block(lv, pos, rule, derivs, fields, grid)
+        grid = _reference_grid([pts for pts, _ in rule]) if fields else None
+        # built by a call, so that no array of a block stays referenced here
+        # while the next level's block is built
+        return (
+            self._level_block(lv, pos, rule, derivs, fields, grid)
+            for lv, pos in enumerate(chosen) if len(pos)
+        )
+
+    def _checked(self, rule, derivs):
+        """``rule`` as per-direction (points tuple, float weights or None) and
+        ``derivs`` as int tuples (values only for ``None``); ValueError
+        naming the field that breaks :meth:`quadrature`'s contract."""
+        try:
+            rule = [tuple(pair) for pair in rule]
+        except TypeError:
+            rule = ()
+        if len(rule) != self.dim or any(len(pair) != 2 for pair in rule):
+            raise ValueError("rule must hold one (points, weights) pair per direction (%d)"
+                             % self.dim)
+        checked = []
+        for d, (pts, wts) in enumerate(rule):
+            pts = _numbers(pts)
+            if pts is None or not len(pts) or not np.all((pts >= 0.0) & (pts <= 1.0)):
+                raise ValueError("rule points of direction %d must be a nonempty sequence "
+                                 "of numbers in [0, 1]" % d)
+            if wts is not None:
+                wts = _numbers(wts)
+                if wts is None or wts.shape != pts.shape or not np.all(np.isfinite(wts)):
+                    raise ValueError("rule weights of direction %d must be None or one finite "
+                                     "number per point" % d)
+            checked.append((tuple(pts.tolist()), wts))
+        if derivs is None:
+            derivs = ((0,) * self.dim,)
+        try:
+            derivs = tuple(tuple(as_integer(k, "a derivative order") for k in dv) for dv in derivs)
+        except (TypeError, ValueError):
+            derivs = ()
+        if not derivs or any(len(dv) != self.dim or min(dv) < 0 for dv in derivs):
+            raise ValueError("derivs must be a nonempty sequence of tuples of %d non-negative "
+                             "integers" % self.dim)
+        return checked, derivs
 
     def _level_block(self, lv, pos, rule, derivs, fields, grid):
         """The :class:`LevelBlock` of :meth:`quadrature` on the level-``lv``
-        active elements at positions ``pos``."""
+        active elements at positions ``pos``: per-direction tables gathered
+        from :meth:`LevelSequence.basis_tables`, no tensor values."""
         elems = self._elem_array[lv][pos]
         kvs = self.levels[lv].kvs
         lo = np.stack([kv.breakpoints[elems[:, d]] for d, kv in enumerate(kvs)], axis=1)
         size = np.stack([kv.breakpoints[elems[:, d] + 1] for d, kv in enumerate(kvs)], axis=1) - lo
-        tables = [
+        gathered = [
             self.levels.basis_tables(lv, d, pts, max(dv[d] for dv in derivs))[elems[:, d]]
             for d, (pts, _) in enumerate(rule)
         ]
-        values = [_tensor_values([tab[:, k] for tab, k in zip(tables, dv)]) for dv in derivs]
-        weights = None
-        for d, (_, wts) in enumerate(rule):
-            if wts is not None:
-                wd = wts * size[:, d, None]
-                weights = wd if weights is None else (
-                    weights[:, :, None] * wd[:, None, :]
-                ).reshape(len(pos), -1)
+        tables = [tuple(tab[:, k] for tab, k in zip(gathered, dv)) for dv in derivs]
+        direction_weights = [
+            np.ones((len(pos), len(pts))) if wts is None else wts * size[:, d, None]
+            for d, (pts, wts) in enumerate(rule)
+        ]
+        weighted = [wd[:, None, :] for wd, (_, w) in zip(direction_weights, rule) if w is not None]
+        weights = _tensor_values(weighted)[:, 0] if weighted else None
         field_values = []
         if fields:
-            pts = (lo[:, None, :] + size[:, None, :] * grid).reshape(-1, self.dim)
+            # one direction at a time: long inner loops over the points
+            pts = np.empty((len(pos), len(grid), self.dim))
+            for d in range(self.dim):
+                pts[:, :, d] = lo[:, d, None] + size[:, d, None] * grid[:, d]
+            pts = pts.reshape(-1, self.dim)
             field_values = [_field_values(f, pts).reshape(len(pos), -1) for f in fields]
-        return LevelBlock(self, lv, elems, size, self._local[lv][pos], values, weights, field_values)
+        return LevelBlock(self, lv, elems, size, self._local[lv][pos], tables,
+                          direction_weights, weights, field_values)
 
     def eval_all_at(self, x, deriv=None):
         """Values of all active functions nonzero at ``x``: (fids, values)."""

@@ -16,6 +16,7 @@ from thbox.bezier import ProjectionResult
 from thbox.derham import RANK_REL_TOL, _operators
 from thbox.hierarchy import (
     DomainHierarchy,
+    _tensor_values,
     LevelSequence,
     build_thb,
     gauss_tensor,
@@ -609,7 +610,7 @@ def dense_operator_matrix(cs, sources, targets):
             row0 = t * block
             for lvb in sources[src].quadrature(rule, derivs=(deriv,)):
                 ext = lvb.space.extraction(lvb.level).toarray()[lvb.local]
-                samp = np.einsum("eaq,eaf->eqf", lvb.values[0], ext)
+                samp = np.einsum("eaq,eaf->eqf", _tensor_values(lvb.tables[0]), ext)
                 samp *= np.sqrt(lvb.weights)[:, :, None]
                 rows = slice(row0, row0 + samp.shape[0] * samp.shape[1])
                 mat[rows, offsets[src] : offsets[src + 1]] += sign * samp.reshape(-1, ext.shape[2])

@@ -37,7 +37,7 @@ from thbox.bezier import (
     support_extension,
     verify_non_overloaded,
 )
-from thbox.hierarchy import DomainHierarchy, build_hb, gauss_tensor
+from thbox.hierarchy import DomainHierarchy, _tensor_values, build_hb, gauss_tensor
 from thbox.numerics import NonSPDError, svd_rank
 from thbox.qbox import AdmissibilityPolicy, refine_qboxes
 
@@ -227,7 +227,7 @@ class TestMemberSolveOracle:
         part = ProjectorPartition(space)
         # every member's coefficients as bezier_project stacks them
         blocks = space.quadrature(part._rule, fields=(poly_field,))
-        levels = {b.level: (b.values[0], b.weights, b.fields[0]) for b in blocks}
+        levels = {b.level: (_tensor_values(b.tables[0]), b.weights, b.fields[0]) for b in blocks}
         local = bezier._member_solves(part, part._stacks(levels))
         for idx in range(len(part)):
             fids, want = member_solve_oracle(space, part.member_elements(idx), poly_field)

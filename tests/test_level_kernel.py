@@ -3,9 +3,14 @@
 Oracles: the naive Cox-de Boor evaluator of ``conftest`` for the tensor
 B-spline values of a block, and the one-element :meth:`element_values`,
 the element grid points of ``conftest`` and :meth:`eval_all_at` for
-everything the block maps through the extraction matrices.
+everything the block maps through the extraction matrices.  The
+sum-factorized kernel (``LevelBlock.evaluate`` and ``galerkin``
+contracting per-direction tables) is checked against dense tensor values
+formed element by element with ``np.kron`` and against the naive
+evaluator.
 """
 
+import functools
 import itertools
 import tracemalloc
 
@@ -13,15 +18,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import element_grid_points, naive_tensor_value, random_hierarchy
+from conftest import NOT_VECTORS, element_grid_points, naive_tensor_value, random_hierarchy
+from thbox.bezier import error_report
 from thbox.hierarchy import (
     DomainHierarchy,
     LevelSequence,
     ThbSpace,
+    _tensor_values,
     galerkin,
     gauss_tensor,
 )
-from thbox.splinecore import uniform_space
+from thbox.splinecore import gauss_rule, uniform_space
 
 KERNEL_CASES = [
     # (seed, dim, p, q, boxes0)
@@ -74,10 +81,15 @@ def _by_level(space, pairs):
     ]
 
 
+def _values(block, k=0):
+    """The block's tensor B-spline values (nel, nloc, nq) of ``tables[k]``."""
+    return _tensor_values(block.tables[k])
+
+
 def _element_basis(block, i):
     """(fids, [V_k]) of element ``i`` of the block, through its element table."""
     fids, table = block.space.element_table(block.level, tuple(block.elements[i].tolist()))
-    return fids, [table @ v[i] for v in block.values]
+    return fids, [table @ _tensor_values([t[i:i + 1] for t in tabs])[0] for tabs in block.tables]
 
 
 class TestLevelBlocks:
@@ -99,7 +111,7 @@ class TestLevelBlocks:
                         [[naive_tensor_value(tensor, j, x, dv) for x in pts] for j in funcs]
                     )
                     scale = max(1.0, np.abs(want).max())
-                    assert_allclose(block.values[k][i], want, rtol=0, atol=1e-11 * scale)
+                    assert_allclose(_values(block, k)[i], want, rtol=0, atol=1e-11 * scale)
 
     def test_blocks_match_element_values_and_points(self, space):
         rule = _rule(3, space.dim)
@@ -143,7 +155,7 @@ class TestLevelBlocks:
             pos = [keys.index(e) for e in want]
             for name in ("elements", "sizes", "local", "weights"):
                 assert np.array_equal(getattr(block, name), getattr(ref, name)[pos])
-            assert np.array_equal(block.values[0], ref.values[0][pos])
+            assert np.array_equal(_values(block), _values(ref)[pos])
             assert np.array_equal(block.fields[0], ref.fields[0][pos])
 
     def test_facet_rule_with_none_weights(self, space):
@@ -286,9 +298,10 @@ def _whole_level_gram(block, ks=(0,)):
     """``R_lv^T K R_lv`` with the full extraction matrix, ``K`` dense over its rows."""
     ext = block.space.extraction(block.level).toarray()
     k_mat = np.zeros((ext.shape[0], ext.shape[0]))
+    values = {k: _values(block, k) for k in ks}
     for i, rows in enumerate(block.local):
         for k in ks:
-            v = block.values[k][i]
+            v = values[k][i]
             k_mat[np.ix_(rows, rows)] += (v * block.weights[i]) @ v.T
     return ext.T @ k_mat @ ext
 
@@ -298,8 +311,9 @@ def _whole_level_load(block):
     ``fields[0]`` against every B-spline of the level."""
     ext = block.space.extraction(block.level).toarray()
     local = np.zeros(ext.shape[0])
+    values = _values(block)
     for i, rows in enumerate(block.local):
-        local[rows] += block.values[0][i] @ (block.weights[i] * block.fields[0][i])
+        local[rows] += values[i] @ (block.weights[i] * block.fields[0][i])
     return ext.T @ local
 
 
@@ -379,12 +393,12 @@ def test_galerkin_stream_holds_one_level():
     level's block at a time.
 
     The bound is one level's tensor values (the largest level's values of
-    every derivative, the weighted product ``galerkin`` forms from one of
+    every derivative, formed from its tables, a weighted product of one of
     them, and its weights) plus the element matrices (those of all levels,
     and the per-derivative ones and their running sum on the largest
-    level).  The peak is read when the stream ends, before the assembly.  A
-    block still referenced while the next one is built adds the previous
-    level's values: about 1.17 times the bound here.
+    level).  The peak is read when the stream ends, before the assembly.
+    The sum-factorized stream forms no tensor values, so its peak, about
+    a third of the bound here, is mostly the element matrices.
     """
     refined = [b for b in itertools.product(range(8), range(8)) if b < (1, 6)]
     hier = DomainHierarchy((2, 2), (8, 8), [refined])
@@ -393,7 +407,8 @@ def test_galerkin_stream_holds_one_level():
     blocks = list(space.quadrature(rule, derivs))  # also fills the level tables
     assert [len(b.elements) for b in blocks] == [200, 224]
     big = blocks[-1]
-    values = sum(v.nbytes for v in big.values) + big.values[0].nbytes + big.weights.nbytes
+    values = sum(_values(big, k).nbytes for k in range(len(derivs)))
+    values += _values(big).nbytes + big.weights.nbytes
     nloc = big.local.shape[1]
     matrices = (sum(len(b.elements) for b in blocks) + 3 * len(big.elements)) * nloc**2 * 8
     del blocks, big
@@ -411,3 +426,251 @@ def test_galerkin_stream_holds_one_level():
     finally:
         tracemalloc.stop()
     assert peaks[0] - base < values + matrices
+
+
+# -- the sum-factorized kernel against dense tensor values ---------------------
+
+SUMFACT_CASES = {
+    # degree and multiplicity per direction, and the boxes refined at level 0
+    "1d-p3-m2": ((3,), (2,), [[(1,)]]),
+    "2d-p23-m2": ((2, 3), (2, 1), [[(0, 0), (1, 1)]]),
+    "3d-p232-m2": ((2, 3, 2), (1, 2, 1), [[(1, 0, 0)]]),
+}
+
+
+def _sumfact_space(name):
+    degree, mult, refined = SUMFACT_CASES[name]
+    hier = DomainHierarchy((2,) * len(degree), (2,) * len(degree), refined)
+    return ThbSpace(LevelSequence(uniform_space(hier.elems_level0, degree, mult)), hier)
+
+
+def _orders_up_to_two(dim):
+    """Every derivative tuple of total order at most 2."""
+    return tuple(dv for dv in itertools.product(range(3), repeat=dim) if sum(dv) <= 2)
+
+
+def _sumfact_rules(space):
+    """A Gauss rule of 2 + d points in direction d, and the
+    facet rule sampling direction 0 at 1 on the elements of that facet."""
+    gauss = tuple(gauss_rule(2 + d) for d in range(space.dim))
+    facet = []
+    for lv in range(space.num_levels):
+        elems = space.element_rows(lv)[0]
+        facet.append(elems[elems[:, 0] == space.hierarchy.elems_shape(lv)[0] - 1])
+    return {"gauss": (gauss, None), "facet": ((((1.0,), None),) + gauss[1:], facet)}
+
+
+def _dense_values(tables):
+    """Tensor values (nel, nloc, nq) of per-direction tables, one ``np.kron``
+    chain per element."""
+    return np.array([functools.reduce(np.kron, element) for element in zip(*tables)])
+
+
+class TestSumFactorization:
+    """``evaluate``, the ``galerkin`` element matrices and the loads against
+    dense tensor values of the same tables, and ``evaluate`` against the
+    naive Cox-de Boor evaluator.  Tolerances: 1e-13 of the largest entry
+    against the dense products (both sides round the same sums in another
+    order), 1e-11 of it against the naive recursion."""
+
+    @pytest.fixture(params=list(SUMFACT_CASES), scope="class")
+    def sf_space(self, request):
+        return _sumfact_space(request.param)
+
+    @pytest.fixture(params=["gauss", "facet"])
+    def sf_blocks(self, request, sf_space):
+        rule, elements = _sumfact_rules(sf_space)[request.param]
+        derivs = _orders_up_to_two(sf_space.dim)
+        field = lambda pts: np.cos(pts @ np.arange(1.0, sf_space.dim + 1.0))
+        blocks = list(sf_space.quadrature(rule, derivs, (field,), elements=elements))
+        # both levels, except on the 1D facet: one element, of level 1
+        one = sf_space.dim == 1 and request.param == "facet"
+        assert [b.level for b in blocks] == ([1] if one else [0, 1])
+        return rule, derivs, blocks
+
+    def test_evaluate_matches_dense_and_naive_values(self, sf_space, sf_blocks):
+        rule, derivs, blocks = sf_blocks
+        refs = tuple(pts for pts, _ in rule)
+        coeffs = np.random.default_rng(sf_space.ndof).standard_normal(sf_space.ndof)
+        for block in blocks:
+            tensor = sf_space.levels[block.level]
+            local = (sf_space.extraction(block.level).toarray() @ coeffs)[block.local]
+            window = tuple(kv.degree + 1 for kv in tensor.kvs)
+            for k, dv in enumerate(derivs):
+                dense = _dense_values(block.tables[k])
+                assert dense.shape == (len(block.elements), np.prod(window), np.prod(
+                    [len(pts) for pts in refs]))
+                got = block.evaluate(coeffs, k)
+                want = np.einsum("ea,eaq->eq", local, dense)
+                assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, np.abs(want).max()))
+                for i in (0, len(block.elements) - 1):  # the recursion is slow
+                    e = tuple(block.elements[i].tolist())
+                    pts = element_grid_points(sf_space, block.level, e, refs)
+                    first = np.multiply(e, tensor.multiplicity)
+                    naive = np.array([
+                        [naive_tensor_value(tensor, tuple(np.add(first, off).tolist()), x, dv)
+                         for x in pts]
+                        for off in np.ndindex(*window)
+                    ])
+                    scale = max(1.0, np.abs(naive).max()) * max(1.0, np.abs(local[i]).sum())
+                    assert_allclose(got[i], local[i] @ naive, rtol=0, atol=1e-11 * scale)
+
+    def test_galerkin_matches_dense_element_matrices_and_loads(self, sf_space, sf_blocks):
+        _, derivs, blocks = sf_blocks
+        if sf_space.dim == 1 and blocks[0].weights is None:
+            # a point facet has no weighted direction: nothing to integrate
+            with pytest.raises(ValueError, match="rule with weights"):
+                galerkin(blocks)
+            return
+        first = [k for k, dv in enumerate(derivs) if sum(dv) == 1]
+        second = [k for k, dv in enumerate(derivs) if sum(dv) == 2]
+        for ks in ((0,), first, second):
+            want, want_load = 0, 0
+            for block in blocks:
+                # the element matrices and loads scattered on the rows of R_lv
+                ext = sf_space.extraction(block.level).toarray()
+                rows = block.local
+                mats = sum(
+                    np.einsum("eaq,eq,ebq->eab", v, block.weights, v)
+                    for v in (_dense_values(block.tables[k]) for k in ks)
+                )
+                k_mat = np.zeros((len(ext), len(ext)))
+                np.add.at(k_mat, (rows[:, :, None], rows[:, None, :]), mats)
+                want = want + ext.T @ k_mat @ ext
+                values = _dense_values(block.tables[0])
+                loads = np.einsum("eaq,eq->ea", values, block.weights * block.fields[0])
+                local = np.zeros(len(ext))
+                np.add.at(local, rows, loads)
+                want_load = want_load + ext.T @ local
+            got, load = galerkin(iter(blocks), ks)
+            assert_allclose(got.toarray(), want, rtol=0, atol=1e-13 * np.abs(want).max())
+            assert_allclose(load, want_load, rtol=0, atol=1e-13 * np.abs(want_load).max())
+
+    def test_tables_hold_no_tensor_values(self, sf_space, sf_blocks):
+        rule, derivs, blocks = sf_blocks
+        for block in blocks:
+            nel = len(block.elements)
+            assert not hasattr(block, "values")
+            assert len(block.tables) == len(derivs)
+            for tabs in block.tables:
+                assert [t.shape for t in tabs] == [
+                    (nel, p + 1, len(pts)) for p, (pts, _) in zip(sf_space.degree, rule)
+                ]
+            tensor = np.ones((nel, 1))
+            for d, (wd, (pts, wts)) in enumerate(zip(block.direction_weights, rule)):
+                assert wd.shape == (nel, len(pts))
+                want = 1.0 if wts is None else wts * block.sizes[:, d, None]
+                assert np.array_equal(wd, np.broadcast_to(want, wd.shape))
+                tensor = (tensor[:, :, None] * wd[:, None, :]).reshape(nel, -1)
+            if block.weights is not None:
+                assert np.array_equal(block.weights, tensor)
+
+
+# -- argument checks -------------------------------------------------------------
+
+_GAUSS2 = ((0.25, 0.75), np.array([0.5, 0.5]))
+
+#: Bad ``rule`` or ``derivs`` of ``quadrature`` on a 2D space: (rule,
+#: derivs, the field the ValueError names).
+BAD_QUADRATURE_ARGS = {
+    "one-direction-rule": ((_GAUSS2,), None, "one .points, weights. pair per direction"),
+    "three-direction-rule": ((_GAUSS2,) * 3, None, "one .points, weights. pair per direction"),
+    "not-pairs": ((0.5, 0.5), None, "one .points, weights. pair per direction"),
+    "point-above-one": ((((1.5,), None), _GAUSS2), None, "rule points of direction 0"),
+    "point-below-zero": ((_GAUSS2, ((-0.1, 0.5), None)), None, "rule points of direction 1"),
+    "point-nan": ((((np.nan,), None), _GAUSS2), None, "rule points of direction 0"),
+    "no-points": ((((), None), _GAUSS2), None, "rule points of direction 0"),
+    "string-points": ((("0.5", None), _GAUSS2), None, "rule points of direction 0"),
+    "weights-too-few": ((((0.5, 0.6), [1.0]), _GAUSS2), None, "rule weights of direction 0"),
+    "weights-nan": ((_GAUSS2, ((0.5,), np.array([np.nan]))), None, "rule weights of direction 1"),
+    "derivs-short": ((_GAUSS2,) * 2, ((0,),), "derivs must be"),
+    "derivs-negative": ((_GAUSS2,) * 2, ((-1, 0),), "derivs must be"),
+    "derivs-float": ((_GAUSS2,) * 2, ((1.0, 0),), "derivs must be"),
+    "derivs-bool": ((_GAUSS2,) * 2, ((True, 0),), "derivs must be"),
+    "derivs-empty": ((_GAUSS2,) * 2, (), "derivs must be"),
+    "derivs-flat": ((_GAUSS2,) * 2, (0, 0), "derivs must be"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_QUADRATURE_ARGS))
+def test_bad_rule_or_derivs_raise_before_any_block(name):
+    """The check runs when ``quadrature`` is called: no block is built and
+    no field is called."""
+    rule, derivs, message = BAD_QUADRATURE_ARGS[name]
+    space = _two_level_space()
+    calls = []
+    with pytest.raises(ValueError, match=message):
+        space.quadrature(rule, derivs, fields=(lambda pts: calls.append(pts) or pts[:, 0],))
+    assert calls == []
+
+
+def test_rule_points_as_arrays_or_integers():
+    """Points may come as any 1-D real sequence; ``0`` and ``1`` are the
+    element ends."""
+    space = _two_level_space()
+    want = list(space.quadrature((((0.0, 1.0), None),) * 2, ((1, 0),)))
+    got = list(space.quadrature(((np.array([0, 1]), None), ([0, 1], None)), [[1, 0]]))
+    for a, b in zip(got, want):
+        assert all(np.array_equal(x, y) for x, y in zip(a.tables[0], b.tables[0]))
+
+
+#: Bad derivative indices of ``LevelBlock.evaluate`` on a block of 3 tuples.
+BAD_DERIVATIVE_INDICES = {"past-end": 3, "far": 5, "negative": -1, "bool": True, "float": 1.0}
+
+
+class TestEvaluateArguments:
+    @pytest.fixture(scope="class")
+    def block(self):
+        space = _two_level_space()
+        return next(space.quadrature(gauss_tensor(space), ((0, 0), (1, 0), (0, 1))))
+
+    @pytest.mark.parametrize("name", list(NOT_VECTORS))
+    def test_rejects_anything_but_a_coefficient_vector(self, block, name):
+        ndof = block.space.ndof
+        with pytest.raises(ValueError, match="coefficient vector must have length %d" % ndof):
+            block.evaluate(NOT_VECTORS[name](ndof))
+
+    @pytest.mark.parametrize("name", list(BAD_DERIVATIVE_INDICES))
+    def test_derivative_index_out_of_range_raises(self, block, name):
+        with pytest.raises(ValueError, match="derivative index"):
+            block.evaluate(np.zeros(block.space.ndof), BAD_DERIVATIVE_INDICES[name])
+
+    def test_integer_coefficients_and_numpy_index(self, block):
+        ones = np.ones(block.space.ndof, dtype=np.int64)
+        assert_allclose(block.evaluate(ones, np.int64(0)), 1.0, rtol=0, atol=1e-14)
+        assert_allclose(block.evaluate(ones, 2), 0.0, rtol=0, atol=1e-12)
+
+
+def test_error_report_holds_tables_and_samples_only():
+    """``error_report(l2)`` on a 3D p=3 space of two levels holds per-direction
+    tables and ``(nel, nq)`` samples, never the ``(nel, 64, 125)`` tensor values.
+
+    The bound, for the larger level: its gathered per-direction tables and
+    local rows ``(nel, 64)``, once as indices and once as the element's
+    coefficients, plus twelve samples ``(nel, nq)``: the block's weights and
+    field values, the point array the field gets (three samples) and the
+    field's two temporaries, the evaluation, the error and its weighted
+    square (three), and two intermediates of the contraction.  The tensor
+    values of that level alone would be 64 samples.
+    """
+    hier = DomainHierarchy((3, 3, 3), (2, 2, 2), [[(0, 0, 0), (1, 0, 0)]])
+    space = ThbSpace(LevelSequence(uniform_space(hier.elems_level0, (3, 3, 3))), hier)
+    f = lambda pts: pts[:, 0] * pts[:, 1] - pts[:, 2]
+    coeffs = np.random.default_rng(3).standard_normal(space.ndof)
+    derivs = ((0, 0, 0),)
+    blocks = list(space.quadrature(gauss_tensor(space, extra=1), derivs))  # fills the level tables
+    big = max(blocks, key=lambda b: len(b.elements))
+    nel, nloc = big.local.shape
+    assert (nel, nloc, big.weights.shape[1]) == (432, 64, 125)
+    tables = sum(t.nbytes for t in big.tables[0])
+    bound = tables + 2 * big.local.nbytes + 12 * big.weights.nbytes
+    del blocks, big
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        error_report(space, f, coeffs, norms=("l2",))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
