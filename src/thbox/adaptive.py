@@ -361,8 +361,9 @@ def _boundary_values(space, g):
     one :func:`~thbox.hierarchy.galerkin` call over the facet blocks of
     every level, drops boundary candidates whose trace vanishes
     (diagonal below :data:`ZERO_TRACE_REL_TOL` relative to the largest),
-    and projects ``g`` onto the span of the remaining traces.  Returns ``(ids,
-    values)``; homogeneous data (``g is None``) yields zero values.
+    and projects ``g`` onto the span of the remaining traces.  In 1D a
+    facet is a point, where the trace mass is point evaluation.  Returns
+    ``(ids, values)``; homogeneous data (``g is None``) yields zero values.
     """
     bids = space.boundary_function_ids()
     if len(bids) == 0:
@@ -381,7 +382,12 @@ def _boundary_values(space, g):
                 arr[arr[:, d] == side * (space.hierarchy.elems_shape(lv)[d] - 1)]
                 for lv, arr in enumerate(elems)
             ]
-            yield from space.quadrature(rule, fields=fields, elements=facet)
+            for block in space.quadrature(rule, fields=fields, elements=facet):
+                if block.weights is None:
+                    # a point facet (1D) weighs nothing along it: the trace
+                    # mass is point evaluation, weight 1
+                    block.weights = np.ones((len(block.elements), 1))
+                yield block
 
     mass, rhs = galerkin(facet_blocks())
     diag = mass.diagonal()[bids]

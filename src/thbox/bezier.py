@@ -16,39 +16,47 @@ Members are named by their index in ``ProjectorPartition.members``, and
 every answer is an array: member ids, function ids, shares, coefficients.
 
 Quadrature runs over whole levels (:meth:`ThbSpace.quadrature` blocks):
-the target is sampled once per level.  A block keeps its B-spline values
-as per-direction tables; the projector forms each level's tensor values
-``(nel, nloc, nq)`` from them itself (``hierarchy._tensor_values``), so
-its local-solve arithmetic, and with it the rounding floor of the member
-systems, is that of the dense element values.  The member systems are
-solved in stacks: members are grouped by shape (element count, function
-count), and each chunk of a group, at most :data:`STACK_BYTES` of
-weighted systems, gathers its elements' rows from those level arrays,
-rebuilds its members' dense extraction tables from the partition's flat
-member arrays and forms their function values ``V_e^T C_e`` at once.
-The error reports read the blocks sum-factorized
-(:meth:`~thbox.hierarchy.LevelBlock.evaluate`).  The same gather
-feeds the member integrals, and one stacked solve serves
-:func:`bezier_project` and :func:`local_l2_project` (a stack of one).
-Rules are tensor Gauss rules on active elements, where every basis
-function is a polynomial, so Gramians and integrals are exact up to
-rounding.  A member's coefficients do not depend on the chunk that holds
-it, and coefficient accumulation always runs in canonical member order,
-so results are bit-reproducible.
+the target is sampled once per level, and a block keeps its B-spline
+values as per-direction tables, so no level's ``(nel, nloc, nq)`` tensor
+values exist.  The member integrals are sums of the elements'
+sum-factorized B-spline integrals ``kron_d(T_d w_d)`` through the
+members' ``R_lv`` entries.  The member systems are solved in stacks:
+members are grouped by route and shape (element count, function count),
+and each chunk of a group, at most :data:`STACK_BYTES` of weighted
+systems, gathers its elements' rows from the level arrays.  A tensor
+member, one box of its own level whose extraction block is a permutation
+(each box B-spline is one of its functions, with coefficient 1.0), has
+the Kronecker product of its box's per-direction systems as its weighted
+sampled system, and its fit is ``kron_d(P_d) b`` with the per-direction
+projectors (:meth:`~thbox.hierarchy.LevelSequence.box_projectors`).  The
+other members (truncated, several boxes, or overloaded) form their
+chunk's tensor values from the tables, rebuild their dense extraction
+tables from the partition's flat member arrays, form their function
+values ``V_e^T C_e`` and solve the weighted sampled system by QR, so
+their arithmetic, and with it the rounding floor of the member systems,
+is that of the dense element values.  One stacked
+solve serves :func:`bezier_project` and :func:`local_l2_project` (a
+stack of one); the error reports read the blocks sum-factorized
+(:meth:`~thbox.hierarchy.LevelBlock.evaluate`).  Rules are tensor Gauss
+rules on active elements, where every basis function is a polynomial, so
+Gramians and integrals are exact up to rounding.  A member's coefficients
+do not depend on the chunk that holds it, and coefficient accumulation
+always runs in canonical member order, so results are bit-reproducible.
 """
 
 import numpy as np
 
 from .hierarchy import (
-    _tensor_values, as_coefficients, as_integer, galerkin, gauss_tensor, unraveled,
+    _contract, _tensor_values, as_coefficients, as_integer, galerkin, gauss_tensor, unraveled,
 )
 from .numerics import SPD_PIVOT_REL, NonSPDError, svd_rank
 from .qbox import QBoxMesh
 
 _NORMS = ("l2", "linf", "h1")
 
-#: Bytes of the weighted member systems ``[A | b]`` one stacked solve
-#: holds: a chunk takes as many members of one shape as fit, at least one.
+#: Bytes of the weighted member systems ``[A | b]`` (of the samples ``b``
+#: for tensor members) one stacked solve holds: a chunk takes as many
+#: members of one group as fit, at least one.
 STACK_BYTES = 2**20
 
 
@@ -67,12 +75,18 @@ class ProjectorPartition:
     :class:`~thbox.numerics.NonSPDError` in the local solves.
 
     Construction keeps flat arrays with member pointers: the active
-    elements in member order, the ids of the functions nonzero on each
-    member with their member integrals (summed per function in
-    ``total_integrals``), and the ``R_lv`` nonzeros of the member's elements
-    as cells of its dense extraction table.  :meth:`_stacks` gathers chunks
-    of same-shape members from level arrays, and :meth:`_member_values`
-    rebuilds their tables and forms their function values.
+    elements in member order; each member's distinct ``R_lv`` rows (its
+    B-splines), with the member-local row of every element's B-splines;
+    the ids of the functions nonzero on each member with their member
+    integrals (summed per function in ``total_integrals``); and the
+    ``R_lv`` nonzeros of the member's rows as cells of its dense extraction
+    table.  The integrals come from the elements' sum-factorized B-spline
+    integrals, with no tensor values.  ``_tensor`` flags the tensor
+    members: one box of their own level whose extraction block is a
+    permutation, each of its B-splines one function with coefficient 1.0.
+    :meth:`_stacks` gathers chunks of members of one route and shape from
+    level arrays, and :meth:`_member_values` rebuilds their tables and
+    forms their function values.
     """
 
     def __init__(self, space):
@@ -99,38 +113,55 @@ class ProjectorPartition:
         self._elements = np.argsort(owner, kind="stable")
         owner = owner[self._elements]
         self._elem_ptr = np.searchsorted(owner, np.arange(len(self.members) + 1))
-        # the R_lv nonzeros of every element's B-splines, in member order
+        # the integral of every element's B-splines, kron_d(T_d w_d), in member order
+        elem_ints = np.concatenate([
+            _tensor_values([t @ w[:, :, None] for t, w in zip(b.tables[0], b.direction_weights)])
+            for b in space.quadrature(self._rule)
+        ])[self._elements]
+        # each member's distinct R_lv rows (its B-splines), and the member-local
+        # row of every element's B-splines (element * nloc + row, member order)
         stack, first_row = space.stacked_extraction()
         rows = np.concatenate([local[lv] + first_row[lv] for lv in levels])[self._elements]
-        sub = stack[rows.ravel()]
-        slot = np.repeat(np.arange(rows.size), np.diff(sub.indptr))  # element * nloc + row
-        member = owner[slot // rows.shape[1]]
-        keys, col = np.unique(member * space.ndof + sub.indices, return_inverse=True)
+        nloc = rows.shape[1]
+        keys, slot_rows = np.unique((owner[:, None] * stack.shape[0] + rows).ravel(),
+                                    return_inverse=True)
+        slot_rows = slot_rows.reshape(-1)
+        row_ints = np.bincount(slot_rows, elem_ints.ravel(), len(keys))
+        row_member, rows = np.divmod(keys, stack.shape[0])
+        self._row_ptr = np.searchsorted(row_member, np.arange(len(self.members) + 1))
+        slot_rows -= self._row_ptr[np.repeat(owner, nloc)]
+        self._slot_rows = slot_rows.astype(np.int32)
+        del elem_ints, keys, slot_rows
+        # their R_lv nonzeros: the member's functions and its table over its rows
+        sub = stack[rows]
+        entry_row = np.repeat(np.arange(len(rows)), np.diff(sub.indptr))
+        member = row_member[entry_row]
+        keys, pair = np.unique(member * space.ndof + sub.indices, return_inverse=True)
         self._fids = (keys % space.ndof).astype(sub.indices.dtype)
         self._key_member = keys // space.ndof
         self._fid_ptr = np.searchsorted(self._key_member, np.arange(len(self.members) + 1))
         self._entry_ptr = np.searchsorted(member, np.arange(len(self.members) + 1))
-        base = self._elem_ptr[member] * rows.shape[1]
-        self._cells = (slot - base) * np.diff(self._fid_ptr)[member] + col - self._fid_ptr[member]
+        col = pair - self._fid_ptr[member]
+        nf = np.diff(self._fid_ptr)
+        self._cells = (entry_row - self._row_ptr[member]) * nf[member] + col
         self._values = sub.data
-        # free the entry-sized temporaries before the quadrature blocks exist
-        del stack, rows, sub, slot, member, keys, col, base
+        ints = np.bincount(pair, self._values * row_ints[entry_row], len(keys))
+        # tensor members: one box of their own level whose extraction block is
+        # a permutation, each of its B-splines one function with coefficient 1.0
+        q, m, p = (np.array(v) for v in (hier.q, space.multiplicity, space.degree))
+        nel = np.diff(self._elem_ptr)
+        single = (self._values == 1.0) & (np.diff(sub.indptr) == 1)[entry_row]
+        self._tensor = ((nel == np.prod(q)) & (nf == np.prod((q - 1) * m + p + 1))
+                        & (np.bincount(member, ~single, len(self.members)) == 0))
 
-        # members grouped by shape (elements, functions), canonical within a group
-        nel, nf = np.diff(self._elem_ptr), np.diff(self._fid_ptr)
-        order = np.lexsort((nf, nel))
-        cut = np.flatnonzero(np.diff(nel[order]) | np.diff(nf[order])) + 1
+        # members grouped by route and shape (elements, functions), tensor
+        # members by level too, canonical within a group
+        route = np.where(self._tensor, self.members[:, 0], -1)
+        order = np.lexsort((route, nf, nel))
+        cut = np.flatnonzero(np.diff(nel[order]) | np.diff(nf[order]) | np.diff(route[order])) + 1
         self._groups = np.split(order, cut)
         self._nq = int(np.prod([len(pts) for pts, _ in self._rule]))
 
-        blocks = {
-            b.level: (_tensor_values(b.tables[0]), b.weights) for b in space.quadrature(self._rule)
-        }
-        ints = np.empty(len(self._fids))
-        for mids, (values, weights) in self._stacks(blocks):
-            # the weights applied first: (V_e w_e)^T C_e per element
-            basis = self._member_values(mids, values @ weights[..., None])
-            ints[self._slots(mids)] = basis[:, :, 0].sum(axis=1)
         total = np.bincount(self._fids, ints, space.ndof)
         if np.any(total <= 0.0):
             raise AssertionError("a basis function escaped every macro-element")
@@ -158,14 +189,16 @@ class ProjectorPartition:
 
         ``levels[lv]`` holds arrays with one row per active level-``lv``
         element.  Yields ``(mids, arrays)``: the indices of members of one
-        shape in canonical order, and each array gathered to (k, nel, ...)
-        in member order.  The chunk's weighted systems ``[A | b]`` take at
-        most :data:`STACK_BYTES`, unless one member alone takes more.
+        group (route and shape) in canonical order, and each array gathered
+        to (k, nel, ...) in member order.  The chunk's weighted systems
+        ``[A | b]``, or for tensor members their samples ``b``, take at most
+        :data:`STACK_BYTES`, unless one member alone takes more.
         """
         for group in self._groups:
             nel = self._elem_ptr[group[0] + 1] - self._elem_ptr[group[0]]
             nf = self._fid_ptr[group[0] + 1] - self._fid_ptr[group[0]]
-            size = max(1, STACK_BYTES // (8 * nel * self._nq * (nf + 1)))
+            width = 1 if self._tensor[group[0]] else nf + 1
+            size = max(1, STACK_BYTES // (8 * nel * self._nq * width))
             for start in range(0, len(group), size):
                 mids = group[start:start + size]
                 g = self._elements[self._elem_ptr[mids][:, None] + np.arange(nel)]
@@ -181,14 +214,18 @@ class ProjectorPartition:
     def _member_values(self, mids, values):
         """Values (k, nel, n, nf) of the functions of same-shape members
         ``mids``, ``V_e^T C_e`` per element, from their tensor B-spline
-        ``values`` (k, nel, nloc, n) in member order."""
+        ``values`` (k, nel, nloc, n) in member order.  ``C_e`` gathers the
+        element's rows of its member's dense table over the member's rows."""
         k, nel, nloc, _ = values.shape
         nf = self._fid_ptr[mids[0] + 1] - self._fid_ptr[mids[0]]
         first, count = self._entry_ptr[mids], np.diff(self._entry_ptr)[mids]
         entries = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
-        cells = self._cells[entries] + np.repeat(np.arange(k) * (nel * nloc * nf), count)
-        table = np.zeros((k, nel, nloc, nf))
-        np.put(table, cells, self._values[entries])
+        nrows = np.diff(self._row_ptr)[mids]
+        start = np.cumsum(nrows) - nrows  # each member's first row in the chunk's table
+        table = np.zeros((nrows.sum(), nf))
+        np.put(table, self._cells[entries] + np.repeat(start * nf, count), self._values[entries])
+        slots = self._elem_ptr[mids][:, None] * nloc + np.arange(nel * nloc)
+        table = table[self._slot_rows[slots] + start[:, None]].reshape(k, nel, nloc, nf)
         return values.transpose(0, 1, 3, 2) @ table
 
     def __len__(self):
@@ -283,18 +320,30 @@ def _member_solves(partition, stacks):
     """Least-squares coefficients of the members in ``stacks``, placed at
     their (member, function) positions of a zero vector over all pairs.
 
-    ``stacks`` yields ``(mids, (values, weights, target))`` as
-    :meth:`ProjectorPartition._stacks` does: same-shape members and the
-    partition's rule on their elements (tensor B-spline values (k, nel,
-    nloc, nq), weights and target values (k, nel, nq)).  A numerically
-    singular member raises :class:`~thbox.numerics.NonSPDError` naming the
-    first one in canonical order.
+    ``stacks`` yields ``(mids, (*tables, weights, target))`` as
+    :meth:`ProjectorPartition._stacks` does: members of one group and the
+    partition's rule on their elements, that is per-direction B-spline
+    tables (k, nel, n_d, nq_d) (tensor values (k, nel, nloc, nq) are the
+    one-table case), weights and target values (k, nel, nq).  Tensor
+    members take :func:`_tensor_solves`, which reads only the target.  The
+    others form their chunk's tensor values and solve the weighted sampled
+    system by QR; a numerically singular member raises
+    :class:`~thbox.numerics.NonSPDError` naming the first one in canonical
+    order.
     """
     local = np.zeros(len(partition._fids))
     failed = []
-    for mids, (values, weights, target) in stacks:
-        k, nel, _, nq = values.shape
+    for mids, (*tables, weights, target) in stacks:
         nf = partition._fid_ptr[mids[0] + 1] - partition._fid_ptr[mids[0]]
+        if partition._tensor[mids[0]]:
+            # a tensor member's entry i is its box B-spline i, in box order
+            cells = partition._cells[partition._entry_ptr[mids][:, None] + np.arange(nf)]
+            local[partition._fid_ptr[mids][:, None] + cells % nf] = _tensor_solves(
+                partition, mids, target)
+            continue
+        k, nel, nq = target.shape
+        values = _tensor_values([t.reshape(k * nel, *t.shape[2:]) for t in tables])
+        values = values.reshape(k, nel, -1, nq)
         # The coefficients solve the normal equations of the weighted sampled
         # system.  The Cholesky factor of the (column-equilibrated) normal
         # matrix is the R of a QR decomposition of the weighted value matrix
@@ -344,6 +393,30 @@ def _member_solves(partition, stacks):
     return local
 
 
+def _tensor_solves(partition, mids, target):
+    """Coefficients (k, nf) of the box B-splines of tensor members ``mids``
+    of one level, in box order, from their target values (k, nel, nq):
+    ``kron_d(P_d) b``.
+
+    A tensor member's weighted sampled system is the Kronecker product of
+    its box's per-direction systems, so its least-squares fit is the
+    product of their projectors ``P_d``
+    (:meth:`~thbox.hierarchy.LevelSequence.box_projectors`), applied to the
+    samples one direction at a time.  The samples are reordered from
+    (element, point) to the box's grid, element-major per direction.
+    """
+    space, rule = partition.space, partition._rule
+    q, dim, k = space.hierarchy.q, space.dim, len(mids)
+    lv, boxes = int(partition.members[mids[0], 0]), partition.members[mids, 1:]
+    grid = target.reshape(k, *q, *(len(pts) for pts, _ in rule))
+    grid = grid.transpose(0, *(a for d in range(1, dim + 1) for a in (d, d + dim)))
+    mats = [
+        space.levels.box_projectors(lv, d, q[d], pts, wts)[boxes[:, d]].transpose(0, 2, 1)
+        for d, (pts, wts) in enumerate(rule)
+    ]
+    return _contract(grid.reshape(k, -1), mats)
+
+
 def local_l2_project(partition, idx, f):
     """Best L2 fit of ``f`` on member ``idx``: the coefficients of
     ``partition.member_functions(idx)``, in that order.
@@ -357,7 +430,7 @@ def local_l2_project(partition, idx, f):
     idx = partition._index(idx)
     elements = partition.member_elements(idx)
     blocks = partition.space.quadrature(partition._rule, fields=(f,), elements=elements)
-    arrays = zip(*((_tensor_values(b.tables[0]), b.weights, b.fields[0]) for b in blocks))
+    arrays = zip(*((*b.tables[0], b.weights, b.fields[0]) for b in blocks))
     stack = [np.concatenate(a)[None] for a in arrays]
     local = _member_solves(partition, [(np.array([idx]), stack)])
     return local[partition._fid_ptr[idx]:partition._fid_ptr[idx + 1]]
@@ -401,7 +474,7 @@ def bezier_project(space, f, partition=None):
     elif partition.space is not space:
         raise ValueError("partition belongs to a different space")
     blocks = space.quadrature(partition._rule, fields=(f,))
-    levels = {b.level: (_tensor_values(b.tables[0]), b.weights, b.fields[0]) for b in blocks}
+    levels = {b.level: (*b.tables[0], b.weights, b.fields[0]) for b in blocks}
     local = _member_solves(partition, partition._stacks(levels))
     coeffs = np.bincount(partition._fids, partition._shares * local, space.ndof)
     return ProjectionResult(coeffs)

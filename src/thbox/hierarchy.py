@@ -357,6 +357,7 @@ class LevelSequence:
         self._spaces = [base]
         self._children = []
         self._tables = {}
+        self._projectors = {}
 
     @property
     def base(self):
@@ -405,6 +406,39 @@ class LevelSequence:
             # contiguous, so that gathering elements copies whole rows
             tab = self._tables[key] = np.ascontiguousarray(tab.transpose(2, 0, 1, 3))
         return tab
+
+    def box_projectors(self, lv, d, q, points, weights):
+        """Weighted L2 projectors onto the direction-``d`` B-splines of every
+        level-``lv`` box of ``q`` elements.
+
+        The rule ``(points, weights)`` holds reference points and weights on
+        [0, 1], as one direction of a :meth:`ThbSpace.quadrature` rule.  On a
+        box, the ``n = (q - 1) m + p + 1`` B-splines nonzero there, sampled
+        at the rule's points of its elements (element-major), form ``V`` (n,
+        q * len(points)); with the physical weights ``W`` and
+        ``sqrt(W) V^T = Q R``, the projector ``P = R^-1 Q^T sqrt(W)`` maps
+        samples to the coefficients of their best weighted fit.  Returns
+        (boxes, n, q * len(points)).  Computed once per level, direction,
+        box size and rule and kept for the life of the sequence.
+        """
+        key = (lv, d, q, points, tuple(np.asarray(weights, dtype=float).tolist()))
+        proj = self._projectors.get(key)
+        if proj is None:
+            kv = self[lv].kvs[d]
+            p, m, nq = kv.degree, kv.multiplicity, len(points)
+            tab = self.basis_tables(lv, d, points, 0)[:, 0]
+            nbox, n = kv.numelems // q, (q - 1) * m + p + 1
+            vals = np.zeros((nbox, n, q, nq))
+            for i in range(q):
+                # element i of a box starts at its box's B-spline i * m
+                vals[:, i * m:i * m + p + 1, i] = tab[i::q]
+            size = np.diff(kv.breakpoints).reshape(nbox, q, 1)
+            root = np.sqrt(size * np.asarray(weights, dtype=float)).reshape(nbox, q * nq)
+            weighted = root[:, :, None] * vals.reshape(nbox, n, q * nq).transpose(0, 2, 1)
+            qq, r = np.linalg.qr(weighted)
+            proj = np.linalg.solve(r, qq.transpose(0, 2, 1) * root[:, None, :])
+            self._projectors[key] = proj
+        return proj
 
     def __getitem__(self, lv):
         if lv < 0:
@@ -977,11 +1011,12 @@ def hierarchy_to_json(hierarchy, degree, multiplicity):
 
 
 def _json_ints(values, field):
-    """The JSON list ``values`` as a tuple; ValueError unless every entry is
-    a JSON integer (bools and floats such as ``4.0`` are not)."""
-    if not isinstance(values, list) or any(type(v) is not int for v in values):
-        raise ValueError("'%s' entries must be integers, got %r" % (field, values))
-    return tuple(values)
+    """The JSON list ``values`` as a tuple of ints; ValueError naming
+    ``field`` unless it is a list whose every entry passes
+    :func:`as_integer` (bools and floats such as ``4.0`` do not)."""
+    if not isinstance(values, list):
+        raise ValueError("'%s' must be a list of integers, got %r" % (field, values))
+    return tuple(as_integer(v, "an entry of '%s'" % field) for v in values)
 
 
 def hierarchy_from_json(text):
@@ -997,9 +1032,7 @@ def hierarchy_from_json(text):
             "bad hierarchy document: missing %s, unknown %s"
             % (sorted(missing), sorted(unknown))
         )
-    dim = obj["dim"]
-    if type(dim) is not int:
-        raise ValueError("'dim' must be an integer, got %r" % (dim,))
+    dim = as_integer(obj["dim"], "'dim'")
     degree = _json_ints(obj["degree"], "degree")
     multiplicity = _json_ints(obj["multiplicity"], "multiplicity")
     nelems = _json_ints(obj["level1_elements_per_dir"], "level1_elements_per_dir")

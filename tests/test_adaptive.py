@@ -530,6 +530,20 @@ class TestPoissonSolve:
         rep = error_report(space, lin, u, norms=("l2", "linf"))
         assert rep.error_linf <= 1e-11
 
+    def test_one_dimensional_dirichlet_solution_in_space(self):
+        """In 1D each facet is a point, where the trace mass is point
+        evaluation: a quadratic solution with inhomogeneous end values is
+        recovered on a refined p=2 space."""
+        space = thb_space(DomainHierarchy((2,), (4,), [[(1,)]]), (2,))
+        assert space.num_levels == 2
+        exact = lambda p: 1.0 + 2.0 * p[:, 0] - 3.0 * p[:, 0] ** 2
+        u = poisson_solve(space, lambda p: np.full(len(p), 6.0), g=exact)
+        want = bezier_project(space, exact).coefficients
+        assert_allclose(u, want, rtol=0, atol=1e-12)
+        constrained, values = _boundary_values(space, exact)
+        assert len(constrained) == 2
+        assert_allclose(values, [1.0, 0.0], rtol=0, atol=1e-12)
+
     def test_linear_system_residual(self):
         space = unit_space((3, 3), (3, 3), (2, 2))
         u = poisson_solve(space, sinsin_rhs)

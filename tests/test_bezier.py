@@ -8,7 +8,9 @@ brute-force enumeration of the members meeting each function's support
 (support extensions).
 """
 
+import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ from thbox.bezier import (
     support_extension,
     verify_non_overloaded,
 )
-from thbox.hierarchy import DomainHierarchy, _tensor_values, build_hb, gauss_tensor
+from thbox.hierarchy import DomainHierarchy, _tensor_values, build_hb, galerkin, gauss_tensor
 from thbox.numerics import NonSPDError, svd_rank
 from thbox.qbox import AdmissibilityPolicy, refine_qboxes
 
@@ -263,6 +265,125 @@ class TestStackChunks:
             out.append((part.total_integrals, coeffs))
         assert np.array_equal(out[0][0], out[1][0])
         assert np.array_equal(out[0][1], out[1][1])
+
+
+class TestIntegralsOracle:
+    def test_total_integrals_are_mass_row_sums(self, rspace, rpartition):
+        """THB functions sum to one, so each function's integral is the row
+        sum of the mass matrix; the member integrals sum to it per function."""
+        mass = galerkin(rspace.quadrature(gauss_tensor(rspace)))[0]
+        want = np.asarray(mass.sum(axis=1)).ravel()
+        total = rpartition.total_integrals
+        assert_allclose(total, want, rtol=1e-13, atol=0)
+        summed = np.zeros(rspace.ndof)
+        for idx in range(len(rpartition)):
+            summed[rpartition.member_functions(idx)] += rpartition.member_integrals(idx)
+        assert_allclose(summed, want, rtol=1e-13, atol=0)
+
+
+def tensor_oracle(space, part, idx):
+    """Whether member ``idx`` is one box of its own level on which every
+    element's extraction (``element_table``) is a 0/1 permutation: its
+    functions are the box's B-splines, none truncated there."""
+    lv = int(part.members[idx, 0])
+    q, p, m = np.array(space.hierarchy.q), np.array(space.degree), np.array(space.multiplicity)
+    elements = part.member_elements(idx)
+    if not len(elements[lv]) == sum(map(len, elements)) == np.prod(q):
+        return False
+    for e in map(tuple, elements[lv].tolist()):
+        _, table = space.element_table(lv, e)
+        if not (np.isin(table, (0.0, 1.0)).all() and (table.sum(axis=0) == 1.0).all()
+                and (table.sum(axis=1) == 1.0).all()):
+            return False
+    return len(part.member_functions(idx)) == np.prod((q - 1) * m + p + 1)
+
+
+class TestTensorMembers:
+    """Members that are one untruncated box of their own level are solved
+    by per-direction projectors; the others by the stacked QR."""
+
+    # (hierarchy, degree, tensor members, members, the member of a tensor
+    # member's shape that truncation keeps off the tensor route)
+    MESHES = {
+        "2d": (DomainHierarchy((2, 2), (2, 2), [[(0, 0), (0, 1), (1, 0)], [(3, 0)]]),
+               (2, 2), 8, 16, [1, 1, 1]),
+        "3d": (DomainHierarchy((2, 2, 2), (2, 2, 2), [
+                   [b for b in itertools.product((0, 1), repeat=3) if b != (1, 1, 1)], [(3, 0, 0)]]),
+               (2, 2, 2), 38, 64, [1, 1, 1, 1]),
+    }
+
+    @pytest.mark.parametrize("mesh", sorted(MESHES))
+    def test_routes_pinned_and_agree_with_oracle(self, mesh, monkeypatch):
+        hier, p, tensor, members, truncated = self.MESHES[mesh]
+        space = thb_space(hier, p)
+        part = ProjectorPartition(space)
+        assert (int(part._tensor.sum()), len(part)) == (tensor, members)
+        assert part._tensor.tolist() == [tensor_oracle(space, part, i) for i in range(len(part))]
+        shape = [(np.diff(part._elem_ptr)[i], np.diff(part._fid_ptr)[i]) for i in range(len(part))]
+        idx = member_at(part, truncated[0], truncated[1:])
+        assert not part._tensor[idx] and shape[idx] == shape[np.flatnonzero(part._tensor)[0]]
+        blocks = space.quadrature(part._rule, fields=(poly_field,))
+        levels = {b.level: (*b.tables[0], b.weights, b.fields[0]) for b in blocks}
+        routes = [bezier._member_solves(part, part._stacks(levels))]
+        # every member through the stacked QR
+        monkeypatch.setattr(part, "_tensor", np.zeros(len(part), dtype=bool))
+        routes.append(bezier._member_solves(part, part._stacks(levels)))
+        for idx in range(len(part)):
+            fids, want = member_solve_oracle(space, part.member_elements(idx), poly_field)
+            pairs = slice(part._fid_ptr[idx], part._fid_ptr[idx + 1])
+            for local in routes:
+                assert np.abs(local[pairs] - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("degree, multiplicity, boxes0", [
+        ((2, 2), (1, 1), (3, 2)),
+        ((3, 3), (2, 2), (2, 2)),
+        ((2, 3, 2), (1, 1, 2), (2, 1, 2)),
+    ])
+    def test_uniform_space_reproduced_by_tensor_members(self, degree, multiplicity, boxes0):
+        space = thb_space(DomainHierarchy(degree, boxes0), degree, multiplicity)
+        part = ProjectorPartition(space)
+        assert part._tensor.all()
+        coeffs = np.random.default_rng(41).standard_normal(space.ndof)
+        got = bezier_project(space, thb_field(space, coeffs), part).coefficients
+        assert np.abs(got - coeffs).max() <= 1e-13 * np.abs(coeffs).max()
+
+
+def test_projection_holds_tables_samples_and_one_chunk():
+    """``bezier_project`` on a 3D p=3 space of two levels holds per-direction
+    tables, ``(nel, nq)`` samples and one chunk of member systems, never the
+    ``(nel, 64, 64)`` tensor values of a level.
+
+    The bound: the larger level's tables; twelve samples ``(nel, nq)`` of
+    every level (weights, target values, the points the field gets, the
+    field's temporaries and the chunk gathers); and six chunks, a chunk
+    being :data:`~thbox.bezier.STACK_BYTES` or one stacked member's
+    ``[A | b]`` if larger: the system itself, its function values before
+    they are copied in, the dense extraction table gathered per element,
+    the QR's copy and the refinement step's extended-precision copy of
+    ``A`` (two).  The tensor values of the larger level alone would be 64
+    of its samples.
+    """
+    hier = DomainHierarchy((3, 3, 3), (2, 2, 2), [[(0, 0, 0), (1, 0, 0)]])
+    space = thb_space(hier, (3, 3, 3))
+    f = lambda pts: pts[:, 0] * pts[:, 1] - pts[:, 2]
+    blocks = list(space.quadrature(gauss_tensor(space)))  # fills the level tables
+    big = max(blocks, key=lambda b: len(b.elements))
+    assert [len(b.elements) for b in blocks] == [162, 432] and big.weights.shape[1] == 64
+    part = ProjectorPartition(space)
+    nel, nf = np.diff(part._elem_ptr)[~part._tensor], np.diff(part._fid_ptr)[~part._tensor]
+    member = 8 * 64 * int((nel * (nf + 1)).max())
+    bound = (sum(t.nbytes for t in big.tables[0]) + 12 * sum(b.weights.nbytes for b in blocks)
+             + 6 * max(bezier.STACK_BYTES, member))
+    del blocks, big, part
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        bezier_project(space, f)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 class TestOverloadedMembers:
