@@ -46,14 +46,8 @@ from .bezier import (
     ErrorReport,
     ProjectionResult,
     ProjectorPartition,
-    SupportExtension,
     bezier_project,
     error_report,
-    local_l2_project,
-    region_gramian,
-    smoothing_weights,
-    support_extension,
-    verify_non_overloaded,
 )
 from .derham import (
     AssumptionVerdict,
@@ -102,14 +96,8 @@ __all__ = [
     "ErrorReport",
     "ProjectionResult",
     "ProjectorPartition",
-    "SupportExtension",
     "bezier_project",
     "error_report",
-    "local_l2_project",
-    "region_gramian",
-    "smoothing_weights",
-    "support_extension",
-    "verify_non_overloaded",
     "AssumptionVerdict",
     "ComplexSpaces",
     "ExactnessReport",

@@ -6,37 +6,39 @@ regular boxes of the classification (a :class:`ProjectorPartition`); on
 every such macro-element the target is fitted by a local least-squares
 problem over the basis functions that are nonzero there.  THB-splines are
 locally linearly independent on p-boxes, so those restricted functions are
-linearly independent (checkable per region with
-:func:`verify_non_overloaded`) and every local Gramian is symmetric
-positive definite.  The local coefficients are then blended per function
-with weights proportional to the share of the function's integral carried
-by each macro-element.  The composite map is linear, local, and a
-projection: any function already in the space is returned unchanged.
-Members are named by their index in ``ProjectorPartition.members``, and
-every answer is an array: member ids, function ids, shares, coefficients.
+linearly independent and every local system has full column rank; the
+member solves check it with a pivot threshold and raise
+:class:`~thbox.numerics.NonSPDError` where it fails.  The local
+coefficients are then blended per function with weights proportional to
+the share of the function's integral carried by each macro-element
+(``member_integrals`` over ``total_integrals``).  The composite map is
+linear, local, and a projection: any function already in the space is
+returned unchanged.  Members are named by their index in
+``ProjectorPartition.members``, and every answer is an array: member ids,
+function ids, integrals, coefficients.
 
 Quadrature runs over whole levels (:meth:`ThbSpace.quadrature` blocks):
 the target is sampled once per level, and a block keeps its B-spline
 values as per-direction tables, so no level's ``(nel, nloc, nq)`` tensor
 values exist.  The member integrals are sums of the elements'
-sum-factorized B-spline integrals ``kron_d(T_d w_d)`` through the
-members' ``R_lv`` entries.  The member systems are solved in stacks:
-members are grouped by route and shape (element count, function count),
-and each chunk of a group, at most :data:`STACK_BYTES` of weighted
-systems, gathers its elements' rows from the level arrays.  A tensor
-member, one box of its own level whose extraction block is a permutation
-(each box B-spline is one of its functions, with coefficient 1.0), has
-the Kronecker product of its box's per-direction systems as its weighted
-sampled system, and its fit is ``kron_d(P_d) b`` with the per-direction
-projectors (:meth:`~thbox.hierarchy.LevelSequence.box_projectors`).  The
-other members (truncated, several boxes, or overloaded) form their
-chunk's tensor values from the tables, rebuild their dense extraction
-tables from the partition's flat member arrays, form their function
-values ``V_e^T C_e`` and solve the weighted sampled system by QR, so
-their arithmetic, and with it the rounding floor of the member systems,
-is that of the dense element values.  One stacked
-solve serves :func:`bezier_project` and :func:`local_l2_project` (a
-stack of one); the error reports read the blocks sum-factorized
+sum-factorized B-spline integrals ``kron_d(T_d w_d)`` through the members'
+``R_lv`` entries.  The member systems are solved in stacks: members are
+grouped by route and shape (element count, function count), and each chunk
+of a group, at most :data:`STACK_BYTES` of weighted systems, gathers its
+elements' rows from the blocks' arrays, concatenated once in level order.
+A tensor member, one box of its own level whose extraction block is a
+permutation (each box B-spline is one of its functions, with coefficient
+1.0), has the Kronecker product of its box's per-direction systems as its
+weighted sampled system, and its fit is ``kron_d(P_d) b`` with the
+per-direction projectors
+(:meth:`~thbox.hierarchy.LevelSequence.box_projectors`), so its chunks
+gather only the samples ``b``.  The other members (truncated, several
+boxes, or overloaded) form their chunk's tensor values from the tables,
+rebuild their dense extraction tables from the partition's flat member
+arrays, form their function values ``V_e^T C_e`` and solve the weighted
+sampled system by QR, so their arithmetic, and with it the rounding floor
+of the member systems, is that of the dense element values.  The error
+reports read the blocks sum-factorized
 (:meth:`~thbox.hierarchy.LevelBlock.evaluate`).  Rules are tensor Gauss
 rules on active elements, where every basis function is a polynomial, so
 Gramians and integrals are exact up to rounding.  A member's coefficients
@@ -47,9 +49,9 @@ always runs in canonical member order, so results are bit-reproducible.
 import numpy as np
 
 from .hierarchy import (
-    _contract, _tensor_values, as_coefficients, as_integer, galerkin, gauss_tensor, unraveled,
+    _contract, _tensor_values, as_coefficients, as_integer, gauss_tensor, unraveled,
 )
-from .numerics import SPD_PIVOT_REL, NonSPDError, svd_rank
+from .numerics import SPD_PIVOT_REL, NonSPDError
 from .qbox import QBoxMesh
 
 _NORMS = ("l2", "linf", "h1")
@@ -85,8 +87,8 @@ class ProjectorPartition:
     members: one box of their own level whose extraction block is a
     permutation, each of its B-splines one function with coefficient 1.0.
     :meth:`_stacks` gathers chunks of members of one route and shape from
-    level arrays, and :meth:`_member_values` rebuilds their tables and
-    forms their function values.
+    the concatenated block arrays, and :meth:`_member_values` rebuilds
+    their tables and forms their function values.
     """
 
     def __init__(self, space):
@@ -138,8 +140,7 @@ class ProjectorPartition:
         member = row_member[entry_row]
         keys, pair = np.unique(member * space.ndof + sub.indices, return_inverse=True)
         self._fids = (keys % space.ndof).astype(sub.indices.dtype)
-        self._key_member = keys // space.ndof
-        self._fid_ptr = np.searchsorted(self._key_member, np.arange(len(self.members) + 1))
+        self._fid_ptr = np.searchsorted(keys // space.ndof, np.arange(len(self.members) + 1))
         self._entry_ptr = np.searchsorted(member, np.arange(len(self.members) + 1))
         col = pair - self._fid_ptr[member]
         nf = np.diff(self._fid_ptr)
@@ -168,9 +169,6 @@ class ProjectorPartition:
         self._ints = ints
         self._shares = ints / total[self._fids]
         self.total_integrals = total
-        # each function's (member, function) pairs, members in canonical order
-        self._by_fid = np.argsort(self._fids, kind="stable")
-        self._by_fid_ptr = np.searchsorted(self._fids[self._by_fid], np.arange(space.ndof + 1))
 
     def _owners(self, lv, elements):
         """Member index of each active level-``lv`` element (n, dim)."""
@@ -184,32 +182,29 @@ class ProjectorPartition:
         nf = self._fid_ptr[mids[0] + 1] - self._fid_ptr[mids[0]]
         return self._fid_ptr[mids][:, None] + np.arange(nf)
 
-    def _stacks(self, levels):
-        """Chunks of same-shape members with their rows of level arrays.
+    def _stacks(self, arrays):
+        """Chunks of same-shape members with their rows of ``arrays``.
 
-        ``levels[lv]`` holds arrays with one row per active level-``lv``
-        element.  Yields ``(mids, arrays)``: the indices of members of one
-        group (route and shape) in canonical order, and each array gathered
-        to (k, nel, ...) in member order.  The chunk's weighted systems
-        ``[A | b]``, or for tensor members their samples ``b``, take at most
-        :data:`STACK_BYTES`, unless one member alone takes more.
+        Each array has one row per active element, levels in order and each
+        level canonical, as the concatenated blocks of
+        :meth:`~thbox.hierarchy.ThbSpace.quadrature` have them.  Yields
+        ``(mids, rows)``: the indices of members of one group (route and
+        shape) in canonical order, and each array gathered to (k, nel, ...)
+        in member order; a tensor chunk gathers only the last array (the
+        target) and has ``None`` for the others.  The chunk's weighted
+        systems ``[A | b]``, or for tensor members their samples ``b``,
+        take at most :data:`STACK_BYTES`, unless one member alone takes more.
         """
         for group in self._groups:
             nel = self._elem_ptr[group[0] + 1] - self._elem_ptr[group[0]]
             nf = self._fid_ptr[group[0] + 1] - self._fid_ptr[group[0]]
-            width = 1 if self._tensor[group[0]] else nf + 1
-            size = max(1, STACK_BYTES // (8 * nel * self._nq * width))
+            tensor = self._tensor[group[0]]
+            size = max(1, STACK_BYTES // (8 * nel * self._nq * (1 if tensor else nf + 1)))
+            skip = len(arrays) - 1 if tensor else 0
             for start in range(0, len(group), size):
                 mids = group[start:start + size]
                 g = self._elements[self._elem_ptr[mids][:, None] + np.arange(nel)]
-                level = np.searchsorted(self._offsets, g, side="right") - 1
-                out = [np.empty(g.shape + arr.shape[1:]) for arr in next(iter(levels.values()))]
-                for lv, arrays in levels.items():
-                    sel = level == lv
-                    rows = g[sel] - self._offsets[lv]
-                    for dst, arr in zip(out, arrays):
-                        dst[sel] = arr[rows]
-                yield mids, out
+                yield mids, [None] * skip + [arr[g] for arr in arrays[skip:]]
 
     def _member_values(self, mids, values):
         """Values (k, nel, n, nf) of the functions of same-shape members
@@ -266,54 +261,6 @@ class ProjectorPartition:
         """Member integrals of member ``idx``'s functions (aligned with ids)."""
         idx = self._index(idx)
         return self._ints[self._fid_ptr[idx]:self._fid_ptr[idx + 1]]
-
-    def member_of_element(self, lv, e):
-        """Index of the unique member covering active element (lv, e)."""
-        if not self.space.is_active_element(lv, tuple(e)):
-            raise ValueError("element %s of level %d is not active" % (e, lv))
-        return int(self._owners(lv, np.array([e]))[0])
-
-    def _pairs_of(self, fid):
-        """Positions of function ``fid``'s (member, function) pairs; ValueError
-        for an id that is not an integer, IndexError for one out of range."""
-        fid = as_integer(fid, "a function id")
-        if not 0 <= fid < self.space.ndof:
-            raise IndexError("function id %d out of range" % fid)
-        return self._by_fid[self._by_fid_ptr[fid]:self._by_fid_ptr[fid + 1]]
-
-
-def region_gramian(space, region):
-    """Exact Gramian of the active functions restricted to a union of elements.
-
-    ``region`` holds one array (n_lv, dim) of active elements per level, as
-    the ``elements`` of :meth:`~thbox.hierarchy.ThbSpace.quadrature`; repeats
-    are dropped and each level is visited in canonical order.  Returns
-    (fids, gram) with the sorted ids of the functions nonzero on the region;
-    Gauss quadrature of order ``max(p)+1`` on every element of the region
-    makes the Gramian exact up to rounding.
-    """
-    region = [np.unique(np.asarray(r), axis=0) for r in region]
-    if not sum(map(len, region)):
-        raise ValueError("empty region")
-    gram = galerkin(space.quadrature(gauss_tensor(space), elements=region))[0]
-    # B-splines and the functions' coefficients on them are nonnegative, so
-    # the diagonal is positive exactly for the functions nonzero on the region
-    fids = np.flatnonzero(gram.diagonal())
-    return fids, gram[fids][:, fids].toarray()
-
-
-def verify_non_overloaded(space, region):
-    """Whether the functions nonzero on the region are linearly independent there.
-
-    Decided by the rank of the region Gramian with relative singular-value
-    threshold 1e-10.  The Gramian is scaled to unit diagonal first — a
-    congruence that leaves its rank unchanged but keeps the decision about
-    the angles between the functions rather than their restricted norms,
-    which for truncated coarse functions on deep regions can be tiny.
-    """
-    fids, gram = region_gramian(space, region)
-    scale = 1.0 / np.sqrt(np.diag(gram))
-    return svd_rank(scale[:, None] * gram * scale[None, :], 1e-10)[0] == len(fids)
 
 
 def _member_solves(partition, stacks):
@@ -417,37 +364,6 @@ def _tensor_solves(partition, mids, target):
     return _contract(grid.reshape(k, -1), mats)
 
 
-def local_l2_project(partition, idx, f):
-    """Best L2 fit of ``f`` on member ``idx``: the coefficients of
-    ``partition.member_functions(idx)``, in that order.
-
-    The coefficients minimize the L2 distance between ``f`` and the span
-    of the member's function restrictions; ``f`` is sampled on the
-    member's elements only.  A numerically singular Gramian raises
-    :class:`~thbox.numerics.NonSPDError`: it signals that the member
-    supports linearly dependent restrictions and is a hard fault.
-    """
-    idx = partition._index(idx)
-    elements = partition.member_elements(idx)
-    blocks = partition.space.quadrature(partition._rule, fields=(f,), elements=elements)
-    arrays = zip(*((*b.tables[0], b.weights, b.fields[0]) for b in blocks))
-    stack = [np.concatenate(a)[None] for a in arrays]
-    local = _member_solves(partition, [(np.array([idx]), stack)])
-    return local[partition._fid_ptr[idx]:partition._fid_ptr[idx + 1]]
-
-
-def smoothing_weights(partition, fid):
-    """Averaging weights of function ``fid``: (members, shares) arrays.
-
-    ``members`` are the indices of the members meeting the function's
-    support, in canonical order.  The share of member E is the integral of
-    the function over E divided by its integral over the whole domain; the
-    shares sum to one.
-    """
-    pairs = partition._pairs_of(fid)
-    return partition._key_member[pairs], partition._shares[pairs]
-
-
 class ProjectionResult:
     """Coefficient vector of a projection onto a hierarchical space; the
     estimators take ``coefficients``, not the result."""
@@ -463,54 +379,25 @@ def bezier_project(space, f, partition=None):
     """Two-pass macro-element projection of ``f`` onto the space.
 
     Runs a local least-squares fit on every partition member and blends
-    the local coefficients with the members' smoothing weights.  The
-    result is linear in ``f``, reproduces every function of the space, and
-    on an element depends on ``f`` only within that element's support
-    extension.  Member accumulation runs in canonical order, so repeated
-    runs are bit-identical.
+    the local coefficients with the members' smoothing weights: a
+    function's weight on a member is its member integral over its total
+    integral.  The result is linear in ``f``, reproduces every function of
+    the space, and on an element depends on ``f`` only on the members that
+    meet the support of a function nonzero on the element's own member.
+    The blocks' tables, weights and samples are concatenated once, in level
+    order, and the chunks gather from them.  Member accumulation runs in
+    canonical order, so repeated runs are bit-identical.
     """
     if partition is None:
         partition = ProjectorPartition(space)
     elif partition.space is not space:
         raise ValueError("partition belongs to a different space")
     blocks = space.quadrature(partition._rule, fields=(f,))
-    levels = {b.level: (*b.tables[0], b.weights, b.fields[0]) for b in blocks}
-    local = _member_solves(partition, partition._stacks(levels))
+    arrays = [np.concatenate(a) for a in zip(*((*b.tables[0], b.weights, b.fields[0])
+                                                for b in blocks))]
+    local = _member_solves(partition, partition._stacks(arrays))
     coeffs = np.bincount(partition._fids, partition._shares * local, space.ndof)
     return ProjectionResult(coeffs)
-
-
-class SupportExtension:
-    """Domain of dependence of the projection on one element.
-
-    ``members`` is the sorted array of the indices of the partition
-    members feeding the element's coefficients; ``cube`` is the smallest
-    axis-aligned bounding box of their union, as per-direction (lo, hi)
-    coordinates.
-    """
-
-    def __init__(self, members, cube):
-        self.members = members
-        self.cube = tuple(cube)
-
-    def __repr__(self):
-        return "SupportExtension(members=%d, cube=%s)" % (len(self.members), (self.cube,))
-
-
-def support_extension(partition, lv, e):
-    """Members whose data the projection on active element (lv, e) uses.
-
-    These are the members meeting the support of any function that is
-    nonzero on the element's own member; changing the target outside
-    their union cannot change the projection on the element.
-    """
-    idx = partition.member_of_element(lv, e)
-    meets = np.isin(partition._fids, partition.member_functions(idx))
-    members = np.unique(partition._key_member[meets])
-    rows = partition.members[members].tolist()
-    bounds = np.array([partition.mesh.box_bounds(mlv, box) for mlv, *box in rows])
-    lo, hi = bounds[:, :, 0].min(axis=0).tolist(), bounds[:, :, 1].max(axis=0).tolist()
-    return SupportExtension(members, tuple(zip(lo, hi)))
 
 
 class ErrorReport:

@@ -861,7 +861,7 @@ class ThbSpace:
         rule, derivs = self._checked(rule, derivs)
         if elements is None:
             chosen = [np.arange(len(a)) for a in self._elem_ids]
-        elif len(elements) != self.num_levels:
+        elif not hasattr(elements, "__len__") or len(elements) != self.num_levels:
             raise ValueError("elements must hold one array per level (%d)" % self.num_levels)
         else:
             chosen = [self._positions(lv, es) for lv, es in enumerate(elements)]
@@ -896,6 +896,10 @@ class ThbSpace:
                     raise ValueError("rule weights of direction %d must be None or one finite "
                                      "number per point" % d)
             checked.append((tuple(pts.tolist()), wts))
+        return checked, self._derivs(derivs)
+
+    def _derivs(self, derivs):
+        """``derivs`` as int tuples (values only for ``None``), or ValueError."""
         if derivs is None:
             derivs = ((0,) * self.dim,)
         try:
@@ -905,7 +909,7 @@ class ThbSpace:
         if not derivs or any(len(dv) != self.dim or min(dv) < 0 for dv in derivs):
             raise ValueError("derivs must be a nonempty sequence of tuples of %d non-negative "
                              "integers" % self.dim)
-        return checked, derivs
+        return derivs
 
     def _level_block(self, lv, pos, rule, derivs, fields, grid):
         """The :class:`LevelBlock` of :meth:`quadrature` on the level-``lv``
@@ -938,9 +942,9 @@ class ThbSpace:
                           direction_weights, weights, field_values)
 
     def eval_all_at(self, x, deriv=None):
-        """Values of all active functions nonzero at ``x``: (fids, values)."""
-        if deriv is None:
-            deriv = (0,) * self.dim
+        """Values of all active functions nonzero at ``x``: (fids, values);
+        ``deriv`` (values by default) is checked as one entry of ``derivs``."""
+        (deriv,) = self._derivs(None if deriv is None else (deriv,))
         lv, e = self.locate(x)
         fids, coeffs = self.element_table(lv, e)
         local = np.ones(1)

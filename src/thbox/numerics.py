@@ -2,8 +2,7 @@
 
 numpy/scipy supply the factorizations; this module pins down the behaviour
 the rest of the package relies on: the symmetric-positive-definite pivot
-threshold and the error raised below it, rank decisions that report the
-singular-value gap they were based on, triplet assembly whose result does
+threshold and the error raised below it, triplet assembly whose result does
 not depend on the order of the triplets (two sorts: by value, then stably
 by position; the Gramians do not use it, see
 :func:`thbox.hierarchy.galerkin`), and a residual-checked symmetric-mode
@@ -29,27 +28,6 @@ class NonSPDError(RuntimeError):
 
 class SolveError(RuntimeError):
     """A linear solve produced a residual above the accepted bound."""
-
-
-def svd_rank(a, rel_tol):
-    """Numerical rank of ``a``, the number of ``sigma_i > rel_tol * sigma_max``.
-
-    Returns ``(rank, (kept, dropped), rel)``: ``rel`` are the singular
-    values relative to the largest one, ``kept`` the smallest of them
-    counted toward the rank and ``dropped`` the largest one discarded (0.0
-    when that set is empty), so callers can judge the gap the decision was
-    based on.  A zero or empty matrix has rank 0 and gap (0.0, 0.0).
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-d array")
-    sigma = np.linalg.svd(a, compute_uv=False)
-    if not len(sigma) or sigma[0] == 0.0:
-        return 0, (0.0, 0.0), np.zeros_like(sigma)
-    rank = int(np.count_nonzero(sigma > rel_tol * sigma[0]))
-    rel = sigma / sigma[0]
-    dropped = rel[rank] if rank < len(rel) else 0.0
-    return rank, (float(rel[rank - 1]), float(dropped)), rel
 
 
 def assemble_csr(rows, cols, vals, shape):

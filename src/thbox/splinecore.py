@@ -146,6 +146,8 @@ def uniform_space(numelems, degree, multiplicity=None):
     """Tensor space with uniform open knot vectors per direction."""
     if multiplicity is None:
         multiplicity = (1,) * len(numelems)
+    if not len(numelems) == len(degree) == len(multiplicity):
+        raise ValueError("numelems, degree and multiplicity must have one entry per direction")
     return TensorSpace(
         tuple(
             uniform_knot_vector(n, p, m)

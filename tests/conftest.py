@@ -7,6 +7,8 @@ oracle for the vectorized evaluators.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -19,6 +21,7 @@ from thbox.hierarchy import (
     _tensor_values,
     LevelSequence,
     build_thb,
+    galerkin,
     gauss_tensor,
     index_grid,
     unraveled,
@@ -276,6 +279,171 @@ def member_solve_oracle(space, elements, f):
     resid = (b.astype(ld) - scaled.astype(ld) @ y.astype(ld)).astype(float)
     y = y + scipy.linalg.solve_triangular(r, q.T @ resid)
     return fids, y / col
+
+
+def svd_rank(a, rel_tol):
+    """Numerical rank of ``a``, the number of ``sigma_i > rel_tol * sigma_max``.
+
+    Returns ``(rank, (kept, dropped), rel)``: ``rel`` are the singular
+    values relative to the largest one, ``kept`` the smallest of them
+    counted toward the rank and ``dropped`` the largest one discarded (0.0
+    when that set is empty), so callers can judge the gap the decision was
+    based on.  A zero or empty matrix has rank 0 and gap (0.0, 0.0).
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise ValueError("expected a 2-d array")
+    sigma = np.linalg.svd(a, compute_uv=False)
+    if not len(sigma) or sigma[0] == 0.0:
+        return 0, (0.0, 0.0), np.zeros_like(sigma)
+    rank = int(np.count_nonzero(sigma > rel_tol * sigma[0]))
+    rel = sigma / sigma[0]
+    dropped = rel[rank] if rank < len(rel) else 0.0
+    return rank, (float(rel[rank - 1]), float(dropped)), rel
+
+
+def region_gramian(space, region):
+    """Exact Gramian of the active functions restricted to a union of elements.
+
+    ``region`` holds one array (n_lv, dim) of active elements per level, as
+    the ``elements`` of :meth:`~thbox.hierarchy.ThbSpace.quadrature`; repeats
+    are dropped and each level is visited in canonical order.  Returns
+    (fids, gram) with the sorted ids of the functions nonzero on the region;
+    Gauss quadrature of order ``max(p)+1`` on every element of the region
+    makes the Gramian exact up to rounding.
+    """
+    region = [np.unique(np.asarray(r), axis=0) for r in region]
+    if not sum(map(len, region)):
+        raise ValueError("empty region")
+    gram = galerkin(space.quadrature(gauss_tensor(space), elements=region))[0]
+    # B-splines and the functions' coefficients on them are nonnegative, so
+    # the diagonal is positive exactly for the functions nonzero on the region
+    fids = np.flatnonzero(gram.diagonal())
+    return fids, gram[fids][:, fids].toarray()
+
+
+def verify_non_overloaded(space, region):
+    """Whether the functions nonzero on the region are linearly independent there.
+
+    Decided by the rank of the region Gramian with relative singular-value
+    threshold 1e-10.  The Gramian is scaled to unit diagonal first — a
+    congruence that leaves its rank unchanged but keeps the decision about
+    the angles between the functions rather than their restricted norms,
+    which for truncated coarse functions on deep regions can be tiny.
+    """
+    fids, gram = region_gramian(space, region)
+    scale = 1.0 / np.sqrt(np.diag(gram))
+    return svd_rank(scale[:, None] * gram * scale[None, :], 1e-10)[0] == len(fids)
+
+
+class SupportExtension:
+    """Domain of dependence of the projection on one element.
+
+    ``members`` is the sorted array of the indices of the partition
+    members feeding the element's coefficients; ``cube`` is the smallest
+    axis-aligned bounding box of their union, as per-direction (lo, hi)
+    coordinates.
+    """
+
+    def __init__(self, members, cube):
+        self.members = members
+        self.cube = tuple(cube)
+
+    def __repr__(self):
+        return "SupportExtension(members=%d, cube=%s)" % (len(self.members), (self.cube,))
+
+
+def support_extension(partition, lv, e):
+    """Members whose data the projection on active element (lv, e) uses.
+
+    These are the members meeting the support of any function that is
+    nonzero on the element's own member, the member whose box is the
+    element's level-``mlv`` ancestor box; changing the target outside their
+    union cannot change the projection on the element.
+    """
+    if not partition.space.is_active_element(lv, tuple(e)):
+        raise ValueError("element %s of level %d is not active" % (e, lv))
+    mlv, boxes = partition.members[:, 0], partition.members[:, 1:]
+    box = np.asarray(e) // partition.space.hierarchy.q
+    own = (mlv <= lv) & np.all(box >> np.maximum(lv - mlv, 0)[:, None] == boxes, axis=1)
+    (idx,) = np.flatnonzero(own)
+    fids = partition.member_functions(idx)
+    members = np.array([i for i in range(len(partition))
+                        if np.isin(partition.member_functions(i), fids).any()])
+    rows = partition.members[members].tolist()
+    bounds = np.array([partition.mesh.box_bounds(mlv, box) for mlv, *box in rows])
+    lo, hi = bounds[:, :, 0].min(axis=0).tolist(), bounds[:, :, 1].max(axis=0).tolist()
+    return SupportExtension(members, tuple(zip(lo, hi)))
+
+
+def _exact_projector(v, w):
+    """``(V W V^T)^-1 V W`` in :class:`fractions.Fraction`, exactly, for the
+    float arrays ``v`` (n, s) and weights ``w`` (s,), by Gauss-Jordan
+    elimination of ``[V W V^T | V W]``, whose left block is SPD."""
+    v = [[Fraction(x) for x in row] for row in v.tolist()]
+    vw = [[x * Fraction(wk) for x, wk in zip(row, w.tolist())] for row in v]
+    n = len(v)
+    rows = [[sum(a * b for a, b in zip(vw[i], v[j])) for j in range(n)] + vw[i]
+            for i in range(n)]
+    for c in range(n):
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c]:
+                fac = rows[i][c]
+                rows[i] = [x - fac * y for x, y in zip(rows[i], rows[c])]
+    return [row[n:] for row in rows]
+
+
+def tensor_member_oracle(space, part, idx, f):
+    """The exact least-squares coefficients of ``f`` on tensor member
+    ``idx`` (one box of ``q`` elements per direction of its own level whose
+    functions are its box B-splines), aligned with
+    ``part.member_functions(idx)``, rounded once to float.
+
+    The member's weighted sampled system is the Kronecker product of its
+    per-direction systems: ``V_d`` (n_d, q nq_d) holds the box B-splines
+    at the rule's points of its elements, element-major, and ``W_d`` the
+    physical weights.  So the fit is ``kron_d(P_d) b`` with
+    ``P_d = (V_d W_d V_d^T)^-1 V_d W_d``.  ``V_d``, ``W_d`` and the samples
+    ``b`` are the floats of the member's quadrature block; each ``P_d`` is
+    solved exactly in fractions, and the product is applied to ``b`` in
+    integers (each ``P_d`` over a common denominator, the samples over a
+    common power of two).
+    """
+    lv, *box = part.members[idx].tolist()
+    q, m, p = space.hierarchy.q, space.multiplicity, space.degree
+    (block,) = space.quadrature(gauss_tensor(space), fields=(f,),
+                                elements=part.member_elements(idx))
+    local = block.elements - np.asarray(box) * q
+    nq = [t.shape[2] for t in block.tables[0]]
+    mats = []
+    for d in range(space.dim):
+        n = (q[d] - 1) * m[d] + p[d] + 1
+        v, w = np.zeros((n, q[d] * nq[d])), np.zeros(q[d] * nq[d])
+        for i in range(q[d]):
+            r = np.flatnonzero(local[:, d] == i)[0]
+            v[i * m[d]:i * m[d] + p[d] + 1, i * nq[d]:(i + 1) * nq[d]] = block.tables[0][d][r]
+            w[i * nq[d]:(i + 1) * nq[d]] = block.direction_weights[d][r]
+        mats.append(_exact_projector(v, w))
+    samples = np.zeros([qd * n for qd, n in zip(q, nq)])
+    for r, pos in enumerate(local.tolist()):
+        samples[tuple(slice(i * n, (i + 1) * n) for i, n in zip(pos, nq))] = (
+            block.fields[0][r].reshape(nq))
+    scales = [math.lcm(*(x.denominator for row in mat for x in row)) for mat in mats]
+    exact = [Fraction(x) for x in samples.ravel().tolist()]
+    den = max(x.denominator for x in exact)  # powers of two: each divides the largest
+    out = np.array([int(x * den) for x in exact], dtype=object).reshape(samples.shape)
+    for d, (mat, scale) in enumerate(zip(mats, scales)):
+        ints = np.array([[int(x * scale) for x in row] for row in mat], dtype=object)
+        out = np.moveaxis(np.tensordot(ints, out, axes=([1], [d])), 0, d)
+    den *= math.prod(scales)
+    coeffs = [float(Fraction(int(x), den)) for x in out.ravel()]
+    # box B-spline a is the level-lv B-spline box * q * m + a
+    fid = {fn: i for i, fn in enumerate(space.functions)}
+    first = np.asarray(box) * q * m
+    order = [fid[lv, tuple((first + a).tolist())] for a in np.ndindex(*out.shape)]
+    want = dict(zip(order, coeffs))
+    return np.array([want[i] for i in part.member_functions(idx).tolist()])
 
 
 def _box_key(lv, e, q):

@@ -43,7 +43,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_admissible_space, random_hierarchy, thb_field, thb_space
+from conftest import (
+    random_admissible_space,
+    random_hierarchy,
+    support_extension,
+    thb_field,
+    thb_space,
+    verify_non_overloaded,
+)
 from thbox import cli
 from thbox.adaptive import (
     AdaptiveConfig,
@@ -52,13 +59,7 @@ from thbox.adaptive import (
     poisson_solve,
     residual_estimator,
 )
-from thbox.bezier import (
-    ProjectorPartition,
-    bezier_project,
-    error_report,
-    support_extension,
-    verify_non_overloaded,
-)
+from thbox.bezier import ProjectorPartition, bezier_project, error_report
 from thbox.cli import front_exact, front_rhs, sine_product, tanh_ring
 from thbox.derham import build_complex, exactness_report
 from thbox.hierarchy import DomainHierarchy, admissibility_class

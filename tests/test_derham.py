@@ -15,7 +15,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from conftest import dense_rank_oracle, element_support_sets, random_hierarchy
+from conftest import dense_rank_oracle, element_support_sets, random_hierarchy, svd_rank
 from thbox.derham import (
     AssumptionVerdict,
     ExactnessReport,
@@ -28,7 +28,6 @@ from thbox.derham import (
 )
 from thbox.derham import RANK_REL_TOL, _differential, _hodge_dirac_kernel, _monotone_chain
 from thbox.hierarchy import DomainHierarchy, LevelSequence, build_hb, build_thb
-from thbox.numerics import svd_rank
 from thbox.splinecore import uniform_space
 
 

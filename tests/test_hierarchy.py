@@ -624,6 +624,21 @@ class TestElementMachinery:
                 _, vals = space.eval_all_at(tuple(x), deriv=dv)
                 nt.assert_allclose(vals.sum(), 0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("deriv", [(1,), (1, 0, 0), (-1, 0), (1.5, 0), (True, 0), 1, ()],
+                             ids=["short", "long", "negative", "float", "bool", "scalar",
+                                  "empty"])
+    def test_bad_derivative_orders_raise(self, deriv):
+        """``eval_all_at`` checks ``deriv`` by the ``derivs`` rule of
+        ``quadrature``: one tuple of ``dim`` non-negative integers."""
+        space = build_thb(*_make_case(*HIERARCHY_CASES[2]))
+        assert space.dim == 2
+        with pytest.raises(ValueError, match="derivs must be a nonempty sequence of tuples "
+                                             "of 2 non-negative integers"):
+            space.eval_all_at((0.3, 0.6), deriv=deriv)
+        fids, vals = space.eval_all_at((0.3, 0.6), deriv=(np.int64(1), 0))
+        want = space.eval_all_at((0.3, 0.6), deriv=(1, 0))
+        assert np.array_equal(fids, want[0]) and np.array_equal(vals, want[1])
+
     def test_eval_thb_zero_off_support(self):
         """``eval_all_at`` omits a function at a point off its support."""
         levels, hier = _make_case(*HIERARCHY_CASES[0])

@@ -267,6 +267,9 @@ def test_malformed_element_selection_raises():
             list(space.quadrature(rule, elements=elements))
     with pytest.raises(ValueError, match="integer"):
         list(space.quadrature(rule, elements=[[(True, 0)]] + empty[1:]))
+    for elements in (5, 2.0, iter(empty)):
+        with pytest.raises(ValueError, match="elements must hold one array per level"):
+            space.quadrature(rule, elements=elements)
     assert list(space.quadrature(rule, elements=empty)) == []
 
 

@@ -5,13 +5,8 @@ import numpy.testing as nt
 import pytest
 import scipy.sparse
 
-from thbox.numerics import (
-    NonSPDError,
-    SolveError,
-    assemble_csr,
-    sparse_solve,
-    svd_rank,
-)
+from conftest import svd_rank
+from thbox.numerics import NonSPDError, SolveError, assemble_csr, sparse_solve
 
 
 class TestSvdRank:

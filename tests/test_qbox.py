@@ -18,7 +18,6 @@ from conftest import (
     random_hierarchy,
     univariate_support_flags,
 )
-from thbox.bezier import ProjectorPartition
 from thbox.hierarchy import DomainHierarchy, LevelSequence, build_thb, range_points
 from thbox.qbox import (
     AdmissibilityPolicy,
@@ -868,32 +867,30 @@ class TestClosureOracle:
 
 
 def _level_case():
-    """A two-level 2D p-box space (level-0 box (0, 0) refined), its mesh and
-    its projector partition."""
+    """A two-level 2D p-box space (level-0 box (0, 0) refined) and its mesh."""
     space = _space(DomainHierarchy((2, 2), (2, 2), [[(0, 0)]]), 2)
-    return space, QBoxMesh(space), ProjectorPartition(space)
+    return space, QBoxMesh(space)
 
 
 #: Every public per-level query, called at level ``lv`` of :func:`_level_case`.
 LEVEL_QUERIES = {
-    "active_boxes": lambda s, m, part, lv: s.hierarchy.active_boxes(lv),
-    "active_elements": lambda s, m, part, lv: s.active_elements(lv),
-    "element_rows": lambda s, m, part, lv: s.element_rows(lv),
-    "extraction": lambda s, m, part, lv: s.extraction(lv),
-    "extraction_ids": lambda s, m, part, lv: s.extraction_ids(lv),
-    "active_ids": lambda s, m, part, lv: s.active_ids(lv),
-    "is_active_element": lambda s, m, part, lv: s.is_active_element(lv, (0, 0)),
-    "element_table": lambda s, m, part, lv: s.element_table(lv, (0, 0)),
-    "mesh-active": lambda s, m, part, lv: m.active(lv),
-    "border": lambda s, m, part, lv: m.border(lv),
-    "well_behaved": lambda s, m, part, lv: m.well_behaved(lv),
-    "regular": lambda s, m, part, lv: m.regular(lv),
-    "depth": lambda s, m, part, lv: m.depth(lv, (1, 1)),
-    "box_bounds": lambda s, m, part, lv: m.box_bounds(lv, (1, 1)),
-    "macro_element_of": lambda s, m, part, lv: m.macro_element_of(lv, [(0, 0)]),
-    "member_of_element": lambda s, m, part, lv: part.member_of_element(lv, (0, 0)),
-    "extension-lv": lambda s, m, part, lv: support_extension_rect(s, lv, [(0, 0)], 0),
-    "extension-k": lambda s, m, part, lv: support_extension_rect(s, 0, [(0, 0)], lv),
+    "active_boxes": lambda s, m, lv: s.hierarchy.active_boxes(lv),
+    "active_elements": lambda s, m, lv: s.active_elements(lv),
+    "element_rows": lambda s, m, lv: s.element_rows(lv),
+    "extraction": lambda s, m, lv: s.extraction(lv),
+    "extraction_ids": lambda s, m, lv: s.extraction_ids(lv),
+    "active_ids": lambda s, m, lv: s.active_ids(lv),
+    "is_active_element": lambda s, m, lv: s.is_active_element(lv, (0, 0)),
+    "element_table": lambda s, m, lv: s.element_table(lv, (0, 0)),
+    "mesh-active": lambda s, m, lv: m.active(lv),
+    "border": lambda s, m, lv: m.border(lv),
+    "well_behaved": lambda s, m, lv: m.well_behaved(lv),
+    "regular": lambda s, m, lv: m.regular(lv),
+    "depth": lambda s, m, lv: m.depth(lv, (1, 1)),
+    "box_bounds": lambda s, m, lv: m.box_bounds(lv, (1, 1)),
+    "macro_element_of": lambda s, m, lv: m.macro_element_of(lv, [(0, 0)]),
+    "extension-lv": lambda s, m, lv: support_extension_rect(s, lv, [(0, 0)], 0),
+    "extension-k": lambda s, m, lv: support_extension_rect(s, 0, [(0, 0)], lv),
 }
 
 BAD_LEVELS = {
@@ -909,7 +906,7 @@ BAD_LEVELS = {
 #: (``TestFixtureClassification::test_queries_reject_bad_boxes`` and
 #: ``test_hierarchy.py::TestElementMachinery::test_levels_outside_the_space_raise``).
 RANGE_CHECKED = {"is_active_element", "element_table", "depth", "box_bounds",
-                 "macro_element_of", "member_of_element"}
+                 "macro_element_of"}
 
 
 class TestLevelRule:

@@ -109,6 +109,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="^numelems must be an integer"):
             uniform_space((2, numelems), (2, 2))
 
+    @pytest.mark.parametrize("args", [
+        ((2, 2), (2, 2), (1,)),
+        ((2, 2), (2,)),
+        ((2,), (2, 2), (1, 1)),
+        ((2, 2, 2), (2, 2), (1, 1, 1)),
+    ], ids=["short-multiplicity", "short-degree", "short-numelems", "long-numelems"])
+    def test_direction_counts_must_agree(self, args):
+        # zip would drop the directions past the shortest argument
+        with pytest.raises(ValueError, match="one entry per direction"):
+            uniform_space(*args)
+
     def test_numpy_integer_numelems(self):
         kv = uniform_knot_vector(np.int64(4), 2)
         assert kv == uniform_knot_vector(4, 2) and kv.numelems == 4
