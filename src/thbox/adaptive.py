@@ -224,7 +224,8 @@ class AdaptiveTrace:
     """Trace of an adaptive run: one :class:`TraceStep` per solve.
 
     ``converged`` records whether the tolerance was met; on iteration
-    exhaustion the partial trace is returned with the flag unset.
+    exhaustion or at ``max_levels`` the partial trace is returned with the
+    flag unset.
     ``solution`` is the solve result on the final space.
     """
 
@@ -285,11 +286,13 @@ def adapt_loop(space, solve, estimate, cfg):
     level.
     Each pass records a :class:`TraceStep`; the loop stops once every
     indicator is below ``cfg.tolerance``, and otherwise refines the
-    Dörfler set of boxes.  Every ``cfg.coarsen_cadence`` passes (when
-    ``cfg.theta_coarsen > 0``) the refined boxes with the smallest
-    aggregated indicators are coarsened first, skipping any whose
-    children are about to be refined.  All mesh changes go through
-    ``cfg.policy``, so intermediate meshes keep the admissibility class.
+    Dörfler set of boxes; a Dörfler set that would refine past
+    ``cfg.max_levels`` ends the run unconverged, as exhaustion does.
+    Every ``cfg.coarsen_cadence`` passes (when ``cfg.theta_coarsen > 0``)
+    the refined boxes with the smallest aggregated indicators are
+    coarsened first, skipping any whose children are about to be
+    refined.  All mesh changes go through ``cfg.policy``, so
+    intermediate meshes keep the admissibility class.
     """
     steps = []
     solution = None
@@ -319,7 +322,10 @@ def adapt_loop(space, solve, estimate, cfg):
             break
         if it == cfg.max_iterations - 1:
             break
-        marked = np.concatenate(dorfler_mark(indicators, cfg.theta_refine))
+        masks = dorfler_mark(indicators, cfg.theta_refine)
+        if max(lv for lv, m in enumerate(masks) if m.any()) + 2 > cfg.max_levels:
+            break  # refining would pass max_levels: the run ends unconverged
+        marked = np.concatenate(masks)
         cadence = cfg.coarsen_cadence
         if cfg.theta_coarsen > 0.0 and cadence > 0 and (it + 1) % cadence == 0:
             parents, sums = _coarsen_candidates(space, squares, marked)

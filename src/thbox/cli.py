@@ -488,16 +488,12 @@ def run_derham_check(params, quiet=False):
     payload = {
         "dims": list(report.dims),
         "cohomology": list(report.cohomology),
-        "h0": report.h0,
-        "h1": report.h1,
-        "h2": report.h2,
         "assumption3a": bool(report.assumption3a),
         "assumption3b": bool(report.assumption3b),
         "residual": report.containment_residual,
         "verdict": report.verdict,
     }
-    if dim == 3:
-        payload["h3"] = report.h3
+    payload.update(("h%d" % k, h) for k, h in enumerate(report.cohomology))
     _write(
         params["out_dir"],
         "report.json",

@@ -2,7 +2,8 @@
 
 A scalar hierarchical space of degree p sits at the head of a sequence of
 spaces of reduced degrees connected by differential operators (rot/div in
-two dimensions, grad/curl/div in three).  All member spaces share one
+two dimensions, grad/curl/div in three), all read off one rule for the
+exterior derivative (:func:`_exterior_rule`).  All member spaces share one
 :class:`~thbox.hierarchy.DomainHierarchy` whose boxes have size p+1, so
 refinements never split the support of any reduced-degree function in a
 way that breaks the sequence.
@@ -66,53 +67,33 @@ class RankCheckLimitError(RuntimeError):
     """A valid complex too large for the exactness check."""
 
 
-def _component_degrees(degree):
-    """Per-slot component degrees of the complex for head degree ``degree``."""
-    n = len(degree)
-    if n == 2:
-        p0, p1 = degree
-        return (
-            ((p0, p1),),
-            ((p0, p1 - 1), (p0 - 1, p1)),
-            ((p0 - 1, p1 - 1),),
-        )
-    if n == 3:
-        p0, p1, p2 = degree
-        return (
-            ((p0, p1, p2),),
-            ((p0 - 1, p1, p2), (p0, p1 - 1, p2), (p0, p1, p2 - 1)),
-            ((p0, p1 - 1, p2 - 1), (p0 - 1, p1, p2 - 1), (p0 - 1, p1 - 1, p2)),
-            ((p0 - 1, p1 - 1, p2 - 1),),
-        )
-    raise ValueError("complexes are defined for 2 or 3 dimensions, got %d" % n)
+def _exterior_rule(n):
+    """Slots and maps of the de Rham complex in ``n`` dimensions, read off
+    the exterior derivative.
 
-
-def _operators(n):
-    """Differential maps between slots: per target component, a list of
-    (source component, derivative tuple, sign) terms."""
-    if n == 2:
-        return (
-            # first map: scalar -> (d/dy, -d/dx)
-            (((0, (0, 1), 1.0),), ((0, (1, 0), -1.0),)),
-            # second map: divergence
-            (((0, (1, 0), 1.0), (1, (0, 1), 1.0)),),
-        )
-    return (
-        # gradient
-        (
-            ((0, (1, 0, 0), 1.0),),
-            ((0, (0, 1, 0), 1.0),),
-            ((0, (0, 0, 1), 1.0),),
-        ),
-        # curl
-        (
-            ((2, (0, 1, 0), 1.0), (1, (0, 0, 1), -1.0)),
-            ((0, (0, 0, 1), 1.0), (2, (1, 0, 0), -1.0)),
-            ((1, (1, 0, 0), 1.0), (0, (0, 1, 0), -1.0)),
-        ),
-        # divergence
-        (((0, (1, 0, 0), 1.0), (1, (0, 1, 0), 1.0), (2, (0, 0, 1), 1.0)),),
-    )
+    Slot k's components are the k-subsets of directions whose degree drops
+    by one, in lexicographic order; slot n-1 is ordered by its missing
+    direction i instead and carries the flux sign ``(-1)^i``.  Map k gives
+    component T of slot k+1 the terms ``(T - j, d/dx_j, sign)``, the sign
+    ``(-1)^(position of j in T)`` times the flux signs of T and ``T - j``.
+    Returns ``(slots, maps)``: per slot its subsets, and per map and target
+    component its terms ``(source component, derivative tuple, sign)``.
+    """
+    slots = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
+    slots[n - 1] = [tuple(j for j in range(n) if j != i) for i in range(n)]
+    flux = {s: (-1) ** i for i, s in enumerate(slots[n - 1])}
+    maps = []
+    for src, dst in zip(slots, slots[1:]):
+        comps = []
+        for t in dst:
+            terms = []
+            for pos, j in enumerate(t):
+                rest = t[:pos] + t[pos + 1 :]
+                sign = (-1) ** pos * flux.get(t, 1) * flux.get(rest, 1)
+                terms.append((src.index(rest), tuple(int(d == j) for d in range(n)), float(sign)))
+            comps.append(tuple(terms))
+        maps.append(tuple(comps))
+    return slots, tuple(maps)
 
 
 class ComplexSpaces:
@@ -120,7 +101,9 @@ class ComplexSpaces:
 
     All component spaces share the hierarchy (breakpoints and refinement
     domains are identical); only the degrees differ.  ``slots[k]`` holds
-    the tuple of component spaces of the k-th slot, and ``v0`` is the
+    the tuple of component spaces of the k-th slot, ``maps[k]`` per
+    component of slot k+1 its terms ``(source component, derivative tuple,
+    sign)`` in slot k (both from :func:`_exterior_rule`), and ``v0`` is the
     scalar head space ``slots[0][0]``.
     """
 
@@ -129,6 +112,8 @@ class ComplexSpaces:
         n = len(degree)
         if hierarchy.dim != n:
             raise ValueError("degree/hierarchy dimension mismatch")
+        if n not in (2, 3):
+            raise ValueError("complexes are defined for 2 or 3 dimensions, got %d" % n)
         if multiplicity is None:
             multiplicity = (1,) * n
         multiplicity = tuple(as_integer(m, "an entry of multiplicity") for m in multiplicity)
@@ -153,16 +138,14 @@ class ComplexSpaces:
         self.hierarchy = hierarchy
         self.degree = degree
         self.multiplicity = multiplicity
-        slots = []
-        for comp_degrees in _component_degrees(degree):
-            comps = []
-            for pd in comp_degrees:
-                levels = LevelSequence(
-                    uniform_space(hierarchy.elems_level0, pd, multiplicity)
-                )
-                comps.append(build_thb(levels, hierarchy))
-            slots.append(tuple(comps))
-        self.slots = tuple(slots)
+        subsets, self.maps = _exterior_rule(n)
+
+        def component(s):
+            pd = tuple(p - (d in s) for d, p in enumerate(degree))
+            levels = LevelSequence(uniform_space(hierarchy.elems_level0, pd, multiplicity))
+            return build_thb(levels, hierarchy)
+
+        self.slots = tuple(tuple(map(component, slot)) for slot in subsets)
 
     @property
     def dim(self):
@@ -441,7 +424,7 @@ def _differential(cs, k):
     """
     targets = cs.slots[k + 1]
     basis = scipy.sparse.block_diag([t.stacked_extraction()[0] for t in targets], format="csr")
-    image = _operator_matrix(cs.slots[k], targets, _operators(cs.dim)[k])
+    image = _operator_matrix(cs.slots[k], targets, cs.maps[k])
     ids = [(t.extraction_ids(lv), t.active_ids(lv)) for t in targets for lv in range(t.num_levels)]
     row0 = np.cumsum([0] + [len(rows) for rows, _ in ids])
     sel = np.concatenate([r + np.searchsorted(rows, act) for r, (rows, act) in zip(row0, ids)])
@@ -455,7 +438,12 @@ def _differential(cs, k):
 
 
 class ExactnessReport:
-    """Cohomology dimensions and diagnostics of one complex."""
+    """Cohomology dimensions and diagnostics of one complex.
+
+    The construction conditions (shared hierarchy, box size degree+1) are
+    taken as given and not independently checked: they make the
+    inter-space differentiation and inclusion relations hold structurally.
+    """
 
     def __init__(
         self,
@@ -477,14 +465,6 @@ class ExactnessReport:
         #: Hodge-Dirac operator: the nearest to zero outside its kernel and
         #: the farthest inside it (0.0 for an empty kernel)
         self.gaps = tuple(float(g) for g in gaps)
-        #: conditions taken as given rather than verified: the component
-        #: spaces are built over one shared hierarchy with box size
-        #: degree+1, which makes the inter-space differentiation and
-        #: inclusion relations hold structurally
-        self.notes = (
-            "construction conditions (shared hierarchy, box size degree+1) "
-            "hold structurally and are not independently checked"
-        )
 
     @property
     def h0(self):

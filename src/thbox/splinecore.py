@@ -144,6 +144,9 @@ def uniform_knot_vector(numelems, degree, multiplicity=1):
 
 def uniform_space(numelems, degree, multiplicity=None):
     """Tensor space with uniform open knot vectors per direction."""
+    for name, arg in (("numelems", numelems), ("degree", degree), ("multiplicity", multiplicity)):
+        if arg is not None and np.ndim(arg) != 1:
+            raise ValueError("%s must be a sequence with one entry per direction, got %r" % (name, arg))
     if multiplicity is None:
         multiplicity = (1,) * len(numelems)
     if not len(numelems) == len(degree) == len(multiplicity):

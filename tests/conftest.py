@@ -15,7 +15,7 @@ import scipy.linalg
 from hypothesis import strategies as st
 
 from thbox.bezier import ProjectionResult
-from thbox.derham import RANK_REL_TOL, _operators
+from thbox.derham import RANK_REL_TOL
 from thbox.hierarchy import (
     DomainHierarchy,
     _tensor_values,
@@ -764,6 +764,59 @@ def oracle_coarsen(space, marked, policy):
     return _trimmed(refined), reactivated, skipped
 
 
+def component_degrees_table(degree):
+    """Per-slot component degrees of the complex for head degree ``degree``,
+    written out by hand for 2 and 3 dimensions: the reference for the
+    slots of ``derham._exterior_rule``."""
+    n = len(degree)
+    if n == 2:
+        p0, p1 = degree
+        return (
+            ((p0, p1),),
+            ((p0, p1 - 1), (p0 - 1, p1)),
+            ((p0 - 1, p1 - 1),),
+        )
+    if n == 3:
+        p0, p1, p2 = degree
+        return (
+            ((p0, p1, p2),),
+            ((p0 - 1, p1, p2), (p0, p1 - 1, p2), (p0, p1, p2 - 1)),
+            ((p0, p1 - 1, p2 - 1), (p0 - 1, p1, p2 - 1), (p0 - 1, p1 - 1, p2)),
+            ((p0 - 1, p1 - 1, p2 - 1),),
+        )
+    raise ValueError("complexes are defined for 2 or 3 dimensions, got %d" % n)
+
+
+def operators_table(n):
+    """Differential maps between slots, written out by hand for 2 and 3
+    dimensions: per target component, a list of (source component,
+    derivative tuple, sign) terms; the reference for the maps of
+    ``derham._exterior_rule``."""
+    if n == 2:
+        return (
+            # first map: scalar -> (d/dy, -d/dx)
+            (((0, (0, 1), 1.0),), ((0, (1, 0), -1.0),)),
+            # second map: divergence
+            (((0, (1, 0), 1.0), (1, (0, 1), 1.0)),),
+        )
+    return (
+        # gradient
+        (
+            ((0, (1, 0, 0), 1.0),),
+            ((0, (0, 1, 0), 1.0),),
+            ((0, (0, 0, 1), 1.0),),
+        ),
+        # curl
+        (
+            ((2, (0, 1, 0), 1.0), (1, (0, 0, 1), -1.0)),
+            ((0, (0, 0, 1), 1.0), (2, (1, 0, 0), -1.0)),
+            ((1, (1, 0, 0), 1.0), (0, (0, 1, 0), -1.0)),
+        ),
+        # divergence
+        (((0, (1, 0, 0), 1.0), (1, (0, 1, 0), 1.0), (2, (0, 0, 1), 1.0)),),
+    )
+
+
 def dense_operator_matrix(cs, sources, targets):
     """Dense sampled, weight-scaled images of the spaces ``sources``: rows
     (comp, elem, pt), each element's tensor B-spline values times the rows
@@ -794,7 +847,7 @@ def dense_rank_oracle(cs):
     n = cs.dim
     ranks, fits = [], []
     for k in range(n):
-        image = dense_operator_matrix(cs, cs.slots[k], _operators(n)[k])
+        image = dense_operator_matrix(cs, cs.slots[k], cs.maps[k])
         identity = [((c, (0,) * n, 1.0),) for c in range(len(cs.slots[k + 1]))]
         basis = dense_operator_matrix(cs, cs.slots[k + 1], identity)
         sv = np.linalg.svd(image, compute_uv=False)

@@ -298,6 +298,16 @@ class TestAdaptLoop:
         assert len(trace) == 4
         assert trace[-1].ndof > trace[0].ndof
 
+    def test_level_cap_ends_run_unconverged(self):
+        # a Dörfler set that would refine past max_levels ends the run as
+        # exhaustion does, instead of raising RefinementLimitError
+        space = unit_space((2, 2), (4, 4), (2, 2))
+        cfg = AdaptiveConfig(tolerance=1e-9, max_iterations=10, max_levels=3)
+        trace = adapt_loop(space, lambda sp: None, self.corner_estimate, cfg)
+        assert not trace.converged
+        assert len(trace) < 10
+        assert [s.space.hierarchy.num_levels for s in trace] == [1, 2, 3]
+
     def test_zero_theta_coarsen_matches_refine_only(self):
         cfgs = [
             AdaptiveConfig(theta_refine=0.4, theta_coarsen=0.0,

@@ -355,6 +355,16 @@ class TestAdaptKinds:
         assert len((out / "trace.csv").read_text().strip().split("\n")) == 3
         capsys.readouterr()
 
+    def test_adapt_project_level_cap_exits_two(self, tmp_path, capsys):
+        # reaching max_levels ends an unconverged run, not a config error:
+        # exit 2 with the trace and one SVG per pass written
+        payload = {"kind": "adapt-project", "max_levels": 2, "tolerance": 1e-6}
+        code, out = run_cli(tmp_path, payload)
+        assert code == 2
+        assert len((out / "trace.csv").read_text().strip().split("\n")) == 3
+        assert sorted(p.name for p in out.glob("*.svg")) == ["mesh_step000.svg", "mesh_step001.svg"]
+        assert "converged=False" in capsys.readouterr().out
+
     def test_adapt_poisson_immediate_convergence(self, tmp_path, capsys):
         payload = {
             "kind": "adapt-poisson",

@@ -15,7 +15,14 @@ from collections import deque
 import numpy as np
 import pytest
 
-from conftest import dense_rank_oracle, element_support_sets, random_hierarchy, svd_rank
+from conftest import (
+    component_degrees_table,
+    dense_rank_oracle,
+    element_support_sets,
+    operators_table,
+    random_hierarchy,
+    svd_rank,
+)
 from thbox.derham import (
     AssumptionVerdict,
     ExactnessReport,
@@ -26,7 +33,13 @@ from thbox.derham import (
     exactness_report,
     interior_functions,
 )
-from thbox.derham import RANK_REL_TOL, _differential, _hodge_dirac_kernel, _monotone_chain
+from thbox.derham import (
+    RANK_REL_TOL,
+    _differential,
+    _exterior_rule,
+    _hodge_dirac_kernel,
+    _monotone_chain,
+)
 from thbox.hierarchy import DomainHierarchy, LevelSequence, build_hb, build_thb
 from thbox.splinecore import uniform_space
 
@@ -284,6 +297,53 @@ class TestComplexConstruction:
         assert cs.multiplicity == (2, 2)
         assert euler(cs) == 1
 
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_rejects_dimensions_outside_two_and_three(self, n):
+        h = DomainHierarchy((3,) * n, (1,) * n)
+        with pytest.raises(ValueError, match="2 or 3 dimensions, got %d" % n):
+            build_complex(h, (2,) * n)
+
+
+class TestExteriorRule:
+    """The slots and maps of ``_exterior_rule`` against the hand-written
+    tables of ``conftest`` and against d o d = 0."""
+
+    @pytest.mark.parametrize(
+        "degree",
+        [(2, 2), (3, 3), (2, 3), (4, 2), (2, 2, 2), (3, 3, 3), (2, 3, 4), (4, 2, 3)],
+    )
+    def test_matches_tables(self, degree):
+        n = len(degree)
+        cs = build_complex(DomainHierarchy(tuple(p + 1 for p in degree), (1,) * n), degree)
+        assert tuple(tuple(s.degree for s in slot) for slot in cs.slots) == component_degrees_table(degree)
+        table = operators_table(n)
+        assert len(cs.maps) == len(table) == n
+        for k, (comps, ref) in enumerate(zip(cs.maps, table)):
+            assert len(comps) == len(ref) == len(cs.slots[k + 1])
+            for c, (terms, ref_terms) in enumerate(zip(comps, ref)):
+                assert set(terms) == set(ref_terms), "map %d, component %d" % (k, c)
+                assert len(terms) == len(ref_terms)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_d_squared_vanishes(self, n):
+        # map k+1 after map k, term by term: per (target, source component,
+        # unordered pair of directions) the signs of the composed terms sum to 0
+        slots, maps = _exterior_rule(n)
+        assert [len(slot) for slot in slots] == [len(list(itertools.combinations(range(n), k)))
+                                                  for k in range(n + 1)]
+        assert len(maps) == n
+        for k in range(n - 1):
+            sums = {}
+            for u, outer in enumerate(maps[k + 1]):
+                for mid, d_outer, s_outer in outer:
+                    for src, d_inner, s_inner in maps[k][mid]:
+                        pair = tuple(sorted((d_outer.index(1), d_inner.index(1))))
+                        key = (u, src, pair)
+                        sums[key] = sums.get(key, 0.0) + s_outer * s_inner
+            assert sums, "map %d after map %d composes no terms" % (k + 1, k)
+            bad = {key: v for key, v in sums.items() if v != 0.0}
+            assert not bad, "d o d != 0 after map %d: %r" % (k, bad)
+
 
 def grid(lo, hi):
     """The integer multi-indices t with lo <= t <= hi, as a set."""
@@ -529,7 +589,7 @@ class TestExactnessReport:
         assert not rep.indeterminate and rep.band == ()
         assert rep.assumption3a and rep.assumption3b
         assert rep.dims == (64, 112, 49)
-        assert "not independently checked" in rep.notes
+        assert "not independently checked" in ExactnessReport.__doc__
 
     def test_refined_hierarchy_exact(self):
         h = DomainHierarchy((3, 3), (2, 2), [{(0, 1), (1, 1)}, {(1, 2), (1, 3)}])

@@ -114,7 +114,10 @@ class TestConstruction:
         ((2, 2), (2,)),
         ((2,), (2, 2), (1, 1)),
         ((2, 2, 2), (2, 2), (1, 1, 1)),
-    ], ids=["short-multiplicity", "short-degree", "short-numelems", "long-numelems"])
+        ((2, 2), 2),
+        (3, (2,)),
+    ], ids=["short-multiplicity", "short-degree", "short-numelems", "long-numelems",
+            "scalar-degree", "scalar-numelems"])
     def test_direction_counts_must_agree(self, args):
         # zip would drop the directions past the shortest argument
         with pytest.raises(ValueError, match="one entry per direction"):
