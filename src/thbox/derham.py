@@ -13,31 +13,31 @@ Two independent verification routes are provided:
 - a *combinatorial* route (:func:`check_assumption_3a`,
   :func:`check_assumption_3b`) that checks index-chain connectivity and
   covering properties of the coarse functions interior to each refined
-  subdomain; and
+  subdomain, with the hierarchy's candidate and membership rules; and
 - a *linear-algebraic* route (:func:`exactness_report`) that writes every
   operator image as B-spline coefficients of the next slot's levels: the
   derivative of a degree-p B-spline is a two-term difference of
   degree-(p-1) B-splines on the same knots, and the reduced slots are
-  exactly those spaces.  In a truncated basis each active function's own
-  row is its unit vector, so each map's sparse coefficient-space
-  differential ``G_k`` is those rows of its images, and each map's
-  residual checks that its images lie in the next slot.  The cohomology
-  is the kernel of the sparse symmetric Hodge-Dirac operator
-  ``sum_k (G_k + G_k^T)`` (discrete Hodge theory: Friedman 1998; Arnold,
-  Falk & Winther 2006), found by a shift-invert eigensolve on one sparse
-  LU factorization.
+  exactly those spaces, built only on the rows the next slot keeps.  In a
+  truncated basis each active function's own row is its unit vector, so
+  each map's sparse coefficient-space differential ``G_k`` is those rows
+  of its images, and each map's residual checks that its images lie in
+  the next slot.  The cohomology is the kernel of the sparse symmetric
+  Hodge-Dirac operator ``sum_k (G_k + G_k^T)`` (discrete Hodge theory:
+  Friedman 1998; Arnold, Falk & Winther 2006), found by a shift-invert
+  eigensolve on one sparse LU factorization.
 
 For hierarchies refined by (p+1)-sized boxes on a box domain both routes
 agree and the cohomology is that of a contractible domain: (1, 0, ..., 0).
 """
 
-import functools
 import itertools
 
 import numpy as np
 import scipy.sparse
 
-from .hierarchy import LevelSequence, as_integer, build_thb, index_grid
+from .hierarchy import (LevelSequence, as_integer, as_level, build_thb, index_grid,
+                        range_points, raveled, sorted_lookup, unraveled)
 from .splinecore import derivative_matrix, uniform_space
 
 #: Eigenvalues of the Hodge-Dirac operator, scaled to largest entry 1, at
@@ -194,14 +194,16 @@ def interior_functions(space, lv):
     """Sorted level-``lv`` multi-indices whose support lies inside the next domain.
 
     The candidates are the B-splines on the level-``lv`` elements of the
-    refined level-``lv`` boxes.
+    refined level-``lv`` boxes.  ValueError unless ``lv`` is a level of the
+    space (:func:`~thbox.hierarchy.as_level`), as in the checks 3a and 3b.
     """
+    lv = as_level(lv, space.num_levels, "space")
     hier = space.hierarchy
     tens = space.levels[lv]
     if lv >= len(hier.refined_ids):
         return []
     ids = np.unique(tens.element_functions(hier.refined_elements(lv, lv)))
-    cand = np.stack(np.unravel_index(ids, tens.numbasis), axis=-1)
+    cand = unraveled(ids, tens.numbasis)
     lo, hi = tens.support_boxes(cand)
     inside = hier.cover(lv + 1, 2 * lo, 2 * hi + 1)[0]
     return list(map(tuple, cand[inside].tolist()))
@@ -246,6 +248,7 @@ def check_assumption_3a(space, lv):
     leaving the interior set.  Returns a falsy verdict carrying the first
     violating pair otherwise.
     """
+    lv = as_level(lv, space.num_levels, "space")
     interior = interior_functions(space, lv)
     if not interior:
         return AssumptionVerdict(True)
@@ -262,63 +265,43 @@ def check_assumption_3a(space, lv):
     return AssumptionVerdict(True)
 
 
-def _cover_counts(shape, lo, hi):
-    """How many of the inclusive boxes ``[lo, hi]`` (n, dim) hold each cell of
-    a grid of ``shape``: one difference array, summed direction by direction."""
-    diff = np.zeros(np.add(shape, 1), dtype=np.int64)
-    for corner in itertools.product((0, 1), repeat=len(shape)):
-        np.add.at(diff, tuple(np.where(corner, hi + 1, lo).T), (-1) ** sum(corner))
-    for d in range(len(shape)):
-        diff = np.cumsum(diff, axis=d)
-    return diff[tuple(map(slice, shape))]
-
-
-def _window_sums(table, lo, hi):
-    """Sums of ``table`` over the inclusive windows ``[lo, hi]`` (n, dim), by
-    inclusion-exclusion on its prefix sums."""
-    prefix = np.pad(table, [(1, 0)] * table.ndim)
-    for d in range(table.ndim):
-        prefix = np.cumsum(prefix, axis=d)
-    out = np.zeros(len(lo), dtype=prefix.dtype)
-    for corner in itertools.product((0, 1), repeat=table.ndim):
-        out += (-1) ** (table.ndim - sum(corner)) * prefix[tuple(np.where(corner, hi + 1, lo).T)]
-    return out
-
-
 def check_assumption_3b(space, lv):
     """Covering property of the coarse functions interior to the next domain.
 
     Whenever a function of reduced degree (level ``lv`` or ``lv+1``, each
-    direction's degree lowered by at most one) is supported inside the next
-    domain and covered by closures of interior coarse-function supports,
+    direction's degree lowered by at most one) is covered by closures of
+    interior coarse-function supports, and so lies inside the next domain,
     some single interior coarse function must contain its support -- and
     one such function must fit inside the bounding box of *every* covering
-    subset.  Whether a support is covered is read off one count of the
-    interior supports per cell; the hardest bounding boxes are enumerated
-    through the finite set of support-endpoint combinations.
+    subset.  The candidates are the functions on the elements of the next
+    domain, the rule of :func:`interior_functions`.  Interior supports are
+    unions of whole level-``lv`` elements, so a candidate is covered when
+    every level-``lv`` element under its support is one of theirs, a
+    sorted-id lookup (:func:`~thbox.hierarchy.sorted_lookup`); the hardest
+    bounding boxes are enumerated through the finite set of
+    support-endpoint combinations.
     """
+    lv = as_level(lv, space.num_levels, "space")
     hier = space.hierarchy
-    p = space.degree
     interior = interior_functions(space, lv)
     if not interior:
         return AssumptionVerdict(True)
     # all boxes in level-(lv+1) element units
     clo, chi = space.levels[lv].support_boxes(interior)
-    mlo = 2 * clo
-    mhi = 2 * chi + 1
-    holes = _cover_counts(hier.elems_shape(lv + 1), mlo, mhi) == 0
+    mlo, mhi = 2 * clo, 2 * chi + 1
+    shape = hier.elems_shape(lv)
+    held = np.unique(raveled(range_points(clo, chi), shape))
     for phi_lv in (lv, lv + 1):
         scalexp = lv + 1 - phi_lv  # 1 for coarse functions, 0 for fine ones
-        for pt in itertools.product(*[(pd, pd - 1) for pd in p]):
-            tens = uniform_space(
-                hier.elems_shape(phi_lv), pt, space.multiplicity
-            )
-            funcs = np.indices(tens.numbasis).reshape(tens.dim, -1).T
+        elems = hier.refined_elements(lv, phi_lv)
+        for pt in itertools.product(*[(pd, pd - 1) for pd in space.degree]):
+            tens = uniform_space(hier.elems_shape(phi_lv), pt, space.multiplicity)
+            funcs = unraveled(np.unique(tens.element_functions(elems)), tens.numbasis)
             lo, hi = tens.support_boxes(funcs)
-            # supports in level-(lv+1) element units, kept when inside
-            # Omega^{lv+1} and covered by the interior supports
+            # supports in level-(lv+1) element units, kept when the interior
+            # supports hold every level-lv element under them
             lo, hi = lo << scalexp, ((hi + 1) << scalexp) - 1
-            keep = hier.cover(lv + 1, lo, hi)[0] & (_window_sums(holes, lo, hi) == 0)
+            keep = sorted_lookup(held, raveled(range_points(lo >> 1, hi >> 1), shape))[1].all(axis=1)
             for j, flo, fhi in zip(*(map(tuple, a[keep].tolist()) for a in (funcs, lo, hi))):
                 # interior functions whose support shares a cell with phi
                 meets = ((mlo <= fhi) & (mhi >= flo)).all(axis=1)
@@ -376,11 +359,14 @@ def _operator_matrix(sources, targets, terms):
     columns the concatenated source dofs.
 
     ``terms`` holds per target component the terms ``(src, deriv, sign)``
-    whose sum it is.  Per level, a term is ``Delta_lv R_lv`` of its source,
-    ``Delta_lv`` the Kronecker product of :func:`derivative_matrix` in the
-    differentiated direction and identities, cut to the rows of the
-    target's ``R_lv``; those rows reach only the source's rows, since a
-    B-spline's derivative terms have supports inside its own.
+    whose sum it is; each term differentiates once, in the direction j
+    that ``deriv`` marks.  Per level, a term is ``Delta_lv R_lv`` of its
+    source: row t of the difference matrix ``Delta_lv`` holds ``-w`` and
+    ``+w`` (:func:`derivative_matrix` of direction j, row ``t_j``) at the
+    source B-splines t and t + e_j.  Only the rows of the target's
+    ``R_lv`` are built, their two source B-splines looked up among the
+    rows of the source's ``R_lv``; those rows reach only the source's rows,
+    since a B-spline's derivative terms have supports inside its own.
     """
     offsets = np.cumsum([0] + [s.ndof for s in sources])
     rows, cols, vals = [], [], []
@@ -388,14 +374,20 @@ def _operator_matrix(sources, targets, terms):
     for target, tterms in zip(targets, terms):
         for lv in range(target.num_levels):
             ids = target.extraction_ids(lv)
+            t = unraveled(ids, target.levels[lv].numbasis)
             for src, deriv, sign in tterms:
                 space = sources[src]
-                factors = [
-                    derivative_matrix(kv) if k else scipy.sparse.identity(kv.numbasis)
-                    for kv, k in zip(space.levels[lv].kvs, deriv)
-                ]
-                delta = functools.reduce(scipy.sparse.kron, factors).tocsr()
-                image = (delta[ids][:, space.extraction_ids(lv)] @ space.extraction(lv)).tocoo()
+                tens, j = space.levels[lv], deriv.index(1)
+                w = derivative_matrix(tens.kvs[j]).diagonal(1)[t[:, j]]
+                pos, found = sorted_lookup(
+                    space.extraction_ids(lv), raveled(np.stack([t, t + deriv]), tens.numbasis)
+                )
+                delta = scipy.sparse.csr_matrix(
+                    (np.stack([-w, w])[found],
+                     (np.broadcast_to(np.arange(len(ids)), pos.shape)[found], pos[found])),
+                    shape=(len(ids), len(space.extraction_ids(lv))),
+                )
+                image = (delta @ space.extraction(lv)).tocoo()
                 rows.append(row0 + image.row)
                 cols.append(offsets[src] + image.col)
                 vals.append(sign * image.data)

@@ -10,6 +10,7 @@ matrices, with the differentials from dense least squares on them
 """
 
 import itertools
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -423,7 +424,7 @@ class TestInteriorFunctions:
         h = random_hierarchy(rng, 2, (2, 1), (3, 2), max_levels=4, interface=True)
         space = build_thb(LevelSequence(uniform_space(h.elems_level0, (2, 3))), h)
         found = 0
-        for lv in range(h.num_levels + 1):
+        for lv in range(h.num_levels):
             grid = next_domain_grid(h, lv)
             want = sorted(
                 j
@@ -540,6 +541,20 @@ class TestAssumption3b:
                 x >= lo and y <= hi for x, y, lo, hi in zip(a, b, blo, bhi)
             )
             assert not (contains and fits)
+
+    def test_notched_region_below_the_top_level(self):
+        # level 0 fully refined, level 1 refined on a shifted NOTCHED_L: the
+        # next domain of level 1 is a strict part of level 2, so only part
+        # of each level's functions are candidates
+        full = {(x, y) for x in range(9) for y in range(9)}
+        notched = {(x + 6, y + 3) for x, y in NOTCHED_L}
+        space = elemspace((9, 9), (2, 2), [full, notched])
+        assert check_assumption_3b(space, 0)
+        verdict = check_assumption_3b(space, 1)
+        assert not verdict
+        assert verdict.counterexample == {
+            "level": 2, "degree": (2, 1), "index": (22, 15), "bbox": ((16, 10), (27, 19)),
+        }
 
     @pytest.mark.parametrize("seed", range(16))
     def test_random_element_meshes_match_oracle(self, seed):
@@ -688,6 +703,28 @@ class TestExactnessReport:
         assert rep2.verdict == "inexact"
         with pytest.raises(AttributeError):
             rep2.h3
+
+
+class TestDepthCost:
+    """The report's memory follows the refined region, not the level grid:
+    eight central refinements in 2D (nine levels) and two in 3D, as the
+    ``derham-check`` CLI builds them."""
+
+    @pytest.mark.parametrize("dim, refinements", [(2, 8), (3, 2)])
+    def test_peak_of_deep_report(self, dim, refinements):
+        # the report imports this on first use; the import is not its memory
+        import scipy.sparse.linalg  # noqa: F401
+
+        refined = [{(2**lv,) * dim} for lv in range(refinements)]
+        cs = build_complex(DomainHierarchy((3,) * dim, (2,) * dim, refined), (2,) * dim)
+        tracemalloc.start()
+        try:
+            rep = exactness_report(cs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.verdict == "exact" and rep.assumption3a and rep.assumption3b
+        assert peak <= 5e6, "peak %.1f MB" % (peak / 1e6)
 
 
 def assert_matches_dense_oracle(cs):

@@ -18,6 +18,7 @@ from conftest import (
     random_hierarchy,
     univariate_support_flags,
 )
+from thbox.derham import check_assumption_3a, check_assumption_3b, interior_functions
 from thbox.hierarchy import DomainHierarchy, LevelSequence, build_thb, range_points
 from thbox.qbox import (
     AdmissibilityPolicy,
@@ -891,6 +892,9 @@ LEVEL_QUERIES = {
     "macro_element_of": lambda s, m, lv: m.macro_element_of(lv, [(0, 0)]),
     "extension-lv": lambda s, m, lv: support_extension_rect(s, lv, [(0, 0)], 0),
     "extension-k": lambda s, m, lv: support_extension_rect(s, 0, [(0, 0)], lv),
+    "interior_functions": lambda s, m, lv: interior_functions(s, lv),
+    "assumption-3a": lambda s, m, lv: check_assumption_3a(s, lv),
+    "assumption-3b": lambda s, m, lv: check_assumption_3b(s, lv),
 }
 
 BAD_LEVELS = {
