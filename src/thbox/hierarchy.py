@@ -11,8 +11,11 @@ arrays; no floating-point comparisons are involved.
 
 Basis selection follows the usual hierarchical rule: a level-``lv``
 B-spline is active when its open support lies inside ``Omega^{lv}`` but not
-inside ``Omega^{lv+1}``.  The truncated basis is built as one sparse matrix
-per level, whose rows are that level's tensor B-splines and whose columns
+inside ``Omega^{lv+1}``.  A build costs the elements of the refinement
+domains, not the level grids: one incidence count per level over the
+elements of ``Omega^{lv}`` decides which B-splines lie inside or meet which
+domain.  The truncated basis is built as one sparse matrix per level, whose
+rows are that level's B-splines nonzero on ``Omega^{lv}`` and whose columns
 are the active functions: passing from one level to the next multiplies it
 by a sparse two-scale matrix whose rows are the fine B-splines that meet
 the next refinement domain, minus (truncation) those whose support lies
@@ -581,96 +584,127 @@ class ThbSpace:
         self.truncated = bool(truncated)
         self.num_levels = hierarchy.num_levels
         levels.ensure(self.num_levels)
-        self._build_active_sets()
-        self._build_representation()
+        self._build_representation(self._build_active_sets())
 
     # -- construction ------------------------------------------------------
 
+    def _incidence(self, lv):
+        """One incidence count of level ``lv`` over the elements of Omega^lv.
+
+        ``flagged`` marks the elements in Omega^{lv+1} (in a refined
+        level-``lv`` box).  One ``np.unique`` over the elements' B-splines
+        gives the candidates ``cand`` (sorted ids of the B-splines nonzero on
+        Omega^lv), the inverse ``inv`` (n, nloc) and each candidate's element
+        count; a support lies inside Omega^lv when that count is its size
+        (from :meth:`TensorSpace.support_boxes`), inside Omega^{lv+1} when
+        the count over flagged elements is, and meets Omega^{lv+1} when that
+        count is positive.  Returns ``(elems, flagged, cand, inv, inside,
+        inside_next, meets_next)``.
+        """
+        hier, space = self.hierarchy, self.levels[lv]
+        elems = hier.refined_elements(lv - 1, lv) if lv else index_grid(space.numelems)
+        flagged = hier.refined_mask(lv, elems // np.array(hier.q))
+        flat = space.element_functions(elems)
+        cand, inv, count = np.unique(flat, return_inverse=True, return_counts=True)
+        inv = inv.reshape(flat.shape)
+        lo, hi = space.support_boxes(unraveled(cand, space.numbasis))
+        size = np.prod(hi - lo + 1, axis=1)
+        count_next = np.bincount(inv[flagged].ravel(), minlength=len(cand))
+        return elems, flagged, cand, inv, count == size, count_next == size, count_next > 0
+
     def _build_active_sets(self):
-        hier = self.hierarchy
-        self._active_ids = []
+        """Active functions, active elements and the rows of each ``R_lv``
+        from one :meth:`_incidence` per level.
+
+        A candidate is active when its support lies inside Omega^lv but not
+        inside Omega^{lv+1}.  The active elements are the unflagged ones in
+        raveled C order; the rows of ``R_lv`` are the candidates on them and
+        ``_local[lv]`` gives per active element the rows of its
+        ``prod(p+1)`` B-splines in :meth:`TensorSpace.element_functions`
+        order, both read off the same inverse.  Returns per level the
+        candidates, which lie inside Omega^lv, which meet Omega^{lv+1}, and
+        the positions among them of the active functions and of the rows of
+        ``R_lv``: the input of :meth:`_build_representation`.
+        """
+        self._active_ids, self._elem_ids, self._elem_array = [], [], []
+        self._extraction_ids, self._local = [], []
+        chain = []
         for lv in range(self.num_levels):
-            space = self.levels[lv]
-            # candidates: the B-splines on the elements of Omega^lv
-            elems = hier.refined_elements(lv - 1, lv) if lv else index_grid(space.numelems)
-            cand = np.unique(space.element_functions(elems))
-            lo, hi = space.support_boxes(unraveled(cand, space.numbasis))
-            inside = hier.cover(lv, lo, hi)[0] & ~hier.cover(lv + 1, 2 * lo, 2 * hi + 1)[0]
-            self._active_ids.append(cand[inside])
+            elems, flagged, cand, inv, inside, inside_next, meets = self._incidence(lv)
+            active = inside & ~inside_next
+            self._active_ids.append(cand[active])
+            elems, inv = elems[~flagged], inv[~flagged]
+            ids = raveled(elems, self.levels[lv].numelems)
+            order = np.argsort(ids)
+            self._elem_ids.append(ids[order])
+            self._elem_array.append(elems[order])
+            rows = np.zeros(len(cand), dtype=bool)
+            rows[inv] = True
+            self._extraction_ids.append(cand[rows])
+            self._local.append((np.cumsum(rows) - 1)[inv[order]])
+            chain.append((cand, inside, meets, np.flatnonzero(active), np.flatnonzero(rows)))
         self.ndof = sum(map(len, self._active_ids))
+        return chain
 
-        self._elem_ids, self._elem_array = [], []
-        for lv in range(self.num_levels):
-            boxes = unraveled(hier._active_box_ids(lv), hier.boxes_shape(lv))
-            shape = self.levels[lv].numelems
-            elems = raveled(boxes[:, None, :] * hier.q + index_grid(hier.q), shape)
-            self._elem_ids.append(np.sort(elems.ravel()))
-            self._elem_array.append(unraveled(self._elem_ids[-1], shape))
-
-    def _build_representation(self):
+    def _build_representation(self, chain):
         """Prolong the active functions level by level into the matrices ``R_lv``.
 
-        ``cur`` (level-``lv`` tensor B-splines by functions) holds every
-        function's level-``lv`` representation.  The rows of ``R_lv`` are
-        the B-splines nonzero on an active level-``lv`` element, in raveled
-        C order; ``_local[lv]`` holds, per active element, the rows of its
-        ``prod(p+1)`` B-splines in :meth:`TensorSpace.element_functions`
-        order (C order over the per-direction windows).
+        ``cur`` (the level's candidates by functions) holds every function's
+        level-``lv`` representation.  Its rows are only the B-splines nonzero
+        on Omega^lv, and one that carries no representation is an empty
+        row.  The level's active functions enter as unit rows, ``R_lv``
+        gathers the rows of the B-splines on active elements, and the rows
+        that meet Omega^{lv+1} are prolonged into the next level's
+        candidates.
         """
-        hier = self.hierarchy
         self._extraction = []
-        self._extraction_ids = []
-        self._local = []
-        cur = scipy.sparse.csr_matrix((self.levels[0].total_basis, self.ndof))
+        cur = None
         first = 0
-        for lv, act in enumerate(self._active_ids):
-            space = self.levels[lv]
-            fids = np.arange(first, first + len(act))
-            first += len(act)
-            cur = cur + scipy.sparse.csr_matrix(
-                (np.ones(len(act)), (act, fids)), shape=cur.shape
+        for lv, (cand, inside, meets, act, rows) in enumerate(chain):
+            units = scipy.sparse.csr_matrix(
+                (np.ones(len(act)), (act, np.arange(first, first + len(act)))),
+                shape=(len(cand), self.ndof),
             )
-            flat = space.element_functions(self._elem_array[lv])
-            rows, local = np.unique(flat, return_inverse=True)
+            cur = units if cur is None else cur + units
+            first += len(act)
             ext = cur[rows]
             ext.sort_indices()
             self._extraction.append(ext)
-            self._extraction_ids.append(rows)
-            self._local.append(local.reshape(flat.shape))
             if lv + 1 == self.num_levels:
                 break
             # only rows whose support meets Omega^{lv+1} reach an active element
-            live = np.flatnonzero(np.diff(cur.indptr))
-            lo, hi = space.support_boxes(unraveled(live, space.numbasis))
-            cur = self._prolongation(lv, live[hier.cover(lv + 1, 2 * lo, 2 * hi + 1)[1]]) @ cur
+            live = np.flatnonzero(meets & (np.diff(cur.indptr) > 0))
+            cur = self._prolongation(lv, cand, live, *chain[lv + 1][:2]) @ cur
 
-    def _prolongation(self, lv, rows):
-        """Two-scale matrix (level-``lv+1`` by level-``lv`` B-splines) of the coarse ``rows``.
+    def _prolongation(self, lv, coarse, cols, fine, inside):
+        """Two-scale matrix (``fine`` by ``coarse``) of the level-``lv``
+        B-splines ``coarse[cols]``.
 
-        Its rows are the children that meet Omega^{lv+1} and, for THB, do
-        not lie inside it (truncation); weights multiply direction by
-        direction.
+        ``coarse`` and ``fine`` are the sorted candidates of levels ``lv``
+        and ``lv + 1`` (:meth:`_incidence`), and ``inside`` flags the fine
+        ones whose support lies inside Omega^{lv+1}.  A child meets
+        Omega^{lv+1} when one ``sorted_lookup`` finds it among ``fine``; the
+        rows kept are those children and, for THB, only those not inside
+        (truncation).  Weights multiply direction by direction; columns
+        outside ``cols`` are empty.
         """
-        coarse, fine = self.levels[lv], self.levels[lv + 1]
-        child = np.zeros((len(rows), 1), dtype=np.int64)
-        weight = np.ones((len(rows), 1))
+        child = np.zeros((len(cols), 1), dtype=np.int64)
+        weight = np.ones((len(cols), 1))
         for (index, wts), j, nf in zip(
-            self.levels.children(lv), unraveled(rows, coarse.numbasis).T, fine.numbasis
+            self.levels.children(lv),
+            unraveled(coarse[cols], self.levels[lv].numbasis).T,
+            self.levels[lv + 1].numbasis,
         ):
             width = child.shape[1] * index.shape[1]
             child = (child[:, :, None] * nf + index[j][:, None, :]).reshape(-1, width)
             weight = (weight[:, :, None] * wts[j][:, None, :]).reshape(-1, width)
-        parent = np.broadcast_to(rows[:, None], child.shape)
+        parent = np.broadcast_to(cols[:, None], child.shape)
         nz = weight != 0.0
-        child, weight, parent = child[nz], weight[nz], parent[nz]
-        ids, inv = np.unique(child, return_inverse=True)
-        inside, meets = self.hierarchy.cover(
-            lv + 1, *fine.support_boxes(unraveled(ids, fine.numbasis))
-        )
-        keep = (meets & ~inside if self.truncated else meets)[inv]
+        pos, keep = sorted_lookup(fine, child[nz])
+        if self.truncated:
+            keep &= ~inside[pos]
         return scipy.sparse.csr_matrix(
-            (weight[keep], (child[keep], parent[keep])),
-            shape=(fine.total_basis, coarse.total_basis),
+            (weight[nz][keep], (pos[keep], parent[nz][keep])), shape=(len(fine), len(coarse))
         )
 
     # -- basic queries -------------------------------------------------

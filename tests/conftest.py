@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 from hypothesis import strategies as st
 
 from thbox.bezier import ProjectionResult
@@ -24,6 +25,7 @@ from thbox.hierarchy import (
     galerkin,
     gauss_tensor,
     index_grid,
+    raveled,
     unraveled,
 )
 from thbox.qbox import AdmissibilityPolicy, RefinementLimitError, refine_qboxes
@@ -663,6 +665,130 @@ def element_support_sets(space):
         axes = [np.nonzero(per_dir[d][j[d]])[0] for d in range(space.dim)]
         supports[j] = set(itertools.product(*axes))
     return supports
+
+
+class _ReferenceThbBuild:
+    """The level-grid build of a (truncated) hierarchical basis, kept as an
+    oracle for :class:`thbox.hierarchy.ThbSpace`'s region-sized one.
+
+    Active sets come from two ``DomainHierarchy.cover`` calls on each
+    candidate's support box, active elements from the active box ids, and
+    the representation chain ``cur`` is a CSR over every B-spline of a level
+    (``total_basis`` rows), prolonged by a two-scale matrix of the whole
+    level grid.  It sets the attributes the space keeps: ``_active_ids``,
+    ``ndof``, ``_elem_ids``, ``_elem_array``, ``_extraction``,
+    ``_extraction_ids`` and ``_local``.
+    """
+
+    def __init__(self, levels, hierarchy, truncated=True):
+        self.levels = levels
+        self.hierarchy = hierarchy
+        self.truncated = bool(truncated)
+        self.num_levels = hierarchy.num_levels
+        levels.ensure(self.num_levels)
+        self._build_active_sets()
+        self._build_representation()
+
+    def _build_active_sets(self):
+        hier = self.hierarchy
+        self._active_ids = []
+        for lv in range(self.num_levels):
+            space = self.levels[lv]
+            # candidates: the B-splines on the elements of Omega^lv
+            elems = hier.refined_elements(lv - 1, lv) if lv else index_grid(space.numelems)
+            cand = np.unique(space.element_functions(elems))
+            lo, hi = space.support_boxes(unraveled(cand, space.numbasis))
+            inside = hier.cover(lv, lo, hi)[0] & ~hier.cover(lv + 1, 2 * lo, 2 * hi + 1)[0]
+            self._active_ids.append(cand[inside])
+        self.ndof = sum(map(len, self._active_ids))
+
+        self._elem_ids, self._elem_array = [], []
+        for lv in range(self.num_levels):
+            boxes = unraveled(hier._active_box_ids(lv), hier.boxes_shape(lv))
+            shape = self.levels[lv].numelems
+            elems = raveled(boxes[:, None, :] * hier.q + index_grid(hier.q), shape)
+            self._elem_ids.append(np.sort(elems.ravel()))
+            self._elem_array.append(unraveled(self._elem_ids[-1], shape))
+
+    def _build_representation(self):
+        hier = self.hierarchy
+        self._extraction = []
+        self._extraction_ids = []
+        self._local = []
+        cur = scipy.sparse.csr_matrix((self.levels[0].total_basis, self.ndof))
+        first = 0
+        for lv, act in enumerate(self._active_ids):
+            space = self.levels[lv]
+            fids = np.arange(first, first + len(act))
+            first += len(act)
+            cur = cur + scipy.sparse.csr_matrix(
+                (np.ones(len(act)), (act, fids)), shape=cur.shape
+            )
+            flat = space.element_functions(self._elem_array[lv])
+            rows, local = np.unique(flat, return_inverse=True)
+            ext = cur[rows]
+            ext.sort_indices()
+            self._extraction.append(ext)
+            self._extraction_ids.append(rows)
+            self._local.append(local.reshape(flat.shape))
+            if lv + 1 == self.num_levels:
+                break
+            # only rows whose support meets Omega^{lv+1} reach an active element
+            live = np.flatnonzero(np.diff(cur.indptr))
+            lo, hi = space.support_boxes(unraveled(live, space.numbasis))
+            cur = self._prolongation(lv, live[hier.cover(lv + 1, 2 * lo, 2 * hi + 1)[1]]) @ cur
+
+    def _prolongation(self, lv, rows):
+        """Two-scale matrix (level-``lv+1`` by level-``lv`` B-splines) of the coarse ``rows``.
+
+        Its rows are the children that meet Omega^{lv+1} and, for THB, do
+        not lie inside it (truncation); weights multiply direction by
+        direction.
+        """
+        coarse, fine = self.levels[lv], self.levels[lv + 1]
+        child = np.zeros((len(rows), 1), dtype=np.int64)
+        weight = np.ones((len(rows), 1))
+        for (index, wts), j, nf in zip(
+            self.levels.children(lv), unraveled(rows, coarse.numbasis).T, fine.numbasis
+        ):
+            width = child.shape[1] * index.shape[1]
+            child = (child[:, :, None] * nf + index[j][:, None, :]).reshape(-1, width)
+            weight = (weight[:, :, None] * wts[j][:, None, :]).reshape(-1, width)
+        parent = np.broadcast_to(rows[:, None], child.shape)
+        nz = weight != 0.0
+        child, weight, parent = child[nz], weight[nz], parent[nz]
+        ids, inv = np.unique(child, return_inverse=True)
+        inside, meets = self.hierarchy.cover(
+            lv + 1, *fine.support_boxes(unraveled(ids, fine.numbasis))
+        )
+        keep = (meets & ~inside if self.truncated else meets)[inv]
+        return scipy.sparse.csr_matrix(
+            (weight[keep], (child[keep], parent[keep])),
+            shape=(fine.total_basis, coarse.total_basis),
+        )
+
+
+def reference_thb_build(levels, hier, truncated=True):
+    """The level-grid build (:class:`_ReferenceThbBuild`) of ``hier`` over ``levels``."""
+    return _ReferenceThbBuild(levels, hier, truncated)
+
+
+def assert_same_build(space, ref):
+    """``space`` and the reference build agree bit for bit: active ids,
+    active elements (ids and arrays), and per level the rows, local rows and
+    the indptr, indices and data bytes of ``R_lv``."""
+    assert space.ndof == ref.ndof
+    for name in ("_active_ids", "_elem_ids", "_elem_array", "_extraction_ids", "_local"):
+        got, want = getattr(space, name), getattr(ref, name)
+        assert len(got) == len(want) == space.num_levels, name
+        for lv, (a, b) in enumerate(zip(got, want)):
+            assert a.dtype == b.dtype and a.shape == b.shape, (name, lv)
+            assert np.array_equal(a, b), (name, lv)
+    for lv, (a, b) in enumerate(zip(space._extraction, ref._extraction)):
+        assert a.shape == b.shape, lv
+        assert a.indptr.tobytes() == b.indptr.tobytes(), lv
+        assert a.indices.tobytes() == b.indices.tobytes(), lv
+        assert a.data.tobytes() == b.data.tobytes(), lv
 
 
 # -- refine/coarsen oracle: one box at a time on sets of box tuples ---------

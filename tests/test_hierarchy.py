@@ -11,10 +11,14 @@ Two independent oracles drive the core checks:
   next domain; its coefficients are compared entry by entry with the
   extraction matrices, and its finest-level combination is evaluated
   directly.
+
+The build itself is also compared bit for bit with the level-grid build
+kept in ``conftest.reference_thb_build``.
 """
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import numpy.testing as nt
@@ -23,11 +27,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    assert_same_build,
     element_grid_points,
     element_support_sets,
     naive_tensor_value,
     random_admissible_space,
     random_hierarchy,
+    reference_thb_build,
 )
 from thbox.hierarchy import (
     DomainHierarchy,
@@ -402,11 +408,17 @@ class TestTruncatedEvaluation:
             fine = levels[lv + 1]
             supports = element_support_sets(fine)
             dom = _domain_elements(hier, lv + 1)
-            prol = space._prolongation(lv, np.arange(levels[lv].total_basis)).tocsr()
+            # every level-lv candidate (every B-spline nonzero on Omega^lv) is
+            # prolonged: a fine B-spline that meets Omega^{lv+1} has a parent
+            # among them, so the rows cover every fine B-spline that can be kept
+            coarse = space._incidence(lv)[2]
+            fine_cand, _, inside = space._incidence(lv + 1)[2:5]
+            prol = space._prolongation(lv, coarse, np.arange(len(coarse)), fine_cand, inside)
+            carried = set(fine_cand[np.diff(prol.indptr) > 0].tolist())
             for r in range(fine.total_basis):
                 supp = supports[tuple(int(c) for c in np.unravel_index(r, fine.numbasis))]
                 kept = bool(supp & dom) and not (truncated and supp <= dom)
-                assert (prol.indptr[r + 1] > prol.indptr[r]) == kept
+                assert (r in carried) == kept
 
     @pytest.mark.parametrize("case", HIERARCHY_CASES)
     def test_partition_of_unity_and_nonnegativity(self, case):
@@ -480,6 +492,61 @@ class TestTruncatedEvaluation:
             target = pts[:, 0] ** ex * pts[:, 1] ** ey
             coef, *_ = np.linalg.lstsq(mat, target, rcond=None)
             nt.assert_allclose(mat @ coef, target, atol=1e-10)
+
+
+def _random_case(seed):
+    """A seeded hierarchy over 1D-3D, p 1..3 and multiplicity 1..p, up to
+    four levels (three in 3D), with its level-0 space."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 4))
+    p = int(rng.integers(1, 4))
+    m = int(rng.integers(1, p + 1))
+    q = tuple(int(v) for v in rng.integers(1, 4, size=dim))
+    boxes0 = tuple(int(v) for v in rng.integers(1, 4 if dim < 3 else 3, size=dim))
+    hier = random_hierarchy(rng, dim, q, boxes0, 4 if dim < 3 else 3)
+    base = uniform_space(hier.elems_level0, (p,) * dim, (m,) * dim)
+    return base, hier
+
+
+class TestReferenceBuild:
+    """The build that costs the refined region equals the level-grid build of
+    ``conftest.reference_thb_build`` bit for bit: active ids, active elements,
+    the rows of each ``R_lv``, their local rows and the CSR arrays."""
+
+    @pytest.mark.parametrize("case", HIERARCHY_CASES + [CASE_3D])
+    @pytest.mark.parametrize("truncated", [True, False])
+    def test_cases(self, case, truncated):
+        levels, hier = _make_case(*case)
+        ref = reference_thb_build(LevelSequence(levels.base), hier, truncated)
+        assert_same_build(ThbSpace(levels, hier, truncated), ref)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_hierarchies(self, seed):
+        base, hier = _random_case(seed)
+        for truncated in (True, False):
+            ref = reference_thb_build(LevelSequence(base), hier, truncated)
+            assert_same_build(ThbSpace(LevelSequence(base), hier, truncated), ref)
+
+
+class TestDepthCost:
+    """A build's memory follows the refined region, not the level grid: p=2
+    central refinements of (3, ...)-boxes, two per direction, as the
+    ``derham-check`` CLI builds them."""
+
+    @pytest.mark.parametrize("dim, refinements", [(3, 5), (2, 10)])
+    def test_peak_of_deep_build(self, dim, refinements):
+        refined = [{(2**lv,) * dim} for lv in range(refinements)]
+        hier = DomainHierarchy((3,) * dim, (2,) * dim, refined)
+        levels = LevelSequence(uniform_space(hier.elems_level0, (2,) * dim))
+        build_thb(levels, hier)  # the level spaces and two-scale arrays are not the build's
+        tracemalloc.start()
+        try:
+            space = build_thb(levels, hier)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert space.num_levels == refinements + 1
+        assert peak <= 4e6, "peak %.1f MB" % (peak / 1e6)
 
 
 @st.composite
